@@ -135,6 +135,12 @@ def tape_size() -> int:
     return len(_tape)
 
 
+def clear_tape() -> None:
+    """Drop every recorded operation, for a forward pass that will not be
+    followed by :func:`backward`."""
+    _tape.clear()
+
+
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
     """Disable tape recording, e.g. for evaluation or finite differencing."""

@@ -1,7 +1,8 @@
 """Graph convolution stacks over symmetrically normalized adjacency.
 
 Each layer computes act(A_hat @ H @ W) with A_hat the renormalized
-adjacency (self-loops added, symmetric degree scaling). Hidden layers use
+adjacency (self-loops added, symmetric degree scaling), which callers build
+once per graph and pass in as the propagator. Hidden layers use
 relu; the final layer is linear so embeddings stay unbounded. Variational
 stacks share a trunk and split into a mean head and a log-std head whose
 output is clamped to [-10, 10] before exponentiation.
@@ -139,8 +140,9 @@ def variational_gcn_stack(
     return VariationalGnnStack(trunk, mean_head, log_std_head)
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self-loops.
+def degree_scale(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 of A + I as a vector, one entry per node, after checking that
+    ``adjacency`` is a valid graph.
 
     Accepts any symmetric non-negative matrix, including weighted coarse
     adjacencies from pooling. The self-loop keeps every degree positive.
@@ -148,13 +150,26 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-    if not np.allclose(adjacency, adjacency.T, atol=1e-9):
+    # Exact equality is the common case, implies allclose and costs far less.
+    if not (
+        (adjacency == adjacency.T).all() or np.allclose(adjacency, adjacency.T, atol=1e-9)
+    ):
         raise ValueError("adjacency must be symmetric")
     if (adjacency < 0).any():
         raise ValueError("adjacency must be non-negative")
-    with_loops = adjacency + np.eye(adjacency.shape[0])
-    inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    return inv_sqrt_degree[:, None] * with_loops * inv_sqrt_degree[None, :]
+    return 1.0 / np.sqrt((adjacency + np.eye(adjacency.shape[0])).sum(axis=1))
+
+
+def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale (A + I) scale for a ``scale`` from :func:`degree_scale`; does
+    not validate again."""
+    return scale[:, None] * (adjacency + np.eye(adjacency.shape[0])) * scale[None, :]
+
+
+def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self-loops."""
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    return scale_adjacency(adjacency, degree_scale(adjacency))
 
 
 def _apply_layer(layer: GcnLayer, propagated: Tensor) -> Tensor:
@@ -162,17 +177,22 @@ def _apply_layer(layer: GcnLayer, propagated: Tensor) -> Tensor:
     return ad.relu(out) if layer.activation == "relu" else out
 
 
-def gnn_forward(stack: GnnStack, adjacency: np.ndarray, features: Tensor) -> Tensor:
-    """Run the stack over one graph; returns node embeddings, one row per node."""
-    if features.shape[0] != adjacency.shape[0]:
+def _check_inputs(stack, propagator: Tensor, features: Tensor) -> None:
+    if features.shape[0] != propagator.shape[0]:
         raise ad.ShapeError(
-            f"features have {features.shape[0]} rows for {adjacency.shape[0]} nodes"
+            f"features have {features.shape[0]} rows for {propagator.shape[0]} nodes"
         )
     if features.shape[1] != stack.input_dim:
         raise ad.ShapeError(
             f"features have width {features.shape[1]}, stack expects {stack.input_dim}"
         )
-    propagator = ad.constant(normalize_adjacency(adjacency))
+
+
+def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
+    """Run the stack over one graph given its propagator, the normalized
+    adjacency from :func:`normalize_adjacency`; returns node embeddings, one
+    row per node."""
+    _check_inputs(stack, propagator, features)
     hidden = features
     for layer in stack.layers:
         hidden = _apply_layer(layer, ad.matmul(propagator, hidden))
@@ -180,18 +200,10 @@ def gnn_forward(stack: GnnStack, adjacency: np.ndarray, features: Tensor) -> Ten
 
 
 def gnn_forward_variational(
-    stack: VariationalGnnStack, adjacency: np.ndarray, features: Tensor
+    stack: VariationalGnnStack, propagator: Tensor, features: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Run trunk and heads; returns (mean, std) with std = exp(clamped log-std)."""
-    if features.shape[0] != adjacency.shape[0]:
-        raise ad.ShapeError(
-            f"features have {features.shape[0]} rows for {adjacency.shape[0]} nodes"
-        )
-    if features.shape[1] != stack.input_dim:
-        raise ad.ShapeError(
-            f"features have width {features.shape[1]}, stack expects {stack.input_dim}"
-        )
-    propagator = ad.constant(normalize_adjacency(adjacency))
+    _check_inputs(stack, propagator, features)
     hidden = features
     for layer in stack.trunk:
         hidden = _apply_layer(layer, ad.matmul(propagator, hidden))

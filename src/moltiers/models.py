@@ -11,7 +11,7 @@ tiers see deterministic inputs, and samples with reparameterized noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,14 +21,16 @@ from .autodiff import Tensor
 from .gnn import (
     GnnStack,
     VariationalGnnStack,
+    degree_scale,
     gcn_stack,
     gnn_forward,
     gnn_forward_variational,
+    normalize_adjacency,
+    scale_adjacency,
     variational_gcn_stack,
 )
 from .grouping import GroupSet, build_membership, graph_membership, partition
 from .molgraph import NODE_FEATURE_DIM, MolecularGraph
-from .pooling import diff_group_pool
 
 NoiseSource = Callable[[tuple[int, int]], np.ndarray]
 
@@ -43,7 +45,14 @@ def gaussian_noise(rng: np.random.Generator) -> NoiseSource:
 
 @dataclass
 class MoleculeData:
-    """Everything the models need for one molecule, computed once."""
+    """Everything the models need for one molecule, computed once.
+
+    Besides the graph and its partition this holds every constant the
+    encoder and decoder read: the atom degree scale, the group- and
+    molecule-tier propagators, and the feature, pooling and broadcast
+    tensors. The only n x n array kept is ``adjacency``; the atom-tier
+    propagator is rebuilt from it on each pass (see :meth:`atom_propagator`).
+    """
 
     graph: MolecularGraph
     group_set: GroupSet
@@ -51,6 +60,26 @@ class MoleculeData:
     features: np.ndarray
     node_to_group: np.ndarray
     group_to_graph: np.ndarray
+    atom_scale: np.ndarray = field(init=False)
+    group_propagator: Tensor = field(init=False)
+    molecule_propagator: Tensor = field(init=False)
+    atom_features: Tensor = field(init=False)
+    atoms_to_groups: Tensor = field(init=False)
+    groups_to_molecule: Tensor = field(init=False)
+    groups_to_atoms: Tensor = field(init=False)
+    molecule_to_atoms: Tensor = field(init=False)
+
+    def __post_init__(self):
+        self.atom_scale = degree_scale(self.adjacency)
+        group_adjacency = self.node_to_group.T @ self.adjacency @ self.node_to_group
+        molecule_adjacency = self.group_to_graph.T @ group_adjacency @ self.group_to_graph
+        self.group_propagator = ad.constant(normalize_adjacency(group_adjacency))
+        self.molecule_propagator = ad.constant(normalize_adjacency(molecule_adjacency))
+        self.atom_features = ad.constant(self.features)
+        self.atoms_to_groups = ad.constant(self.node_to_group.T)
+        self.groups_to_molecule = ad.constant(self.group_to_graph.T)
+        self.groups_to_atoms = ad.constant(self.node_to_group)
+        self.molecule_to_atoms = ad.constant(np.ones((self.num_atoms, 1)))
 
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "MoleculeData":
@@ -64,6 +93,15 @@ class MoleculeData:
             node_to_group=node_to_group,
             group_to_graph=graph_membership(len(group_set)),
         )
+
+    def atom_propagator(self) -> Tensor:
+        """The atom tier's normalized adjacency, rebuilt on every call from
+        the already checked degree scale.
+
+        Kept for every molecule of a dataset, this n x n array would make
+        memory grow with the square of molecule size (see the README).
+        """
+        return ad.constant(scale_adjacency(self.adjacency, self.atom_scale))
 
     @property
     def name(self) -> str:
@@ -203,12 +241,14 @@ class TieredVgaeParams:
 
 def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddings:
     """Encode one molecule: GNN, pool to groups, GNN, pool to the molecule,
-    GNN. Membership matrices come from the molecule's partition."""
-    node = gnn_forward(params.encoders[0], data.adjacency, ad.constant(data.features))
-    coarse_groups = diff_group_pool(data.adjacency, node, data.node_to_group)
-    group = gnn_forward(params.encoders[1], coarse_groups.adjacency, coarse_groups.features)
-    coarse_graph = diff_group_pool(coarse_groups.adjacency, group, data.group_to_graph)
-    graph = gnn_forward(params.encoders[2], coarse_graph.adjacency, coarse_graph.features)
+    GNN. Propagators and pooling matrices are the molecule's constants."""
+    node = gnn_forward(params.encoders[0], data.atom_propagator(), data.atom_features)
+    group = gnn_forward(
+        params.encoders[1], data.group_propagator, ad.matmul(data.atoms_to_groups, node)
+    )
+    graph = gnn_forward(
+        params.encoders[2], data.molecule_propagator, ad.matmul(data.groups_to_molecule, group)
+    )
     return TieredEmbeddings(node, group, graph, data)
 
 
@@ -227,16 +267,15 @@ def encode_tiered_variational(
     noise every sample equals its mean."""
     stats: list[TierStats] = []
     samples: list[Tensor] = []
-    adjacency = data.adjacency
-    features: Tensor = ad.constant(data.features)
-    memberships = (data.node_to_group, data.group_to_graph)
+    propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
+    pools = (data.atoms_to_groups, data.groups_to_molecule)
+    features = data.atom_features
     for tier, stack in enumerate(params.encoders):
-        mean, std = gnn_forward_variational(stack, adjacency, features)
+        mean, std = gnn_forward_variational(stack, propagators[tier], features)
         stats.append(TierStats(mean, std))
         samples.append(reparameterize(mean, std, noise(mean.shape)))
         if tier < 2:
-            coarse = diff_group_pool(adjacency, mean, memberships[tier])
-            adjacency, features = coarse.adjacency, coarse.features
+            features = ad.matmul(pools[tier], mean)
     return TieredEmbeddings(samples[0], samples[1], samples[2], data), stats
 
 
@@ -248,8 +287,8 @@ def _broadcast_embeddings(embeddings: TieredEmbeddings) -> Tensor:
     """Concatenate node rows with group and molecule rows broadcast down to
     the atoms through the membership matrices."""
     data = embeddings.data
-    group_rows = ad.matmul(ad.constant(data.node_to_group), embeddings.group)
-    graph_rows = ad.matmul(ad.constant(np.ones((data.num_atoms, 1))), embeddings.graph)
+    group_rows = ad.matmul(data.groups_to_atoms, embeddings.group)
+    graph_rows = ad.matmul(data.molecule_to_atoms, embeddings.graph)
     return ad.hstack([embeddings.node, group_rows, graph_rows])
 
 
@@ -276,7 +315,7 @@ def decode_with_graph_vector(
         )
     data = embeddings.data
     with ad.no_grad():
-        group_rows = ad.matmul(ad.constant(data.node_to_group), embeddings.group)
+        group_rows = ad.matmul(data.groups_to_atoms, embeddings.group)
         graph_rows = ad.constant(np.repeat(vector, data.num_atoms, axis=0))
         combined = ad.hstack([embeddings.node, group_rows, graph_rows])
         logits = ad.matmul(ad.matmul(combined, params.pair_decoder), ad.transpose(combined))

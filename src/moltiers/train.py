@@ -4,7 +4,8 @@ Each epoch walks the dataset in order, takes one optimizer step per
 molecule and records the epoch mean of the objective. Runs are
 deterministic for a fixed seed: parameter init and VGAE noise come from a
 single seeded generator and the loop order never changes. A non-finite loss
-aborts immediately with the epoch that produced it.
+aborts immediately with the epoch that produced it and leaves the tape
+empty.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ def train_gae(
             loss = gae_loss(params, data, config.feature_weight)
             value = loss.item()
             if not math.isfinite(value):
+                ad.clear_tape()
                 raise NonFiniteLossError(epoch, data.name)
             ad.backward(loss)
             optimizer.step()
@@ -139,6 +141,7 @@ def train_vgae(
             recon_value = recon.item()
             kl_value = kl_total.item()
             if not (math.isfinite(recon_value) and math.isfinite(kl_value)):
+                ad.clear_tape()
                 raise NonFiniteLossError(epoch, data.name)
             objective = ad.add(recon, ad.scale(kl_total, beta))
             ad.backward(objective)

@@ -17,6 +17,11 @@ from moltiers.gnn import (
 )
 
 
+def propagator(adjacency):
+    """The constant a forward pass takes for ``adjacency``."""
+    return ad.constant(normalize_adjacency(adjacency))
+
+
 def test_normalize_two_node_path():
     # A + I is all ones, both degrees 2, so every entry becomes 1/2
     out = normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -103,7 +108,7 @@ def test_single_linear_layer_forward_matches_numpy():
     X = rng.standard_normal((3, 4))
     W = rng.standard_normal((4, 2))
     stack = GnnStack([GcnLayer(ad.parameter(W), "none")])
-    out = gnn_forward(stack, A, ad.constant(X))
+    out = gnn_forward(stack, propagator(A), ad.constant(X))
     expected = normalize_adjacency(A) @ X @ W
     assert np.allclose(out.values, expected, atol=1e-12)
     ad.backward(ad.reduce_sum(out))
@@ -114,7 +119,7 @@ def test_relu_hidden_layer_blocks_negative_channels():
     X = np.ones((2, 1))
     hidden = GcnLayer(ad.parameter(np.array([[-1.0]])), "relu")
     out_layer = GcnLayer(ad.parameter(np.array([[1.0]])), "none")
-    out = gnn_forward(GnnStack([hidden, out_layer]), A, ad.constant(X))
+    out = gnn_forward(GnnStack([hidden, out_layer]), propagator(A), ad.constant(X))
     assert np.allclose(out.values, 0.0)
     ad.backward(ad.reduce_sum(out))
 
@@ -124,9 +129,9 @@ def test_forward_shape_validation():
     stack = gcn_stack(rng, 4, 4, 2)
     A = np.zeros((3, 3))
     with pytest.raises(ad.ShapeError, match="rows"):
-        gnn_forward(stack, A, ad.constant(np.zeros((2, 4))))
+        gnn_forward(stack, propagator(A), ad.constant(np.zeros((2, 4))))
     with pytest.raises(ad.ShapeError, match="width"):
-        gnn_forward(stack, A, ad.constant(np.zeros((3, 5))))
+        gnn_forward(stack, propagator(A), ad.constant(np.zeros((3, 5))))
 
 
 def test_variational_stack_structure():
@@ -161,7 +166,7 @@ def test_variational_forward_returns_positive_std():
     stack = variational_gcn_stack(rng, 4, 3, 2)
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     X = rng.standard_normal((2, 4))
-    mean, std = gnn_forward_variational(stack, A, ad.constant(X))
+    mean, std = gnn_forward_variational(stack, propagator(A), ad.constant(X))
     assert mean.shape == (2, 3)
     assert std.shape == (2, 3)
     assert np.all(std.values > 0.0)
@@ -174,11 +179,11 @@ def test_log_std_is_clamped_before_exp():
     mean_head = GcnLayer(ad.parameter(np.ones((1, 1))), "none")
     stack = VariationalGnnStack([], mean_head, huge)
     A = np.zeros((1, 1))
-    _, std = gnn_forward_variational(stack, A, ad.constant(np.ones((1, 1))))
+    _, std = gnn_forward_variational(stack, propagator(A), ad.constant(np.ones((1, 1))))
     assert np.allclose(std.values, np.exp(LOG_STD_CLAMP))
     tiny = GcnLayer(ad.parameter(np.full((1, 1), -1e6)), "none")
     stack = VariationalGnnStack([], mean_head, tiny)
-    _, std = gnn_forward_variational(stack, A, ad.constant(np.ones((1, 1))))
+    _, std = gnn_forward_variational(stack, propagator(A), ad.constant(np.ones((1, 1))))
     assert np.allclose(std.values, np.exp(-LOG_STD_CLAMP))
 
 
@@ -188,7 +193,7 @@ def test_forward_is_deterministic_for_fixed_seed():
     runs = []
     for _ in range(2):
         stack = gcn_stack(np.random.default_rng(9), 4, 5, 3)
-        out = gnn_forward(stack, A, ad.constant(X))
+        out = gnn_forward(stack, propagator(A), ad.constant(X))
         runs.append(out.values.copy())
         ad.backward(ad.reduce_sum(out))
     assert np.array_equal(runs[0], runs[1])

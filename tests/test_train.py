@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import moltiers.autodiff as ad
 from moltiers.models import MoleculeData
 from moltiers.smiles import parse_smiles
 from moltiers.train import (
@@ -100,11 +101,15 @@ def test_pair_decoder_stays_symmetric_through_training(tiny_dataset):
 
 
 def test_divergent_learning_rate_raises_with_context(tiny_dataset):
-    with pytest.raises(NonFiniteLossError) as err, np.errstate(over="ignore", invalid="ignore"):
-        train_gae(tiny_dataset, tiny_config(epochs=30, learning_rate=1e12, optimizer="sgd"))
-    assert err.value.epoch >= 1
-    assert isinstance(err.value.molecule, str)
-    assert "non-finite loss at epoch" in str(err.value)
+    config = tiny_config(epochs=30, learning_rate=1e12, optimizer="sgd")
+    for train in (train_gae, train_vgae):
+        with pytest.raises(NonFiniteLossError) as err, np.errstate(over="ignore", invalid="ignore"):
+            train(tiny_dataset, config)
+        assert err.value.epoch >= 1
+        assert isinstance(err.value.molecule, str)
+        assert "non-finite loss at epoch" in str(err.value)
+        # the aborted step's forward records must not leak into the next run
+        assert ad.tape_size() == 0
 
 
 def test_vgae_training_improves_elbo(tiny_dataset):
