@@ -11,6 +11,9 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +45,25 @@ def _collect_weights(params) -> dict[str, list]:
     return weights
 
 
+@contextmanager
+def atomic_write(path):
+    """Text handle on a temp file beside ``path``: ``os.replace`` renames it
+    over ``path`` when the block ends cleanly, and it is deleted if the block
+    raises. A ``path`` that exists but is no regular file is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    temp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(params, path) -> None:
     """Write params to ``path`` as JSON; the kind is derived from the type."""
     if isinstance(params, TieredVgaeParams):
@@ -60,7 +82,7 @@ def save_checkpoint(params, path) -> None:
         },
         "weights": _collect_weights(params),
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
 

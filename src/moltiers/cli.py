@@ -20,15 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from .models import (
     MoleculeData,
-    TieredVgaeParams,
     decode_with_graph_vector,
-    encode_tiered,
-    encode_tiered_variational,
+    encode_for_inference,
     interpolate_latent,
-    zero_noise,
 )
 from .molgraph import MoleculeRecord, load_molecules
 from .smiles import SmilesError, parse_smiles
@@ -160,7 +157,8 @@ def _write_json(doc: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with atomic_write(out) as handle:
+            handle.write(text)
 
 
 def _load_dataset(path: str) -> tuple[list[MoleculeData], int]:
@@ -250,19 +248,13 @@ def cmd_train(args) -> int:
     checkpoint_path = out_dir / "checkpoint.json"
     trace_path = out_dir / "trace.csv"
     save_checkpoint(params, checkpoint_path)
-    trace_path.write_text(csv_text, encoding="utf-8")
+    with atomic_write(trace_path) as handle:
+        handle.write(csv_text)
     print(
         f"trained {args.model} on {len(dataset)} molecules for {config.epochs} epochs; "
         f"{final}; checkpoint: {checkpoint_path}; trace: {trace_path}"
     )
     return 0
-
-
-def _encode(params, data: MoleculeData):
-    if isinstance(params, TieredVgaeParams):
-        embeddings, _ = encode_tiered_variational(params, data, zero_noise)
-        return embeddings
-    return encode_tiered(params, data)
 
 
 def cmd_embed(args) -> int:
@@ -277,7 +269,7 @@ def cmd_embed(args) -> int:
                 if graph is None:
                     continue
                 data = MoleculeData.from_graph(graph)
-                embeddings = _encode(params, data)
+                embeddings = encode_for_inference(params, data)
                 doc = {
                     "name": graph.name,
                     "smiles": graph.smiles,
@@ -310,10 +302,8 @@ def cmd_interp(args) -> int:
         return 1
     try:
         with ad.no_grad():
-            data_a = MoleculeData.from_graph(graph_a)
-            data_b = MoleculeData.from_graph(graph_b)
-            emb_a = _encode(params, data_a)
-            emb_b = _encode(params, data_b)
+            emb_a = encode_for_inference(params, MoleculeData.from_graph(graph_a))
+            emb_b = encode_for_inference(params, MoleculeData.from_graph(graph_b))
             start = emb_a.graph.values.reshape(-1)
             end = emb_b.graph.values.reshape(-1)
             path = interpolate_latent(start, end, args.steps)
@@ -325,19 +315,20 @@ def cmd_interp(args) -> int:
                 # endpoint's atom frame with its molecule-tier rows swapped for
                 # the interpolated vector. No molecules are decoded.
                 probs = decode_with_graph_vector(params, emb_a, vector)
-                n = probs.shape[0]
-                pairs = [
-                    (float(probs[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
-                ]
-                pairs.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-                mean_prob = float(np.mean([p for p, _, _ in pairs])) if pairs else 0.0
+                # Pairs i < j by descending probability, then by (i, j); the
+                # mean sums in that order, so its rounding stays fixed.
+                rows, cols = np.nonzero(~np.tri(*probs.shape, dtype=bool))
+                pair_probs = probs[rows, cols]
+                order = np.lexsort((cols, rows, -pair_probs))
+                mean_prob = float(np.mean(pair_probs[order])) if order.size else 0.0
+                top = order[:TOP_EDGES]
                 decoded.append(
                     {
                         "alpha": float(alpha),
                         "mean_edge_probability": mean_prob,
                         "top_edges": [
                             {"first": i, "second": j, "probability": p}
-                            for p, i, j in pairs[:TOP_EDGES]
+                            for p, i, j in zip(*(a[top].tolist() for a in (pair_probs, rows, cols)))
                         ],
                     }
                 )

@@ -36,14 +36,16 @@ def _bfs_path(adj: list[list[int]], src: int, dst: int, banned: frozenset[int]) 
     return None
 
 
-def _fundamental_cycles(num_nodes: int, adj: list[list[int]]) -> list[list[int]]:
-    """Cycles induced by non-tree edges of a BFS spanning forest."""
+def _fundamental_cycles(num_nodes: int, adj: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Cycles induced by non-tree edges of a BFS spanning forest, and its tree count."""
     parent = [-2] * num_nodes  # -2 unvisited, -1 root
     parent_edge = [-1] * num_nodes
     order: list[int] = []
+    components = 0
     for root in range(num_nodes):
         if parent[root] != -2:
             continue
+        components += 1
         parent[root] = -1
         queue = deque([root])
         while queue:
@@ -76,7 +78,7 @@ def _fundamental_cycles(num_nodes: int, adj: list[list[int]]) -> list[list[int]]
             junction = path_b[meet]
             cycle = path_a[: in_a[junction] + 1] + path_b[:meet][::-1]
             cycles.append(cycle)
-    return cycles
+    return cycles, components
 
 
 def _cycle_edge_ids(cycle: list[int], edge_ids: dict[tuple[int, int], int]) -> list[int]:
@@ -109,7 +111,8 @@ def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> li
         path = _bfs_path(adj, v, u, frozenset([edge_id]))
         if path is not None:
             candidates.append(path)
-    candidates.extend(_fundamental_cycles(num_nodes, adj))
+    fundamental, components = _fundamental_cycles(num_nodes, adj)
+    candidates.extend(fundamental)
 
     seen: set[frozenset[int]] = set()
     unique = []
@@ -120,7 +123,6 @@ def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> li
             unique.append(cycle)
     unique.sort(key=lambda c: (len(c), tuple(c)))
 
-    components = sum(1 for n in range(num_nodes) if not _reachable_earlier(adj, n))
     target = len(edges) - num_nodes + components
 
     basis: list[tuple[int, ...]] = []
@@ -141,18 +143,3 @@ def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> li
     if len(basis) != target:
         raise RuntimeError(f"cycle basis incomplete: {len(basis)} of {target}")
     return basis
-
-
-def _reachable_earlier(adj: list[list[int]], node: int) -> bool:
-    """True if any lower-numbered node reaches ``node`` (used to count components)."""
-    seen = {node}
-    queue = deque([node])
-    while queue:
-        current = queue.popleft()
-        for nbr, _ in adj[current]:
-            if nbr < node:
-                return True
-            if nbr not in seen:
-                seen.add(nbr)
-                queue.append(nbr)
-    return False

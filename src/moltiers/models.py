@@ -440,28 +440,29 @@ def interpolate_latent(start: np.ndarray, end: np.ndarray, steps: int) -> list[n
 
 
 def edge_auc(edge_probs: np.ndarray, adjacency: np.ndarray) -> float:
-    """Ranking AUC of predicted edge probabilities on unordered pairs,
-    computed by brute force over every (edge, non-edge) pair; ties count
-    one half."""
-    n = adjacency.shape[0]
-    pos_scores = []
-    neg_scores = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i, j] > 0:
-                pos_scores.append(edge_probs[i, j])
-            else:
-                neg_scores.append(edge_probs[i, j])
-    if not pos_scores or not neg_scores:
+    """Mann-Whitney AUC of edge probabilities over the pairs i < j, ties
+    counting one half. Exact: the win count is half the sum of the edge scores'
+    left and right insertion points among the sorted non-edge scores."""
+    upper = ~np.tri(*adjacency.shape, dtype=bool)  # i < j
+    scores = edge_probs[upper]
+    if np.isnan(scores).any():
+        raise ValueError("edge probabilities contain NaN")
+    is_edge = adjacency[upper] > 0
+    pos_scores = scores[is_edge]
+    neg_scores = np.sort(scores[~is_edge])
+    if not pos_scores.size or not neg_scores.size:
         return 1.0
-    wins = 0.0
-    for p in pos_scores:
-        for q in neg_scores:
-            if p > q:
-                wins += 1.0
-            elif p == q:
-                wins += 0.5
-    return wins / (len(pos_scores) * len(neg_scores))
+    below = np.searchsorted(neg_scores, pos_scores, "left").sum()
+    not_above = np.searchsorted(neg_scores, pos_scores, "right").sum()
+    return float((below + not_above) / 2 / (pos_scores.size * neg_scores.size))
+
+
+def encode_for_inference(params, data: MoleculeData) -> TieredEmbeddings:
+    """Deterministic embeddings of one molecule: the GAE encoder, or the
+    VGAE encoder with zero noise so every tier is its posterior mean."""
+    if isinstance(params, TieredVgaeParams):
+        return encode_tiered_variational(params, data, zero_noise)[0]
+    return encode_tiered(params, data)
 
 
 def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
@@ -471,10 +472,9 @@ def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
     scores = []
     with ad.no_grad():
         for data in dataset:
-            if isinstance(params, TieredVgaeParams):
-                embeddings, _ = encode_tiered_variational(params, data, zero_noise)
-            else:
-                embeddings = encode_tiered(params, data)
-            edge_probs, _ = decode(params, embeddings)
-            scores.append(edge_auc(edge_probs.values, data.adjacency))
+            edge_probs, _ = decode(params, encode_for_inference(params, data))
+            try:
+                scores.append(edge_auc(edge_probs.values, data.adjacency))
+            except ValueError as err:
+                raise ValueError(f"molecule {data.name!r}: {err}") from err
     return float(np.mean(scores))

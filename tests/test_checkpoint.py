@@ -1,11 +1,13 @@
 """Checkpoint serialization: exact round trips and corruption handling."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from moltiers.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from moltiers.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from moltiers.models import (
     MoleculeData,
     TieredGaeParams,
@@ -130,3 +132,35 @@ def test_bad_config_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.json")
+
+
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_checkpoint(TieredGaeParams.init(np.random.default_rng(1), (3, 3, 3), 2), path)
+    before = path.read_bytes()
+
+    def dump_then_fail(payload, handle, **kwargs):
+        handle.write('{"format_version": 1, "weights": {')
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(TieredGaeParams.init(np.random.default_rng(2), (3, 3, 3), 2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_atomic_write_writes_a_pipe_in_place(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    with atomic_write(pipe) as handle:
+        handle.write("through the pipe\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == ["through the pipe\n"]
+    assert pipe.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]

@@ -73,6 +73,14 @@ def test_partition_writes_to_stdout_by_default(corpus_file, capsys):
     assert len(doc["molecules"]) == 3
 
 
+def test_out_naming_a_directory_exits_2_and_writes_nothing(tmp_path, corpus_file, capsys):
+    taken = tmp_path / "taken.json"
+    taken.mkdir()
+    assert main(["partition", "--input", corpus_file, "--out", str(taken)]) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mols.smi", "taken.json"]
+
+
 def test_train_writes_checkpoint_and_trace(trained_dir, capsys):
     assert (trained_dir / "checkpoint.json").exists()
     trace = (trained_dir / "trace.csv").read_text()

@@ -79,6 +79,25 @@ def test_basis_size_matches_cyclomatic_number():
         assert len(basis) == len(edges) - n + 1
 
 
+def test_disconnected_graph_counts_every_component():
+    # a triangle and a square interleaved with an isolated node 1:
+    # U - N + C = 7 - 8 + 3
+    edges = [(0, 2), (2, 5), (5, 0), (3, 4), (4, 6), (6, 7), (7, 3)]
+    basis = shortest_cycle_basis(8, edges)
+    assert {cycle_edge_set(list(c)) for c in basis} == {
+        frozenset({(0, 2), (2, 5), (0, 5)}),
+        frozenset({(3, 4), (4, 6), (6, 7), (3, 7)}),
+    }
+    rng = random.Random(907)
+    for _ in range(10):
+        n_a, n_b = rng.randint(3, 8), rng.randint(3, 8)
+        first = random_connected_graph(rng, n_a, rng.randint(0, 2))
+        second = random_connected_graph(rng, n_b, rng.randint(0, 2))
+        edges = first + [(a + n_a, b + n_a) for a, b in second]
+        n = n_a + n_b + 1  # the last node is isolated
+        assert len(shortest_cycle_basis(n, edges)) == len(edges) - n + 3
+
+
 def test_basis_members_are_closed_walks_over_real_edges():
     rng = random.Random(902)
     for _ in range(15):

@@ -7,6 +7,9 @@ variational one with unit std and zero noise.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import moltiers.autodiff as ad
 from moltiers.gnn import GcnLayer, VariationalGnnStack
@@ -310,6 +313,70 @@ def test_edge_auc_hand_cases():
     # no non-edges in a triangle: vacuous ranking
     triangle = np.ones((3, 3)) - np.eye(3)
     assert edge_auc(flat, triangle) == 1.0
+
+
+def brute_force_edge_auc(edge_probs, adjacency):
+    """Oracle: compares every edge with every non-edge over the pairs i < j;
+    ties count one half."""
+    n = adjacency.shape[0]
+    pos_scores = []
+    neg_scores = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adjacency[i, j] > 0:
+                pos_scores.append(edge_probs[i, j])
+            else:
+                neg_scores.append(edge_probs[i, j])
+    if not pos_scores or not neg_scores:
+        return 1.0
+    wins = 0.0
+    for p in pos_scores:
+        for q in neg_scores:
+            if p > q:
+                wins += 1.0
+            elif p == q:
+                wins += 0.5
+    return wins / (len(pos_scores) * len(neg_scores))
+
+
+# few distinct values force ties, including saturated 0/1 probabilities
+TIED_PROBABILITIES = (0.0, 1e-300, 0.1, 0.25, 0.5, 0.75, 1.0 - 1e-16, 1.0)
+
+
+@st.composite
+def auc_cases(draw):
+    """A symmetric 0/1 adjacency and an unrelated, hence asymmetric,
+    probability matrix of the same size."""
+    n = draw(st.integers(1, 30))
+    bits = np.triu(draw(arrays(bool, (n, n))), k=1)
+    adjacency = (bits | bits.T).astype(np.float64)
+    probs = draw(arrays(np.float64, (n, n), elements=st.sampled_from(TIED_PROBABILITIES)))
+    return probs, adjacency
+
+
+@settings(deadline=None)
+@given(auc_cases())
+@example((np.full((1, 1), 0.5), np.zeros((1, 1))))
+@example((np.full((4, 4), 0.5), np.zeros((4, 4))))
+@example((np.full((4, 4), 0.5), np.ones((4, 4)) - np.eye(4)))
+def test_edge_auc_equals_brute_force(case):
+    probs, adjacency = case
+    assert edge_auc(probs, adjacency) == brute_force_edge_auc(probs, adjacency)
+
+
+def test_edge_auc_rejects_nan():
+    A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    probs = np.full((3, 3), 0.5)
+    probs[0, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        edge_auc(probs, A)
+
+
+def test_mean_edge_auc_names_the_molecule_with_nan_scores(ethanol_data, vanillin_data):
+    params = small_params()
+    params.pair_decoder.values = np.full(params.pair_decoder.shape, np.nan)
+    with pytest.raises(ValueError, match="molecule 'vanillin': edge probabilities contain NaN"):
+        mean_edge_auc(params, [vanillin_data, ethanol_data])
 
 
 def test_mean_edge_auc_requires_data():
