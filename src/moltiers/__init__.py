@@ -31,7 +31,6 @@ from .grouping import (
     build_membership,
     check_bond_consistency,
     detect_aromatic_rings,
-    find_rings,
     graph_membership,
     identify_functional_groups,
     partition,
@@ -65,7 +64,7 @@ from .molgraph import (
     load_molecules,
 )
 from .optim import SGD, Adam
-from .pooling import CoarsenedGraph, TierState, diff_group_pool, pool_tier
+from .pooling import CoarsenedGraph, diff_group_pool
 from .smiles import SmilesError, parse_smiles
 from .train import (
     NonFiniteLossError,

@@ -120,6 +120,13 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
+def _result(values: np.ndarray) -> Tensor:
+    """Wrap an op's fresh 2-D float64 result; unlike the constructor, no copy."""
+    out = Tensor.__new__(Tensor)
+    out.values, out.requires_grad, out.grad, out.tracked = values, False, None, False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Tape machinery
 
@@ -194,7 +201,7 @@ def backward(loss: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul of {a.shape} by {b.shape}")
-    out = Tensor(a.values @ b.values)
+    out = _result(a.values @ b.values)
     a_vals, b_vals = a.values, b.values
 
     def vjp(g: np.ndarray):
@@ -208,7 +215,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.values.T)
+    """A view of ``a``'s values, so a C-ordered input gives an F-ordered
+    result (the layout a copy would keep, and the one BLAS is handed)."""
+    out = _result(a.values.T)
 
     def vjp(g: np.ndarray):
         return (g.T,)
@@ -231,7 +240,7 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "add")
-    out = Tensor(a.values + b.values)
+    out = _result(a.values + b.values)
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g: np.ndarray):
@@ -246,7 +255,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "sub")
-    out = Tensor(a.values - b.values)
+    out = _result(a.values - b.values)
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g: np.ndarray):
@@ -261,7 +270,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "mul")
-    out = Tensor(a.values * b.values)
+    out = _result(a.values * b.values)
     a_vals, b_vals = a.values, b.values
     a_shape, b_shape = a.shape, b.shape
 
@@ -277,7 +286,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
-    out = Tensor(a.values * factor)
+    out = _result(a.values * factor)
 
     def vjp(g: np.ndarray):
         return (g * factor,)
@@ -287,7 +296,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def shift(a: Tensor, offset: float) -> Tensor:
-    out = Tensor(a.values + float(offset))
+    out = _result(a.values + float(offset))
 
     def vjp(g: np.ndarray):
         return (g,)
@@ -301,7 +310,7 @@ def sigmoid(a: Tensor) -> Tensor:
     keeping the output strictly inside (0, 1) in float64."""
     clamped = np.clip(a.values, -SIGMOID_CLAMP, SIGMOID_CLAMP)
     values = 1.0 / (1.0 + np.exp(-clamped))
-    out = Tensor(values)
+    out = _result(values)
 
     def vjp(g: np.ndarray):
         return (g * values * (1.0 - values),)
@@ -313,7 +322,7 @@ def sigmoid(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(0, x); the subgradient at exactly 0 is 0."""
     mask = a.values > 0.0
-    out = Tensor(np.where(mask, a.values, 0.0))
+    out = _result(np.where(mask, a.values, 0.0))
 
     def vjp(g: np.ndarray):
         return (g * mask,)
@@ -324,7 +333,7 @@ def relu(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     values = np.exp(a.values)
-    out = Tensor(values)
+    out = _result(values)
 
     def vjp(g: np.ndarray):
         return (g * values,)
@@ -336,7 +345,7 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     """Natural log with the input floored at LOG_FLOOR, so log never sees 0."""
     floored = np.maximum(a.values, LOG_FLOOR)
-    out = Tensor(np.log(floored))
+    out = _result(np.log(floored))
 
     def vjp(g: np.ndarray):
         return (g / floored,)
@@ -349,7 +358,7 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
     """Clip values to [low, high]; gradient passes only through the interior."""
     if not low < high:
         raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
-    out = Tensor(np.clip(a.values, low, high))
+    out = _result(np.clip(a.values, low, high))
     interior = (a.values > low) & (a.values < high)
 
     def vjp(g: np.ndarray):
@@ -360,7 +369,7 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum().reshape(1, 1))
+    out = _result(a.values.sum().reshape(1, 1))
     shape = a.shape
 
     def vjp(g: np.ndarray):
@@ -370,9 +379,37 @@ def reduce_sum(a: Tensor) -> Tensor:
     return out
 
 
+def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
+    """sum(W * -(T log p + (1 - T) log(1 - p))) as one tape record, both logs
+    floored as in :func:`log`. Forward and vjp repeat the arithmetic of the
+    log / scale / shift / mul / add / reduce_sum chain that spells this out,
+    in its order and folding only exact sign flips, so results are
+    bit-identical to that chain's."""
+    if target.shape != probs.shape or weights.shape != probs.shape:
+        raise ShapeError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
+    complement = 1.0 - target
+    floored_p = np.maximum(probs.values, LOG_FLOOR)
+    floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
+    per_pair = target * np.log(floored_p)
+    per_pair += complement * np.log(floored_q)
+    per_pair *= -1.0
+    per_pair *= weights
+    out = _result(per_pair.sum().reshape(1, 1))
+
+    def vjp(g: np.ndarray):
+        weighted = g[0, 0] * weights
+        grad = weighted * complement
+        grad /= floored_q
+        grad -= weighted * target / floored_p
+        return (grad,)
+
+    _record(out, (probs,), vjp)
+    return out
+
+
 def reduce_mean(a: Tensor) -> Tensor:
     size = a.values.size
-    out = Tensor(a.values.mean().reshape(1, 1))
+    out = _result(a.values.mean().reshape(1, 1))
     shape = a.shape
 
     def vjp(g: np.ndarray):
@@ -390,7 +427,7 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.shape[0] != rows:
             raise ShapeError(f"hstack row mismatch: {[p.shape for p in parts]}")
-    out = Tensor(np.hstack([p.values for p in parts]))
+    out = _result(np.hstack([p.values for p in parts]))
     widths = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + widths)
 

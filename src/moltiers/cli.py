@@ -27,7 +27,7 @@ from .models import (
     encode_for_inference,
     interpolate_latent,
 )
-from .molgraph import MoleculeRecord, load_molecules
+from .molgraph import MoleculeRecord, hill_formula, load_molecules
 from .smiles import SmilesError, parse_smiles
 from .train import (
     NonFiniteLossError,
@@ -196,13 +196,7 @@ def cmd_partition(args) -> int:
         data = MoleculeData.from_graph(graph)
         groups = []
         for group in data.group_set:
-            member_atoms = [graph.atoms[i] for i in group.atoms]
-            counts: dict[str, int] = {}
-            for atom in member_atoms:
-                counts[atom.element] = counts.get(atom.element, 0) + 1
-            ordered = [e for e in ("C", "H") if e in counts]
-            ordered += sorted(e for e in counts if e not in ("C", "H"))
-            formula = "".join(f"{e}{counts[e]}" if counts[e] > 1 else e for e in ordered)
+            formula = hill_formula(graph.atoms[i].element for i in group.atoms)
             groups.append({"kind": group.kind, "atoms": list(group.atoms), "formula": formula})
         molecules.append(
             {

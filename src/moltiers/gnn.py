@@ -163,7 +163,11 @@ def degree_scale(adjacency: np.ndarray) -> np.ndarray:
 def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """scale (A + I) scale for a ``scale`` from :func:`degree_scale`; does
     not validate again."""
-    return scale[:, None] * (adjacency + np.eye(adjacency.shape[0])) * scale[None, :]
+    scaled = np.array(adjacency, dtype=np.float64)
+    scaled.flat[:: len(scaled) + 1] += 1.0  # + I; a strided slice costs less than np.eye
+    scaled *= scale[:, None]
+    scaled *= scale[None, :]
+    return scaled
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:

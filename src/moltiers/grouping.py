@@ -72,12 +72,6 @@ class GroupSet:
         return iter(self.groups)
 
 
-def find_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
-    """The molecule's independent rings as ordered atom cycles (computed at
-    graph construction via BFS shortest-cycle extraction)."""
-    return list(graph.rings)
-
-
 def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     """Rings whose every bond is aromatic, each returned with its attached
     hydrogens, sorted ascending."""

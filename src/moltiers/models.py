@@ -142,8 +142,21 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, int, int]:
     return dims
 
 
+class _TieredParams:
+    """What both parameter sets share: the trainable list and the upkeep of
+    the pair decoder's symmetry."""
+
+    def trainable(self) -> list[Tensor]:
+        weights = [weight for stack in self.encoders for weight in stack.weights()]
+        return weights + [self.pair_decoder, self.feature_decoder]
+
+    def symmetrize_pair_decoder(self) -> None:
+        values = self.pair_decoder.values
+        self.pair_decoder.values = (values + values.T) / 2.0
+
+
 @dataclass
-class TieredGaeParams:
+class TieredGaeParams(_TieredParams):
     """Deterministic model: three encoder stacks plus the two decoder heads.
 
     ``pair_decoder`` is the bilinear matrix for edge logits; it is
@@ -178,21 +191,9 @@ class TieredGaeParams:
         feature_decoder = ad.parameter(ad.glorot_uniform(rng, total, input_dim))
         return cls(encoders, pair_decoder, feature_decoder, dims, depth, input_dim)
 
-    def trainable(self) -> list[Tensor]:
-        params = []
-        for stack in self.encoders:
-            params.extend(stack.weights())
-        params.append(self.pair_decoder)
-        params.append(self.feature_decoder)
-        return params
-
-    def symmetrize_pair_decoder(self) -> None:
-        values = self.pair_decoder.values
-        self.pair_decoder.values = (values + values.T) / 2.0
-
 
 @dataclass
-class TieredVgaeParams:
+class TieredVgaeParams(_TieredParams):
     """Variational model: variational stacks per tier, same decoder heads."""
 
     encoders: tuple[VariationalGnnStack, VariationalGnnStack, VariationalGnnStack]
@@ -221,18 +222,6 @@ class TieredVgaeParams:
         pair_decoder = ad.parameter((pair + pair.T) / 2.0)
         feature_decoder = ad.parameter(ad.glorot_uniform(rng, total, input_dim))
         return cls(encoders, pair_decoder, feature_decoder, dims, depth, input_dim)
-
-    def trainable(self) -> list[Tensor]:
-        params = []
-        for stack in self.encoders:
-            params.extend(stack.weights())
-        params.append(self.pair_decoder)
-        params.append(self.feature_decoder)
-        return params
-
-    def symmetrize_pair_decoder(self) -> None:
-        values = self.pair_decoder.values
-        self.pair_decoder.values = (values + values.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +334,7 @@ def reconstruction_loss(
             f"feature reconstruction is {feature_recon.shape}, expected {features.shape}"
         )
 
-    upper = np.triu(np.ones((n, n)), k=1)
+    upper = (~np.tri(n, dtype=bool)).astype(np.float64)  # i < j
     positives = float((adjacency * upper).sum())
     negatives = float(upper.sum() - positives)
     pos_weight = negatives / positives if positives > 0 else 1.0
@@ -353,15 +342,8 @@ def reconstruction_loss(
     total_weight = float(pair_weights.sum())
 
     if total_weight > 0:
-        target = ad.constant(adjacency)
-        complement = ad.constant(1.0 - adjacency)
-        log_p = ad.log(edge_probs)
-        log_not_p = ad.log(ad.shift(ad.scale(edge_probs, -1.0), 1.0))
-        per_pair = ad.scale(
-            ad.add(ad.mul(target, log_p), ad.mul(complement, log_not_p)), -1.0
-        )
         edge_term = ad.scale(
-            ad.reduce_sum(ad.mul(ad.constant(pair_weights), per_pair)), 1.0 / total_weight
+            ad.weighted_bce_sum(edge_probs, adjacency, pair_weights), 1.0 / total_weight
         )
     else:
         edge_term = ad.constant(0.0)

@@ -10,6 +10,7 @@ always available.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,14 @@ BOND_ORDERS = ("single", "double", "triple", "aromatic")
 
 #: Width of the node feature rows produced by :func:`featurize_nodes`.
 NODE_FEATURE_DIM = len(ELEMENTS) + 5
+
+
+def hill_formula(elements: Iterable[str]) -> str:
+    """Element summary in Hill order: C, H, then the rest alphabetically."""
+    counts = Counter(elements)
+    ordered = [e for e in ("C", "H") if e in counts]
+    ordered += sorted(e for e in counts if e not in ("C", "H"))
+    return "".join(f"{e}{counts[e]}" if counts[e] > 1 else e for e in ordered)
 
 
 @dataclass
@@ -187,11 +196,7 @@ class MolecularGraph:
         return dict(Counter(atom.element for atom in self.atoms))
 
     def formula(self) -> str:
-        """Element summary in Hill order: C, H, then the rest alphabetically."""
-        counts = Counter(atom.element for atom in self.atoms)
-        ordered = [e for e in ("C", "H") if e in counts]
-        ordered += sorted(e for e in counts if e not in ("C", "H"))
-        return "".join(f"{e}{counts[e]}" if counts[e] > 1 else e for e in ordered)
+        return hill_formula(atom.element for atom in self.atoms)
 
     @property
     def node_features(self) -> np.ndarray:

@@ -27,16 +27,6 @@ class CoarsenedGraph:
     features: Tensor
 
 
-@dataclass
-class TierState:
-    """One tier of the hierarchy: adjacency, input features, and the
-    embeddings the tier's encoder produced (None until it ran)."""
-
-    adjacency: np.ndarray
-    features: Tensor
-    embeddings: Tensor | None = None
-
-
 def diff_group_pool(
     adjacency: np.ndarray, embeddings: Tensor, membership: np.ndarray
 ) -> CoarsenedGraph:
@@ -59,10 +49,3 @@ def diff_group_pool(
     coarse_features = ad.matmul(ad.constant(membership.T), embeddings)
     return CoarsenedGraph(coarse_adjacency, coarse_features)
 
-
-def pool_tier(state: TierState, membership: np.ndarray) -> TierState:
-    """Pool a finished tier into the next one's input state."""
-    if state.embeddings is None:
-        raise ValueError("pool_tier needs a tier whose encoder has run")
-    coarse = diff_group_pool(state.adjacency, state.embeddings, membership)
-    return TierState(coarse.adjacency, coarse.features)

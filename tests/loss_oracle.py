@@ -1,0 +1,41 @@
+"""The reconstruction loss spelled out in primitive tape ops.
+
+This is the loss as it was before the edge BCE became the single op
+``weighted_bce_sum``: the ``np.triu`` pair mask and ten records for the
+edge term. Tests use it as the oracle that the fused op must match bit for
+bit, values and gradients alike.
+"""
+
+import numpy as np
+
+import moltiers.autodiff as ad
+
+
+def chain_reconstruction_loss(
+    edge_probs, feature_recon, adjacency, features, feature_weight=0.1
+):
+    n = adjacency.shape[0]
+    upper = np.triu(np.ones((n, n)), k=1)
+    positives = float((adjacency * upper).sum())
+    negatives = float(upper.sum() - positives)
+    pos_weight = negatives / positives if positives > 0 else 1.0
+    pair_weights = upper * (1.0 + (pos_weight - 1.0) * adjacency)
+    total_weight = float(pair_weights.sum())
+
+    if total_weight > 0:
+        target = ad.constant(adjacency)
+        complement = ad.constant(1.0 - adjacency)
+        log_p = ad.log(edge_probs)
+        log_not_p = ad.log(ad.shift(ad.scale(edge_probs, -1.0), 1.0))
+        per_pair = ad.scale(
+            ad.add(ad.mul(target, log_p), ad.mul(complement, log_not_p)), -1.0
+        )
+        edge_term = ad.scale(
+            ad.reduce_sum(ad.mul(ad.constant(pair_weights), per_pair)), 1.0 / total_weight
+        )
+    else:
+        edge_term = ad.constant(0.0)
+
+    difference = ad.sub(feature_recon, ad.constant(features))
+    feature_term = ad.reduce_mean(ad.mul(difference, difference))
+    return ad.add(edge_term, ad.scale(feature_term, float(feature_weight)))

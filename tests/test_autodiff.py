@@ -5,6 +5,7 @@ import pytest
 
 import moltiers.autodiff as ad
 from moltiers.autodiff import GradientError, ShapeError, Tensor
+from moltiers.optim import SGD, Adam
 
 
 def rand(rng, rows, cols, lo=-1.0, hi=1.0):
@@ -29,6 +30,34 @@ def test_constant_vs_parameter():
     p = ad.parameter([[1.0]])
     assert not c.requires_grad
     assert p.requires_grad
+
+
+def test_constant_and_parameter_copy_their_input():
+    source = np.ones((2, 2))
+    tensors = [ad.constant(source), ad.parameter(source)]
+    source[0, 0] = 5.0
+    for tensor in tensors:
+        assert np.array_equal(tensor.values, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("optimizer", [SGD, Adam])
+def test_optimizer_update_leaves_the_source_array_alone(optimizer):
+    source = np.ones((2, 2))
+    p = ad.parameter(source)
+    ad.backward(ad.reduce_sum(p))
+    optimizer([p], 0.5).step()
+    assert not np.array_equal(p.values, source)
+    assert np.array_equal(source, np.ones((2, 2)))
+
+
+def test_transpose_keeps_the_layout_of_a_copy():
+    # a C-ordered input transposes to an F-ordered view; a C-ordered copy
+    # would hand BLAS a different layout and change results at ulp level
+    x = ad.constant(np.arange(6.0).reshape(2, 3))
+    out = ad.transpose(x).values
+    assert x.values.flags.c_contiguous
+    assert out.flags.f_contiguous
+    assert np.array_equal(out, x.values.T)
 
 
 def test_matmul_forward_and_shape_error():
@@ -157,6 +186,22 @@ def test_matmul_gradient():
     a = ad.parameter(rand(rng, 4, 3))
     b = ad.constant(rand(rng, 3, 5))
     assert ad.grad_check(lambda t: ad.reduce_sum(ad.matmul(t, b)), a) < 1e-4
+
+
+def test_weighted_bce_sum_gradient_at_interior_points():
+    rng = np.random.default_rng(13)
+    target = (rand(rng, 5, 5) > 0.0).astype(np.float64)
+    weights = rand(rng, 5, 5, lo=0.0, hi=2.0)
+    x = ad.parameter(rand(rng, 5, 5, lo=0.05, hi=0.95))
+    assert ad.grad_check(lambda p: ad.weighted_bce_sum(p, target, weights), x) < 1e-4
+
+
+def test_weighted_bce_sum_checks_shapes():
+    probs = ad.constant(np.full((3, 3), 0.5))
+    with pytest.raises(ShapeError, match="weighted BCE"):
+        ad.weighted_bce_sum(probs, np.zeros((3, 2)), np.ones((3, 3)))
+    with pytest.raises(ShapeError, match="weighted BCE"):
+        ad.weighted_bce_sum(probs, np.zeros((3, 3)), np.ones((2, 3)))
 
 
 def test_hstack_gradient_routes_columns():

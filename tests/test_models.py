@@ -7,9 +7,10 @@ variational one with unit std and zero noise.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
 from moltiers.gnn import GcnLayer, VariationalGnnStack
@@ -195,6 +196,52 @@ def test_reconstruction_loss_shape_validation(ethanol_data):
         )
 
 
+# floored (0, 1e-13, 1 - 1e-16, 1) and ordinary probabilities
+EDGE_PROBABILITIES = (0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-16, 1.0)
+
+
+@st.composite
+def loss_cases(draw):
+    """A symmetric 0/1 adjacency and an unrelated probability matrix of the
+    same size."""
+    n = draw(st.integers(1, 40))
+    bits = np.triu(draw(arrays(bool, (n, n))), k=1)
+    adjacency = (bits | bits.T).astype(np.float64)
+    probability = st.one_of(st.sampled_from(EDGE_PROBABILITIES), st.floats(0.0, 1.0))
+    probs = draw(arrays(np.float64, (n, n), elements=probability))
+    return probs, adjacency
+
+
+def _loss_and_gradient(loss_fn, probs, adjacency):
+    n = adjacency.shape[0]
+    edge_probs = ad.parameter(probs)
+    features = np.zeros((n, 2))
+    loss = loss_fn(edge_probs, ad.constant(np.full((n, 2), 0.5)), adjacency, features)
+    value = loss.values.copy()
+    if ad.tape_size():
+        ad.backward(loss)
+    return value, edge_probs.grad
+
+
+def _extremes(n):
+    return np.resize(np.array(EDGE_PROBABILITIES), (n, n))
+
+
+@given(loss_cases())
+@example((_extremes(1), np.zeros((1, 1))))
+@example((_extremes(5), np.zeros((5, 5))))
+@example((_extremes(5), np.ones((5, 5)) - np.eye(5)))
+def test_reconstruction_loss_equals_primitive_chain(case):
+    probs, adjacency = case
+    value, grad = _loss_and_gradient(reconstruction_loss, probs, adjacency)
+    expected_value, expected_grad = _loss_and_gradient(chain_reconstruction_loss, probs, adjacency)
+    assert np.array_equal(value, expected_value)
+    if expected_grad is None:  # no pair carries weight: the edge term is a constant
+        assert grad is None
+    else:
+        assert np.array_equal(grad, expected_grad)
+
+
 def test_kl_closed_forms():
     zero = kl_standard_normal(ad.constant(np.zeros((2, 3))), ad.constant(np.ones((2, 3))))
     assert abs(zero.values[0, 0]) < 1e-12
@@ -354,7 +401,6 @@ def auc_cases(draw):
     return probs, adjacency
 
 
-@settings(deadline=None)
 @given(auc_cases())
 @example((np.full((1, 1), 0.5), np.zeros((1, 1))))
 @example((np.full((4, 4), 0.5), np.zeros((4, 4))))

@@ -2,17 +2,19 @@
 reference, and what MoleculeData keeps.
 
 The reference rebuilds every propagator with ``normalize_adjacency`` on raw
-adjacencies and pools with ``diff_group_pool``, as each training step once
-did. The cached path must reproduce it bit for bit, gradients included.
+adjacencies, pools with ``diff_group_pool`` and computes the loss with the
+primitive op chain, as each training step once did. The cached path and the
+fused edge loss must reproduce it bit for bit, gradients included.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
-from moltiers import gnn
+from moltiers import gnn, models
 from moltiers.gnn import gnn_forward, gnn_forward_variational, normalize_adjacency
 from moltiers.models import (
     MoleculeData,
@@ -22,7 +24,6 @@ from moltiers.models import (
     encode_tiered_variational,
     gae_loss,
     kl_standard_normal,
-    reconstruction_loss,
     reparameterize,
     vgae_losses,
     zero_noise,
@@ -72,7 +73,9 @@ def reference_loss(params, data, node, group, graph):
     combined = ad.hstack([node, group_rows, graph_rows])
     logits = ad.matmul(ad.matmul(combined, params.pair_decoder), ad.transpose(combined))
     feature_recon = ad.matmul(combined, params.feature_decoder)
-    return reconstruction_loss(ad.sigmoid(logits), feature_recon, data.adjacency, data.features)
+    return chain_reconstruction_loss(
+        ad.sigmoid(logits), feature_recon, data.adjacency, data.features
+    )
 
 
 def reference_kl(means, stds):
@@ -161,6 +164,19 @@ def test_cached_vgae_path_is_bit_identical_to_per_call_reference(corpus_data):
         assert np.array_equal(recon.values, reference_values[0]), data.name
         assert np.array_equal(kl.values, reference_values[1]), data.name
         assert_same_arrays(gradients(params, ad.add(recon, kl)), reference_grads)
+
+
+@pytest.mark.parametrize("train", [train_gae, train_vgae])
+def test_training_traces_match_the_primitive_chain_loss(monkeypatch, corpus_data, train):
+    config = TrainConfig(epochs=3)
+    params, trace = train(corpus_data, config)
+    monkeypatch.setattr(models, "reconstruction_loss", chain_reconstruction_loss)
+    chain_params, chain_trace = train(corpus_data, config)
+    assert trace == chain_trace
+    assert_same_arrays(
+        [tensor.values for tensor in params.trainable()],
+        [tensor.values for tensor in chain_params.trainable()],
+    )
 
 
 def _count_calls(monkeypatch, function):

@@ -6,7 +6,7 @@ import pytest
 import moltiers.autodiff as ad
 from moltiers.autodiff import ShapeError
 from moltiers.grouping import build_membership, partition
-from moltiers.pooling import TierState, diff_group_pool, pool_tier
+from moltiers.pooling import diff_group_pool
 
 
 def brute_force_pool(adjacency, embeddings, membership):
@@ -156,13 +156,3 @@ def test_shape_validation():
     with pytest.raises(ShapeError, match="embeddings"):
         diff_group_pool(np.zeros((4, 4)), Z, np.zeros((4, 1)))
 
-
-def test_pool_tier_requires_encoder_output():
-    state = TierState(np.zeros((2, 2)), ad.constant(np.ones((2, 2))))
-    with pytest.raises(ValueError, match="encoder has run"):
-        pool_tier(state, np.ones((2, 1)))
-    state.embeddings = ad.constant(np.full((2, 2), 2.0))
-    pooled = pool_tier(state, np.ones((2, 1)))
-    assert pooled.adjacency.shape == (1, 1)
-    assert np.allclose(pooled.features.values, 4.0)
-    assert pooled.embeddings is None
