@@ -120,8 +120,10 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _result(values: np.ndarray) -> Tensor:
-    """Wrap an op's fresh 2-D float64 result; unlike the constructor, no copy."""
+def wrap(values: np.ndarray) -> Tensor:
+    """An untracked tensor over a fresh 2-D float64 array, such as an op's
+    result; unlike :func:`constant`, no copy, so nothing else may write to
+    the array."""
     out = Tensor.__new__(Tensor)
     out.values, out.requires_grad, out.grad, out.tracked = values, False, None, False
     return out
@@ -201,7 +203,7 @@ def backward(loss: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul of {a.shape} by {b.shape}")
-    out = _result(a.values @ b.values)
+    out = wrap(a.values @ b.values)
     a_vals, b_vals = a.values, b.values
 
     def vjp(g: np.ndarray):
@@ -217,7 +219,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     """A view of ``a``'s values, so a C-ordered input gives an F-ordered
     result (the layout a copy would keep, and the one BLAS is handed)."""
-    out = _result(a.values.T)
+    out = wrap(a.values.T)
 
     def vjp(g: np.ndarray):
         return (g.T,)
@@ -240,7 +242,7 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "add")
-    out = _result(a.values + b.values)
+    out = wrap(a.values + b.values)
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g: np.ndarray):
@@ -255,7 +257,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "sub")
-    out = _result(a.values - b.values)
+    out = wrap(a.values - b.values)
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g: np.ndarray):
@@ -270,7 +272,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes(a, b, "mul")
-    out = _result(a.values * b.values)
+    out = wrap(a.values * b.values)
     a_vals, b_vals = a.values, b.values
     a_shape, b_shape = a.shape, b.shape
 
@@ -286,7 +288,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
-    out = _result(a.values * factor)
+    out = wrap(a.values * factor)
 
     def vjp(g: np.ndarray):
         return (g * factor,)
@@ -296,7 +298,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def shift(a: Tensor, offset: float) -> Tensor:
-    out = _result(a.values + float(offset))
+    out = wrap(a.values + float(offset))
 
     def vjp(g: np.ndarray):
         return (g,)
@@ -310,7 +312,7 @@ def sigmoid(a: Tensor) -> Tensor:
     keeping the output strictly inside (0, 1) in float64."""
     clamped = np.clip(a.values, -SIGMOID_CLAMP, SIGMOID_CLAMP)
     values = 1.0 / (1.0 + np.exp(-clamped))
-    out = _result(values)
+    out = wrap(values)
 
     def vjp(g: np.ndarray):
         return (g * values * (1.0 - values),)
@@ -322,7 +324,7 @@ def sigmoid(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(0, x); the subgradient at exactly 0 is 0."""
     mask = a.values > 0.0
-    out = _result(np.where(mask, a.values, 0.0))
+    out = wrap(np.where(mask, a.values, 0.0))
 
     def vjp(g: np.ndarray):
         return (g * mask,)
@@ -333,7 +335,7 @@ def relu(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     values = np.exp(a.values)
-    out = _result(values)
+    out = wrap(values)
 
     def vjp(g: np.ndarray):
         return (g * values,)
@@ -345,7 +347,7 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     """Natural log with the input floored at LOG_FLOOR, so log never sees 0."""
     floored = np.maximum(a.values, LOG_FLOOR)
-    out = _result(np.log(floored))
+    out = wrap(np.log(floored))
 
     def vjp(g: np.ndarray):
         return (g / floored,)
@@ -358,7 +360,7 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
     """Clip values to [low, high]; gradient passes only through the interior."""
     if not low < high:
         raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
-    out = _result(np.clip(a.values, low, high))
+    out = wrap(np.clip(a.values, low, high))
     interior = (a.values > low) & (a.values < high)
 
     def vjp(g: np.ndarray):
@@ -369,7 +371,7 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    out = _result(a.values.sum().reshape(1, 1))
+    out = wrap(a.values.sum().reshape(1, 1))
     shape = a.shape
 
     def vjp(g: np.ndarray):
@@ -394,7 +396,7 @@ def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> 
     per_pair += complement * np.log(floored_q)
     per_pair *= -1.0
     per_pair *= weights
-    out = _result(per_pair.sum().reshape(1, 1))
+    out = wrap(per_pair.sum().reshape(1, 1))
 
     def vjp(g: np.ndarray):
         weighted = g[0, 0] * weights
@@ -409,7 +411,7 @@ def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> 
 
 def reduce_mean(a: Tensor) -> Tensor:
     size = a.values.size
-    out = _result(a.values.mean().reshape(1, 1))
+    out = wrap(a.values.mean().reshape(1, 1))
     shape = a.shape
 
     def vjp(g: np.ndarray):
@@ -427,7 +429,7 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.shape[0] != rows:
             raise ShapeError(f"hstack row mismatch: {[p.shape for p in parts]}")
-    out = _result(np.hstack([p.values for p in parts]))
+    out = wrap(np.hstack([p.values for p in parts]))
     widths = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + widths)
 

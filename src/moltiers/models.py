@@ -101,7 +101,7 @@ class MoleculeData:
         Kept for every molecule of a dataset, this n x n array would make
         memory grow with the square of molecule size (see the README).
         """
-        return ad.constant(scale_adjacency(self.adjacency, self.atom_scale))
+        return ad.wrap(scale_adjacency(self.adjacency, self.atom_scale))
 
     @property
     def name(self) -> str:
@@ -151,8 +151,9 @@ class _TieredParams:
         return weights + [self.pair_decoder, self.feature_decoder]
 
     def symmetrize_pair_decoder(self) -> None:
+        """In place, so the decoder stays a view of the optimizer's vector."""
         values = self.pair_decoder.values
-        self.pair_decoder.values = (values + values.T) / 2.0
+        values[...] = (values + values.T) / 2.0
 
 
 @dataclass

@@ -4,8 +4,8 @@ Each epoch walks the dataset in order, takes one optimizer step per
 molecule and records the epoch mean of the objective. Runs are
 deterministic for a fixed seed: parameter init and VGAE noise come from a
 single seeded generator and the loop order never changes. A non-finite loss
-aborts immediately with the epoch that produced it and leaves the tape
-empty.
+or gradient aborts immediately with the epoch and molecule that produced
+it, before the optimizer changes anything, and leaves the tape empty.
 """
 
 from __future__ import annotations
@@ -25,18 +25,20 @@ from .models import (
     gaussian_noise,
     vgae_losses,
 )
-from .optim import SGD, Adam
+from .optim import SGD, Adam, NonFiniteGradientError
 
 OPTIMIZERS = ("adam", "sgd")
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training hit a NaN or infinite loss and aborted."""
+    """Training hit a NaN or infinite loss, or loss gradient, and aborted."""
 
-    def __init__(self, epoch: int, molecule: str):
-        super().__init__(f"non-finite loss at epoch {epoch} on molecule {molecule!r}")
+    def __init__(self, epoch: int, molecule: str, in_gradient: bool = False):
+        detail = "; the value was finite, its gradient was not" if in_gradient else ""
+        super().__init__(f"non-finite loss at epoch {epoch} on molecule {molecule!r}{detail}")
         self.epoch = epoch
         self.molecule = molecule
+        self.in_gradient = in_gradient
 
 
 @dataclass
@@ -83,6 +85,13 @@ def _make_optimizer(config: TrainConfig, params) -> SGD | Adam:
     return Adam(params.trainable(), config.learning_rate)
 
 
+def _step(optimizer: SGD | Adam, epoch: int, data: MoleculeData) -> None:
+    try:
+        optimizer.step()
+    except NonFiniteGradientError:
+        raise NonFiniteLossError(epoch, data.name, in_gradient=True) from None
+
+
 def train_gae(
     dataset: Sequence[MoleculeData], config: TrainConfig
 ) -> tuple[TieredGaeParams, list[float]]:
@@ -103,7 +112,7 @@ def train_gae(
                 ad.clear_tape()
                 raise NonFiniteLossError(epoch, data.name)
             ad.backward(loss)
-            optimizer.step()
+            _step(optimizer, epoch, data)
             params.symmetrize_pair_decoder()
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))
@@ -145,7 +154,7 @@ def train_vgae(
                 raise NonFiniteLossError(epoch, data.name)
             objective = ad.add(recon, ad.scale(kl_total, beta))
             ad.backward(objective)
-            optimizer.step()
+            _step(optimizer, epoch, data)
             params.symmetrize_pair_decoder()
             elbos.append(-(recon_value + config.beta * kl_value))
             kls.append(kl_value)

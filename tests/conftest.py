@@ -3,6 +3,7 @@ import pathlib
 import pytest
 from hypothesis import settings
 
+from moltiers.models import MoleculeData
 from moltiers.molgraph import MolecularGraph, load_molecules
 from moltiers.smiles import parse_smiles
 
@@ -27,6 +28,11 @@ def corpus_graphs(corpus_path) -> list[MolecularGraph]:
     assert len(records) == 30
     assert all(r.graph is not None for r in records), [r.error for r in records]
     return [r.graph for r in records]
+
+
+@pytest.fixture(scope="session")
+def corpus_data(corpus_graphs) -> list[MoleculeData]:
+    return [MoleculeData.from_graph(graph) for graph in corpus_graphs]
 
 
 @pytest.fixture(scope="session")

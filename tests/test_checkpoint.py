@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moltiers.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from moltiers.models import (
@@ -15,6 +17,7 @@ from moltiers.models import (
     gae_loss,
 )
 from moltiers.smiles import parse_smiles
+from moltiers.train import TrainConfig, train_gae, train_vgae
 
 
 def all_weights(params):
@@ -50,6 +53,33 @@ def test_saving_twice_gives_identical_bytes(tmp_path):
     save_checkpoint(params, a)
     save_checkpoint(params, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_molecules():
+    return [MoleculeData.from_graph(parse_smiles(s)) for s in ("CC(=O)O", "O=Cc1ccc(O)c(OC)c1")]
+
+
+@settings(max_examples=30)
+@given(
+    train=st.sampled_from([train_gae, train_vgae]),
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    depth=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_trained_checkpoint_round_trip_is_byte_identical(
+    tmp_path_factory, two_molecules, train, dims, depth, seed
+):
+    config = TrainConfig(dims=dims, depth=depth, epochs=2, seed=seed)
+    params, _ = train(two_molecules, config)
+    directory = tmp_path_factory.mktemp("round-trip")
+    first, second = directory / "first.json", directory / "second.json"
+    save_checkpoint(params, first)
+    loaded = load_checkpoint(first)
+    save_checkpoint(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for original, restored in zip(all_weights(params), all_weights(loaded)):
+        assert np.array_equal(original, restored)
 
 
 def test_restored_params_reproduce_the_loss(tmp_path):

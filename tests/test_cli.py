@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import moltiers.autodiff as ad
 from moltiers.cli import main
 
 SMALL_CORPUS = "CCO ethanol\nCC(=O)O acetic-acid\nO=Cc1ccc(O)c(OC)c1 vanillin\n"
@@ -126,6 +127,22 @@ def test_train_rejects_bad_dims(corpus_file, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--input", corpus_file, "--out", str(tmp_path / "x"),
               "--dims", "4,0,4"])
+
+
+@pytest.mark.parametrize("model", ["gae", "vgae"])
+def test_train_with_a_non_finite_gradient_exits_3(tmp_path, corpus_file, capsys, monkeypatch, model):
+    backward = ad.backward
+    # every gradient is NaN while the loss value stays finite
+    monkeypatch.setattr(ad, "backward", lambda loss: backward(ad.scale(loss, float("nan"))))
+    out = tmp_path / "run"
+    code = main(["train", "--input", corpus_file, "--out", str(out), "--model", model,
+                 "--dims", "2,2,2", "--layers", "1", "--epochs", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "training aborted: non-finite loss at epoch 1 on molecule 'ethanol'" in err
+    assert "its gradient was not" in err
+    assert not (out / "checkpoint.json").exists()
+    assert not (out / "trace.csv").exists()
 
 
 def test_train_on_unparseable_corpus_exits_1(tmp_path, capsys):

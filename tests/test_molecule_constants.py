@@ -17,7 +17,6 @@ import moltiers.autodiff as ad
 from moltiers import gnn, models
 from moltiers.gnn import gnn_forward, gnn_forward_variational, normalize_adjacency
 from moltiers.models import (
-    MoleculeData,
     TieredGaeParams,
     TieredVgaeParams,
     encode_tiered,
@@ -30,11 +29,6 @@ from moltiers.models import (
 )
 from moltiers.pooling import diff_group_pool
 from moltiers.train import TrainConfig, train_gae, train_vgae
-
-
-@pytest.fixture(scope="module")
-def corpus_data(corpus_graphs):
-    return [MoleculeData.from_graph(graph) for graph in corpus_graphs]
 
 
 def _propagator(adjacency):
@@ -213,3 +207,16 @@ def test_molecule_data_keeps_no_square_array_besides_adjacency(corpus_data):
             values = value.values if isinstance(value, ad.Tensor) else value
             if isinstance(values, np.ndarray) and name != "adjacency":
                 assert values.shape != square, (data.name, name)
+
+
+def test_atom_propagator_wraps_the_fresh_array_without_a_copy(monkeypatch, corpus_data):
+    built = []
+
+    def recording(adjacency, scale):
+        built.append(gnn.scale_adjacency(adjacency, scale))
+        return built[-1]
+
+    monkeypatch.setattr(models, "scale_adjacency", recording)
+    propagator = corpus_data[0].atom_propagator()
+    assert propagator.values is built[0]
+    assert not propagator.tracked
