@@ -14,11 +14,9 @@ from .gnn import (
     GcnLayer,
     GnnStack,
     VariationalGnnStack,
-    gcn_stack,
     gnn_forward,
     gnn_forward_variational,
     normalize_adjacency,
-    variational_gcn_stack,
 )
 from .grouping import (
     AROMATIC_RING,
@@ -59,7 +57,6 @@ from .molgraph import (
     Bond,
     MolecularGraph,
     NODE_FEATURE_DIM,
-    featurize_edges,
     featurize_nodes,
     load_molecules,
 )

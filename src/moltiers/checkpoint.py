@@ -2,10 +2,10 @@
 
 A checkpoint stores a format version, the model kind ("gae" or "vgae"), the
 architecture config (dims, depth, input feature width) and every weight
-matrix as nested row-major lists. Floats serialize through Python's
-shortest-round-trip decimal repr (up to 17 significant digits), so
-save -> load -> save is byte-identical and every weight survives
-bit-exactly.
+matrix, keyed by its :func:`models.param_spec` name, as nested row-major
+lists. Floats serialize through Python's shortest-round-trip decimal repr
+(up to 17 significant digits), so save -> load -> save is byte-identical
+and every weight survives bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .gnn import GcnLayer, GnnStack, VariationalGnnStack
-from .models import TieredGaeParams, TieredVgaeParams
+from .models import TieredGaeParams, TieredParams, TieredVgaeParams, param_spec
 
 FORMAT_VERSION = 1
 
@@ -27,22 +26,6 @@ FORMAT_VERSION = 1
 class CheckpointError(ValueError):
     """The checkpoint file is malformed, from another format version, or
     inconsistent with its declared architecture."""
-
-
-def _collect_weights(params) -> dict[str, list]:
-    weights: dict[str, list] = {}
-    for tier, stack in enumerate(params.encoders, start=1):
-        if isinstance(stack, VariationalGnnStack):
-            for k, layer in enumerate(stack.trunk):
-                weights[f"tier{tier}.trunk{k}"] = layer.weight.values.tolist()
-            weights[f"tier{tier}.mean"] = stack.mean_head.weight.values.tolist()
-            weights[f"tier{tier}.log_std"] = stack.log_std_head.weight.values.tolist()
-        else:
-            for k, layer in enumerate(stack.layers):
-                weights[f"tier{tier}.layer{k}"] = layer.weight.values.tolist()
-    weights["decoder.pair"] = params.pair_decoder.values.tolist()
-    weights["decoder.feature"] = params.feature_decoder.values.tolist()
-    return weights
 
 
 @contextmanager
@@ -66,21 +49,17 @@ def atomic_write(path):
 
 def save_checkpoint(params, path) -> None:
     """Write params to ``path`` as JSON; the kind is derived from the type."""
-    if isinstance(params, TieredVgaeParams):
-        kind = "vgae"
-    elif isinstance(params, TieredGaeParams):
-        kind = "gae"
-    else:
+    if not isinstance(params, TieredParams):
         raise TypeError(f"cannot checkpoint {type(params).__name__}")
     payload = {
         "format_version": FORMAT_VERSION,
-        "model_kind": kind,
+        "model_kind": "vgae" if params.variational else "gae",
         "config": {
             "dims": list(params.dims),
             "layers": params.depth,
             "input_dim": params.input_dim,
         },
-        "weights": _collect_weights(params),
+        "weights": {name: w.values.tolist() for name, w in params.named_weights().items()},
     }
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
@@ -120,53 +99,17 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
     config = payload.get("config")
     if not isinstance(config, dict):
         raise CheckpointError("checkpoint has no config object")
+    params_class = TieredVgaeParams if kind == "vgae" else TieredGaeParams
     try:
         dims = tuple(int(d) for d in config["dims"])
         depth = int(config["layers"])
         input_dim = int(config["input_dim"])
+        spec = param_spec(params_class.variational, dims, depth, input_dim)
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"bad checkpoint config: {err}") from err
-    if len(dims) != 3 or any(d < 1 for d in dims) or depth < 1 or input_dim < 1:
-        raise CheckpointError(f"bad checkpoint config: dims={dims}, layers={depth}")
 
     weights = payload.get("weights")
     if not isinstance(weights, dict):
         raise CheckpointError("checkpoint has no weights object")
-
-    tier_inputs = (input_dim, dims[0], dims[1])
-    total = sum(dims)
-    pair_decoder = _take_weight(weights, "decoder.pair", (total, total))
-    feature_decoder = _take_weight(weights, "decoder.feature", (total, input_dim))
-
-    if kind == "gae":
-        stacks = []
-        for tier in range(3):
-            layers = []
-            for k in range(depth):
-                d_in = tier_inputs[tier] if k == 0 else dims[tier]
-                activation = "none" if k == depth - 1 else "relu"
-                weight = _take_weight(weights, f"tier{tier + 1}.layer{k}", (d_in, dims[tier]))
-                layers.append(GcnLayer(weight, activation))
-            stacks.append(GnnStack(layers))
-        return TieredGaeParams(
-            tuple(stacks), pair_decoder, feature_decoder, dims, depth, input_dim
-        )
-
-    stacks = []
-    for tier in range(3):
-        trunk = []
-        for k in range(depth - 1):
-            d_in = tier_inputs[tier] if k == 0 else dims[tier]
-            weight = _take_weight(weights, f"tier{tier + 1}.trunk{k}", (d_in, dims[tier]))
-            trunk.append(GcnLayer(weight, "relu"))
-        head_in = dims[tier] if trunk else tier_inputs[tier]
-        mean_head = GcnLayer(
-            _take_weight(weights, f"tier{tier + 1}.mean", (head_in, dims[tier])), "none"
-        )
-        log_std_head = GcnLayer(
-            _take_weight(weights, f"tier{tier + 1}.log_std", (head_in, dims[tier])), "none"
-        )
-        stacks.append(VariationalGnnStack(trunk, mean_head, log_std_head))
-    return TieredVgaeParams(
-        tuple(stacks), pair_decoder, feature_decoder, dims, depth, input_dim
-    )
+    tensors = {name: _take_weight(weights, name, shape) for name, shape in spec}
+    return params_class.from_weights(tensors, dims, depth, input_dim)

@@ -2,10 +2,10 @@
 
 Each layer computes act(A_hat @ H @ W) with A_hat the renormalized
 adjacency (self-loops added, symmetric degree scaling), which callers build
-once per graph and pass in as the propagator. Hidden layers use
-relu; the final layer is linear so embeddings stay unbounded. Variational
-stacks share a trunk and split into a mean head and a log-std head whose
-output is clamped to [-10, 10] before exponentiation.
+once per graph and pass in as the propagator. A stack is a relu trunk
+followed by linear heads that all read the trunk's last propagation: one
+head keeps embeddings unbounded (GAE); a mean and a log-std head make the
+stack variational, with log-std clamped to [-10, 10] before exponentiation.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 LOG_STD_CLAMP = 10.0
-
-#: Preferred stack depth range; construction only rejects depth < 1.
-DEFAULT_DEPTH = 3
 
 
 @dataclass
@@ -42,54 +39,27 @@ class GcnLayer:
 
 
 class GnnStack:
-    """A chain of GcnLayers with matching inner dimensions."""
+    """A trunk of chaining layers, then heads of one shape that each read
+    the trunk's output: one head for a GAE tier, mean and log-std heads for
+    a VGAE tier."""
 
-    def __init__(self, layers: list[GcnLayer]):
-        if not layers:
-            raise ValueError("a stack needs at least one layer")
-        for first, second in zip(layers, layers[1:]):
+    def __init__(self, trunk: list[GcnLayer], heads: list[GcnLayer]):
+        if not heads:
+            raise ValueError("a stack needs at least one head")
+        chain = [*trunk, heads[0]]
+        for first, second in zip(chain, chain[1:]):
             if first.output_dim != second.input_dim:
                 raise ValueError(
                     f"layer dimensions do not chain: {first.output_dim} -> {second.input_dim}"
                 )
-        self.layers = list(layers)
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].input_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].output_dim
-
-    def weights(self) -> list[Tensor]:
-        return [layer.weight for layer in self.layers]
-
-
-class VariationalGnnStack:
-    """Shared trunk plus mean and log-std heads of identical shape."""
-
-    def __init__(self, trunk: list[GcnLayer], mean_head: GcnLayer, log_std_head: GcnLayer):
-        for first, second in zip(trunk, trunk[1:]):
-            if first.output_dim != second.input_dim:
-                raise ValueError(
-                    f"trunk dimensions do not chain: {first.output_dim} -> {second.input_dim}"
-                )
-        trunk_out = trunk[-1].output_dim if trunk else mean_head.input_dim
-        for head in (mean_head, log_std_head):
-            if head.input_dim != trunk_out:
-                raise ValueError(
-                    f"head input {head.input_dim} does not match trunk output {trunk_out}"
-                )
-        if mean_head.output_dim != log_std_head.output_dim:
-            raise ValueError("mean and log-std heads must have the same output dim")
+        if any(head.weight.shape != heads[0].weight.shape for head in heads):
+            raise ValueError("heads must all have the same shape")
         self.trunk = list(trunk)
-        self.mean_head = mean_head
-        self.log_std_head = log_std_head
+        self.heads = list(heads)
+
+    @property
+    def layers(self) -> list[GcnLayer]:
+        return self.trunk + self.heads
 
     @property
     def depth(self) -> int:
@@ -97,47 +67,21 @@ class VariationalGnnStack:
 
     @property
     def input_dim(self) -> int:
-        return self.trunk[0].input_dim if self.trunk else self.mean_head.input_dim
+        return self.layers[0].input_dim
 
     @property
     def output_dim(self) -> int:
-        return self.mean_head.output_dim
+        return self.heads[0].output_dim
 
     def weights(self) -> list[Tensor]:
-        return [layer.weight for layer in self.trunk] + [
-            self.mean_head.weight,
-            self.log_std_head.weight,
-        ]
+        return [layer.weight for layer in self.layers]
 
 
-def gcn_stack(rng: np.random.Generator, input_dim: int, output_dim: int, depth: int) -> GnnStack:
-    """Glorot-initialized stack: input_dim -> output_dim, then output_dim
-    squared layers; relu everywhere except the final linear layer."""
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    layers = []
-    for k in range(depth):
-        d_in = input_dim if k == 0 else output_dim
-        activation = "none" if k == depth - 1 else "relu"
-        layers.append(GcnLayer(ad.parameter(ad.glorot_uniform(rng, d_in, output_dim)), activation))
-    return GnnStack(layers)
-
-
-def variational_gcn_stack(
-    rng: np.random.Generator, input_dim: int, output_dim: int, depth: int
-) -> VariationalGnnStack:
-    """Variational counterpart of :func:`gcn_stack` with the same trunk
-    shape: depth-1 relu layers, then linear mean and log-std heads."""
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    trunk = []
-    for k in range(depth - 1):
-        d_in = input_dim if k == 0 else output_dim
-        trunk.append(GcnLayer(ad.parameter(ad.glorot_uniform(rng, d_in, output_dim)), "relu"))
-    head_in = output_dim if trunk else input_dim
-    mean_head = GcnLayer(ad.parameter(ad.glorot_uniform(rng, head_in, output_dim)), "none")
-    log_std_head = GcnLayer(ad.parameter(ad.glorot_uniform(rng, head_in, output_dim)), "none")
-    return VariationalGnnStack(trunk, mean_head, log_std_head)
+def VariationalGnnStack(
+    trunk: list[GcnLayer], mean_head: GcnLayer, log_std_head: GcnLayer
+) -> GnnStack:
+    """A trunk, then the mean and log-std heads of a variational stack."""
+    return GnnStack(trunk, [mean_head, log_std_head])
 
 
 def degree_scale(adjacency: np.ndarray) -> np.ndarray:
@@ -181,7 +125,8 @@ def _apply_layer(layer: GcnLayer, propagated: Tensor) -> Tensor:
     return ad.relu(out) if layer.activation == "relu" else out
 
 
-def _check_inputs(stack, propagator: Tensor, features: Tensor) -> None:
+def _run_heads(stack: GnnStack, propagator: Tensor, features: Tensor) -> list[Tensor]:
+    """The trunk, then every head on the last propagation, one output per head."""
     if features.shape[0] != propagator.shape[0]:
         raise ad.ShapeError(
             f"features have {features.shape[0]} rows for {propagator.shape[0]} nodes"
@@ -190,30 +135,25 @@ def _check_inputs(stack, propagator: Tensor, features: Tensor) -> None:
         raise ad.ShapeError(
             f"features have width {features.shape[1]}, stack expects {stack.input_dim}"
         )
-
-
-def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
-    """Run the stack over one graph given its propagator, the normalized
-    adjacency from :func:`normalize_adjacency`; returns node embeddings, one
-    row per node."""
-    _check_inputs(stack, propagator, features)
-    hidden = features
-    for layer in stack.layers:
-        hidden = _apply_layer(layer, ad.matmul(propagator, hidden))
-    return hidden
-
-
-def gnn_forward_variational(
-    stack: VariationalGnnStack, propagator: Tensor, features: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Run trunk and heads; returns (mean, std) with std = exp(clamped log-std)."""
-    _check_inputs(stack, propagator, features)
     hidden = features
     for layer in stack.trunk:
         hidden = _apply_layer(layer, ad.matmul(propagator, hidden))
     propagated = ad.matmul(propagator, hidden)
-    mean = ad.matmul(propagated, stack.mean_head.weight)
-    log_std = ad.clamp(
-        ad.matmul(propagated, stack.log_std_head.weight), -LOG_STD_CLAMP, LOG_STD_CLAMP
-    )
-    return mean, ad.exp(log_std)
+    return [_apply_layer(head, propagated) for head in stack.heads]
+
+
+def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
+    """Run a one-head stack over one graph given its propagator, the
+    normalized adjacency from :func:`normalize_adjacency`; returns node
+    embeddings, one row per node."""
+    (embeddings,) = _run_heads(stack, propagator, features)
+    return embeddings
+
+
+def gnn_forward_variational(
+    stack: GnnStack, propagator: Tensor, features: Tensor
+) -> tuple[Tensor, Tensor]:
+    """Run a mean/log-std stack; returns (mean, std) with
+    std = exp(clamped log-std)."""
+    mean, log_std = _run_heads(stack, propagator, features)
+    return mean, ad.exp(ad.clamp(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP))

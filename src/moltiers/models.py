@@ -12,22 +12,20 @@ tiers see deterministic inputs, and samples with reparameterized noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .gnn import (
+    GcnLayer,
     GnnStack,
-    VariationalGnnStack,
     degree_scale,
-    gcn_stack,
     gnn_forward,
     gnn_forward_variational,
     normalize_adjacency,
     scale_adjacency,
-    variational_gcn_stack,
 )
 from .grouping import GroupSet, build_membership, graph_membership, partition
 from .molgraph import NODE_FEATURE_DIM, MolecularGraph
@@ -135,30 +133,35 @@ class TierStats:
     std: Tensor
 
 
-def _check_dims(dims: Sequence[int]) -> tuple[int, int, int]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
+def param_spec(
+    variational: bool, dims: Sequence[int], depth: int, input_dim: int = NODE_FEATURE_DIM
+) -> list[tuple[str, tuple[int, int]]]:
+    """Format-v1 weight names and shapes, in the order init draws them,
+    which is also the order of ``trainable()`` and so the layout of the
+    optimizer's flat vector. Per tier t: depth - 1 relu layers, then one
+    linear layer (GAE, ``tier{t}.layer{k}``) or, after ``tier{t}.trunk{k}``,
+    the ``tier{t}.mean`` and ``tier{t}.log_std`` heads (VGAE); then
+    ``decoder.pair`` and ``decoder.feature``."""
+    dims = tuple(dims)
+    if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"dims must be three positive integers, got {dims}")
-    return dims
-
-
-class _TieredParams:
-    """What both parameter sets share: the trainable list and the upkeep of
-    the pair decoder's symmetry."""
-
-    def trainable(self) -> list[Tensor]:
-        weights = [weight for stack in self.encoders for weight in stack.weights()]
-        return weights + [self.pair_decoder, self.feature_decoder]
-
-    def symmetrize_pair_decoder(self) -> None:
-        """In place, so the decoder stays a view of the optimizer's vector."""
-        values = self.pair_decoder.values
-        values[...] = (values + values.T) / 2.0
+    if depth < 1 or input_dim < 1:
+        raise ValueError(f"depth and input_dim must be positive, got {depth} and {input_dim}")
+    trunk = "trunk" if variational else "layer"
+    heads = ("mean", "log_std") if variational else (f"layer{depth - 1}",)
+    spec = []
+    for tier, (d_in, d_out) in enumerate(zip((input_dim, *dims[:2]), dims), start=1):
+        fan_in = [d_in] + [d_out] * (depth - 1)
+        spec += [(f"tier{tier}.{trunk}{k}", (fan_in[k], d_out)) for k in range(depth - 1)]
+        spec += [(f"tier{tier}.{head}", (fan_in[-1], d_out)) for head in heads]
+    total = sum(dims)
+    return spec + [("decoder.pair", (total, total)), ("decoder.feature", (total, input_dim))]
 
 
 @dataclass
-class TieredGaeParams(_TieredParams):
-    """Deterministic model: three encoder stacks plus the two decoder heads.
+class TieredParams:
+    """Three encoder stacks plus the two decoder heads; ``variational``
+    picks what ends each stack (see :func:`param_spec`).
 
     ``pair_decoder`` is the bilinear matrix for edge logits; it is
     initialized symmetric and training re-symmetrizes it after every step.
@@ -171,6 +174,7 @@ class TieredGaeParams(_TieredParams):
     dims: tuple[int, int, int]
     depth: int
     input_dim: int
+    variational: ClassVar[bool]
 
     @classmethod
     def init(
@@ -179,50 +183,60 @@ class TieredGaeParams(_TieredParams):
         dims: Sequence[int] = (16, 16, 16),
         depth: int = 3,
         input_dim: int = NODE_FEATURE_DIM,
-    ) -> "TieredGaeParams":
-        dims = _check_dims(dims)
-        encoders = (
-            gcn_stack(rng, input_dim, dims[0], depth),
-            gcn_stack(rng, dims[0], dims[1], depth),
-            gcn_stack(rng, dims[1], dims[2], depth),
+    ) -> "TieredParams":
+        """Glorot-uniform weights drawn in spec order; the pair decoder
+        starts as the symmetric part of its draw."""
+        dims = tuple(int(d) for d in dims)
+        spec = param_spec(cls.variational, dims, depth, input_dim)
+        weights = {name: ad.glorot_uniform(rng, *shape) for name, shape in spec}
+        pair = weights["decoder.pair"]
+        weights["decoder.pair"] = (pair + pair.T) / 2.0
+        return cls.from_weights(
+            {name: ad.parameter(w) for name, w in weights.items()}, dims, depth, input_dim
         )
-        total = sum(dims)
-        pair = ad.glorot_uniform(rng, total, total)
-        pair_decoder = ad.parameter((pair + pair.T) / 2.0)
-        feature_decoder = ad.parameter(ad.glorot_uniform(rng, total, input_dim))
-        return cls(encoders, pair_decoder, feature_decoder, dims, depth, input_dim)
-
-
-@dataclass
-class TieredVgaeParams(_TieredParams):
-    """Variational model: variational stacks per tier, same decoder heads."""
-
-    encoders: tuple[VariationalGnnStack, VariationalGnnStack, VariationalGnnStack]
-    pair_decoder: Tensor
-    feature_decoder: Tensor
-    dims: tuple[int, int, int]
-    depth: int
-    input_dim: int
 
     @classmethod
-    def init(
-        cls,
-        rng: np.random.Generator,
-        dims: Sequence[int] = (16, 16, 16),
-        depth: int = 3,
-        input_dim: int = NODE_FEATURE_DIM,
-    ) -> "TieredVgaeParams":
-        dims = _check_dims(dims)
-        encoders = (
-            variational_gcn_stack(rng, input_dim, dims[0], depth),
-            variational_gcn_stack(rng, dims[0], dims[1], depth),
-            variational_gcn_stack(rng, dims[1], dims[2], depth),
+    def from_weights(
+        cls, weights: dict[str, Tensor], dims: tuple[int, int, int], depth: int, input_dim: int
+    ) -> "TieredParams":
+        """Params over ``weights`` keyed by spec name."""
+        spec = param_spec(cls.variational, dims, depth, input_dim)
+        tensors = [weights[name] for name, _ in spec]
+        per_tier = (len(tensors) - 2) // 3
+        encoders = tuple(
+            GnnStack(
+                [GcnLayer(w, "relu") for w in tensors[start : start + depth - 1]],
+                [GcnLayer(w, "none") for w in tensors[start + depth - 1 : start + per_tier]],
+            )
+            for start in range(0, 3 * per_tier, per_tier)
         )
-        total = sum(dims)
-        pair = ad.glorot_uniform(rng, total, total)
-        pair_decoder = ad.parameter((pair + pair.T) / 2.0)
-        feature_decoder = ad.parameter(ad.glorot_uniform(rng, total, input_dim))
-        return cls(encoders, pair_decoder, feature_decoder, dims, depth, input_dim)
+        return cls(encoders, tensors[-2], tensors[-1], dims, depth, input_dim)
+
+    def trainable(self) -> list[Tensor]:
+        """Every weight in spec order."""
+        weights = [weight for stack in self.encoders for weight in stack.weights()]
+        return weights + [self.pair_decoder, self.feature_decoder]
+
+    def named_weights(self) -> dict[str, Tensor]:
+        spec = param_spec(self.variational, self.dims, self.depth, self.input_dim)
+        return dict(zip((name for name, _ in spec), self.trainable()))
+
+    def symmetrize_pair_decoder(self) -> None:
+        """In place, so the decoder stays a view of the optimizer's vector."""
+        values = self.pair_decoder.values
+        values[...] = (values + values.T) / 2.0
+
+
+class TieredGaeParams(TieredParams):
+    """Deterministic model: each tier ends in one linear layer."""
+
+    variational = False
+
+
+class TieredVgaeParams(TieredParams):
+    """Variational model: each tier ends in linear mean and log-std heads."""
+
+    variational = True
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +457,7 @@ def edge_auc(edge_probs: np.ndarray, adjacency: np.ndarray) -> float:
 def encode_for_inference(params, data: MoleculeData) -> TieredEmbeddings:
     """Deterministic embeddings of one molecule: the GAE encoder, or the
     VGAE encoder with zero noise so every tier is its posterior mean."""
-    if isinstance(params, TieredVgaeParams):
+    if params.variational:
         return encode_tiered_variational(params, data, zero_noise)[0]
     return encode_tiered(params, data)
 

@@ -148,7 +148,6 @@ class MolecularGraph:
             bond.conjugated = bond.order == "single" and multi[i] and multi[j]
 
         self._node_features: np.ndarray | None = None
-        self._edge_features: np.ndarray | None = None
 
     def _check_connected(self) -> None:
         n = len(self.atoms)
@@ -192,9 +191,6 @@ class MolecularGraph:
     def attached_hydrogens(self, index: int) -> int:
         return sum(1 for nbr in self._neighbors[index] if self.atoms[nbr].element == "H")
 
-    def element_counts(self) -> dict[str, int]:
-        return dict(Counter(atom.element for atom in self.atoms))
-
     def formula(self) -> str:
         return hill_formula(atom.element for atom in self.atoms)
 
@@ -203,12 +199,6 @@ class MolecularGraph:
         if self._node_features is None:
             self._node_features = featurize_nodes(self)
         return self._node_features
-
-    @property
-    def edge_features(self) -> np.ndarray:
-        if self._edge_features is None:
-            self._edge_features = featurize_edges(self)
-        return self._edge_features
 
     def __repr__(self) -> str:
         label = self.name or self.smiles or "?"
@@ -230,21 +220,6 @@ def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
         features[i, 13] = float(graph.heavy_degree(i))
         features[i, 14] = float(graph.attached_hydrogens(i))
         features[i, 15] = 1.0 if graph.atom_in_ring(i) else 0.0
-    return features
-
-
-def featurize_edges(graph: MolecularGraph) -> np.ndarray:
-    """Edge feature matrix aligned with ``graph.bonds``.
-
-    Columns: one-hot bond order (single, double, triple, aromatic), a
-    conjugation flag (single bond whose both endpoints carry a multiple or
-    aromatic bond), and a same-ring flag.
-    """
-    features = np.zeros((graph.num_bonds, len(BOND_ORDERS) + 2))
-    for k, bond in enumerate(graph.bonds):
-        features[k, BOND_ORDERS.index(bond.order)] = 1.0
-        features[k, 4] = 1.0 if bond.conjugated else 0.0
-        features[k, 5] = 1.0 if bond.in_ring else 0.0
     return features
 
 

@@ -1,7 +1,9 @@
 """Checkpoint serialization: exact round trips and corruption handling."""
 
+import hashlib
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -15,6 +17,7 @@ from moltiers.models import (
     TieredGaeParams,
     TieredVgaeParams,
     gae_loss,
+    param_spec,
 )
 from moltiers.smiles import parse_smiles
 from moltiers.train import TrainConfig, train_gae, train_vgae
@@ -80,6 +83,50 @@ def test_trained_checkpoint_round_trip_is_byte_identical(
     assert first.read_bytes() == second.read_bytes()
     for original, restored in zip(all_weights(params), all_weights(loaded)):
         assert np.array_equal(original, restored)
+
+
+# SHA-256 of format-v1 files written before the model spec existed, when the
+# GAE and VGAE each had their own init and the checkpoint its own weight
+# naming: ``cls.init(np.random.default_rng(0), (2, 3, 4), depth)``.
+FORMAT_V1_DIGESTS = {
+    (TieredGaeParams, 1): "a44ac7865356c426e223609a703088772a7d6ae6a742cc5b4e05c1dba850b31b",
+    (TieredGaeParams, 3): "728d2ba993c9ff5410743bfb1811976d8591e3762481612542d0d73c274eede8",
+    (TieredVgaeParams, 1): "c38bf7abc6b283302ee9dd3499500c108b82e188c16c3d4722fb98905aa2e5c2",
+    (TieredVgaeParams, 3): "1b90bfc1c33c7d044e23f567d0f49eeec7e7521b1f36cc0bfef8a2d7b103ef5f",
+}
+
+
+@pytest.mark.parametrize(("cls", "depth"), list(FORMAT_V1_DIGESTS))
+def test_format_v1_bytes_are_pinned(tmp_path, cls, depth):
+    path = tmp_path / "model.json"
+    save_checkpoint(cls.init(np.random.default_rng(0), (2, 3, 4), depth), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FORMAT_V1_DIGESTS[cls, depth]
+
+
+@settings(max_examples=40)
+@given(
+    cls=st.sampled_from([TieredGaeParams, TieredVgaeParams]),
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    depth=st.integers(1, 3),
+)
+def test_spec_orders_weights_trainables_and_checkpoint(tmp_path_factory, cls, dims, depth):
+    spec = param_spec(cls.variational, dims, depth)
+    params = cls.init(np.random.default_rng(0), dims, depth)
+    assert [(name, w.shape) for name, w in params.named_weights().items()] == spec
+    assert [w.shape for w in params.trainable()] == [shape for _, shape in spec]
+
+    path = tmp_path_factory.mktemp("spec") / "model.json"
+    save_checkpoint(params, path)
+    text = path.read_text()
+    weights = json.loads(text)["weights"]
+    assert list(weights) == sorted(name for name, _ in spec)
+    assert all(np.shape(weights[name]) == shape for name, shape in spec)
+    for name, _ in spec:
+        payload = json.loads(text)
+        del payload["weights"][name]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=re.escape(f"missing weight '{name}'")):
+            load_checkpoint(path)
 
 
 def test_restored_params_reproduce_the_loss(tmp_path):

@@ -79,28 +79,6 @@ def test_charge_column_carries_signed_charges():
     assert np.count_nonzero(X[:, COL_CHARGE]) == 2
 
 
-def test_vanillin_edge_feature_rows(vanillin):
-    E = vanillin.edge_features
-    assert E.shape == (19, 6)
-    by_pair = {(b.first, b.second): k for k, b in enumerate(vanillin.bonds)}
-    # aldehyde C-H: plain single bond
-    assert E[by_pair[(1, 2)]].tolist() == [1, 0, 0, 0, 0, 0]
-    # carbonyl C to ring carbon: single but conjugated on both ends
-    assert E[by_pair[(1, 3)]].tolist() == [1, 0, 0, 0, 1, 0]
-    # ring bond: aromatic plus same-ring flag
-    assert E[by_pair[(3, 4)]].tolist() == [0, 0, 0, 1, 0, 1]
-    double = [k for k, b in enumerate(vanillin.bonds) if b.order == "double"]
-    assert len(double) == 1
-    assert E[double[0]].tolist() == [0, 1, 0, 0, 0, 0]
-
-
-def test_edge_one_hot_order_block(corpus_graphs):
-    for g in corpus_graphs:
-        E = g.edge_features
-        assert E.shape == (g.num_bonds, 6)
-        assert np.all(E[:, :4].sum(axis=1) == 1.0)
-
-
 def test_graph_requires_at_least_one_atom():
     with pytest.raises(ValueError, match="at least one atom"):
         MolecularGraph([], [])

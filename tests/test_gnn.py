@@ -9,12 +9,11 @@ from moltiers.gnn import (
     GcnLayer,
     GnnStack,
     VariationalGnnStack,
-    gcn_stack,
     gnn_forward,
     gnn_forward_variational,
     normalize_adjacency,
-    variational_gcn_stack,
 )
+from moltiers.models import TieredGaeParams, TieredVgaeParams
 
 
 def propagator(adjacency):
@@ -81,23 +80,27 @@ def test_normalize_input_validation():
 
 def test_gcn_stack_shapes_and_activations():
     rng = np.random.default_rng(0)
-    stack = gcn_stack(rng, input_dim=16, output_dim=8, depth=3)
+    stack = TieredGaeParams.init(rng, (8, 8, 8), depth=3, input_dim=16).encoders[0]
     assert stack.depth == 3
+    assert len(stack.heads) == 1
     assert [layer.weight.shape for layer in stack.layers] == [(16, 8), (8, 8), (8, 8)]
     assert [layer.activation for layer in stack.layers] == ["relu", "relu", "none"]
     assert stack.input_dim == 16
     assert stack.output_dim == 8
     with pytest.raises(ValueError, match="depth"):
-        gcn_stack(rng, 4, 4, 0)
+        TieredGaeParams.init(rng, (4, 4, 4), 0)
 
 
 def test_stack_rejects_non_chaining_dimensions():
     a = GcnLayer(ad.parameter(np.zeros((4, 3))))
     b = GcnLayer(ad.parameter(np.zeros((5, 2))))
+    head = GcnLayer(ad.parameter(np.zeros((2, 2))), "none")
     with pytest.raises(ValueError, match="do not chain"):
-        GnnStack([a, b])
-    with pytest.raises(ValueError, match="at least one layer"):
-        GnnStack([])
+        GnnStack([a, b], [head])
+    with pytest.raises(ValueError, match="do not chain"):
+        GnnStack([a], [head])
+    with pytest.raises(ValueError, match="at least one head"):
+        GnnStack([a], [])
     with pytest.raises(ValueError, match="unknown activation"):
         GcnLayer(ad.parameter(np.zeros((2, 2))), activation="tanh")
 
@@ -107,7 +110,7 @@ def test_single_linear_layer_forward_matches_numpy():
     A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     X = rng.standard_normal((3, 4))
     W = rng.standard_normal((4, 2))
-    stack = GnnStack([GcnLayer(ad.parameter(W), "none")])
+    stack = GnnStack([], [GcnLayer(ad.parameter(W), "none")])
     out = gnn_forward(stack, propagator(A), ad.constant(X))
     expected = normalize_adjacency(A) @ X @ W
     assert np.allclose(out.values, expected, atol=1e-12)
@@ -119,14 +122,14 @@ def test_relu_hidden_layer_blocks_negative_channels():
     X = np.ones((2, 1))
     hidden = GcnLayer(ad.parameter(np.array([[-1.0]])), "relu")
     out_layer = GcnLayer(ad.parameter(np.array([[1.0]])), "none")
-    out = gnn_forward(GnnStack([hidden, out_layer]), propagator(A), ad.constant(X))
+    out = gnn_forward(GnnStack([hidden], [out_layer]), propagator(A), ad.constant(X))
     assert np.allclose(out.values, 0.0)
     ad.backward(ad.reduce_sum(out))
 
 
 def test_forward_shape_validation():
     rng = np.random.default_rng(1)
-    stack = gcn_stack(rng, 4, 4, 2)
+    stack = TieredGaeParams.init(rng, (4, 4, 4), 2).encoders[1]
     A = np.zeros((3, 3))
     with pytest.raises(ad.ShapeError, match="rows"):
         gnn_forward(stack, propagator(A), ad.constant(np.zeros((2, 4))))
@@ -136,18 +139,18 @@ def test_forward_shape_validation():
 
 def test_variational_stack_structure():
     rng = np.random.default_rng(2)
-    stack = variational_gcn_stack(rng, input_dim=6, output_dim=3, depth=3)
+    stack = TieredVgaeParams.init(rng, (6, 3, 3), depth=3).encoders[1]
     assert len(stack.trunk) == 2
     assert stack.depth == 3
-    assert stack.mean_head.weight.shape == (3, 3)
-    assert stack.log_std_head.weight.shape == (3, 3)
+    assert [head.weight.shape for head in stack.heads] == [(3, 3), (3, 3)]
+    assert [layer.activation for layer in stack.layers] == ["relu", "relu", "none", "none"]
     assert stack.input_dim == 6
     assert stack.output_dim == 3
     assert len(stack.weights()) == 4
     # depth 1 keeps only the two heads
-    shallow = variational_gcn_stack(rng, 6, 3, 1)
+    shallow = TieredVgaeParams.init(rng, (6, 3, 3), 1).encoders[1]
     assert shallow.trunk == []
-    assert shallow.mean_head.weight.shape == (6, 3)
+    assert [head.weight.shape for head in shallow.heads] == [(6, 3), (6, 3)]
 
 
 def test_variational_head_validation():
@@ -155,15 +158,15 @@ def test_variational_head_validation():
     good = GcnLayer(ad.parameter(np.zeros((3, 2))), "none")
     bad_in = GcnLayer(ad.parameter(np.zeros((5, 2))), "none")
     bad_out = GcnLayer(ad.parameter(np.zeros((3, 6))), "none")
-    with pytest.raises(ValueError, match="head input"):
+    with pytest.raises(ValueError, match="do not chain"):
         VariationalGnnStack(trunk, bad_in, good)
-    with pytest.raises(ValueError, match="same output dim"):
+    with pytest.raises(ValueError, match="same shape"):
         VariationalGnnStack(trunk, good, bad_out)
 
 
 def test_variational_forward_returns_positive_std():
     rng = np.random.default_rng(3)
-    stack = variational_gcn_stack(rng, 4, 3, 2)
+    stack = TieredVgaeParams.init(rng, (4, 3, 3), 2).encoders[1]
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     X = rng.standard_normal((2, 4))
     mean, std = gnn_forward_variational(stack, propagator(A), ad.constant(X))
@@ -192,7 +195,7 @@ def test_forward_is_deterministic_for_fixed_seed():
     X = np.arange(12.0).reshape(3, 4)
     runs = []
     for _ in range(2):
-        stack = gcn_stack(np.random.default_rng(9), 4, 5, 3)
+        stack = TieredGaeParams.init(np.random.default_rng(9), (5, 5, 5), 3, 4).encoders[0]
         out = gnn_forward(stack, propagator(A), ad.constant(X))
         runs.append(out.values.copy())
         ad.backward(ad.reduce_sum(out))

@@ -7,7 +7,7 @@ variational one with unit std and zero noise.
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from loss_oracle import chain_reconstruction_loss
@@ -35,6 +35,7 @@ from moltiers.models import (
     vgae_losses,
     zero_noise,
 )
+from moltiers.molgraph import Atom, Bond, MolecularGraph
 from moltiers.smiles import parse_smiles
 
 
@@ -344,6 +345,39 @@ def test_noisy_sample_changes_decoder_input_only(ethanol_data):
     for a, b in zip(stats_zero, stats_noisy):
         assert np.array_equal(a.mean.values, b.mean.values)
         assert np.array_equal(a.std.values, b.std.values)
+
+
+def permuted(graph, perm):
+    """``graph`` with atom i renumbered perm[i]."""
+    atoms = [None] * graph.num_atoms
+    for old, atom in enumerate(graph.atoms):
+        atoms[perm[old]] = Atom(atom.element, atom.formal_charge, atom.aromatic)
+    bonds = [Bond(perm[b.first], perm[b.second], b.order) for b in graph.bonds]
+    return MolecularGraph(atoms, bonds, name=graph.name)
+
+
+def _molecule_embedding_and_tier_kl(params, data):
+    embeddings, stats = encode_tiered_variational(params, data, zero_noise)
+    kl = [kl_standard_normal(tier.mean, tier.std).item() for tier in stats]
+    return embeddings.graph.values, np.array(kl)
+
+
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_vgae_molecule_embedding_and_tier_kl_are_permutation_invariant(corpus_graphs, seed):
+    rng = np.random.default_rng(seed)
+    params = TieredVgaeParams.init(rng, (8, 8, 8), 2)
+    with ad.no_grad():
+        for graph in corpus_graphs:
+            base = _molecule_embedding_and_tier_kl(params, MoleculeData.from_graph(graph))
+            perm = rng.permutation(graph.num_atoms)
+            moved = _molecule_embedding_and_tier_kl(
+                params, MoleculeData.from_graph(permuted(graph, perm))
+            )
+            assert np.abs(moved[0] - base[0]).max() <= 1e-9, graph.name
+            # the KL of an untrained model reaches 1e8 (std up to e^10), so
+            # its bound is relative
+            np.testing.assert_allclose(moved[1], base[1], rtol=1e-9, err_msg=graph.name)
 
 
 def test_edge_auc_hand_cases():

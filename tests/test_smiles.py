@@ -1,6 +1,8 @@
 """Parser tests: frozen atom/bond layouts, aromatic perception, error positions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moltiers.smiles import (
     SmilesError,
@@ -220,3 +222,20 @@ def test_error_hierarchy_is_catchable_as_value_error():
 def test_valence_overflow_message_names_element_and_sum():
     with pytest.raises(ValenceOverflowError, match="sum 4 exceeds the maximum valence 2 of O"):
         parse_smiles("O=C=O=C")
+
+
+# Every character the grammar gives a meaning to, plus the rejected tokens
+# (stereo, isotopes, '%', '.', ':') and multi-character atoms.
+SMILES_TOKENS = list("BCNOPSFIHclbrnops()[]=#-+0123456789@/\\%.:") + [
+    "Cl", "Br", "[nH]", "[NH4+]", "[O-]", "[H]", "c1ccccc1",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(SMILES_TOKENS), max_size=24).map("".join))
+def test_parser_raises_only_smiles_errors(text):
+    try:
+        graph = parse_smiles(text)
+    except SmilesError:
+        return
+    assert graph.num_atoms >= 1
