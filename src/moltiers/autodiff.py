@@ -70,12 +70,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
-    def t(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self) -> "Tensor":
-        return reduce_sum(self)
-
     def mean(self) -> "Tensor":
         return reduce_mean(self)
 
@@ -83,19 +77,15 @@ class Tensor:
         return matmul(self, other)
 
     def __add__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
+        return add(self, other if isinstance(other, Tensor) else constant(float(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return shift(self, -float(other))
+        return sub(self, other if isinstance(other, Tensor) else constant(float(other)))
 
     def __rsub__(self, other) -> "Tensor":
-        return shift(scale(self, -1.0), float(other))
+        return sub(constant(float(other)), self)
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -216,18 +206,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    """A view of ``a``'s values, so a C-ordered input gives an F-ordered
-    result (the layout a copy would keep, and the one BLAS is handed)."""
-    out = wrap(a.values.T)
-
-    def vjp(g: np.ndarray):
-        return (g.T,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
 def _broadcast_shapes(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape == b.shape or a.shape == (1, 1) or b.shape == (1, 1):
         return
@@ -297,118 +275,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return out
 
 
-def shift(a: Tensor, offset: float) -> Tensor:
-    out = wrap(a.values + float(offset))
-
-    def vjp(g: np.ndarray):
-        return (g,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function with the pre-activation clamped to +-SIGMOID_CLAMP,
-    keeping the output strictly inside (0, 1) in float64."""
-    clamped = np.clip(a.values, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    values = 1.0 / (1.0 + np.exp(-clamped))
-    out = wrap(values)
-
-    def vjp(g: np.ndarray):
-        return (g * values * (1.0 - values),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(0, x); the subgradient at exactly 0 is 0."""
-    mask = a.values > 0.0
-    out = wrap(np.where(mask, a.values, 0.0))
-
-    def vjp(g: np.ndarray):
-        return (g * mask,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    values = np.exp(a.values)
-    out = wrap(values)
-
-    def vjp(g: np.ndarray):
-        return (g * values,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log with the input floored at LOG_FLOOR, so log never sees 0."""
-    floored = np.maximum(a.values, LOG_FLOOR)
-    out = wrap(np.log(floored))
-
-    def vjp(g: np.ndarray):
-        return (g / floored,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def clamp(a: Tensor, low: float, high: float) -> Tensor:
-    """Clip values to [low, high]; gradient passes only through the interior."""
-    if not low < high:
-        raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
-    out = wrap(np.clip(a.values, low, high))
-    interior = (a.values > low) & (a.values < high)
-
-    def vjp(g: np.ndarray):
-        return (g * interior,)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    out = wrap(a.values.sum().reshape(1, 1))
-    shape = a.shape
-
-    def vjp(g: np.ndarray):
-        return (np.full(shape, g[0, 0]),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
-    """sum(W * -(T log p + (1 - T) log(1 - p))) as one tape record, both logs
-    floored as in :func:`log`. Forward and vjp repeat the arithmetic of the
-    log / scale / shift / mul / add / reduce_sum chain that spells this out,
-    in its order and folding only exact sign flips, so results are
-    bit-identical to that chain's."""
-    if target.shape != probs.shape or weights.shape != probs.shape:
-        raise ShapeError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
-    complement = 1.0 - target
-    floored_p = np.maximum(probs.values, LOG_FLOOR)
-    floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
-    per_pair = target * np.log(floored_p)
-    per_pair += complement * np.log(floored_q)
-    per_pair *= -1.0
-    per_pair *= weights
-    out = wrap(per_pair.sum().reshape(1, 1))
-
-    def vjp(g: np.ndarray):
-        weighted = g[0, 0] * weights
-        grad = weighted * complement
-        grad /= floored_q
-        grad -= weighted * target / floored_p
-        return (grad,)
-
-    _record(out, (probs,), vjp)
-    return out
-
-
 def reduce_mean(a: Tensor) -> Tensor:
     size = a.values.size
     out = wrap(a.values.mean().reshape(1, 1))
@@ -440,6 +306,156 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
         )
 
     _record(out, tuple(parts), vjp)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fused operations: each is one tape record for a chain of primitive records
+# that the tests keep as its oracle. Forward and vjp repeat the chain's
+# arithmetic in its order, so values and gradients are bit-identical to it.
+# A tensor the chain used more than once is listed once per use, in the
+# order the chain's reverse pass reached those uses, so its gradient
+# accumulates in the same order.
+
+
+def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
+    """sum(W * -(T log p + (1 - T) log(1 - p))), each log's input floored at
+    LOG_FLOOR; of the chain's arithmetic only exact sign flips are folded."""
+    if target.shape != probs.shape or weights.shape != probs.shape:
+        raise ShapeError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
+    complement = 1.0 - target
+    floored_p = np.maximum(probs.values, LOG_FLOOR)
+    floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
+    per_pair = target * np.log(floored_p)
+    per_pair += complement * np.log(floored_q)
+    per_pair *= -1.0
+    per_pair *= weights
+    out = wrap(per_pair.sum().reshape(1, 1))
+
+    def vjp(g: np.ndarray):
+        weighted = g[0, 0] * weights
+        grad = weighted * complement
+        grad /= floored_q
+        grad -= weighted * target / floored_p
+        return (grad,)
+
+    _record(out, (probs,), vjp)
+    return out
+
+
+def gcn_layer(propagator: Tensor, hidden: Tensor, weight: Tensor, relu: bool) -> Tensor:
+    """act((P @ H) @ W), act being relu (subgradient 0 at 0) or the
+    identity: one graph convolution."""
+    if propagator.shape[1] != hidden.shape[0] or hidden.shape[1] != weight.shape[0]:
+        raise ShapeError(f"gcn layer of {propagator.shape}, {hidden.shape} and {weight.shape}")
+    p_vals, h_vals, w_vals = propagator.values, hidden.values, weight.values
+    propagated = p_vals @ h_vals
+    pre = propagated @ w_vals
+    mask = pre > 0.0 if relu else None
+    out = wrap(np.where(mask, pre, 0.0) if relu else pre)
+    into_propagated = propagator.tracked or hidden.tracked
+
+    def vjp(g: np.ndarray):
+        if relu:
+            g = g * mask
+        grad_p = grad_h = None
+        if into_propagated:
+            g_propagated = g @ w_vals.T
+            grad_p = g_propagated @ h_vals.T if propagator.tracked else None
+            grad_h = p_vals.T @ g_propagated if hidden.tracked else None
+        return (grad_p, grad_h, propagated.T @ g if weight.tracked else None)
+
+    _record(out, (propagator, hidden, weight), vjp)
+    return out
+
+
+def exp_clamped_linear(inputs: Tensor, weight: Tensor, low: float, high: float) -> Tensor:
+    """exp(clip(A @ W, low, high)), a log-std head turned into a std; the
+    gradient passes only where A @ W lies strictly inside (low, high)."""
+    if not low < high:
+        raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
+    if inputs.shape[1] != weight.shape[0]:
+        raise ShapeError(f"matmul of {inputs.shape} by {weight.shape}")
+    a_vals, w_vals = inputs.values, weight.values
+    pre = a_vals @ w_vals
+    values = np.exp(np.clip(pre, low, high))
+    interior = (pre > low) & (pre < high)
+    out = wrap(values)
+
+    def vjp(g: np.ndarray):
+        g_pre = g * values * interior
+        return (
+            g_pre @ w_vals.T if inputs.tracked else None,
+            a_vals.T @ g_pre if weight.tracked else None,
+        )
+
+    _record(out, (inputs, weight), vjp)
+    return out
+
+
+def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
+    """mean + std * noise for a fixed ``noise`` array of the same shape."""
+    noise = np.asarray(noise, dtype=np.float64)
+    if not mean.shape == std.shape == noise.shape:
+        raise ShapeError(f"sample of mean {mean.shape}, std {std.shape} and noise {noise.shape}")
+    out = wrap(mean.values + std.values * noise)
+
+    def vjp(g: np.ndarray):
+        return (g, g * noise if std.tracked else None)
+
+    _record(out, (mean, std), vjp)
+    return out
+
+
+def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
+    """1/2 * sum(mean^2 + std^2 - 1 - ln std^2), ln's input floored at
+    LOG_FLOOR. Inputs are recorded as (mean, mean, std, std)."""
+    if mean.shape != std.shape:
+        raise ShapeError(f"mean {mean.shape} and std {std.shape} differ")
+    m_vals, s_vals = mean.values, std.values
+    variance = s_vals * s_vals
+    floored = np.maximum(variance, LOG_FLOOR)
+    inside = m_vals * m_vals + variance
+    inside -= np.log(floored) + 1.0
+    out = wrap(inside.sum().reshape(1, 1) * 0.5)
+
+    def vjp(g: np.ndarray):
+        # the chain fills an array with this one value; scalar operands
+        # give the same elementwise results
+        g_inside = g[0, 0] * 0.5
+        g_mean = g_inside * m_vals if mean.tracked else None
+        g_std = ((-g_inside) / floored + g_inside) * s_vals if std.tracked else None
+        return (g_mean, g_mean, g_std, g_std)
+
+    _record(out, (mean, mean, std, std), vjp)
+    return out
+
+
+def bilinear_sigmoid(rows: Tensor, pair: Tensor) -> Tensor:
+    """sigmoid(Z Theta Z^T) with the logits clamped to +-SIGMOID_CLAMP,
+    keeping every value strictly inside (0, 1). Inputs are recorded as
+    (Z, Z, Theta): the Z^T use first, then Z Theta."""
+    if not rows.shape[1] == pair.shape[0] == pair.shape[1]:
+        raise ShapeError(f"bilinear form of {rows.shape} rows by {pair.shape}")
+    z_vals, p_vals = rows.values, pair.values
+    left = z_vals @ p_vals
+    flipped = z_vals.T  # a view, the F-ordered layout BLAS was always handed
+    logits = left @ flipped
+    values = 1.0 / (1.0 + np.exp(-np.clip(logits, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
+    out = wrap(values)
+
+    def vjp(g: np.ndarray):
+        g_logits = g * values * (1.0 - values)
+        grad_flipped = grad_rows = grad_pair = None
+        if rows.tracked:
+            grad_flipped = (left.T @ g_logits).T
+        if rows.tracked or pair.tracked:
+            g_left = g_logits @ flipped.T
+            grad_rows = g_left @ p_vals.T if rows.tracked else None
+            grad_pair = z_vals.T @ g_left if pair.tracked else None
+        return (grad_flipped, grad_rows, grad_pair)
+
+    _record(out, (rows, rows, pair), vjp)
     return out
 
 

@@ -32,7 +32,10 @@ class CheckpointError(ValueError):
 def atomic_write(path):
     """Text handle on a temp file beside ``path``: ``os.replace`` renames it
     over ``path`` when the block ends cleanly, and it is deleted if the block
-    raises. A ``path`` that exists but is no regular file is written in place."""
+    raises. A ``path`` that exists but is no regular file is written in place.
+
+    Atomic against a crash of the process, not against power loss: nothing
+    is fsynced, which would add device latency to every write."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
             yield handle

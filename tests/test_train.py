@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import moltiers.autodiff as ad
+from moltiers import models
 from moltiers.models import MoleculeData
 from moltiers.smiles import parse_smiles
 from moltiers.train import (
@@ -110,6 +111,26 @@ def test_divergent_learning_rate_raises_with_context(tiny_dataset):
         assert "non-finite loss at epoch" in str(err.value)
         # the aborted step's forward records must not leak into the next run
         assert ad.tape_size() == 0
+
+
+@pytest.mark.parametrize("train", [train_gae, train_vgae])
+def test_any_failed_step_leaves_the_tape_empty(monkeypatch, tiny_dataset, train):
+    # an error that is not a non-finite loss, raised mid-forward with the
+    # encoder's records already on the tape
+    calls = []
+    decode = models.decode
+
+    def failing_decode(params, embeddings):
+        calls.append(embeddings.data.name)
+        if len(calls) == 2:
+            raise RuntimeError("decoder failed")
+        return decode(params, embeddings)
+
+    monkeypatch.setattr(models, "decode", failing_decode)
+    with pytest.raises(RuntimeError, match="decoder failed"):
+        train(tiny_dataset, tiny_config())
+    assert len(calls) == 2
+    assert ad.tape_size() == 0
 
 
 def test_vgae_training_improves_elbo(tiny_dataset):
