@@ -1,11 +1,11 @@
 """Dense 2-D tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` wraps a float64 numpy matrix. Every operation computes its
-result eagerly and records a vector-Jacobian product on a module-level tape.
-:func:`backward` replays the tape in reverse, accumulating gradients
-additively into every tensor that participated, then clears the tape. The
-tape is rebuilt on each forward pass, so shapes may change freely between
-passes (graphs of different sizes train in one loop).
+one or more results eagerly and records one vector-Jacobian product for them
+on a module-level tape. :func:`backward` replays the tape in reverse,
+accumulating gradients additively into every tensor that participated, then
+clears the tape. The tape is rebuilt on each forward pass, so shapes may
+change freely between passes (graphs of different sizes train in one loop).
 
 Everything is strictly 2-D: scalars are 1x1 matrices and vectors are single
 rows or columns. The only broadcasting rule is scalar-vs-matrix. A tape and
@@ -122,10 +122,11 @@ def wrap(values: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Tape machinery
 
-# Each record is (output, inputs, vjp). vjp maps the output gradient to a
-# tuple of input gradients aligned with `inputs`; entries for untracked
-# inputs are None.
-_TapeRecord = tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], tuple]]
+# Each record is (outputs, inputs, vjp). vjp takes one gradient per output,
+# None for an output that no later record reached, and returns a tuple of
+# input gradients aligned with `inputs`; entries for untracked inputs are
+# None.
+_TapeRecord = tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable[..., tuple]]
 _tape: list[_TapeRecord] = []
 _recording = True
 
@@ -152,17 +153,19 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
+def _record(outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp) -> None:
     if _recording and any(t.tracked for t in inputs):
-        out.tracked = True
-        _tape.append((out, inputs, vjp))
+        for out in outputs:
+            out.tracked = True
+        _tape.append((outputs, inputs, vjp))
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into every tracked tensor on the tape.
 
-    The loss must be 1x1. The tape is cleared afterwards, even on error, so
-    a fresh forward pass is required before the next call.
+    A record is skipped when none of its outputs received a gradient. The
+    loss must be 1x1. The tape is cleared afterwards, even on error, so a
+    fresh forward pass is required before the next call.
     """
     if loss.shape != (1, 1):
         _tape.clear()
@@ -171,11 +174,11 @@ def backward(loss: Tensor) -> None:
         raise GradientError("backward called with an empty computation tape")
     try:
         loss.grad = np.ones((1, 1))
-        for out, inputs, vjp in reversed(_tape):
-            out_grad = out.grad
-            if out_grad is None:
+        for outputs, inputs, vjp in reversed(_tape):
+            out_grads = [out.grad for out in outputs]
+            if all(grad is None for grad in out_grads):
                 continue
-            for tensor, grad in zip(inputs, vjp(out_grad)):
+            for tensor, grad in zip(inputs, vjp(*out_grads)):
                 if grad is None or not tensor.tracked:
                     continue
                 if tensor.grad is None:
@@ -202,7 +205,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a_vals.T @ g if b.tracked else None,
         )
 
-    _record(out, (a, b), vjp)
+    _record((out,), (a, b), vjp)
     return out
 
 
@@ -229,7 +232,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _reduce_to(g, b_shape) if b.tracked else None,
         )
 
-    _record(out, (a, b), vjp)
+    _record((out,), (a, b), vjp)
     return out
 
 
@@ -244,7 +247,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             _reduce_to(-g, b_shape) if b.tracked else None,
         )
 
-    _record(out, (a, b), vjp)
+    _record((out,), (a, b), vjp)
     return out
 
 
@@ -260,7 +263,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _reduce_to(g * a_vals, b_shape) if b.tracked else None,
         )
 
-    _record(out, (a, b), vjp)
+    _record((out,), (a, b), vjp)
     return out
 
 
@@ -271,7 +274,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     def vjp(g: np.ndarray):
         return (g * factor,)
 
-    _record(out, (a,), vjp)
+    _record((out,), (a,), vjp)
     return out
 
 
@@ -283,29 +286,7 @@ def reduce_mean(a: Tensor) -> Tensor:
     def vjp(g: np.ndarray):
         return (np.full(shape, g[0, 0] / size),)
 
-    _record(out, (a,), vjp)
-    return out
-
-
-def hstack(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate tensors left-to-right along columns."""
-    if not parts:
-        raise ShapeError("hstack of an empty sequence")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise ShapeError(f"hstack row mismatch: {[p.shape for p in parts]}")
-    out = wrap(np.hstack([p.values for p in parts]))
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g: np.ndarray):
-        return tuple(
-            g[:, offsets[i]:offsets[i + 1]] if p.tracked else None
-            for i, p in enumerate(parts)
-        )
-
-    _record(out, tuple(parts), vjp)
+    _record((out,), (a,), vjp)
     return out
 
 
@@ -318,79 +299,64 @@ def hstack(parts: Sequence[Tensor]) -> Tensor:
 # accumulates in the same order.
 
 
-def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
-    """sum(W * -(T log p + (1 - T) log(1 - p))), each log's input floored at
-    LOG_FLOOR; of the chain's arithmetic only exact sign flips are folded."""
-    if target.shape != probs.shape or weights.shape != probs.shape:
-        raise ShapeError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
-    complement = 1.0 - target
-    floored_p = np.maximum(probs.values, LOG_FLOOR)
-    floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
-    per_pair = target * np.log(floored_p)
-    per_pair += complement * np.log(floored_q)
-    per_pair *= -1.0
-    per_pair *= weights
-    out = wrap(per_pair.sum().reshape(1, 1))
+def gcn_stack(
+    propagator: np.ndarray, features: Tensor, trunk: Sequence[Tensor], heads: Sequence[Tensor],
+    log_std_clamp: float,
+) -> tuple[Tensor, ...]:
+    """A graph-convolution stack over a constant propagator P: H becomes
+    relu((P @ H) @ W) for each trunk weight, then each head reads P @ H.
+    Returns (P @ H) @ W for one head; for two, (mean, std) with the second
+    head a log-std, std = exp(clip((P @ H) @ W, +-log_std_clamp)), whose
+    gradient passes only strictly inside the clamp. Shapes must chain, as a
+    :class:`moltiers.gnn.GnnStack` ensures. As in the chain, where the std
+    was the later record, its gradient reaches P @ H before the mean's."""
+    hidden, into = features.values, features.tracked
+    layers = []  # per trunk layer: P @ H, relu mask, W and whether H is tracked
+    for weight in trunk:
+        propagated = propagator @ hidden
+        pre = propagated @ weight.values
+        mask = pre > 0.0
+        layers.append((propagated, mask, weight.values, into))
+        hidden = np.where(mask, pre, 0.0)
+        into = into or weight.tracked
+    propagated = propagator @ hidden
+    head_values = [head.values for head in heads]
+    results = [propagated @ head_values[0]]
+    if len(heads) == 2:
+        pre = propagated @ head_values[1]
+        std = np.exp(np.clip(pre, -log_std_clamp, log_std_clamp))
+        interior = (pre > -log_std_clamp) & (pre < log_std_clamp)
+        results.append(std)
+    outputs = tuple(map(wrap, results))
 
-    def vjp(g: np.ndarray):
-        weighted = g[0, 0] * weights
-        grad = weighted * complement
-        grad /= floored_q
-        grad -= weighted * target / floored_p
-        return (grad,)
+    def vjp(*grads):
+        head_grads = [None] * len(heads)
+        g_propagated = None
+        for k in reversed(range(len(heads))):
+            g = grads[k]
+            if g is None:
+                continue
+            if k:
+                g = g * std * interior
+            if heads[k].tracked:
+                head_grads[k] = propagated.T @ g
+            if into:
+                part = g @ head_values[k].T
+                g_propagated = part if g_propagated is None else g_propagated + part
+        g_hidden = None if g_propagated is None else propagator.T @ g_propagated
+        trunk_grads = [None] * len(trunk)
+        for k in reversed(range(len(trunk))):
+            if g_hidden is None:
+                break
+            layer_propagated, mask, weight_values, layer_into = layers[k]
+            g = g_hidden * mask
+            if trunk[k].tracked:
+                trunk_grads[k] = layer_propagated.T @ g
+            g_hidden = propagator.T @ (g @ weight_values.T) if layer_into else None
+        return (g_hidden, *trunk_grads, *head_grads)
 
-    _record(out, (probs,), vjp)
-    return out
-
-
-def gcn_layer(propagator: Tensor, hidden: Tensor, weight: Tensor, relu: bool) -> Tensor:
-    """act((P @ H) @ W), act being relu (subgradient 0 at 0) or the
-    identity: one graph convolution."""
-    if propagator.shape[1] != hidden.shape[0] or hidden.shape[1] != weight.shape[0]:
-        raise ShapeError(f"gcn layer of {propagator.shape}, {hidden.shape} and {weight.shape}")
-    p_vals, h_vals, w_vals = propagator.values, hidden.values, weight.values
-    propagated = p_vals @ h_vals
-    pre = propagated @ w_vals
-    mask = pre > 0.0 if relu else None
-    out = wrap(np.where(mask, pre, 0.0) if relu else pre)
-    into_propagated = propagator.tracked or hidden.tracked
-
-    def vjp(g: np.ndarray):
-        if relu:
-            g = g * mask
-        grad_p = grad_h = None
-        if into_propagated:
-            g_propagated = g @ w_vals.T
-            grad_p = g_propagated @ h_vals.T if propagator.tracked else None
-            grad_h = p_vals.T @ g_propagated if hidden.tracked else None
-        return (grad_p, grad_h, propagated.T @ g if weight.tracked else None)
-
-    _record(out, (propagator, hidden, weight), vjp)
-    return out
-
-
-def exp_clamped_linear(inputs: Tensor, weight: Tensor, low: float, high: float) -> Tensor:
-    """exp(clip(A @ W, low, high)), a log-std head turned into a std; the
-    gradient passes only where A @ W lies strictly inside (low, high)."""
-    if not low < high:
-        raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
-    if inputs.shape[1] != weight.shape[0]:
-        raise ShapeError(f"matmul of {inputs.shape} by {weight.shape}")
-    a_vals, w_vals = inputs.values, weight.values
-    pre = a_vals @ w_vals
-    values = np.exp(np.clip(pre, low, high))
-    interior = (pre > low) & (pre < high)
-    out = wrap(values)
-
-    def vjp(g: np.ndarray):
-        g_pre = g * values * interior
-        return (
-            g_pre @ w_vals.T if inputs.tracked else None,
-            a_vals.T @ g_pre if weight.tracked else None,
-        )
-
-    _record(out, (inputs, weight), vjp)
-    return out
+    _record(outputs, (features, *trunk, *heads), vjp)
+    return outputs
 
 
 def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
@@ -403,7 +369,7 @@ def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
     def vjp(g: np.ndarray):
         return (g, g * noise if std.tracked else None)
 
-    _record(out, (mean, std), vjp)
+    _record((out,), (mean, std), vjp)
     return out
 
 
@@ -427,35 +393,96 @@ def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
         g_std = ((-g_inside) / floored + g_inside) * s_vals if std.tracked else None
         return (g_mean, g_mean, g_std, g_std)
 
-    _record(out, (mean, mean, std, std), vjp)
+    _record((out,), (mean, mean, std, std), vjp)
     return out
 
 
-def bilinear_sigmoid(rows: Tensor, pair: Tensor) -> Tensor:
-    """sigmoid(Z Theta Z^T) with the logits clamped to +-SIGMOID_CLAMP,
-    keeping every value strictly inside (0, 1). Inputs are recorded as
-    (Z, Z, Theta): the Z^T use first, then Z Theta."""
-    if not rows.shape[1] == pair.shape[0] == pair.shape[1]:
-        raise ShapeError(f"bilinear form of {rows.shape} rows by {pair.shape}")
-    z_vals, p_vals = rows.values, pair.values
+def tiered_decode(
+    node: Tensor, group: Tensor, graph: Tensor, group_broadcast: np.ndarray,
+    graph_broadcast: np.ndarray, pair: Tensor, feature: Tensor,
+) -> tuple[Tensor, Tensor]:
+    """(sigmoid(Z Theta Z^T), Z F) for the tier-concatenated rows
+    Z = [node | B_g @ group | B_m @ graph], the constant broadcasts B_g and
+    B_m carrying group and molecule rows down to the nodes. The logits are
+    clamped to +-SIGMOID_CLAMP, keeping every probability strictly inside
+    (0, 1). Shapes must agree; the encoders' outputs do.
+
+    Z's gradient accumulates as the chain's did: through Z F, then Z^T,
+    then Z Theta. Z^T is a view, the F-ordered layout BLAS always saw."""
+    rows = [node.values, group_broadcast @ group.values, graph_broadcast @ graph.values]
+    z_vals, p_vals, f_vals = np.hstack(rows), pair.values, feature.values
     left = z_vals @ p_vals
-    flipped = z_vals.T  # a view, the F-ordered layout BLAS was always handed
-    logits = left @ flipped
-    values = 1.0 / (1.0 + np.exp(-np.clip(logits, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
-    out = wrap(values)
+    flipped = z_vals.T
+    probs = 1.0 / (1.0 + np.exp(-np.clip(left @ flipped, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
+    outputs = (wrap(probs), wrap(z_vals @ f_vals))
+    into = node.tracked or group.tracked or graph.tracked
+    node_end, group_end = node.shape[1], node.shape[1] + group.shape[1]
+
+    def vjp(g_probs, g_recon):
+        g_z = grad_pair = grad_feature = None
+        if g_recon is not None:
+            g_z = g_recon @ f_vals.T if into else None
+            grad_feature = z_vals.T @ g_recon if feature.tracked else None
+        if g_probs is not None:
+            g_logits = g_probs * probs * (1.0 - probs)
+            if into:
+                part = (left.T @ g_logits).T
+                g_z = part if g_z is None else g_z + part
+            if into or pair.tracked:
+                g_left = g_logits @ flipped.T
+                if into:
+                    g_z = g_z + g_left @ p_vals.T
+                grad_pair = z_vals.T @ g_left if pair.tracked else None
+        return (  # g_z is None only when no tier input is tracked
+            g_z[:, :node_end] if node.tracked else None,
+            group_broadcast.T @ g_z[:, node_end:group_end] if group.tracked else None,
+            graph_broadcast.T @ g_z[:, group_end:] if graph.tracked else None,
+            grad_pair,
+            grad_feature,
+        )
+
+    _record(outputs, (node, group, graph, pair, feature), vjp)
+    return outputs
+
+
+def edge_feature_loss(
+    probs: Tensor, recon: Tensor, target: np.ndarray, weights: np.ndarray, total_weight: float,
+    features: np.ndarray, feature_weight: float,
+) -> Tensor:
+    """sum(W * -(T log p + (1 - T) log(1 - p))) / total_weight, each log's
+    input floored at LOG_FLOOR, plus feature_weight * mean((R - X)^2). The
+    edge term is 0 when total_weight is not positive. Of the chain's
+    arithmetic only exact sign flips are folded. Shapes must agree, as
+    :func:`moltiers.models.reconstruction_loss` checks."""
+    with_edges = total_weight > 0
+    if with_edges:
+        factor = float(1.0 / total_weight)
+        complement = 1.0 - target
+        floored_p = np.maximum(probs.values, LOG_FLOOR)
+        floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
+        per_pair = target * np.log(floored_p)
+        per_pair += complement * np.log(floored_q)
+        per_pair *= -1.0
+        per_pair *= weights
+        edge_term = per_pair.sum().reshape(1, 1) * factor
+    else:
+        edge_term = np.zeros((1, 1))
+    difference = recon.values - features
+    out = wrap(edge_term + (difference * difference).mean().reshape(1, 1) * feature_weight)
 
     def vjp(g: np.ndarray):
-        g_logits = g * values * (1.0 - values)
-        grad_flipped = grad_rows = grad_pair = None
-        if rows.tracked:
-            grad_flipped = (left.T @ g_logits).T
-        if rows.tracked or pair.tracked:
-            g_left = g_logits @ flipped.T
-            grad_rows = g_left @ p_vals.T if rows.tracked else None
-            grad_pair = z_vals.T @ g_left if pair.tracked else None
-        return (grad_flipped, grad_rows, grad_pair)
+        grad_probs = grad_recon = None
+        if with_edges and probs.tracked:
+            weighted = (g * factor)[0, 0] * weights
+            grad_probs = weighted * complement
+            grad_probs /= floored_q
+            grad_probs -= weighted * target / floored_p
+        if recon.tracked:
+            g_squared = np.full(difference.shape, (g * feature_weight)[0, 0] / difference.size)
+            grad_recon = g_squared * difference + g_squared * difference
+        return (grad_probs, grad_recon)
 
-    _record(out, (rows, rows, pair), vjp)
+    _record((out,), (probs, recon), vjp)
     return out
 
 

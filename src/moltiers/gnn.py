@@ -56,6 +56,8 @@ class GnnStack:
             raise ValueError("heads must all have the same shape")
         if any(head.activation != "none" for head in heads):
             raise ValueError("heads must be linear")
+        if any(layer.activation != "relu" for layer in trunk):
+            raise ValueError("trunk layers must be relu")
         self.trunk = list(trunk)
         self.heads = list(heads)
 
@@ -122,8 +124,13 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return scale_adjacency(adjacency, degree_scale(adjacency))
 
 
-def _run_trunk(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
-    """The trunk's output on one graph, after checking ``features`` fit."""
+def _stack_outputs(
+    stack: GnnStack, propagator: Tensor, features: Tensor, heads: int
+) -> tuple[Tensor, ...]:
+    """The outputs of a stack with ``heads`` heads on one graph, as one tape
+    record, after checking ``features`` fit; the propagator is a constant."""
+    if len(stack.heads) != heads:
+        raise ValueError(f"stack head count {len(stack.heads)}, expected {heads}")
     if features.shape[0] != propagator.shape[0]:
         raise ad.ShapeError(
             f"features have {features.shape[0]} rows for {propagator.shape[0]} nodes"
@@ -132,19 +139,15 @@ def _run_trunk(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
         raise ad.ShapeError(
             f"features have width {features.shape[1]}, stack expects {stack.input_dim}"
         )
-    hidden = features
-    for layer in stack.trunk:
-        hidden = ad.gcn_layer(propagator, hidden, layer.weight, layer.activation == "relu")
-    return hidden
+    weights = [layer.weight for layer in stack.trunk], [head.weight for head in stack.heads]
+    return ad.gcn_stack(propagator.values, features, *weights, LOG_STD_CLAMP)
 
 
 def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
     """Run a one-head stack over one graph given its propagator, the
     normalized adjacency from :func:`normalize_adjacency`; returns node
     embeddings, one row per node."""
-    (head,) = stack.heads
-    hidden = _run_trunk(stack, propagator, features)
-    return ad.gcn_layer(propagator, hidden, head.weight, relu=False)
+    return _stack_outputs(stack, propagator, features, 1)[0]
 
 
 def gnn_forward_variational(
@@ -152,8 +155,4 @@ def gnn_forward_variational(
 ) -> tuple[Tensor, Tensor]:
     """Run a mean/log-std stack; returns (mean, std) with
     std = exp(clamped log-std)."""
-    mean_head, log_std_head = stack.heads
-    propagated = ad.matmul(propagator, _run_trunk(stack, propagator, features))
-    mean = ad.matmul(propagated, mean_head.weight)
-    std = ad.exp_clamped_linear(propagated, log_std_head.weight, -LOG_STD_CLAMP, LOG_STD_CLAMP)
-    return mean, std
+    return _stack_outputs(stack, propagator, features, 2)

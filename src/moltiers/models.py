@@ -11,7 +11,8 @@ tiers see deterministic inputs, and samples with reparameterized noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -46,10 +47,10 @@ class MoleculeData:
     """Everything the models need for one molecule, computed once.
 
     Besides the graph and its partition this holds every constant the
-    encoder and decoder read: the atom degree scale, the group- and
-    molecule-tier propagators, and the feature, pooling and broadcast
-    tensors. The only n x n array kept is ``adjacency``; the atom-tier
-    propagator is rebuilt from it on each pass (see :meth:`atom_propagator`).
+    encoder, decoder and loss read: the atom degree scale, the group- and
+    molecule-tier propagators, the feature, pooling and broadcast matrices
+    and the loss's edge weights. The only n x n array kept is ``adjacency``;
+    :meth:`atom_propagator` rebuilds the atom tier's propagator from it.
     """
 
     graph: MolecularGraph
@@ -64,8 +65,7 @@ class MoleculeData:
     atom_features: Tensor = field(init=False)
     atoms_to_groups: Tensor = field(init=False)
     groups_to_molecule: Tensor = field(init=False)
-    groups_to_atoms: Tensor = field(init=False)
-    molecule_to_atoms: Tensor = field(init=False)
+    molecule_to_atoms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.atom_scale = degree_scale(self.adjacency)
@@ -76,8 +76,7 @@ class MoleculeData:
         self.atom_features = ad.constant(self.features)
         self.atoms_to_groups = ad.constant(self.node_to_group.T)
         self.groups_to_molecule = ad.constant(self.group_to_graph.T)
-        self.groups_to_atoms = ad.constant(self.node_to_group)
-        self.molecule_to_atoms = ad.constant(np.ones((self.num_atoms, 1)))
+        self.molecule_to_atoms = np.ones((self.num_atoms, 1))
 
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "MoleculeData":
@@ -91,6 +90,11 @@ class MoleculeData:
             node_to_group=node_to_group,
             group_to_graph=graph_membership(len(group_set)),
         )
+
+    @cached_property
+    def edge_weights(self) -> tuple[float, float]:
+        """:func:`edge_loss_weights`, on first use: embedding has no loss."""
+        return edge_loss_weights(self.adjacency)
 
     def atom_propagator(self) -> Tensor:
         """The atom tier's normalized adjacency, rebuilt on every call from
@@ -287,24 +291,16 @@ def encode_tiered_variational(
 # Decoding and losses
 
 
-def _broadcast_embeddings(embeddings: TieredEmbeddings) -> Tensor:
-    """Concatenate node rows with group and molecule rows broadcast down to
-    the atoms through the membership matrices."""
-    data = embeddings.data
-    group_rows = ad.matmul(data.groups_to_atoms, embeddings.group)
-    graph_rows = ad.matmul(data.molecule_to_atoms, embeddings.graph)
-    return ad.hstack([embeddings.node, group_rows, graph_rows])
-
-
 def decode(params, embeddings: TieredEmbeddings) -> tuple[Tensor, Tensor]:
-    """Reconstruct (edge probabilities, node features).
-
-    Edge probabilities are sigmoid(Z Theta Z^T) over the tier-concatenated
-    rows; the diagonal carries no information and is ignored by the loss.
-    """
-    combined = _broadcast_embeddings(embeddings)
-    edge_probs = ad.bilinear_sigmoid(combined, params.pair_decoder)
-    return edge_probs, ad.matmul(combined, params.feature_decoder)
+    """Reconstruct (edge probabilities, node features) from the node rows and
+    the group and molecule rows broadcast down to the atoms. Edge
+    probabilities are sigmoid(Z Theta Z^T) over the tier-concatenated rows;
+    the diagonal carries no information and is ignored by the loss."""
+    emb, data = embeddings, embeddings.data
+    return ad.tiered_decode(
+        emb.node, emb.group, emb.graph, data.node_to_group, data.molecule_to_atoms,
+        params.pair_decoder, params.feature_decoder,
+    )
 
 
 def decode_with_graph_vector(
@@ -317,12 +313,18 @@ def decode_with_graph_vector(
         raise ad.ShapeError(
             f"graph vector has width {vector.shape[1]}, expected {embeddings.graph.shape[1]}"
         )
-    data = embeddings.data
     with ad.no_grad():
-        group_rows = ad.matmul(data.groups_to_atoms, embeddings.group)
-        graph_rows = ad.constant(np.repeat(vector, data.num_atoms, axis=0))
-        combined = ad.hstack([embeddings.node, group_rows, graph_rows])
-        return ad.bilinear_sigmoid(combined, params.pair_decoder).values
+        return decode(params, replace(embeddings, graph=ad.constant(vector)))[0].values
+
+
+def edge_loss_weights(adjacency: np.ndarray) -> tuple[float, float]:
+    """(pos_weight, total_weight) of the edge loss over the pairs i < j: an
+    edge weighs #non-edges / #edges (1 without edges), a non-edge 1."""
+    upper = (~np.tri(adjacency.shape[0], dtype=bool)).astype(np.float64)  # i < j
+    positives = float((adjacency * upper).sum())
+    negatives = float(upper.sum() - positives)
+    pos_weight = negatives / positives if positives > 0 else 1.0
+    return pos_weight, float((upper * (1.0 + (pos_weight - 1.0) * adjacency)).sum())
 
 
 def reconstruction_loss(
@@ -331,6 +333,7 @@ def reconstruction_loss(
     adjacency: np.ndarray,
     features: np.ndarray,
     feature_weight: float = 0.1,
+    edge_weights: tuple[float, float] | None = None,
 ) -> Tensor:
     """Weighted edge BCE plus scaled feature MSE.
 
@@ -338,7 +341,8 @@ def reconstruction_loss(
     weighted by (#non-edges / #edges), normalized by total weight, so an
     all-0.5 prediction scores exactly ln 2. The feature term is a plain mean
     squared error over the whole feature matrix, scaled by
-    ``feature_weight``.
+    ``feature_weight``. ``edge_weights`` are :func:`edge_loss_weights` of
+    ``adjacency``, computed here when not given.
     """
     n = adjacency.shape[0]
     if edge_probs.shape != (n, n):
@@ -348,23 +352,12 @@ def reconstruction_loss(
             f"feature reconstruction is {feature_recon.shape}, expected {features.shape}"
         )
 
-    upper = (~np.tri(n, dtype=bool)).astype(np.float64)  # i < j
-    positives = float((adjacency * upper).sum())
-    negatives = float(upper.sum() - positives)
-    pos_weight = negatives / positives if positives > 0 else 1.0
-    pair_weights = upper * (1.0 + (pos_weight - 1.0) * adjacency)
-    total_weight = float(pair_weights.sum())
-
-    if total_weight > 0:
-        edge_term = ad.scale(
-            ad.weighted_bce_sum(edge_probs, adjacency, pair_weights), 1.0 / total_weight
-        )
-    else:
-        edge_term = ad.constant(0.0)
-
-    difference = ad.sub(feature_recon, ad.constant(features))
-    feature_term = ad.reduce_mean(ad.mul(difference, difference))
-    return ad.add(edge_term, ad.scale(feature_term, float(feature_weight)))
+    pos_weight, total_weight = edge_weights or edge_loss_weights(adjacency)
+    # the same bits, zeros' signs included, as edge_loss_weights' summand
+    pair_weights = np.triu(1.0 + (pos_weight - 1.0) * adjacency, 1)
+    return ad.edge_feature_loss(
+        edge_probs, feature_recon, adjacency, pair_weights, total_weight, features, feature_weight
+    )
 
 
 def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
@@ -380,7 +373,7 @@ def gae_loss(params: TieredGaeParams, data: MoleculeData, feature_weight: float 
     embeddings = encode_tiered(params, data)
     edge_probs, feature_recon = decode(params, embeddings)
     return reconstruction_loss(
-        edge_probs, feature_recon, data.adjacency, data.features, feature_weight
+        edge_probs, feature_recon, data.adjacency, data.features, feature_weight, data.edge_weights
     )
 
 
@@ -394,7 +387,7 @@ def vgae_losses(
     embeddings, stats = encode_tiered_variational(params, data, noise)
     edge_probs, feature_recon = decode(params, embeddings)
     recon = reconstruction_loss(
-        edge_probs, feature_recon, data.adjacency, data.features, feature_weight
+        edge_probs, feature_recon, data.adjacency, data.features, feature_weight, data.edge_weights
     )
     kl_total = kl_standard_normal(stats[0].mean, stats[0].std)
     for tier_stats in stats[1:]:

@@ -1,21 +1,25 @@
-"""Primitive tape ops that no model code calls any more, and the chains of
-primitive records that each fused op in ``moltiers.autodiff`` replaced.
+"""Tape ops that no model code calls any more, and the chains of records
+that each fused op in ``moltiers.autodiff`` replaced.
 
-The primitives are the ones the fused ops absorbed; they record on the same
-tape as the library's ops. Each ``chain_*`` function spells its fused op out
-the way the models once did, so tests can require the fused op to match it
-bit for bit, values and every input gradient alike.
+The primitives and the earlier fused ops (``hstack``, ``weighted_bce_sum``,
+``gcn_layer``, ``exp_clamped_linear``, ``bilinear_sigmoid``) are the ones
+the fused ops absorbed; they record on the same tape as the library's ops.
+Each ``chain_*`` function spells its fused op out the way the models once
+did, so tests can require the fused op to match it bit for bit, values and
+every input gradient alike.
 """
+
+from typing import Sequence
 
 import numpy as np
 
 import moltiers.autodiff as ad
-from moltiers.autodiff import LOG_FLOOR, SIGMOID_CLAMP, Tensor, wrap
+from moltiers.autodiff import LOG_FLOOR, SIGMOID_CLAMP, ShapeError, Tensor, _record, wrap
 
 
 def _unary(values: np.ndarray, a: Tensor, vjp) -> Tensor:
     out = wrap(values)
-    ad._record(out, (a,), vjp)
+    _record((out,), (a,), vjp)
     return out
 
 
@@ -67,6 +71,138 @@ def reduce_sum(a: Tensor) -> Tensor:
     return _unary(a.values.sum().reshape(1, 1), a, lambda g: (np.full(shape, g[0, 0]),))
 
 
+# Earlier fused ops, each one record for a chain of primitives.
+
+
+def hstack(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate tensors left-to-right along columns."""
+    if not parts:
+        raise ShapeError("hstack of an empty sequence")
+    rows = parts[0].shape[0]
+    for p in parts:
+        if p.shape[0] != rows:
+            raise ShapeError(f"hstack row mismatch: {[p.shape for p in parts]}")
+    out = wrap(np.hstack([p.values for p in parts]))
+    widths = [p.shape[1] for p in parts]
+    offsets = np.cumsum([0] + widths)
+
+    def vjp(g: np.ndarray):
+        return tuple(
+            g[:, offsets[i]:offsets[i + 1]] if p.tracked else None
+            for i, p in enumerate(parts)
+        )
+
+    _record((out,), tuple(parts), vjp)
+    return out
+
+
+
+def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
+    """sum(W * -(T log p + (1 - T) log(1 - p))), each log's input floored at
+    LOG_FLOOR; of the chain's arithmetic only exact sign flips are folded."""
+    if target.shape != probs.shape or weights.shape != probs.shape:
+        raise ShapeError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
+    complement = 1.0 - target
+    floored_p = np.maximum(probs.values, LOG_FLOOR)
+    floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
+    per_pair = target * np.log(floored_p)
+    per_pair += complement * np.log(floored_q)
+    per_pair *= -1.0
+    per_pair *= weights
+    out = wrap(per_pair.sum().reshape(1, 1))
+
+    def vjp(g: np.ndarray):
+        weighted = g[0, 0] * weights
+        grad = weighted * complement
+        grad /= floored_q
+        grad -= weighted * target / floored_p
+        return (grad,)
+
+    _record((out,), (probs,), vjp)
+    return out
+
+
+
+def gcn_layer(propagator: Tensor, hidden: Tensor, weight: Tensor, relu: bool) -> Tensor:
+    """act((P @ H) @ W), act being relu (subgradient 0 at 0) or the
+    identity: one graph convolution."""
+    if propagator.shape[1] != hidden.shape[0] or hidden.shape[1] != weight.shape[0]:
+        raise ShapeError(f"gcn layer of {propagator.shape}, {hidden.shape} and {weight.shape}")
+    p_vals, h_vals, w_vals = propagator.values, hidden.values, weight.values
+    propagated = p_vals @ h_vals
+    pre = propagated @ w_vals
+    mask = pre > 0.0 if relu else None
+    out = wrap(np.where(mask, pre, 0.0) if relu else pre)
+    into_propagated = propagator.tracked or hidden.tracked
+
+    def vjp(g: np.ndarray):
+        if relu:
+            g = g * mask
+        grad_p = grad_h = None
+        if into_propagated:
+            g_propagated = g @ w_vals.T
+            grad_p = g_propagated @ h_vals.T if propagator.tracked else None
+            grad_h = p_vals.T @ g_propagated if hidden.tracked else None
+        return (grad_p, grad_h, propagated.T @ g if weight.tracked else None)
+
+    _record((out,), (propagator, hidden, weight), vjp)
+    return out
+
+
+
+def exp_clamped_linear(inputs: Tensor, weight: Tensor, low: float, high: float) -> Tensor:
+    """exp(clip(A @ W, low, high)), a log-std head turned into a std; the
+    gradient passes only where A @ W lies strictly inside (low, high)."""
+    if not low < high:
+        raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
+    if inputs.shape[1] != weight.shape[0]:
+        raise ShapeError(f"matmul of {inputs.shape} by {weight.shape}")
+    a_vals, w_vals = inputs.values, weight.values
+    pre = a_vals @ w_vals
+    values = np.exp(np.clip(pre, low, high))
+    interior = (pre > low) & (pre < high)
+    out = wrap(values)
+
+    def vjp(g: np.ndarray):
+        g_pre = g * values * interior
+        return (
+            g_pre @ w_vals.T if inputs.tracked else None,
+            a_vals.T @ g_pre if weight.tracked else None,
+        )
+
+    _record((out,), (inputs, weight), vjp)
+    return out
+
+
+
+def bilinear_sigmoid(rows: Tensor, pair: Tensor) -> Tensor:
+    """sigmoid(Z Theta Z^T) with the logits clamped to +-SIGMOID_CLAMP,
+    keeping every value strictly inside (0, 1). Inputs are recorded as
+    (Z, Z, Theta): the Z^T use first, then Z Theta."""
+    if not rows.shape[1] == pair.shape[0] == pair.shape[1]:
+        raise ShapeError(f"bilinear form of {rows.shape} rows by {pair.shape}")
+    z_vals, p_vals = rows.values, pair.values
+    left = z_vals @ p_vals
+    flipped = z_vals.T  # a view, the F-ordered layout BLAS was always handed
+    logits = left @ flipped
+    values = 1.0 / (1.0 + np.exp(-np.clip(logits, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
+    out = wrap(values)
+
+    def vjp(g: np.ndarray):
+        g_logits = g * values * (1.0 - values)
+        grad_flipped = grad_rows = grad_pair = None
+        if rows.tracked:
+            grad_flipped = (left.T @ g_logits).T
+        if rows.tracked or pair.tracked:
+            g_left = g_logits @ flipped.T
+            grad_rows = g_left @ p_vals.T if rows.tracked else None
+            grad_pair = z_vals.T @ g_left if pair.tracked else None
+        return (grad_flipped, grad_rows, grad_pair)
+
+    _record((out,), (rows, rows, pair), vjp)
+    return out
+
+
 # The chains, in the form the models used before each fusion; each takes the
 # arguments of its fused op.
 
@@ -94,3 +230,36 @@ def chain_kl_standard_normal(mean, std):
 
 def chain_bilinear_sigmoid(rows, pair):
     return sigmoid(ad.matmul(ad.matmul(rows, pair), transpose(rows)))
+
+
+# The chains of the multi-output fusions: each stack, the decoder and the
+# reconstruction loss in the records the models used before.
+
+
+def chain_gcn_stack(propagator, features, trunk, heads, log_std_clamp):
+    propagator = wrap(propagator)
+    hidden = features
+    for weight in trunk:
+        hidden = gcn_layer(propagator, hidden, weight, True)
+    if len(heads) == 1:
+        return (gcn_layer(propagator, hidden, heads[0], False),)
+    propagated = ad.matmul(propagator, hidden)
+    mean = ad.matmul(propagated, heads[0])
+    return mean, exp_clamped_linear(propagated, heads[1], -log_std_clamp, log_std_clamp)
+
+
+def chain_tiered_decode(node, group, graph, group_broadcast, graph_broadcast, pair, feature):
+    group_rows = ad.matmul(wrap(group_broadcast), group)
+    graph_rows = ad.matmul(wrap(graph_broadcast), graph)
+    combined = hstack([node, group_rows, graph_rows])
+    return bilinear_sigmoid(combined, pair), ad.matmul(combined, feature)
+
+
+def chain_edge_feature_loss(probs, recon, target, weights, total_weight, features, feature_weight):
+    if total_weight > 0:
+        edge_term = ad.scale(weighted_bce_sum(probs, target, weights), 1.0 / total_weight)
+    else:
+        edge_term = ad.constant(0.0)
+    difference = ad.sub(recon, ad.constant(features))
+    feature_term = ad.reduce_mean(ad.mul(difference, difference))
+    return ad.add(edge_term, ad.scale(feature_term, float(feature_weight)))

@@ -13,8 +13,10 @@ import moltiers.autodiff as ad
 
 
 def chain_reconstruction_loss(
-    edge_probs, feature_recon, adjacency, features, feature_weight=0.1
+    edge_probs, feature_recon, adjacency, features, feature_weight=0.1, edge_weights=None
 ):
+    """``edge_weights``, which the models pass from a molecule's constants,
+    is ignored: the chain derives the weights from ``adjacency`` itself."""
     n = adjacency.shape[0]
     upper = np.triu(np.ones((n, n)), k=1)
     positives = float((adjacency * upper).sum())

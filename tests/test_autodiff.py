@@ -2,7 +2,18 @@
 
 import numpy as np
 import pytest
-from chain_oracle import clamp, exp, log, reduce_sum, relu, shift, sigmoid, transpose
+from chain_oracle import (
+    clamp,
+    exp,
+    hstack,
+    log,
+    reduce_sum,
+    relu,
+    shift,
+    sigmoid,
+    transpose,
+    weighted_bce_sum,
+)
 
 import moltiers.autodiff as ad
 from moltiers.autodiff import GradientError, ShapeError, Tensor
@@ -100,10 +111,10 @@ def test_clamp_forward():
 def test_hstack_concatenates_columns():
     a = Tensor([[1.0], [2.0]])
     b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-    out = ad.hstack([a, b])
+    out = hstack([a, b])
     assert np.array_equal(out.values, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
     with pytest.raises(ShapeError):
-        ad.hstack([a, Tensor([[1.0]])])
+        hstack([a, Tensor([[1.0]])])
 
 
 def test_backward_requires_scalar_loss():
@@ -136,6 +147,79 @@ def test_no_grad_records_nothing():
         y = ad.mul(x, x)
     assert ad.tape_size() == 0
     assert y.values[0, 0] == 1.0
+
+
+def _two_outputs(x):
+    """(2x, 3x) as one record whose vjp logs the gradients it receives."""
+    received = []
+
+    def vjp(g_double, g_triple):
+        received.append((g_double, g_triple))
+        grad = np.zeros_like(x.values)
+        if g_double is not None:
+            grad = grad + 2.0 * g_double
+        if g_triple is not None:
+            grad = grad + 3.0 * g_triple
+        return (grad,)
+
+    outputs = (ad.wrap(x.values * 2.0), ad.wrap(x.values * 3.0))
+    ad._record(outputs, (x,), vjp)
+    return outputs, received
+
+
+@pytest.mark.parametrize("used", [(0,), (1,), (0, 1)])
+def test_a_two_output_record_gets_one_gradient_per_output(used):
+    x = ad.parameter([[1.0, -2.0]])
+    outputs, received = _two_outputs(x)
+    assert ad.tape_size() == 1
+    assert all(out.tracked for out in outputs)
+    terms = [reduce_sum(outputs[k]) for k in used]
+    loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+    ad.backward(loss)
+    (grads,) = received
+    for k, grad in enumerate(grads):
+        if k in used:
+            assert np.array_equal(grad, np.ones((1, 2)))
+        else:
+            assert grad is None  # no later record reached this output
+    assert np.array_equal(x.grad, np.full((1, 2), sum((2.0, 3.0)[k] for k in used)))
+
+
+def test_a_record_none_of_whose_outputs_is_reached_is_skipped():
+    x = ad.parameter([[1.0]])
+    _, received = _two_outputs(x)
+    ad.backward(reduce_sum(x))
+    assert received == []
+    assert np.array_equal(x.grad, [[1.0]])
+
+
+def test_no_grad_records_no_multi_output_op():
+    square = [ad.parameter(np.ones((2, 2))) for _ in range(3)]
+    rows = ad.parameter(np.ones((3, 1)))
+    with ad.no_grad():
+        outputs, _ = _two_outputs(ad.parameter([[1.0]]))
+        features = ad.parameter(np.ones((3, 2)))
+        outputs += ad.gcn_stack(np.eye(3), features, square[:1], square[1:], 10.0)
+        outputs += ad.tiered_decode(
+            rows, rows, ad.parameter([[1.0]]), np.eye(3), np.ones((3, 1)),
+            ad.parameter(np.ones((3, 3))), ad.parameter(np.ones((3, 2))),
+        )
+    assert ad.tape_size() == 0
+    assert len(outputs) == 6
+    assert not any(out.tracked for out in outputs)
+
+
+def test_a_backward_that_raises_leaves_the_tape_empty():
+    x = ad.parameter([[1.0]])
+    out = ad.wrap(x.values * 2.0)
+
+    def failing(g):
+        raise FloatingPointError("vjp failed")
+
+    ad._record((out,), (x,), failing)
+    with pytest.raises(FloatingPointError):
+        ad.backward(reduce_sum(out))
+    assert ad.tape_size() == 0
 
 
 def test_grad_accumulates_over_shared_use():
@@ -194,22 +278,22 @@ def test_weighted_bce_sum_gradient_at_interior_points():
     target = (rand(rng, 5, 5) > 0.0).astype(np.float64)
     weights = rand(rng, 5, 5, lo=0.0, hi=2.0)
     x = ad.parameter(rand(rng, 5, 5, lo=0.05, hi=0.95))
-    assert ad.grad_check(lambda p: ad.weighted_bce_sum(p, target, weights), x) < 1e-4
+    assert ad.grad_check(lambda p: weighted_bce_sum(p, target, weights), x) < 1e-4
 
 
 def test_weighted_bce_sum_checks_shapes():
     probs = ad.constant(np.full((3, 3), 0.5))
     with pytest.raises(ShapeError, match="weighted BCE"):
-        ad.weighted_bce_sum(probs, np.zeros((3, 2)), np.ones((3, 3)))
+        weighted_bce_sum(probs, np.zeros((3, 2)), np.ones((3, 3)))
     with pytest.raises(ShapeError, match="weighted BCE"):
-        ad.weighted_bce_sum(probs, np.zeros((3, 3)), np.ones((2, 3)))
+        weighted_bce_sum(probs, np.zeros((3, 3)), np.ones((2, 3)))
 
 
 def test_hstack_gradient_routes_columns():
     a = ad.parameter([[1.0, 2.0]])
     b = ad.parameter([[3.0]])
     weights = ad.constant([[1.0], [10.0], [100.0]])
-    ad.backward(reduce_sum(ad.matmul(ad.hstack([a, b]), weights)))
+    ad.backward(reduce_sum(ad.matmul(hstack([a, b]), weights)))
     assert np.array_equal(a.grad, [[1.0, 10.0]])
     assert np.array_equal(b.grad, [[100.0]])
 

@@ -1,10 +1,11 @@
-"""Fused tape ops against the primitive chains they replaced.
+"""Fused tape ops against the chains of records they replaced.
 
-Each fused op in ``moltiers.autodiff`` is one tape record that must give its
-chain's value and every input gradient bit for bit (``tests/chain_oracle.py``
-keeps the chains), including when an input already holds a gradient from a
-later record, where the order of accumulation shows. Training with the
-chains swapped back in must give the same trace and parameters.
+Each fused op is one tape record that must give its chain's values and
+every input gradient bit for bit (``tests/chain_oracle.py`` keeps the
+chains), including when an input already holds a gradient from a later
+record, where the order of accumulation shows, and when only some outputs
+of a multi-output op are used. Training with the chains swapped back in
+must give the same trace and parameters.
 """
 
 from types import SimpleNamespace
@@ -12,11 +13,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from chain_oracle import (
+    bilinear_sigmoid,
     chain_bilinear_sigmoid,
+    chain_edge_feature_loss,
     chain_exp_clamped_linear,
     chain_gcn_layer,
+    chain_gcn_stack,
     chain_kl_standard_normal,
     chain_reparameterize,
+    chain_tiered_decode,
+    exp_clamped_linear,
+    gcn_layer,
     reduce_sum,
 )
 from hypothesis import assume, given, settings
@@ -35,14 +42,15 @@ from moltiers.models import (
     gaussian_noise,
     vgae_losses,
 )
-from moltiers.train import TrainConfig, train_gae, train_vgae
+from moltiers.train import NonFiniteLossError, TrainConfig, train_gae, train_vgae
 
+# the fused ops the models call, each with the chain it replaced
 CHAINS = {
-    "gcn_layer": chain_gcn_layer,
-    "exp_clamped_linear": chain_exp_clamped_linear,
+    "gcn_stack": chain_gcn_stack,
     "reparameterize": chain_reparameterize,
     "kl_standard_normal": chain_kl_standard_normal,
-    "bilinear_sigmoid": chain_bilinear_sigmoid,
+    "tiered_decode": chain_tiered_decode,
+    "edge_feature_loss": chain_edge_feature_loss,
 }
 
 
@@ -52,17 +60,21 @@ def _draw_array(rng, shape, scale=1.0):
     return np.where(rng.random(shape) < 0.15, 0.0, values)
 
 
-def _case(draw, rng, arrays, out_shape, args=()):
+def _case(draw, rng, arrays, out_shapes, args=(), call=None):
     """A call of an op on ``arrays``: which inputs are tracked (at least
-    one), weights that turn its output into a scalar loss, and optionally a
-    tracked input that a later record also reads."""
+    one), weights that turn the outputs used (at least one) into a scalar
+    loss, and optionally a tracked input that a later record also reads.
+    ``call(op, inputs)`` runs the op; by default on ``*inputs, *args``."""
     tracked = draw(st.lists(st.booleans(), min_size=len(arrays), max_size=len(arrays)).filter(any))
     later = draw(st.none() | st.sampled_from([i for i, t in enumerate(tracked) if t]))
+    used = draw(
+        st.lists(st.booleans(), min_size=len(out_shapes), max_size=len(out_shapes)).filter(any)
+    )
     return SimpleNamespace(
         arrays=arrays,
         tracked=tracked,
-        args=args,
-        out_weights=rng.standard_normal(out_shape),
+        call=call or (lambda op, inputs: op(*inputs, *args)),
+        out_weights=[rng.standard_normal(s) if u else None for s, u in zip(out_shapes, used)],
         later=None if later is None else (later, rng.standard_normal(arrays[later].shape)),
     )
 
@@ -84,7 +96,7 @@ def gcn_cases(draw):
         _draw_array(rng, (n, d_in)),
         _draw_array(rng, (d_in, d_out)),
     ]
-    return _case(draw, rng, arrays, (n, d_out), (draw(st.booleans()),))
+    return _case(draw, rng, arrays, [(n, d_out)], (draw(st.booleans()),))
 
 
 @st.composite
@@ -94,7 +106,7 @@ def exp_clamped_cases(draw):
     scale = draw(st.sampled_from([0.3, 3.0, 30.0]))  # the larger ones reach the clamp
     bound = draw(st.sampled_from([0.5, 3.0, 10.0]))
     arrays = [_draw_array(rng, (n, d)), _draw_array(rng, (d, k), scale)]
-    return _case(draw, rng, arrays, (n, k), (-bound, bound))
+    return _case(draw, rng, arrays, [(n, k)], (-bound, bound))
 
 
 @st.composite
@@ -102,7 +114,7 @@ def sample_cases(draw):
     rng = _rng(draw)
     shape = (_size(draw), _size(draw))
     arrays = [_draw_array(rng, shape), np.exp(_draw_array(rng, shape))]
-    return _case(draw, rng, arrays, shape, (_draw_array(rng, shape),))
+    return _case(draw, rng, arrays, [shape], (_draw_array(rng, shape),))
 
 
 @st.composite
@@ -112,7 +124,7 @@ def kl_cases(draw):
     # log-std spreads of 10 and 20 put some variances under LOG_FLOOR
     spread = draw(st.sampled_from([1.0, 10.0, 20.0]))
     arrays = [_draw_array(rng, shape, 3.0), np.exp(_draw_array(rng, shape, spread))]
-    return _case(draw, rng, arrays, (1, 1))
+    return _case(draw, rng, arrays, [(1, 1)])
 
 
 @st.composite
@@ -121,104 +133,223 @@ def bilinear_cases(draw):
     n, d = _size(draw), _size(draw)
     scale = draw(st.sampled_from([0.3, 3.0, 30.0]))  # the larger ones saturate
     arrays = [_draw_array(rng, (n, d), scale), _draw_array(rng, (d, d))]
-    return _case(draw, rng, arrays, (n, n))
+    return _case(draw, rng, arrays, [(n, n)])
+
+
+@st.composite
+def stack_cases(draw):
+    """A GAE (one head) or VGAE (mean and log-std heads) stack of depth 1-3
+    over features, trunk and head weights; the propagator is a constant."""
+    rng = _rng(draw)
+    n, d_in, d = _size(draw), _size(draw), _size(draw)
+    depth, heads = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    scale = draw(st.sampled_from([0.3, 3.0, 30.0]))  # the larger ones reach the clamp
+    bound = draw(st.sampled_from([0.5, 3.0, 10.0]))
+    fan_in = [d_in] + [d] * (depth - 1)
+    arrays = [_draw_array(rng, (n, d_in))]
+    arrays += [_draw_array(rng, (rows, d), scale) for rows in fan_in[:-1]]
+    arrays += [_draw_array(rng, (fan_in[-1], d), scale) for _ in range(heads)]
+    propagator = np.abs(_draw_array(rng, (n, n)))
+
+    def call(op, inputs):
+        return op(propagator, inputs[0], inputs[1:depth], inputs[depth:], bound)
+
+    return _case(draw, rng, arrays, [(n, d)] * heads, call=call)
+
+
+@st.composite
+def decode_cases(draw):
+    """Node, group and molecule rows, the pair and feature decoders; the
+    broadcasts are constants."""
+    rng = _rng(draw)
+    n, groups, features = _size(draw), _size(draw), _size(draw)
+    widths = [_size(draw) for _ in range(3)]
+    scale = draw(st.sampled_from([0.3, 3.0, 30.0]))  # the larger ones saturate
+    total = sum(widths)
+    arrays = [_draw_array(rng, rows, scale) for rows in zip((n, groups, 1), widths)]
+    arrays += [_draw_array(rng, (total, total)), _draw_array(rng, (total, features))]
+    broadcasts = (rng.random((n, groups)), np.ones((n, 1)))
+    return _case(
+        draw,
+        rng,
+        arrays,
+        [(n, n), (n, features)],
+        call=lambda op, inputs: op(*inputs[:3], *broadcasts, *inputs[3:]),
+    )
+
+
+# floored (0, 1e-13, 1 - 1e-16, 1) and ordinary probabilities
+EDGE_PROBABILITIES = (0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-16, 1.0)
+
+
+@st.composite
+def loss_cases(draw):
+    """Probabilities with floored extremes and a feature reconstruction
+    against a symmetric 0/1 target, upper-pair weights and their sum or 0."""
+    rng = _rng(draw)
+    n, width = _size(draw), _size(draw)
+    bits = np.triu(rng.random((n, n)) < 0.4, 1)
+    target = (bits | bits.T).astype(np.float64)
+    weights = np.triu(rng.random((n, n)) * 3.0, 1)
+    total_weight = draw(st.sampled_from([float(weights.sum()), 0.0]))
+    extremes = rng.choice(EDGE_PROBABILITIES, (n, n))
+    probs = np.where(rng.random((n, n)) < 0.3, extremes, rng.random((n, n)))
+    arrays = [probs, _draw_array(rng, (n, width))]
+    feature_weight = draw(st.sampled_from([0.1, 1.0]))
+    args = (target, weights, total_weight, _draw_array(rng, (n, width)), feature_weight)
+    case = _case(draw, rng, arrays, [(1, 1)], args)
+    # without edge weight a tracked reconstruction is the chain's only record
+    assume(total_weight > 0 or case.tracked[1])
+    return case
 
 
 def _run(op, case):
-    """(records, value, input gradients) of sum(weights * op(...)), plus
-    sum(S * input) recorded afterwards when the case has a later use."""
+    """(records, output values, input gradients) of the sum over used
+    outputs of sum(weights * output), plus sum(S * input) recorded afterwards
+    when the case has a later use."""
     inputs = [ad.parameter(a) if t else ad.constant(a) for a, t in zip(case.arrays, case.tracked)]
     before = ad.tape_size()
-    out = op(*inputs, *case.args)
+    outputs = case.call(op, inputs)
+    outputs = outputs if isinstance(outputs, tuple) else (outputs,)
     records = ad.tape_size() - before
-    loss = reduce_sum(ad.mul(out, ad.constant(case.out_weights)))
+    terms = [
+        reduce_sum(ad.mul(out, ad.constant(weights)))
+        for out, weights in zip(outputs, case.out_weights)
+        if weights is not None
+    ]
     if case.later is not None:
         index, weights = case.later
-        loss = ad.add(loss, reduce_sum(ad.mul(inputs[index], ad.constant(weights))))
+        terms.append(reduce_sum(ad.mul(inputs[index], ad.constant(weights))))
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
     ad.backward(loss)
-    return records, out.values, [tensor.grad for tensor in inputs]
+    return records, [out.values for out in outputs], [tensor.grad for tensor in inputs]
 
 
-def assert_matches_chain(name, case):
-    records, value, grads = _run(getattr(ad, name), case)
-    _, chain_value, chain_grads = _run(CHAINS[name], case)
+def assert_matches_chain(op, chain, case):
+    records, values, grads = _run(op, case)
+    _, chain_values, chain_grads = _run(chain, case)
     assert records == 1
-    assert np.array_equal(value, chain_value)
+    assert len(values) == len(chain_values)
+    for value, chain_value in zip(values, chain_values):
+        assert np.array_equal(value, chain_value)
     for grad, chain_grad in zip(grads, chain_grads):
         assert (grad is None) == (chain_grad is None)
         if grad is not None:
             assert np.array_equal(grad, chain_grad)
 
 
-@given(gcn_cases())
-def test_gcn_layer_matches_its_chain(case):
-    # covers an untracked H (the atom tier's first layer) and relu on and off
-    assert_matches_chain("gcn_layer", case)
+@given(stack_cases())
+def test_gcn_stack_matches_its_chain(case):
+    # GAE and VGAE heads, depth 1-3, features tracked or not, outputs used
+    # singly or together
+    assert_matches_chain(ad.gcn_stack, chain_gcn_stack, case)
 
 
-@given(exp_clamped_cases())
-def test_exp_clamped_linear_matches_its_chain(case):
-    assert_matches_chain("exp_clamped_linear", case)
+@given(decode_cases())
+def test_tiered_decode_matches_its_chain(case):
+    assert_matches_chain(ad.tiered_decode, chain_tiered_decode, case)
+
+
+@given(loss_cases())
+def test_edge_feature_loss_matches_its_chain(case):
+    assert_matches_chain(ad.edge_feature_loss, chain_edge_feature_loss, case)
 
 
 @given(sample_cases())
 def test_reparameterize_matches_its_chain(case):
-    assert_matches_chain("reparameterize", case)
+    assert_matches_chain(ad.reparameterize, chain_reparameterize, case)
 
 
 @given(kl_cases())
 def test_kl_standard_normal_matches_its_chain(case):
-    assert_matches_chain("kl_standard_normal", case)
+    assert_matches_chain(ad.kl_standard_normal, chain_kl_standard_normal, case)
+
+
+# The earlier fused ops that the stack and decoder chains are made of,
+# against their primitive chains.
+
+
+@given(gcn_cases())
+def test_gcn_layer_matches_its_chain(case):
+    # covers an untracked H (the atom tier's first layer) and relu on and off
+    assert_matches_chain(gcn_layer, chain_gcn_layer, case)
+
+
+@given(exp_clamped_cases())
+def test_exp_clamped_linear_matches_its_chain(case):
+    assert_matches_chain(exp_clamped_linear, chain_exp_clamped_linear, case)
 
 
 @given(bilinear_cases())
 def test_bilinear_sigmoid_matches_its_chain(case):
-    assert_matches_chain("bilinear_sigmoid", case)
+    assert_matches_chain(bilinear_sigmoid, chain_bilinear_sigmoid, case)
 
 
 def test_fused_ops_check_shapes():
     m = ad.parameter(np.ones((2, 3)))
     with pytest.raises(ShapeError, match="gcn layer"):
-        ad.gcn_layer(ad.constant(np.eye(2)), m, ad.parameter(np.ones((2, 2))), relu=True)
+        gcn_layer(ad.constant(np.eye(2)), m, ad.parameter(np.ones((2, 2))), relu=True)
     with pytest.raises(ShapeError, match="matmul"):
-        ad.exp_clamped_linear(m, ad.parameter(np.ones((2, 2))), -1.0, 1.0)
+        exp_clamped_linear(m, ad.parameter(np.ones((2, 2))), -1.0, 1.0)
     with pytest.raises(ValueError, match="low < high"):
-        ad.exp_clamped_linear(m, ad.parameter(np.ones((3, 2))), 1.0, 1.0)
+        exp_clamped_linear(m, ad.parameter(np.ones((3, 2))), 1.0, 1.0)
     with pytest.raises(ShapeError, match="sample"):
         ad.reparameterize(m, ad.parameter(np.ones((1, 1))), np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="differ"):
         ad.kl_standard_normal(m, ad.parameter(np.ones((3, 2))))
     with pytest.raises(ShapeError, match="bilinear"):
-        ad.bilinear_sigmoid(m, ad.parameter(np.ones((3, 2))))
+        bilinear_sigmoid(m, ad.parameter(np.ones((3, 2))))
     assert ad.tape_size() == 0
+
+
+def _train_or_abort(train, data, config):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return train(data, config)
+    except NonFiniteLossError as err:
+        return str(err)
 
 
 @pytest.mark.parametrize("train", [train_gae, train_vgae])
 def test_training_with_the_chains_is_bit_identical(monkeypatch, corpus_data, train):
-    config = TrainConfig(epochs=2, seed=5)
-    params, trace = train(corpus_data, config)
+    configs = [
+        TrainConfig(epochs=2, seed=5),
+        TrainConfig(epochs=2, seed=5, optimizer="sgd"),
+        TrainConfig(epochs=2, seed=5, depth=1, dims=(3, 4, 5)),
+        TrainConfig(epochs=2, seed=5, depth=1, dims=(3, 4, 5), optimizer="sgd"),
+    ]
+    fused = [_train_or_abort(train, corpus_data, config) for config in configs]
     for name, chain in CHAINS.items():
         monkeypatch.setattr(ad, name, chain)
-    chain_params, chain_trace = train(corpus_data, config)
-    assert trace == chain_trace
-    for tensor, chain_tensor in zip(params.trainable(), chain_params.trainable()):
-        assert np.array_equal(tensor.values, chain_tensor.values)
+    for config, result in zip(configs, fused):
+        chain_result = _train_or_abort(train, corpus_data, config)
+        if isinstance(result, str):  # the same non-finite abort, same message
+            assert result == chain_result, config
+            continue
+        (params, trace), (chain_params, chain_trace) = result, chain_result
+        assert trace == chain_trace, config
+        for tensor, chain_tensor in zip(params.trainable(), chain_params.trainable()):
+            assert np.array_equal(tensor.values, chain_tensor.values), config
 
 
-def test_a_step_records_23_gae_and_39_vgae_ops(corpus_data):
-    # default config and the training loop's objective; the primitive chains
-    # recorded 40 and 83
+def test_a_step_records_7_gae_and_17_vgae_ops(corpus_data):
+    # default config and the training loop's objective: one record per tier
+    # stack, pool, sample, tier KL and KL sum, the decoder, the loss and the
+    # objective's two; the single-output fused ops recorded 23 and 39, the
+    # primitive chains 40 and 83
     config = TrainConfig()
     rng = np.random.default_rng(0)
     params = TieredGaeParams.init(rng, config.dims, config.depth)
     vparams = TieredVgaeParams.init(rng, config.dims, config.depth)
     for data in corpus_data:
         loss = gae_loss(params, data)
-        assert ad.tape_size() == 23
+        assert ad.tape_size() == 7
         ad.backward(loss)
         recon, kl_total = vgae_losses(vparams, data, gaussian_noise(rng))
         objective = ad.add(recon, ad.scale(kl_total, config.beta))
-        assert ad.tape_size() == 39
+        assert ad.tape_size() == 17
         ad.backward(objective)
 
 

@@ -102,6 +102,8 @@ def test_stack_rejects_non_chaining_dimensions():
         GnnStack([a], [head])
     with pytest.raises(ValueError, match="at least one head"):
         GnnStack([a], [])
+    with pytest.raises(ValueError, match="trunk layers must be relu"):
+        GnnStack([GcnLayer(ad.parameter(np.zeros((4, 2))), "none")], [head])
     with pytest.raises(ValueError, match="unknown activation"):
         GcnLayer(ad.parameter(np.zeros((2, 2))), activation="tanh")
 
@@ -136,6 +138,18 @@ def test_forward_shape_validation():
         gnn_forward(stack, propagator(A), ad.constant(np.zeros((2, 4))))
     with pytest.raises(ad.ShapeError, match="width"):
         gnn_forward(stack, propagator(A), ad.constant(np.zeros((3, 5))))
+
+
+def test_each_forward_rejects_the_other_flavour_before_recording():
+    rng = np.random.default_rng(4)
+    stack = TieredGaeParams.init(rng, (4, 4, 4), 2).encoders[1]
+    variational = TieredVgaeParams.init(rng, (4, 4, 4), 2).encoders[1]
+    A, X = propagator(np.zeros((2, 2))), ad.constant(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="head count 2, expected 1"):
+        gnn_forward(variational, A, X)
+    with pytest.raises(ValueError, match="head count 1, expected 2"):
+        gnn_forward_variational(stack, A, X)
+    assert ad.tape_size() == 0
 
 
 def test_variational_stack_structure():

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from chain_oracle import sigmoid, transpose
+from chain_oracle import hstack, sigmoid, transpose
 from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
@@ -65,7 +65,7 @@ def reference_encode_variational(params, data):
 def reference_loss(params, data, node, group, graph):
     group_rows = ad.matmul(ad.constant(data.node_to_group), group)
     graph_rows = ad.matmul(ad.constant(np.ones((data.num_atoms, 1))), graph)
-    combined = ad.hstack([node, group_rows, graph_rows])
+    combined = hstack([node, group_rows, graph_rows])
     logits = ad.matmul(ad.matmul(combined, params.pair_decoder), transpose(combined))
     feature_recon = ad.matmul(combined, params.feature_decoder)
     return chain_reconstruction_loss(
