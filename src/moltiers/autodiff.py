@@ -70,9 +70,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
-    def mean(self) -> "Tensor":
-        return reduce_mean(self)
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
 
@@ -81,16 +78,8 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, other if isinstance(other, Tensor) else constant(float(other)))
-
-    def __rsub__(self, other) -> "Tensor":
-        return sub(constant(float(other)), self)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
+    def __mul__(self, factor: float) -> "Tensor":
+        return scale(self, float(factor))
 
     __rmul__ = __mul__
 
@@ -236,55 +225,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes(a, b, "sub")
-    out = wrap(a.values - b.values)
-    a_shape, b_shape = a.shape, b.shape
-
-    def vjp(g: np.ndarray):
-        return (
-            _reduce_to(g, a_shape) if a.tracked else None,
-            _reduce_to(-g, b_shape) if b.tracked else None,
-        )
-
-    _record((out,), (a, b), vjp)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes(a, b, "mul")
-    out = wrap(a.values * b.values)
-    a_vals, b_vals = a.values, b.values
-    a_shape, b_shape = a.shape, b.shape
-
-    def vjp(g: np.ndarray):
-        return (
-            _reduce_to(g * b_vals, a_shape) if a.tracked else None,
-            _reduce_to(g * a_vals, b_shape) if b.tracked else None,
-        )
-
-    _record((out,), (a, b), vjp)
-    return out
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     out = wrap(a.values * factor)
 
     def vjp(g: np.ndarray):
         return (g * factor,)
-
-    _record((out,), (a,), vjp)
-    return out
-
-
-def reduce_mean(a: Tensor) -> Tensor:
-    size = a.values.size
-    out = wrap(a.values.mean().reshape(1, 1))
-    shape = a.shape
-
-    def vjp(g: np.ndarray):
-        return (np.full(shape, g[0, 0] / size),)
 
     _record((out,), (a,), vjp)
     return out

@@ -152,15 +152,18 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
                     queue.append(nbr)
         cores.append(core)
 
+    # An unmarked carbon joins the core that holds all of its heavy neighbors;
+    # cores are disjoint, so one pass finds the one core, if any.
+    core_of = {atom: k for k, core in enumerate(cores) for atom in core}
+    for i, atom in enumerate(atoms):
+        if atom.element != "C" or i in marked:
+            continue
+        owners = {core_of.get(nbr) for nbr in graph.neighbors(i) if atoms[nbr].element != "H"}
+        if len(owners) == 1 and None not in owners:
+            cores[owners.pop()].add(i)
+
     groups = []
-    for core in cores:
-        members = set(core)
-        for i, atom in enumerate(atoms):
-            if atom.element != "C" or i in marked:
-                continue
-            heavy = [nbr for nbr in graph.neighbors(i) if atoms[nbr].element != "H"]
-            if heavy and all(nbr in core for nbr in heavy):
-                members.add(i)
+    for members in cores:
         for member in list(members):
             members.update(
                 nbr for nbr in graph.neighbors(member) if atoms[nbr].element == "H"

@@ -136,7 +136,8 @@ class MolecularGraph:
             for i, node in enumerate(ring):
                 nxt = ring[(i + 1) % len(ring)]
                 ring_edges.add((min(node, nxt), max(node, nxt)))
-        self._ring_atoms = frozenset(ring_atoms)
+        #: Atoms on at least one ring of the basis.
+        self.ring_atoms = frozenset(ring_atoms)
 
         multi = [
             any(b.order in ("double", "triple", "aromatic") for b in self._bonds_at[i])
@@ -182,15 +183,6 @@ class MolecularGraph:
     def bonds_at(self, index: int) -> list[Bond]:
         return self._bonds_at[index]
 
-    def atom_in_ring(self, index: int) -> bool:
-        return index in self._ring_atoms
-
-    def heavy_degree(self, index: int) -> int:
-        return sum(1 for nbr in self._neighbors[index] if self.atoms[nbr].element != "H")
-
-    def attached_hydrogens(self, index: int) -> int:
-        return sum(1 for nbr in self._neighbors[index] if self.atoms[nbr].element == "H")
-
     def formula(self) -> str:
         return hill_formula(atom.element for atom in self.atoms)
 
@@ -211,15 +203,16 @@ def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
     Columns, in order: one-hot element over ELEMENTS (11), aromatic flag,
     formal charge, heavy-atom degree, attached hydrogen count, in-ring flag.
     """
-    n = graph.num_atoms
-    features = np.zeros((n, NODE_FEATURE_DIM))
-    for i, atom in enumerate(graph.atoms):
-        features[i, ELEMENTS.index(atom.element)] = 1.0
-        features[i, 11] = 1.0 if atom.aromatic else 0.0
-        features[i, 12] = float(atom.formal_charge)
-        features[i, 13] = float(graph.heavy_degree(i))
-        features[i, 14] = float(graph.attached_hydrogens(i))
-        features[i, 15] = 1.0 if graph.atom_in_ring(i) else 0.0
+    atoms = graph.atoms
+    features = np.zeros((len(atoms), NODE_FEATURE_DIM))
+    features[np.arange(len(atoms)), [ELEMENTS.index(a.element) for a in atoms]] = 1.0
+    features[:, 11] = [a.aromatic for a in atoms]
+    features[:, 12] = [a.formal_charge for a in atoms]
+    # Neighbour counts are small integers, exact in float64 in any order.
+    hydrogens = graph.adjacency @ features[:, 0]  # ELEMENTS[0] is H
+    features[:, 13] = graph.adjacency.sum(axis=1) - hydrogens
+    features[:, 14] = hydrogens
+    features[list(graph.ring_atoms), 15] = 1.0
     return features
 
 

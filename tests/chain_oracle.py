@@ -14,7 +14,16 @@ from typing import Sequence
 import numpy as np
 
 import moltiers.autodiff as ad
-from moltiers.autodiff import LOG_FLOOR, SIGMOID_CLAMP, ShapeError, Tensor, _record, wrap
+from moltiers.autodiff import (
+    LOG_FLOOR,
+    SIGMOID_CLAMP,
+    ShapeError,
+    Tensor,
+    _broadcast_shapes,
+    _record,
+    _reduce_to,
+    wrap,
+)
 
 
 def _unary(values: np.ndarray, a: Tensor, vjp) -> Tensor:
@@ -69,6 +78,49 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
 def reduce_sum(a: Tensor) -> Tensor:
     shape = a.shape
     return _unary(a.values.sum().reshape(1, 1), a, lambda g: (np.full(shape, g[0, 0]),))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _broadcast_shapes(a, b, "sub")
+    out = wrap(a.values - b.values)
+    a_shape, b_shape = a.shape, b.shape
+
+    def vjp(g: np.ndarray):
+        return (
+            _reduce_to(g, a_shape) if a.tracked else None,
+            _reduce_to(-g, b_shape) if b.tracked else None,
+        )
+
+    _record((out,), (a, b), vjp)
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _broadcast_shapes(a, b, "mul")
+    out = wrap(a.values * b.values)
+    a_vals, b_vals = a.values, b.values
+    a_shape, b_shape = a.shape, b.shape
+
+    def vjp(g: np.ndarray):
+        return (
+            _reduce_to(g * b_vals, a_shape) if a.tracked else None,
+            _reduce_to(g * a_vals, b_shape) if b.tracked else None,
+        )
+
+    _record((out,), (a, b), vjp)
+    return out
+
+
+def reduce_mean(a: Tensor) -> Tensor:
+    size = a.values.size
+    out = wrap(a.values.mean().reshape(1, 1))
+    shape = a.shape
+
+    def vjp(g: np.ndarray):
+        return (np.full(shape, g[0, 0] / size),)
+
+    _record((out,), (a,), vjp)
+    return out
 
 
 # Earlier fused ops, each one record for a chain of primitives.
@@ -219,12 +271,12 @@ def chain_exp_clamped_linear(inputs, weight, low, high):
 
 
 def chain_reparameterize(mean, std, noise):
-    return ad.add(mean, ad.mul(std, ad.constant(noise)))
+    return ad.add(mean, mul(std, ad.constant(noise)))
 
 
 def chain_kl_standard_normal(mean, std):
-    variance = ad.mul(std, std)
-    inside = ad.sub(ad.add(ad.mul(mean, mean), variance), shift(log(variance), 1.0))
+    variance = mul(std, std)
+    inside = sub(ad.add(mul(mean, mean), variance), shift(log(variance), 1.0))
     return ad.scale(reduce_sum(inside), 0.5)
 
 
@@ -260,6 +312,6 @@ def chain_edge_feature_loss(probs, recon, target, weights, total_weight, feature
         edge_term = ad.scale(weighted_bce_sum(probs, target, weights), 1.0 / total_weight)
     else:
         edge_term = ad.constant(0.0)
-    difference = ad.sub(recon, ad.constant(features))
-    feature_term = ad.reduce_mean(ad.mul(difference, difference))
+    difference = sub(recon, ad.constant(features))
+    feature_term = reduce_mean(mul(difference, difference))
     return ad.add(edge_term, ad.scale(feature_term, float(feature_weight)))

@@ -7,7 +7,7 @@ bit, values and gradients alike.
 """
 
 import numpy as np
-from chain_oracle import log, reduce_sum, shift
+from chain_oracle import log, mul, reduce_mean, reduce_sum, shift, sub
 
 import moltiers.autodiff as ad
 
@@ -31,14 +31,14 @@ def chain_reconstruction_loss(
         log_p = log(edge_probs)
         log_not_p = log(shift(ad.scale(edge_probs, -1.0), 1.0))
         per_pair = ad.scale(
-            ad.add(ad.mul(target, log_p), ad.mul(complement, log_not_p)), -1.0
+            ad.add(mul(target, log_p), mul(complement, log_not_p)), -1.0
         )
         edge_term = ad.scale(
-            reduce_sum(ad.mul(ad.constant(pair_weights), per_pair)), 1.0 / total_weight
+            reduce_sum(mul(ad.constant(pair_weights), per_pair)), 1.0 / total_weight
         )
     else:
         edge_term = ad.constant(0.0)
 
-    difference = ad.sub(feature_recon, ad.constant(features))
-    feature_term = ad.reduce_mean(ad.mul(difference, difference))
+    difference = sub(feature_recon, ad.constant(features))
+    feature_term = reduce_mean(mul(difference, difference))
     return ad.add(edge_term, ad.scale(feature_term, float(feature_weight)))

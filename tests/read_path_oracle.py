@@ -1,0 +1,156 @@
+"""The read path as it was before it became linear: ring perception that
+searches every edge, functional-group absorption that rescans every atom
+for every core, and node featurization one atom at a time.
+
+Tests require the library's versions to match these exactly. The three
+per-atom helpers stand in for the ``MolecularGraph`` methods the old
+featurization called.
+"""
+
+from collections import deque
+from typing import Sequence
+
+import numpy as np
+
+from moltiers.cycles import _bfs_path, _cycle_edge_ids, _fundamental_cycles
+from moltiers.molgraph import ELEMENTS, NODE_FEATURE_DIM, MolecularGraph
+
+
+def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    edge_ids: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for edge_id, (u, v) in enumerate(edges):
+        key = (u, v) if u < v else (v, u)
+        if key in edge_ids:
+            raise ValueError(f"duplicate edge {key}")
+        edge_ids[key] = edge_id
+        adj[u].append((v, edge_id))
+        adj[v].append((u, edge_id))
+
+    candidates = []
+    for (u, v), edge_id in edge_ids.items():
+        path = _bfs_path(adj, v, u, frozenset([edge_id]))
+        if path is not None:
+            candidates.append(path)
+    fundamental, components = _fundamental_cycles(num_nodes, adj)
+    candidates.extend(fundamental)
+
+    seen: set[frozenset[int]] = set()
+    unique = []
+    for cycle in candidates:
+        key = frozenset(_cycle_edge_ids(cycle, edge_ids))
+        if key not in seen:
+            seen.add(key)
+            unique.append(cycle)
+    unique.sort(key=lambda c: (len(c), tuple(c)))
+
+    target = len(edges) - num_nodes + components
+
+    basis: list[tuple[int, ...]] = []
+    pivots: dict[int, int] = {}  # pivot edge-id -> reduced bitset
+    for cycle in unique:
+        if len(basis) == target:
+            break
+        vec = 0
+        for edge_id in _cycle_edge_ids(cycle, edge_ids):
+            vec ^= 1 << edge_id
+        while vec:
+            pivot = vec.bit_length() - 1
+            if pivot not in pivots:
+                pivots[pivot] = vec
+                basis.append(tuple(cycle))
+                break
+            vec ^= pivots[pivot]
+    if len(basis) != target:
+        raise RuntimeError(f"cycle basis incomplete: {len(basis)} of {target}")
+    return basis
+
+
+def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
+    atoms = graph.atoms
+    marked: set[int] = set()
+
+    for i, atom in enumerate(atoms):
+        if atom.element not in ("C", "H") and not atom.aromatic:
+            marked.add(i)
+
+    for bond in graph.bonds:
+        if bond.order in ("double", "triple"):
+            for end in bond.endpoints:
+                if atoms[end].element == "C":
+                    marked.add(end)
+
+    for i, atom in enumerate(atoms):
+        if atom.element != "C" or atom.aromatic:
+            continue
+        orders = [b.order for b in graph.bonds_at(i)]
+        if any(o != "single" for o in orders):
+            continue
+        hetero_neighbors = sum(
+            1 for nbr in graph.neighbors(i) if atoms[nbr].element in ("O", "N", "S")
+        )
+        if hetero_neighbors >= 2:
+            marked.add(i)
+
+    for ring in graph.rings:
+        if len(ring) == 3 and any(atoms[i].element not in ("C", "H") for i in ring):
+            marked.update(ring)
+
+    # Merge marked atoms that are bonded to each other.
+    cores: list[set[int]] = []
+    unvisited = set(marked)
+    while unvisited:
+        seed = min(unvisited)
+        core = {seed}
+        queue = deque([seed])
+        unvisited.discard(seed)
+        while queue:
+            node = queue.popleft()
+            for nbr in graph.neighbors(node):
+                if nbr in unvisited:
+                    unvisited.discard(nbr)
+                    core.add(nbr)
+                    queue.append(nbr)
+        cores.append(core)
+
+    groups = []
+    for core in cores:
+        members = set(core)
+        for i, atom in enumerate(atoms):
+            if atom.element != "C" or i in marked:
+                continue
+            heavy = [nbr for nbr in graph.neighbors(i) if atoms[nbr].element != "H"]
+            if heavy and all(nbr in core for nbr in heavy):
+                members.add(i)
+        for member in list(members):
+            members.update(
+                nbr for nbr in graph.neighbors(member) if atoms[nbr].element == "H"
+            )
+        groups.append(tuple(sorted(members)))
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def atom_in_ring(graph: MolecularGraph, index: int) -> bool:
+    return any(index in ring for ring in graph.rings)
+
+
+def heavy_degree(graph: MolecularGraph, index: int) -> int:
+    return sum(1 for nbr in graph.neighbors(index) if graph.atoms[nbr].element != "H")
+
+
+def attached_hydrogens(graph: MolecularGraph, index: int) -> int:
+    return sum(1 for nbr in graph.neighbors(index) if graph.atoms[nbr].element == "H")
+
+
+def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
+    n = graph.num_atoms
+    features = np.zeros((n, NODE_FEATURE_DIM))
+    for i, atom in enumerate(graph.atoms):
+        features[i, ELEMENTS.index(atom.element)] = 1.0
+        features[i, 11] = 1.0 if atom.aromatic else 0.0
+        features[i, 12] = float(atom.formal_charge)
+        features[i, 13] = float(heavy_degree(graph, i))
+        features[i, 14] = float(attached_hydrogens(graph, i))
+        features[i, 15] = 1.0 if atom_in_ring(graph, i) else 0.0
+    return features

@@ -66,6 +66,7 @@ def test_degree_columns_match_adjacency(corpus_graphs):
 def test_ring_flag_matches_perceived_rings(vanillin):
     X = vanillin.node_features
     in_ring = {i for ring in vanillin.rings for i in ring}
+    assert vanillin.ring_atoms == in_ring
     for i in range(vanillin.num_atoms):
         assert X[i, COL_IN_RING] == (1.0 if i in in_ring else 0.0)
 

@@ -24,6 +24,7 @@ from chain_oracle import (
     chain_tiered_decode,
     exp_clamped_linear,
     gcn_layer,
+    mul,
     reduce_sum,
 )
 from hypothesis import assume, given, settings
@@ -213,13 +214,13 @@ def _run(op, case):
     outputs = outputs if isinstance(outputs, tuple) else (outputs,)
     records = ad.tape_size() - before
     terms = [
-        reduce_sum(ad.mul(out, ad.constant(weights)))
+        reduce_sum(mul(out, ad.constant(weights)))
         for out, weights in zip(outputs, case.out_weights)
         if weights is not None
     ]
     if case.later is not None:
         index, weights = case.later
-        terms.append(reduce_sum(ad.mul(inputs[index], ad.constant(weights))))
+        terms.append(reduce_sum(mul(inputs[index], ad.constant(weights))))
     loss = terms[0]
     for term in terms[1:]:
         loss = ad.add(loss, term)

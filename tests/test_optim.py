@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from chain_oracle import reduce_sum
+from chain_oracle import mul, reduce_sum
 from hypothesis import given
 from hypothesis import strategies as st
 from optim_oracle import OracleAdam, OracleSGD
@@ -84,7 +84,7 @@ def test_optimizers_converge_on_quadratic():
         w = make_param([[5.0]])
         opt = opt_cls([w], learning_rate=0.1)
         for _ in range(200):
-            loss = reduce_sum(ad.mul(w, w))
+            loss = reduce_sum(mul(w, w))
             ad.backward(loss)
             opt.step()
         assert abs(w.values[0, 0]) < 1e-2, opt_cls.__name__

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from chain_oracle import reduce_sum
+from chain_oracle import mul, reduce_sum
 
 import moltiers.autodiff as ad
 from moltiers.autodiff import ShapeError
@@ -130,7 +130,7 @@ def test_gradient_matches_finite_differences():
     def loss_value(z_values):
         z = ad.parameter(z_values)
         pooled = diff_group_pool(A, z, M).features
-        loss = reduce_sum(ad.mul(pooled, ad.constant(weights)))
+        loss = reduce_sum(mul(pooled, ad.constant(weights)))
         value = loss.values[0, 0]
         ad.backward(loss)
         return value, z.grad

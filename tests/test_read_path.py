@@ -1,0 +1,123 @@
+"""The linear read path against the per-edge, per-core and per-atom versions
+it replaced: ring bases, functional groups and node features must match
+them exactly, and ring perception must search ring bonds only."""
+
+import importlib.util
+import pathlib
+import random
+
+import pytest
+import read_path_oracle as oracle
+from hypothesis import given
+from hypothesis import strategies as st
+
+from moltiers import cycles
+from moltiers.grouping import identify_functional_groups
+from moltiers.molgraph import featurize_nodes
+from moltiers.smiles import parse_smiles
+
+_GEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+@st.composite
+def ring_system_graphs(draw):
+    """Ring systems grown from one ring by fused, spiro and bridged ears,
+    joined by long chains, with pendant chains and isolated nodes; node
+    labels, edge order and edge direction are shuffled."""
+    edges: set[tuple[int, int]] = set()
+    count = 0
+
+    def path(start, end, inner):
+        nonlocal count
+        nodes = [start] + list(range(count, count + inner)) + [end]
+        count += inner
+        for a, b in zip(nodes, nodes[1:]):
+            edges.add((min(a, b), max(a, b)))
+
+    previous = None
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(3, 8))
+        first = count
+        count += 1
+        path(first, first, size - 1)
+        system = list(range(first, count))
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(("fused", "spiro", "bridged")))
+            if kind == "fused":
+                x, y = draw(st.sampled_from(sorted(e for e in edges if e[0] in system)))
+                path(x, y, draw(st.integers(1, 6)))
+            elif kind == "spiro":
+                x = draw(st.sampled_from(system))
+                path(x, x, draw(st.integers(2, 7)))
+            else:
+                x, y = draw(st.lists(st.sampled_from(system), min_size=2, max_size=2, unique=True))
+                inner = draw(st.integers(0 if (min(x, y), max(x, y)) not in edges else 1, 3))
+                path(x, y, inner)
+            system = list(range(first, count))
+        if previous is not None:
+            path(draw(st.sampled_from(previous)), draw(st.sampled_from(system)), draw(st.integers(0, 30)))
+        for _ in range(draw(st.integers(0, 2))):
+            tip = count
+            count += 1
+            path(draw(st.sampled_from(system)), tip, draw(st.integers(0, 5)))
+        previous = system
+    count += draw(st.integers(0, 3))  # isolated nodes
+
+    labels = draw(st.permutations(range(count)))
+    relabelled = [(labels[a], labels[b]) for a, b in edges]
+    relabelled = draw(st.permutations(relabelled))
+    flips = draw(st.lists(st.booleans(), min_size=len(relabelled), max_size=len(relabelled)))
+    return count, [(b, a) if flip else (a, b) for (a, b), flip in zip(relabelled, flips)]
+
+
+@given(ring_system_graphs())
+def test_cycle_basis_matches_the_all_edges_search(graph):
+    num_nodes, edges = graph
+    assert cycles.shortest_cycle_basis(num_nodes, edges) == oracle.shortest_cycle_basis(num_nodes, edges)
+
+
+def assert_read_path_matches_oracle(graph):
+    edges = [bond.endpoints for bond in graph.bonds]
+    assert list(graph.rings) == oracle.shortest_cycle_basis(graph.num_atoms, edges)
+    assert identify_functional_groups(graph) == oracle.identify_functional_groups(graph)
+    features, expected = featurize_nodes(graph), oracle.featurize_nodes(graph)
+    assert features.dtype == expected.dtype and features.shape == expected.shape
+    assert features.tobytes() == expected.tobytes()
+
+
+def test_corpus_read_path_matches_oracle(corpus_graphs):
+    for graph in corpus_graphs:
+        assert_read_path_matches_oracle(graph)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(20, 190), st.sampled_from((8, 15, 40)))
+def test_backbone_read_path_matches_oracle(seed, target, phenylene_every):
+    text = gen.backbone(random.Random(seed), target, phenylene_every, count_hydrogens=True)
+    assert_read_path_matches_oracle(parse_smiles(text))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_library_read_path_matches_oracle(seed):
+    assert_read_path_matches_oracle(parse_smiles(gen._library_smiles(random.Random(seed))))
+
+
+@pytest.mark.parametrize("chain", [20, 40])
+def test_ring_perception_searches_ring_bonds_only(monkeypatch, chain):
+    """Two phenylenes joined by a long chain: one BFS per ring bond, none
+    for the chain's bridges or the C-H bonds."""
+    calls = []
+    search = cycles._bfs_path
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cycles, "_bfs_path", counted)
+    graph = parse_smiles("Cc1ccc(cc1)" + "C" * chain + "c1ccc(cc1)C")
+    ring_bonds = sum(bond.in_ring for bond in graph.bonds)
+    assert ring_bonds == 12
+    assert len(calls) == ring_bonds < graph.num_bonds
+
