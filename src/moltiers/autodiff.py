@@ -239,7 +239,8 @@ def scale(a: Tensor, factor: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # Fused operations: each is one tape record for a chain of primitive records
 # that the tests keep as its oracle. Forward and vjp repeat the chain's
-# arithmetic in its order, so values and gradients are bit-identical to it.
+# arithmetic in its order, leaving out only operations with exact results,
+# so values and gradients are bit-identical to it.
 # A tensor the chain used more than once is listed once per use, in the
 # order the chain's reverse pass reached those uses, so its gradient
 # accumulates in the same order.
@@ -359,7 +360,13 @@ def tiered_decode(
     z_vals, p_vals, f_vals = np.hstack(rows), pair.values, feature.values
     left = z_vals @ p_vals
     flipped = z_vals.T
-    probs = 1.0 / (1.0 + np.exp(-np.clip(left @ flipped, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
+    # 1 / (1 + exp(-clip(logits))), each step in place over the logits
+    probs = left @ flipped
+    np.clip(probs, -SIGMOID_CLAMP, SIGMOID_CLAMP, out=probs)
+    np.negative(probs, out=probs)
+    np.exp(probs, out=probs)
+    probs += 1.0
+    np.divide(1.0, probs, out=probs)
     outputs = (wrap(probs), wrap(z_vals @ f_vals))
     into = node.tracked or group.tracked or graph.tracked
     node_end, group_end = node.shape[1], node.shape[1] + group.shape[1]
@@ -370,7 +377,8 @@ def tiered_decode(
             g_z = g_recon @ f_vals.T if into else None
             grad_feature = z_vals.T @ g_recon if feature.tracked else None
         if g_probs is not None:
-            g_logits = g_probs * probs * (1.0 - probs)
+            g_logits = g_probs * probs
+            g_logits *= 1.0 - probs
             if into:
                 part = (left.T @ g_logits).T
                 g_z = part if g_z is None else g_z + part
@@ -397,17 +405,22 @@ def edge_feature_loss(
 ) -> Tensor:
     """sum(W * -(T log p + (1 - T) log(1 - p))) / total_weight, each log's
     input floored at LOG_FLOOR, plus feature_weight * mean((R - X)^2). The
-    edge term is 0 when total_weight is not positive. Of the chain's
-    arithmetic only exact sign flips are folded. Shapes must agree, as
-    :func:`moltiers.models.reconstruction_loss` checks."""
+    edge term is 0 when total_weight is not positive. Shapes must agree, as
+    :func:`moltiers.models.reconstruction_loss` checks.
+
+    T must hold only +0.0 and 1.0, as
+    :func:`moltiers.models.edge_loss_weights` checks. Then one of the
+    chain's two terms is an exact zero in every pair, so one log of the
+    selected max(T ? p : 1 - p, LOG_FLOOR) gives the chain's bits, and its
+    vjp w / selected, negated on edges."""
     with_edges = total_weight > 0
     if with_edges:
         factor = float(1.0 / total_weight)
-        complement = 1.0 - target
-        floored_p = np.maximum(probs.values, LOG_FLOOR)
-        floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
-        per_pair = target * np.log(floored_p)
-        per_pair += complement * np.log(floored_q)
+        is_edge = target > 0.0
+        selected = 1.0 - probs.values
+        np.copyto(selected, probs.values, where=is_edge)
+        np.maximum(selected, LOG_FLOOR, out=selected)
+        per_pair = np.log(selected)
         per_pair *= -1.0
         per_pair *= weights
         edge_term = per_pair.sum().reshape(1, 1) * factor
@@ -419,10 +432,12 @@ def edge_feature_loss(
     def vjp(g: np.ndarray):
         grad_probs = grad_recon = None
         if with_edges and probs.tracked:
-            weighted = (g * factor)[0, 0] * weights
-            grad_probs = weighted * complement
-            grad_probs /= floored_q
-            grad_probs -= weighted * target / floored_p
+            # the chain's zero term turns a zero gradient into +0.0; so do
+            # 0.0 - x on edges and the + 0.0 after it
+            grad_probs = (g * factor)[0, 0] * weights
+            grad_probs /= selected
+            np.subtract(0.0, grad_probs, out=grad_probs, where=is_edge)
+            grad_probs += 0.0
         if recon.tracked:
             g_squared = np.full(difference.shape, (g * feature_weight)[0, 0] / difference.size)
             grad_recon = g_squared * difference + g_squared * difference

@@ -319,7 +319,12 @@ def decode_with_graph_vector(
 
 def edge_loss_weights(adjacency: np.ndarray) -> tuple[float, float]:
     """(pos_weight, total_weight) of the edge loss over the pairs i < j: an
-    edge weighs #non-edges / #edges (1 without edges), a non-edge 1."""
+    edge weighs #non-edges / #edges (1 without edges), a non-edge 1.
+
+    Raises ValueError unless every entry of ``adjacency`` is +0.0 or 1.0,
+    the target :func:`moltiers.autodiff.edge_feature_loss` requires."""
+    if np.signbit(adjacency).any() or not np.isin(adjacency, (0.0, 1.0)).all():
+        raise ValueError("edge loss target must hold only 0 and 1, and no -0.0")
     upper = (~np.tri(adjacency.shape[0], dtype=bool)).astype(np.float64)  # i < j
     positives = float((adjacency * upper).sum())
     negatives = float(upper.sum() - positives)
@@ -353,8 +358,11 @@ def reconstruction_loss(
         )
 
     pos_weight, total_weight = edge_weights or edge_loss_weights(adjacency)
-    # the same bits, zeros' signs included, as edge_loss_weights' summand
-    pair_weights = np.triu(1.0 + (pos_weight - 1.0) * adjacency, 1)
+    # edge_loss_weights' summand, zeros' signs included: 1 + (pos_weight - 1) A
+    # on the pairs i < j, +0.0 elsewhere
+    pair_weights = adjacency * (pos_weight - 1.0)
+    pair_weights += 1.0
+    np.copyto(pair_weights, 0.0, where=np.tri(n, dtype=bool))
     return ad.edge_feature_loss(
         edge_probs, feature_recon, adjacency, pair_weights, total_weight, features, feature_weight
     )

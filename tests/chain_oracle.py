@@ -26,6 +26,14 @@ from moltiers.autodiff import (
 )
 
 
+def assert_same_bits(actual, expected, context=None) -> None:
+    """Equal dtype, shape and bytes: "bit for bit", where ``np.array_equal``
+    would let -0.0 stand for +0.0."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), context
+    assert actual.tobytes() == expected.tobytes(), context
+
+
 def _unary(values: np.ndarray, a: Tensor, vjp) -> Tensor:
     out = wrap(values)
     _record((out,), (a,), vjp)

@@ -1,4 +1,6 @@
+import importlib.util
 import pathlib
+import random
 
 import pytest
 from hypothesis import settings
@@ -7,7 +9,8 @@ from moltiers.models import MoleculeData
 from moltiers.molgraph import MolecularGraph, load_molecules
 from moltiers.smiles import parse_smiles
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 VANILLIN = "O=Cc1ccc(O)c(OC)c1"
 
@@ -38,3 +41,23 @@ def corpus_data(corpus_graphs) -> list[MoleculeData]:
 @pytest.fixture(scope="session")
 def vanillin() -> MolecularGraph:
     return parse_smiles(VANILLIN, name="vanillin")
+
+
+@pytest.fixture(scope="session")
+def perfbench_gen():
+    """The benchmark's input generators, ``perfbench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.fixture(scope="session")
+def backbone_data(perfbench_gen) -> list[MoleculeData]:
+    """Three backbones of about 100, 145 and 190 atoms, hydrogens included,
+    drawn as the benchmark's large-train workload draws its molecules."""
+    data = []
+    for seed, target in enumerate((100, 145, 190)):
+        text = perfbench_gen.backbone(random.Random(seed), target, 15, count_hydrogens=True)
+        data.append(MoleculeData.from_graph(parse_smiles(text, name=f"backbone-{target}")))
+    return data

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from chain_oracle import (
+    assert_same_bits,
     bilinear_sigmoid,
     chain_bilinear_sigmoid,
     chain_edge_feature_loss,
@@ -29,8 +30,10 @@ from chain_oracle import (
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
+from moltiers import models
 from moltiers.autodiff import ShapeError
 from moltiers.models import (
     TieredGaeParams,
@@ -234,11 +237,11 @@ def assert_matches_chain(op, chain, case):
     assert records == 1
     assert len(values) == len(chain_values)
     for value, chain_value in zip(values, chain_values):
-        assert np.array_equal(value, chain_value)
+        assert_same_bits(value, chain_value)
     for grad, chain_grad in zip(grads, chain_grads):
         assert (grad is None) == (chain_grad is None)
         if grad is not None:
-            assert np.array_equal(grad, chain_grad)
+            assert_same_bits(grad, chain_grad)
 
 
 @given(stack_cases())
@@ -332,7 +335,40 @@ def test_training_with_the_chains_is_bit_identical(monkeypatch, corpus_data, tra
         (params, trace), (chain_params, chain_trace) = result, chain_result
         assert trace == chain_trace, config
         for tensor, chain_tensor in zip(params.trainable(), chain_params.trainable()):
-            assert np.array_equal(tensor.values, chain_tensor.values), config
+            assert_same_bits(tensor.values, chain_tensor.values, config)
+
+
+@pytest.mark.parametrize("variational", [False, True])
+def test_workload_sized_steps_match_the_chains(monkeypatch, backbone_data, variational):
+    """A whole training step on 100-190-atom molecules, where BLAS and numpy
+    take other code paths than at the property tests' sizes: the loss and
+    every parameter gradient byte for byte against the model with every
+    fused op and the reconstruction loss swapped back to their chains."""
+    kind = TieredVgaeParams if variational else TieredGaeParams
+    params = kind.init(np.random.default_rng(7))
+
+    def step(data):
+        if variational:
+            recon, kl_total = vgae_losses(params, data, gaussian_noise(np.random.default_rng(8)))
+            loss = ad.add(recon, ad.scale(kl_total, 1.0))
+        else:
+            loss = gae_loss(params, data)
+        value = loss.values.copy()
+        ad.backward(loss)
+        grads = [tensor.grad for tensor in params.trainable()]
+        for tensor in params.trainable():
+            tensor.grad = None
+        return value, grads
+
+    fused = [step(data) for data in backbone_data]
+    for name, chain in CHAINS.items():
+        monkeypatch.setattr(ad, name, chain)
+    monkeypatch.setattr(models, "reconstruction_loss", chain_reconstruction_loss)
+    for data, (value, grads) in zip(backbone_data, fused):
+        chain_value, chain_grads = step(data)
+        assert_same_bits(value, chain_value, data.name)
+        for grad, chain_grad in zip(grads, chain_grads):
+            assert_same_bits(grad, chain_grad, data.name)
 
 
 def test_a_step_records_7_gae_and_17_vgae_ops(corpus_data):

@@ -5,9 +5,11 @@ of N(0,1) against the prior is 0, and a deterministic encoder is the
 variational one with unit std and zero noise.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from chain_oracle import reduce_sum
+from chain_oracle import assert_same_bits, reduce_sum
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,6 +25,7 @@ from moltiers.models import (
     decode,
     decode_with_graph_vector,
     edge_auc,
+    edge_loss_weights,
     elbo,
     encode_tiered,
     encode_tiered_variational,
@@ -198,6 +201,28 @@ def test_reconstruction_loss_shape_validation(ethanol_data):
         )
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, -0.0, np.nan])
+def test_edge_loss_requires_a_0_1_target(ethanol_data, entry):
+    # the one-log BCE gives the chain's bits only for a 0/1 target; the
+    # check runs once per molecule, not once per step
+    adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, entry], [0.0, entry, 0.0]])
+    records = ad.tape_size()
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        edge_loss_weights(adjacency)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        reconstruction_loss(
+            ad.parameter(np.full((3, 3), 0.5)), ad.constant(np.zeros((3, 2))), adjacency,
+            np.zeros((3, 2)),
+        )
+    assert ad.tape_size() == records
+    if entry > 0:  # a symmetric non-negative adjacency that encodes fine
+        weighted = ethanol_data.adjacency * np.where(ethanol_data.adjacency > 0, entry, 1.0)
+        data = replace(ethanol_data, adjacency=weighted)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            gae_loss(small_params(input_dim=data.features.shape[1]), data)
+        ad.clear_tape()
+
+
 # floored (0, 1e-13, 1 - 1e-16, 1) and ordinary probabilities
 EDGE_PROBABILITIES = (0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-16, 1.0)
 
@@ -237,11 +262,11 @@ def test_reconstruction_loss_equals_primitive_chain(case):
     probs, adjacency = case
     value, grad = _loss_and_gradient(reconstruction_loss, probs, adjacency)
     expected_value, expected_grad = _loss_and_gradient(chain_reconstruction_loss, probs, adjacency)
-    assert np.array_equal(value, expected_value)
+    assert_same_bits(value, expected_value)
     if expected_grad is None:  # no pair carries weight: the edge term is a constant
         assert grad is None
     else:
-        assert np.array_equal(grad, expected_grad)
+        assert_same_bits(grad, expected_grad)
 
 
 def test_kl_closed_forms():

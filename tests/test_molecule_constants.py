@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from chain_oracle import hstack, sigmoid, transpose
+from chain_oracle import assert_same_bits, hstack, sigmoid, transpose
 from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
@@ -93,7 +93,7 @@ def gradients(params, loss):
 def assert_same_arrays(first, second):
     assert len(first) == len(second)
     for a, b in zip(first, second):
-        assert np.array_equal(a, b)
+        assert_same_bits(a, b)
 
 
 def _written_out(adjacency):
@@ -114,8 +114,8 @@ def test_propagators_are_the_written_out_formula(corpus_data):
             (groups, data.group_propagator),
             (molecule, data.molecule_propagator),
         ):
-            assert np.array_equal(normalize_adjacency(adjacency), _written_out(adjacency))
-            assert np.array_equal(cached.values, _written_out(adjacency))
+            assert_same_bits(normalize_adjacency(adjacency), _written_out(adjacency))
+            assert_same_bits(cached.values, _written_out(adjacency))
 
 
 def test_cached_gae_path_is_bit_identical_to_per_call_reference(corpus_data):
@@ -133,7 +133,7 @@ def test_cached_gae_path_is_bit_identical_to_per_call_reference(corpus_data):
         reference_value = reference.values.copy()
         reference_grads = gradients(params, reference)
         loss = gae_loss(params, data)
-        assert np.array_equal(loss.values, reference_value), data.name
+        assert_same_bits(loss.values, reference_value, data.name)
         assert_same_arrays(gradients(params, loss), reference_grads)
 
 
@@ -156,8 +156,8 @@ def test_cached_vgae_path_is_bit_identical_to_per_call_reference(corpus_data):
         reference_values = (recon.values.copy(), kl.values.copy())
         reference_grads = gradients(params, ad.add(recon, kl))
         recon, kl = vgae_losses(params, data, zero_noise)
-        assert np.array_equal(recon.values, reference_values[0]), data.name
-        assert np.array_equal(kl.values, reference_values[1]), data.name
+        assert_same_bits(recon.values, reference_values[0], data.name)
+        assert_same_bits(kl.values, reference_values[1], data.name)
         assert_same_arrays(gradients(params, ad.add(recon, kl)), reference_grads)
 
 

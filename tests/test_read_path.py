@@ -2,8 +2,6 @@
 it replaced: ring bases, functional groups and node features must match
 them exactly, and ring perception must search ring bonds only."""
 
-import importlib.util
-import pathlib
 import random
 
 import pytest
@@ -15,12 +13,6 @@ from moltiers import cycles
 from moltiers.grouping import identify_functional_groups
 from moltiers.molgraph import featurize_nodes
 from moltiers.smiles import parse_smiles
-
-_GEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
-
 
 @st.composite
 def ring_system_graphs(draw):
@@ -94,14 +86,16 @@ def test_corpus_read_path_matches_oracle(corpus_graphs):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(20, 190), st.sampled_from((8, 15, 40)))
-def test_backbone_read_path_matches_oracle(seed, target, phenylene_every):
-    text = gen.backbone(random.Random(seed), target, phenylene_every, count_hydrogens=True)
+def test_backbone_read_path_matches_oracle(perfbench_gen, seed, target, phenylene_every):
+    rng = random.Random(seed)
+    text = perfbench_gen.backbone(rng, target, phenylene_every, count_hydrogens=True)
     assert_read_path_matches_oracle(parse_smiles(text))
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_library_read_path_matches_oracle(seed):
-    assert_read_path_matches_oracle(parse_smiles(gen._library_smiles(random.Random(seed))))
+def test_library_read_path_matches_oracle(perfbench_gen, seed):
+    text = perfbench_gen._library_smiles(random.Random(seed))
+    assert_read_path_matches_oracle(parse_smiles(text))
 
 
 @pytest.mark.parametrize("chain", [20, 40])
