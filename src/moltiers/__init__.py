@@ -13,7 +13,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gnn import (
     GcnLayer,
     GnnStack,
-    VariationalGnnStack,
     gnn_forward,
     gnn_forward_variational,
     normalize_adjacency,

@@ -70,22 +70,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other if isinstance(other, Tensor) else constant(float(other)))
-
-    __radd__ = __add__
-
-    def __mul__(self, factor: float) -> "Tensor":
-        return scale(self, float(factor))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

@@ -30,6 +30,7 @@ from .models import (
 from .molgraph import MoleculeRecord, hill_formula, load_molecules
 from .smiles import SmilesError, parse_smiles
 from .train import (
+    OPTIMIZERS,
     NonFiniteLossError,
     TrainConfig,
     gae_trace_csv,
@@ -42,44 +43,11 @@ TOP_EDGES = 10
 
 
 def _dims(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected D1,D2,D3, got {text!r}")
     try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    if any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dims must be positive, got {text!r}")
-    return dims  # type: ignore[return-value]
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
+        first, second, third = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected D1,D2,D3, got {text!r}") from None
+    return first, second, third
 
 
 def _steps(text: str) -> int:
@@ -110,15 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--out", required=True, help="output directory for checkpoint.json and trace.csv")
     cmd.add_argument("--model", choices=("gae", "vgae"), default="gae")
     cmd.add_argument("--dims", type=_dims, default=(16, 16, 16), help="tier widths D1,D2,D3")
-    cmd.add_argument("--layers", type=_positive_int, default=3, help="GNN layers per tier")
-    cmd.add_argument("--lr", type=_positive_float, default=0.01, help="learning rate")
-    cmd.add_argument("--epochs", type=_non_negative_int, default=200)
+    cmd.add_argument("--layers", type=int, default=3, help="GNN layers per tier")
+    cmd.add_argument("--lr", type=float, default=0.01, help="learning rate")
+    cmd.add_argument("--epochs", type=int, default=200)
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
-    cmd.add_argument("--beta", type=_non_negative_float, default=1.0, help="KL weight (vgae)")
-    cmd.add_argument("--lambda-x", type=_non_negative_float, default=0.1, dest="lambda_x",
+    cmd.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
+    cmd.add_argument("--beta", type=float, default=1.0, help="KL weight (vgae)")
+    cmd.add_argument("--lambda-x", type=float, default=0.1, dest="lambda_x",
                      help="feature reconstruction weight")
-    cmd.set_defaults(handler=cmd_train)
+    cmd.set_defaults(handler=cmd_train, usage_error=cmd.error)
 
     cmd = commands.add_parser("embed", help="dump embeddings at a chosen tier")
     cmd.add_argument("checkpoint", help="checkpoint JSON written by train")
@@ -212,22 +180,25 @@ def cmd_partition(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        config = TrainConfig(
+            dims=args.dims,
+            depth=args.layers,
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            seed=args.seed,
+            optimizer=args.optimizer,
+            beta=args.beta,
+            feature_weight=args.lambda_x,
+        )
+    except ValueError as err:
+        args.usage_error(str(err))  # exits 2, before any input is read
     dataset, failures = _load_dataset(args.input)
     if failures:
         return 1
     if not dataset:
         print("no molecules to train on", file=sys.stderr)
         return 1
-    config = TrainConfig(
-        dims=args.dims,
-        depth=args.layers,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        optimizer=args.optimizer,
-        beta=args.beta,
-        feature_weight=args.lambda_x,
-    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.model == "vgae":

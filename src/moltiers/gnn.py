@@ -81,13 +81,6 @@ class GnnStack:
         return [layer.weight for layer in self.layers]
 
 
-def VariationalGnnStack(
-    trunk: list[GcnLayer], mean_head: GcnLayer, log_std_head: GcnLayer
-) -> GnnStack:
-    """A trunk, then the mean and log-std heads of a variational stack."""
-    return GnnStack(trunk, [mean_head, log_std_head])
-
-
 def degree_scale(adjacency: np.ndarray) -> np.ndarray:
     """D^-1/2 of A + I as a vector, one entry per node, after checking that
     ``adjacency`` is a valid graph.

@@ -149,8 +149,10 @@ def param_spec(
     dims = tuple(dims)
     if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"dims must be three positive integers, got {dims}")
-    if depth < 1 or input_dim < 1:
-        raise ValueError(f"depth and input_dim must be positive, got {depth} and {input_dim}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    if input_dim < 1:
+        raise ValueError(f"input_dim must be positive, got {input_dim}")
     trunk = "trunk" if variational else "layer"
     heads = ("mean", "log_std") if variational else (f"layer{depth - 1}",)
     spec = []

@@ -24,6 +24,7 @@ from .models import (
     TieredVgaeParams,
     gae_loss,
     gaussian_noise,
+    param_spec,
     vgae_losses,
 )
 from .optim import SGD, Adam, NonFiniteGradientError
@@ -55,10 +56,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be three positive integers, got {self.dims}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be at least 1, got {self.depth}")
+        param_spec(False, self.dims, self.depth)  # raises on bad dims or depth
         if self.learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
@@ -86,47 +84,61 @@ def _make_optimizer(config: TrainConfig, params) -> SGD | Adam:
     return Adam(params.trainable(), config.learning_rate)
 
 
-def _step(optimizer: SGD | Adam, epoch: int, data: MoleculeData) -> None:
-    try:
-        optimizer.step()
-    except NonFiniteGradientError:
-        raise NonFiniteLossError(epoch, data.name, in_gradient=True) from None
+def _warmup_beta(config: TrainConfig, epoch: int) -> float:
+    """Linear 0 -> beta over the first 20% of epochs (at least one epoch)."""
+    ramp = max(1, math.ceil(0.2 * config.epochs))
+    return config.beta * min(1.0, epoch / ramp)
+
+
+def _train(variational: bool, dataset: Sequence[MoleculeData], config: TrainConfig):
+    """The loop behind both models. Its loss terms are (loss,) for the GAE
+    and (reconstruction, KL) for the VGAE, whose gradient weighs the KL by
+    the warmed-up beta; a trace row holds each column's epoch mean."""
+    if not dataset:
+        raise ValueError("empty dataset")
+    rng = np.random.default_rng(config.seed)
+    params = (TieredVgaeParams if variational else TieredGaeParams).init(
+        rng, config.dims, config.depth
+    )
+    optimizer = _make_optimizer(config, params)
+    noise = gaussian_noise(rng)
+
+    trace: list = []
+    for epoch in range(1, config.epochs + 1):
+        beta = _warmup_beta(config, epoch)
+        rows = []
+        for data in dataset:
+            try:
+                if variational:
+                    terms = vgae_losses(params, data, noise, config.feature_weight)
+                else:
+                    terms = (gae_loss(params, data, config.feature_weight),)
+                values = [term.item() for term in terms]
+                if not all(map(math.isfinite, values)):
+                    raise NonFiniteLossError(epoch, data.name)
+                ad.backward(ad.add(terms[0], ad.scale(terms[1], beta)) if variational else terms[0])
+            except BaseException:
+                ad.clear_tape()
+                raise
+            try:
+                optimizer.step()
+            except NonFiniteGradientError:
+                raise NonFiniteLossError(epoch, data.name, in_gradient=True) from None
+            params.symmetrize_pair_decoder()
+            if variational:
+                recon, kl = values
+                values = [-(recon + config.beta * kl), kl]
+            rows.append(values)
+        means = [float(np.mean(column)) for column in zip(*rows)]
+        trace.append(VgaeEpoch(*means) if variational else means[0])
+    return params, trace
 
 
 def train_gae(
     dataset: Sequence[MoleculeData], config: TrainConfig
 ) -> tuple[TieredGaeParams, list[float]]:
     """Train a deterministic autoencoder; returns (params, epoch mean losses)."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(config.seed)
-    params = TieredGaeParams.init(rng, config.dims, config.depth)
-    optimizer = _make_optimizer(config, params)
-
-    trace: list[float] = []
-    for epoch in range(1, config.epochs + 1):
-        epoch_losses = []
-        for data in dataset:
-            try:
-                loss = gae_loss(params, data, config.feature_weight)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NonFiniteLossError(epoch, data.name)
-                ad.backward(loss)
-            except BaseException:
-                ad.clear_tape()
-                raise
-            _step(optimizer, epoch, data)
-            params.symmetrize_pair_decoder()
-            epoch_losses.append(value)
-        trace.append(float(np.mean(epoch_losses)))
-    return params, trace
-
-
-def _warmup_beta(config: TrainConfig, epoch: int) -> float:
-    """Linear 0 -> beta over the first 20% of epochs (at least one epoch)."""
-    ramp = max(1, math.ceil(0.2 * config.epochs))
-    return config.beta * min(1.0, epoch / ramp)
+    return _train(False, dataset, config)
 
 
 def train_vgae(
@@ -137,35 +149,7 @@ def train_vgae(
     Gradients use a warmed-up beta; the reported ELBO always uses the
     configured beta so epochs stay comparable across the ramp.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(config.seed)
-    params = TieredVgaeParams.init(rng, config.dims, config.depth)
-    optimizer = _make_optimizer(config, params)
-    noise = gaussian_noise(rng)
-
-    trace: list[VgaeEpoch] = []
-    for epoch in range(1, config.epochs + 1):
-        beta = _warmup_beta(config, epoch)
-        elbos = []
-        kls = []
-        for data in dataset:
-            try:
-                recon, kl_total = vgae_losses(params, data, noise, config.feature_weight)
-                recon_value = recon.item()
-                kl_value = kl_total.item()
-                if not (math.isfinite(recon_value) and math.isfinite(kl_value)):
-                    raise NonFiniteLossError(epoch, data.name)
-                ad.backward(ad.add(recon, ad.scale(kl_total, beta)))
-            except BaseException:
-                ad.clear_tape()
-                raise
-            _step(optimizer, epoch, data)
-            params.symmetrize_pair_decoder()
-            elbos.append(-(recon_value + config.beta * kl_value))
-            kls.append(kl_value)
-        trace.append(VgaeEpoch(float(np.mean(elbos)), float(np.mean(kls))))
-    return params, trace
+    return _train(True, dataset, config)
 
 
 def gae_trace_csv(trace: Sequence[float]) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import moltiers.autodiff as ad
-from moltiers.gnn import GcnLayer, VariationalGnnStack
+from moltiers.gnn import GcnLayer, GnnStack
 from moltiers.grouping import (
     AROMATIC_RING,
     COMPONENT,
@@ -276,10 +276,12 @@ def deterministic_twin(gae):
     for stack in gae.encoders:
         last = stack.layers[-1]
         encoders.append(
-            VariationalGnnStack(
+            GnnStack(
                 list(stack.layers[:-1]),
-                GcnLayer(last.weight, "none"),
-                GcnLayer(ad.parameter(np.zeros(last.weight.shape)), "none"),
+                [
+                    GcnLayer(last.weight, "none"),
+                    GcnLayer(ad.parameter(np.zeros(last.weight.shape)), "none"),
+                ],
             )
         )
     return TieredVgaeParams(

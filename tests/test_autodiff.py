@@ -80,7 +80,7 @@ def test_matmul_forward_and_shape_error():
     out = ad.matmul(a, b)
     assert np.array_equal(out.values, [[3.0], [7.0]])
     with pytest.raises(ShapeError):
-        ad.matmul(b, a @ a)
+        ad.matmul(b, ad.matmul(a, a))
 
 
 def test_add_broadcasts_scalar_only():

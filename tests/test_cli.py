@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv): outputs, files and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,35 @@ def test_train_rejects_bad_dims(corpus_file, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--input", corpus_file, "--out", str(tmp_path / "x"),
               "--dims", "4,0,4"])
+
+
+# each bad train option with the last line of its usage error
+TRAIN_USAGE_ERRORS = {
+    "--layers 0": "depth must be at least 1, got 0",
+    "--layers abc": "argument --layers: invalid int value: 'abc'",
+    "--lr 0": "learning rate must be positive, got 0.0",
+    "--epochs -1": "epochs must be non-negative, got -1",
+    "--beta -1": "beta must be non-negative, got -1.0",
+    "--lambda-x -1": "feature weight must be non-negative, got -1.0",
+    "--dims 4,4": "argument --dims: expected D1,D2,D3, got '4,4'",
+    "--dims 4,0,4": "dims must be three positive integers, got (4, 0, 4)",
+    "--dims a,b,c": "argument --dims: expected D1,D2,D3, got 'a,b,c'",
+    "--optimizer lbfgs": "argument --optimizer: invalid choice: 'lbfgs'",
+}
+
+
+@pytest.mark.parametrize("option", list(TRAIN_USAGE_ERRORS))
+def test_train_usage_errors_exit_2_before_reading_input(tmp_path, capsys, option):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as err:
+        main(["train", "--input", str(tmp_path / "absent.smi"), "--out", str(out), *option.split()])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "i/o error" not in stderr
+    last_line = stderr.splitlines()[-1]
+    assert last_line.startswith(f"moltiers train: error: {TRAIN_USAGE_ERRORS[option]}")
+    assert not re.search(r"(?<![\w-])_[a-z]", last_line)  # no private helper name
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["gae", "vgae"])

@@ -45,6 +45,7 @@ from moltiers.models import (
     gae_loss,
     gaussian_noise,
     vgae_losses,
+    zero_noise,
 )
 from moltiers.train import NonFiniteLossError, TrainConfig, train_gae, train_vgae
 
@@ -395,9 +396,41 @@ def test_a_step_records_7_gae_and_17_vgae_ops(corpus_data):
 # steps confirms it.
 GRAD_CHECK_STEPS = (1e-5, 1e-4, 1e-3)
 MAX_LOGIT = 14.0
+KINK_MARGIN = max(GRAD_CHECK_STEPS)
 
 
-@settings(max_examples=5)
+def _trunk_pre_activations(params, data, noise) -> np.ndarray:
+    """Every relu input of the three encoder trunks, flattened, as
+    ``gcn_stack`` computes them for one molecule."""
+    pre_activations = [np.zeros(0)]
+    gcn_stack = ad.gcn_stack
+
+    def recording(propagator, features, trunk, heads, log_std_clamp):
+        hidden = features.values
+        for weight in trunk:
+            pre = (propagator @ hidden) @ weight.values
+            pre_activations.append(pre.ravel())
+            hidden = np.where(pre > 0.0, pre, 0.0)
+        return gcn_stack(propagator, features, trunk, heads, log_std_clamp)
+
+    with pytest.MonkeyPatch.context() as patch, ad.no_grad():
+        patch.setattr(ad, "gcn_stack", recording)
+        if params.variational:
+            encode_tiered_variational(params, data, noise)
+        else:
+            encode_tiered(params, data)
+    return np.concatenate(pre_activations)
+
+
+def _near_relu_kink(params, data, noise) -> bool:
+    """Whether a nonzero trunk pre-activation lies within KINK_MARGIN of 0.
+    Exact zeros are rows whose whole neighbourhood is already dead; they stay
+    0 under any small weight change."""
+    magnitudes = np.abs(_trunk_pre_activations(params, data, noise))
+    return bool(((magnitudes > 0.0) & (magnitudes < KINK_MARGIN)).any())
+
+
+@settings(max_examples=5, derandomize=True, database=None)
 @given(
     molecule=st.integers(0, 29),
     dims=st.tuples(st.integers(3, 6), st.integers(3, 6), st.integers(3, 6)),
@@ -410,6 +443,7 @@ def test_full_loss_gradients_match_finite_differences(
 ):
     """``grad_check`` below 1e-4 for every weight of ``gae_loss`` and of
     ``elbo`` with frozen noise, on a corpus molecule at an untrained init.
+    The draws are pinned, so every run checks the same examples.
 
     Excluded: widths 1-2 (an untrained VGAE's KL reaches 1e8 there, so the
     loss's round-off swamps most gradient entries), and inits whose decoder
@@ -418,7 +452,9 @@ def test_full_loss_gradients_match_finite_differences(
     digits to cancellation, which finite differences cannot see past; past
     +-27.6 the log floor and past +-30 the sigmoid clamp make the loss flat
     while the vjps still pass a gradient on. About half the VGAE inits at
-    widths 3-6 start saturated like that.
+    widths 3-6 start saturated like that. Also excluded, about one init in
+    ten: a trunk relu input within KINK_MARGIN, the largest step, of 0,
+    where every step may cross the kink.
     """
     data = corpus_data[molecule]
     rng = np.random.default_rng(seed)
@@ -434,6 +470,7 @@ def test_full_loss_gradients_match_finite_differences(
         assert draw.shape == shape
         return draw
 
+    assume(not _near_relu_kink(params, data, frozen_noise))
     with ad.no_grad():
         if variational:
             embeddings = encode_tiered_variational(params, data, frozen_noise)[0]
@@ -448,3 +485,13 @@ def test_full_loss_gradients_match_finite_differences(
 
     for name, tensor in params.named_weights().items():
         assert any(ad.grad_check(loss, tensor, h) < 1e-4 for h in GRAD_CHECK_STEPS), name
+
+
+def test_the_kink_guard_excludes_a_draw_that_fails_every_step(corpus_data):
+    # A tier-1 trunk pre-activation 1.4e-6 from 0: ``tier1.trunk0``'s relative
+    # errors read 0.50, 0.71 and 0.73 at the three steps, while h = 1e-6
+    # agrees with the analytic gradient to 3e-9.
+    params = TieredVgaeParams.init(np.random.default_rng(53226), (6, 3, 3), 2)
+    pre = np.abs(_trunk_pre_activations(params, corpus_data[0], zero_noise))
+    assert 1e-6 < pre[pre > 0].min() < 2e-6
+    assert _near_relu_kink(params, corpus_data[0], zero_noise)

@@ -9,7 +9,6 @@ from moltiers.gnn import (
     LOG_STD_CLAMP,
     GcnLayer,
     GnnStack,
-    VariationalGnnStack,
     gnn_forward,
     gnn_forward_variational,
     normalize_adjacency,
@@ -174,9 +173,9 @@ def test_variational_head_validation():
     bad_in = GcnLayer(ad.parameter(np.zeros((5, 2))), "none")
     bad_out = GcnLayer(ad.parameter(np.zeros((3, 6))), "none")
     with pytest.raises(ValueError, match="do not chain"):
-        VariationalGnnStack(trunk, bad_in, good)
+        GnnStack(trunk, [bad_in, good])
     with pytest.raises(ValueError, match="same shape"):
-        VariationalGnnStack(trunk, good, bad_out)
+        GnnStack(trunk, [good, bad_out])
 
 
 def test_variational_forward_returns_positive_std():
@@ -195,12 +194,12 @@ def test_log_std_is_clamped_before_exp():
     # a huge log-std weight must saturate at exp(LOG_STD_CLAMP), not overflow
     huge = GcnLayer(ad.parameter(np.full((1, 1), 1e6)), "none")
     mean_head = GcnLayer(ad.parameter(np.ones((1, 1))), "none")
-    stack = VariationalGnnStack([], mean_head, huge)
+    stack = GnnStack([], [mean_head, huge])
     A = np.zeros((1, 1))
     _, std = gnn_forward_variational(stack, propagator(A), ad.constant(np.ones((1, 1))))
     assert np.allclose(std.values, np.exp(LOG_STD_CLAMP))
     tiny = GcnLayer(ad.parameter(np.full((1, 1), -1e6)), "none")
-    stack = VariationalGnnStack([], mean_head, tiny)
+    stack = GnnStack([], [mean_head, tiny])
     _, std = gnn_forward_variational(stack, propagator(A), ad.constant(np.ones((1, 1))))
     assert np.allclose(std.values, np.exp(-LOG_STD_CLAMP))
 

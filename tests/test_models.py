@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
-from moltiers.gnn import GcnLayer, VariationalGnnStack
+from moltiers.gnn import GcnLayer, GnnStack
 from moltiers.models import (
     MoleculeData,
     TieredEmbeddings,
@@ -319,7 +319,7 @@ def deterministic_twin(gae, input_dim=16):
         log_std = GcnLayer(
             ad.parameter(np.zeros(last.weight.shape)), "none"
         )
-        encoders.append(VariationalGnnStack(list(trunk), mean_head, log_std))
+        encoders.append(GnnStack(list(trunk), [mean_head, log_std]))
     return TieredVgaeParams(
         encoders=tuple(encoders),
         pair_decoder=gae.pair_decoder,

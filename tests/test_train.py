@@ -1,9 +1,12 @@
-"""Training loops: determinism, small-corpus convergence, trace CSV format."""
+"""The training loop: determinism, small-corpus convergence, trace CSV format."""
 
 import math
 
 import numpy as np
 import pytest
+import train_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import moltiers.autodiff as ad
 from moltiers import models
@@ -173,3 +176,48 @@ def test_trace_csv_round_trips_through_repr():
     rows = text.strip().splitlines()[1:]
     parsed = [float(line.split(",")[1]) for line in rows]
     assert parsed == values
+
+
+def _run(train, dataset, config):
+    """(trace as float bits, trained weights), or the abort's epoch,
+    molecule, ``in_gradient`` and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, trace = train(dataset, config)
+    except NonFiniteLossError as err:
+        return "aborted", (err.epoch, err.molecule, err.in_gradient, str(err))
+    rows = [[row] if isinstance(row, float) else [row.elbo, row.kl] for row in trace]
+    bits = [[value.hex() for value in row] for row in rows]
+    weights = {name: w.values.tobytes() for name, w in params.named_weights().items()}
+    return bits, weights
+
+
+@settings(max_examples=100)
+@given(
+    variational=st.booleans(),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    depth=st.integers(1, 3),
+    dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    beta=st.sampled_from([0.0, 0.5, 1.0]),
+    epochs=st.integers(0, 6),
+    learning_rate=st.sampled_from([0.01, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+    molecules=st.lists(st.integers(0, 29), min_size=1, max_size=3),
+)
+# more than eight molecules, where a 2-D np.mean would sum in another order
+@example(True, "adam", 2, (3, 3, 3), 1.0, 2, 0.01, 1, list(range(12)))
+# the shared loop and the oracle must abort alike: epoch 1, bromoacetic acid
+@example(True, "sgd", 1, (3, 4, 5), 1.0, 15, 0.01, 3, [0, 1, 2, 3, 4])
+def test_the_shared_loop_matches_the_separate_loops(
+    corpus_data, variational, optimizer, depth, dims, beta, epochs, learning_rate, seed, molecules
+):
+    config = TrainConfig(
+        dims=dims, depth=depth, learning_rate=learning_rate, epochs=epochs, seed=seed,
+        optimizer=optimizer, beta=beta,
+    )
+    dataset = [corpus_data[i] for i in molecules]
+    if variational:
+        oracle, shared = train_oracle.train_vgae, train_vgae
+    else:
+        oracle, shared = train_oracle.train_gae, train_gae
+    assert _run(shared, dataset, config) == _run(oracle, dataset, config)
