@@ -11,7 +11,6 @@ learning framework required.
 from .autodiff import Tensor, backward, grad_check, no_grad
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gnn import (
-    GcnLayer,
     GnnStack,
     gnn_forward,
     gnn_forward_variational,
@@ -47,7 +46,6 @@ from .models import (
     kl_standard_normal,
     mean_edge_auc,
     reconstruction_loss,
-    reparameterize,
     vgae_losses,
     zero_noise,
 )

@@ -13,6 +13,7 @@ config mismatches.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .models import (
     encode_for_inference,
     interpolate_latent,
 )
-from .molgraph import MoleculeRecord, hill_formula, load_molecules
+from .molgraph import MolecularGraph, hill_formula, load_molecules
 from .smiles import SmilesError, parse_smiles
 from .train import (
     OPTIMIZERS,
@@ -106,13 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_failures(records: list[MoleculeRecord]) -> int:
-    failures = 0
-    for record in records:
+def _load_graphs(path: str) -> tuple[list[MolecularGraph], int]:
+    """Parse a molecule file, reporting each bad line on stderr; returns
+    (the parsed graphs, the number of bad lines)."""
+    graphs, failures = [], 0
+    for record in load_molecules(path):
         if record.error is not None:
             failures += 1
             print(f"line {record.line_number}: {record.error}", file=sys.stderr)
-    return failures
+        else:
+            graphs.append(record.graph)
+    return graphs, failures
 
 
 def _matrix_doc(array: np.ndarray) -> dict:
@@ -129,23 +134,9 @@ def _write_json(doc: dict, out: str | None) -> None:
             handle.write(text)
 
 
-def _load_dataset(path: str) -> tuple[list[MoleculeData], int]:
-    """Parse a molecule file into model inputs; returns (dataset, failures)."""
-    records = load_molecules(path)
-    failures = _report_failures(records)
-    dataset = [
-        MoleculeData.from_graph(record.graph) for record in records if record.graph is not None
-    ]
-    return dataset, failures
-
-
 def cmd_parse(args) -> int:
-    records = load_molecules(args.input)
-    failures = _report_failures(records)
-    for record in records:
-        graph = record.graph
-        if graph is None:
-            continue
+    graphs, failures = _load_graphs(args.input)
+    for graph in graphs:
         print(
             f"{graph.name}: atoms={graph.num_atoms} bonds={graph.num_bonds} "
             f"rings={graph.ring_count} formula={graph.formula()}"
@@ -154,13 +145,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    records = load_molecules(args.input)
-    failures = _report_failures(records)
+    graphs, failures = _load_graphs(args.input)
     molecules = []
-    for record in records:
-        graph = record.graph
-        if graph is None:
-            continue
+    for graph in graphs:
         data = MoleculeData.from_graph(graph)
         groups = []
         for group in data.group_set:
@@ -193,28 +180,35 @@ def cmd_train(args) -> int:
         )
     except ValueError as err:
         args.usage_error(str(err))  # exits 2, before any input is read
-    dataset, failures = _load_dataset(args.input)
+    graphs, failures = _load_graphs(args.input)
     if failures:
         return 1
-    if not dataset:
+    if not graphs:
         print("no molecules to train on", file=sys.stderr)
         return 1
+    dataset = [MoleculeData.from_graph(graph) for graph in graphs]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.model == "vgae":
-        params, trace = train_vgae(dataset, config)
-        csv_text = vgae_trace_csv(trace)
-        final = f"final elbo {trace[-1].elbo}" if trace else "no epochs run"
-    else:
-        params, trace = train_gae(dataset, config)
-        csv_text = gae_trace_csv(trace)
-        final = f"final loss {trace[-1]}" if trace else "no epochs run"
-
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     checkpoint_path = out_dir / "checkpoint.json"
     trace_path = out_dir / "trace.csv"
-    save_checkpoint(params, checkpoint_path)
-    with atomic_write(trace_path) as handle:
-        handle.write(csv_text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
+        if args.model == "vgae":
+            params, trace = train_vgae(dataset, config)
+            csv_text = vgae_trace_csv(trace)
+            final = f"final elbo {trace[-1].elbo}" if trace else "no epochs run"
+        else:
+            params, trace = train_gae(dataset, config)
+            csv_text = gae_trace_csv(trace)
+            final = f"final loss {trace[-1]}" if trace else "no epochs run"
+        save_checkpoint(params, checkpoint_path)
+        with atomic_write(trace_path) as handle:
+            handle.write(csv_text)
+    except BaseException:
+        for path in created:  # deepest first; rmdir leaves whatever was written
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     print(
         f"trained {args.model} on {len(dataset)} molecules for {config.epochs} epochs; "
         f"{final}; checkpoint: {checkpoint_path}; trace: {trace_path}"
@@ -224,15 +218,11 @@ def cmd_train(args) -> int:
 
 def cmd_embed(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    records = load_molecules(args.input)
-    failures = _report_failures(records)
+    graphs, failures = _load_graphs(args.input)
     molecules = []
     try:
         with ad.no_grad():
-            for record in records:
-                graph = record.graph
-                if graph is None:
-                    continue
+            for graph in graphs:
                 data = MoleculeData.from_graph(graph)
                 embeddings = encode_for_inference(params, data)
                 doc = {

@@ -10,8 +10,6 @@ stack variational, with log-std clamped to [-10, 10] before exponentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -20,65 +18,31 @@ from .autodiff import Tensor
 LOG_STD_CLAMP = 10.0
 
 
-@dataclass
-class GcnLayer:
-    weight: Tensor
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weight.shape[1]
-
-
 class GnnStack:
-    """A trunk of chaining layers, then linear heads of one shape that each read
-    the trunk's output: one head for a GAE tier, mean and log-std heads for
-    a VGAE tier."""
+    """A trunk of chaining relu layers, then linear heads of one shape that
+    each read the trunk's output: one head for a GAE tier, mean and log-std
+    heads for a VGAE tier. Each layer is its (input, output) weight matrix."""
 
-    def __init__(self, trunk: list[GcnLayer], heads: list[GcnLayer]):
+    def __init__(self, trunk: list[Tensor], heads: list[Tensor]):
         if not heads:
             raise ValueError("a stack needs at least one head")
         chain = [*trunk, heads[0]]
         for first, second in zip(chain, chain[1:]):
-            if first.output_dim != second.input_dim:
+            if first.shape[1] != second.shape[0]:
                 raise ValueError(
-                    f"layer dimensions do not chain: {first.output_dim} -> {second.input_dim}"
+                    f"layer dimensions do not chain: {first.shape[1]} -> {second.shape[0]}"
                 )
-        if any(head.weight.shape != heads[0].weight.shape for head in heads):
+        if any(head.shape != heads[0].shape for head in heads):
             raise ValueError("heads must all have the same shape")
-        if any(head.activation != "none" for head in heads):
-            raise ValueError("heads must be linear")
-        if any(layer.activation != "relu" for layer in trunk):
-            raise ValueError("trunk layers must be relu")
         self.trunk = list(trunk)
         self.heads = list(heads)
 
     @property
-    def layers(self) -> list[GcnLayer]:
-        return self.trunk + self.heads
-
-    @property
-    def depth(self) -> int:
-        return len(self.trunk) + 1
-
-    @property
     def input_dim(self) -> int:
-        return self.layers[0].input_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.heads[0].output_dim
+        return (self.trunk or self.heads)[0].shape[0]
 
     def weights(self) -> list[Tensor]:
-        return [layer.weight for layer in self.layers]
+        return self.trunk + self.heads
 
 
 def degree_scale(adjacency: np.ndarray) -> np.ndarray:
@@ -132,8 +96,7 @@ def _stack_outputs(
         raise ad.ShapeError(
             f"features have width {features.shape[1]}, stack expects {stack.input_dim}"
         )
-    weights = [layer.weight for layer in stack.trunk], [head.weight for head in stack.heads]
-    return ad.gcn_stack(propagator.values, features, *weights, LOG_STD_CLAMP)
+    return ad.gcn_stack(propagator.values, features, stack.trunk, stack.heads, LOG_STD_CLAMP)
 
 
 def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:

@@ -53,18 +53,6 @@ class GroupSet:
     def kinds(self) -> list[str]:
         return [g.kind for g in self.groups]
 
-    @property
-    def functional_group_count(self) -> int:
-        return sum(1 for g in self.groups if g.kind == FUNCTIONAL_GROUP)
-
-    @property
-    def aromatic_ring_count(self) -> int:
-        return sum(1 for g in self.groups if g.kind == AROMATIC_RING)
-
-    @property
-    def component_count(self) -> int:
-        return sum(1 for g in self.groups if g.kind == COMPONENT)
-
     def __len__(self) -> int:
         return len(self.groups)
 

@@ -18,9 +18,8 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, kl_standard_normal
 from .gnn import (
-    GcnLayer,
     GnnStack,
     degree_scale,
     gnn_forward,
@@ -129,14 +128,6 @@ class TieredEmbeddings:
     data: MoleculeData
 
 
-@dataclass
-class TierStats:
-    """Posterior statistics of one variational tier."""
-
-    mean: Tensor
-    std: Tensor
-
-
 def param_spec(
     variational: bool, dims: Sequence[int], depth: int, input_dim: int = NODE_FEATURE_DIM
 ) -> list[tuple[str, tuple[int, int]]]:
@@ -211,8 +202,7 @@ class TieredParams:
         per_tier = (len(tensors) - 2) // 3
         encoders = tuple(
             GnnStack(
-                [GcnLayer(w, "relu") for w in tensors[start : start + depth - 1]],
-                [GcnLayer(w, "none") for w in tensors[start + depth - 1 : start + per_tier]],
+                tensors[start : start + depth - 1], tensors[start + depth - 1 : start + per_tier]
             )
             for start in range(0, 3 * per_tier, per_tier)
         )
@@ -249,44 +239,43 @@ class TieredVgaeParams(TieredParams):
 # Encoding
 
 
+def _encode(params, data: MoleculeData, noise: NoiseSource | None):
+    """GNN, pool to groups, GNN, pool to the molecule, GNN, over the
+    molecule's constants. With ``noise`` each tier's stack gives (mean, std),
+    its embedding is a reparameterized sample and its mean is pooled.
+    Returns the embeddings and the per-tier (mean, std) pairs, if any."""
+    # gnn_forward and gnn_forward_variational are read from this module's
+    # globals on every call, where perfbench's tracer rebinds them.
+    propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
+    pools = (data.atoms_to_groups, data.groups_to_molecule)
+    features = data.atom_features
+    embeddings, stats = [], []
+    for tier, stack in enumerate(params.encoders):
+        if noise is None:
+            pooled = embedding = gnn_forward(stack, propagators[tier], features)
+        else:
+            pooled, std = gnn_forward_variational(stack, propagators[tier], features)
+            stats.append((pooled, std))
+            embedding = ad.reparameterize(pooled, std, noise(pooled.shape))
+        embeddings.append(embedding)
+        if tier < 2:
+            features = ad.matmul(pools[tier], pooled)
+    return TieredEmbeddings(*embeddings, data), stats
+
+
 def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddings:
-    """Encode one molecule: GNN, pool to groups, GNN, pool to the molecule,
-    GNN. Propagators and pooling matrices are the molecule's constants."""
-    node = gnn_forward(params.encoders[0], data.atom_propagator(), data.atom_features)
-    group = gnn_forward(
-        params.encoders[1], data.group_propagator, ad.matmul(data.atoms_to_groups, node)
-    )
-    graph = gnn_forward(
-        params.encoders[2], data.molecule_propagator, ad.matmul(data.groups_to_molecule, group)
-    )
-    return TieredEmbeddings(node, group, graph, data)
-
-
-def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
-    """Sample mean + std * noise with gradients through mean and std."""
-    if noise.shape != mean.shape:
-        raise ad.ShapeError(f"noise shape {noise.shape} does not match {mean.shape}")
-    return ad.reparameterize(mean, std, noise)
+    """Encode one molecule through the deterministic tiers (see :func:`_encode`)."""
+    return _encode(params, data, None)[0]
 
 
 def encode_tiered_variational(
     params: TieredVgaeParams, data: MoleculeData, noise: NoiseSource
-) -> tuple[TieredEmbeddings, list[TierStats]]:
-    """Variational encoding. Pooling consumes posterior means, so only the
-    sampled embeddings (fed to the decoder) depend on the noise; with zero
-    noise every sample equals its mean."""
-    stats: list[TierStats] = []
-    samples: list[Tensor] = []
-    propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
-    pools = (data.atoms_to_groups, data.groups_to_molecule)
-    features = data.atom_features
-    for tier, stack in enumerate(params.encoders):
-        mean, std = gnn_forward_variational(stack, propagators[tier], features)
-        stats.append(TierStats(mean, std))
-        samples.append(reparameterize(mean, std, noise(mean.shape)))
-        if tier < 2:
-            features = ad.matmul(pools[tier], mean)
-    return TieredEmbeddings(samples[0], samples[1], samples[2], data), stats
+) -> tuple[TieredEmbeddings, list[tuple[Tensor, Tensor]]]:
+    """Variational encoding: the sampled embeddings and each tier's
+    (mean, std). Pooling consumes posterior means, so only the samples (fed
+    to the decoder) depend on the noise; with zero noise every sample
+    equals its mean."""
+    return _encode(params, data, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +359,6 @@ def reconstruction_loss(
     )
 
 
-def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
-    """KL(N(mean, std^2) || N(0, 1)) summed over all entries:
-    1/2 * sum(mean^2 + std^2 - 1 - ln std^2)."""
-    if mean.shape != std.shape:
-        raise ad.ShapeError(f"mean {mean.shape} and std {std.shape} differ")
-    return ad.kl_standard_normal(mean, std)
-
-
 def gae_loss(params: TieredGaeParams, data: MoleculeData, feature_weight: float = 0.1) -> Tensor:
     """Full forward pass to the reconstruction loss of one molecule."""
     embeddings = encode_tiered(params, data)
@@ -399,9 +380,9 @@ def vgae_losses(
     recon = reconstruction_loss(
         edge_probs, feature_recon, data.adjacency, data.features, feature_weight, data.edge_weights
     )
-    kl_total = kl_standard_normal(stats[0].mean, stats[0].std)
+    kl_total = kl_standard_normal(*stats[0])
     for tier_stats in stats[1:]:
-        kl_total = ad.add(kl_total, kl_standard_normal(tier_stats.mean, tier_stats.std))
+        kl_total = ad.add(kl_total, kl_standard_normal(*tier_stats))
     return recon, kl_total
 
 

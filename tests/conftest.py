@@ -1,6 +1,7 @@
 import importlib.util
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -43,13 +44,29 @@ def vanillin() -> MolecularGraph:
     return parse_smiles(VANILLIN, name="vanillin")
 
 
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded as the module ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def perfbench_gen():
     """The benchmark's input generators, ``perfbench/gen.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+    return _perfbench_module("gen")
+
+
+@pytest.fixture
+def perfbench_tracer(monkeypatch):
+    """The benchmark's tracer, ``perfbench/tracer.py``. Its targets name the
+    benchmark's ``pipeline`` module, which is importable for the test."""
+    pipeline = sys.modules.get("pipeline") or _perfbench_module("pipeline")
+    monkeypatch.setitem(sys.modules, "pipeline", pipeline)
+    return _perfbench_module("tracer")
 
 
 @pytest.fixture(scope="session")

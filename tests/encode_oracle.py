@@ -1,0 +1,81 @@
+"""The tiered encoders as they were before GAE and VGAE shared one tier walk.
+
+``encode_tiered`` and ``encode_tiered_variational`` each walked the three
+tiers themselves, with a ``reparameterize`` that checked the noise shape and
+a ``kl_standard_normal`` that checked the stats' shapes before the fused
+ops did. Tests use these copies as the oracle the shared walk in
+``moltiers.models`` must match bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from moltiers import autodiff as ad
+from moltiers.autodiff import Tensor
+from moltiers.gnn import gnn_forward, gnn_forward_variational
+from moltiers.models import (
+    MoleculeData,
+    NoiseSource,
+    TieredEmbeddings,
+    TieredGaeParams,
+    TieredVgaeParams,
+)
+
+
+@dataclass
+class TierStats:
+    """Posterior statistics of one variational tier."""
+
+    mean: Tensor
+    std: Tensor
+
+
+def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddings:
+    """Encode one molecule: GNN, pool to groups, GNN, pool to the molecule,
+    GNN. Propagators and pooling matrices are the molecule's constants."""
+    node = gnn_forward(params.encoders[0], data.atom_propagator(), data.atom_features)
+    group = gnn_forward(
+        params.encoders[1], data.group_propagator, ad.matmul(data.atoms_to_groups, node)
+    )
+    graph = gnn_forward(
+        params.encoders[2], data.molecule_propagator, ad.matmul(data.groups_to_molecule, group)
+    )
+    return TieredEmbeddings(node, group, graph, data)
+
+
+def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
+    """Sample mean + std * noise with gradients through mean and std."""
+    if noise.shape != mean.shape:
+        raise ad.ShapeError(f"noise shape {noise.shape} does not match {mean.shape}")
+    return ad.reparameterize(mean, std, noise)
+
+
+def encode_tiered_variational(
+    params: TieredVgaeParams, data: MoleculeData, noise: NoiseSource
+) -> tuple[TieredEmbeddings, list[TierStats]]:
+    """Variational encoding. Pooling consumes posterior means, so only the
+    sampled embeddings (fed to the decoder) depend on the noise; with zero
+    noise every sample equals its mean."""
+    stats: list[TierStats] = []
+    samples: list[Tensor] = []
+    propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
+    pools = (data.atoms_to_groups, data.groups_to_molecule)
+    features = data.atom_features
+    for tier, stack in enumerate(params.encoders):
+        mean, std = gnn_forward_variational(stack, propagators[tier], features)
+        stats.append(TierStats(mean, std))
+        samples.append(reparameterize(mean, std, noise(mean.shape)))
+        if tier < 2:
+            features = ad.matmul(pools[tier], mean)
+    return TieredEmbeddings(samples[0], samples[1], samples[2], data), stats
+
+
+def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
+    """KL(N(mean, std^2) || N(0, 1)) summed over all entries:
+    1/2 * sum(mean^2 + std^2 - 1 - ln std^2)."""
+    if mean.shape != std.shape:
+        raise ad.ShapeError(f"mean {mean.shape} and std {std.shape} differ")
+    return ad.kl_standard_normal(mean, std)

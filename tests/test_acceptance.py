@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import moltiers.autodiff as ad
-from moltiers.gnn import GcnLayer, GnnStack
+from moltiers.gnn import GnnStack
 from moltiers.grouping import (
     AROMATIC_RING,
     COMPONENT,
@@ -274,16 +274,8 @@ def deterministic_twin(gae):
     head and the log-std head is zero."""
     encoders = []
     for stack in gae.encoders:
-        last = stack.layers[-1]
-        encoders.append(
-            GnnStack(
-                list(stack.layers[:-1]),
-                [
-                    GcnLayer(last.weight, "none"),
-                    GcnLayer(ad.parameter(np.zeros(last.weight.shape)), "none"),
-                ],
-            )
-        )
+        last = stack.heads[0]
+        encoders.append(GnnStack(stack.trunk, [last, ad.parameter(np.zeros(last.shape))]))
     return TieredVgaeParams(
         encoders=tuple(encoders),
         pair_decoder=gae.pair_decoder,

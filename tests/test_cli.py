@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import moltiers.autodiff as ad
+from moltiers import cli
 from moltiers.cli import main
 
 SMALL_CORPUS = "CCO ethanol\nCC(=O)O acetic-acid\nO=Cc1ccc(O)c(OC)c1 vanillin\n"
@@ -173,6 +174,34 @@ def test_train_with_a_non_finite_gradient_exits_3(tmp_path, corpus_file, capsys,
     assert "its gradient was not" in err
     assert not (out / "checkpoint.json").exists()
     assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_an_aborted_train_removes_only_the_out_directories_it_created(
+    tmp_path, corpus_path, capsys, existing
+):
+    out = tmp_path / "a" / "b"
+    if existing:
+        out.mkdir(parents=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--input", str(corpus_path), "--out", str(out), "--model", "vgae",
+                     "--optimizer", "sgd", "--layers", "1", "--dims", "3,4,5", "--epochs", "20",
+                     "--seed", "0"])
+    assert code == 3
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == "training aborted: non-finite loss at epoch 1 on molecule 'acrylic-acid'"
+    assert (tmp_path / "a").exists() == out.exists() == existing
+    assert tmp_path.exists()
+
+
+def test_an_unwritable_out_fails_before_training_and_leaves_no_directory(
+    tmp_path, corpus_file, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "train_gae", lambda *args: pytest.fail("training ran"))
+    out = tmp_path / "a" / ("x" * 300)  # "a" is made, then the long name fails
+    assert main(["train", "--input", corpus_file, "--out", str(out)]) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_train_on_unparseable_corpus_exits_1(tmp_path, capsys):

@@ -7,7 +7,6 @@ from chain_oracle import reduce_sum
 import moltiers.autodiff as ad
 from moltiers.gnn import (
     LOG_STD_CLAMP,
-    GcnLayer,
     GnnStack,
     gnn_forward,
     gnn_forward_variational,
@@ -81,30 +80,25 @@ def test_normalize_input_validation():
 def test_gcn_stack_shapes_and_activations():
     rng = np.random.default_rng(0)
     stack = TieredGaeParams.init(rng, (8, 8, 8), depth=3, input_dim=16).encoders[0]
-    assert stack.depth == 3
+    # two relu trunk layers, then the one linear head
+    assert len(stack.trunk) == 2
     assert len(stack.heads) == 1
-    assert [layer.weight.shape for layer in stack.layers] == [(16, 8), (8, 8), (8, 8)]
-    assert [layer.activation for layer in stack.layers] == ["relu", "relu", "none"]
+    assert [weight.shape for weight in stack.weights()] == [(16, 8), (8, 8), (8, 8)]
     assert stack.input_dim == 16
-    assert stack.output_dim == 8
     with pytest.raises(ValueError, match="depth"):
         TieredGaeParams.init(rng, (4, 4, 4), 0)
 
 
 def test_stack_rejects_non_chaining_dimensions():
-    a = GcnLayer(ad.parameter(np.zeros((4, 3))))
-    b = GcnLayer(ad.parameter(np.zeros((5, 2))))
-    head = GcnLayer(ad.parameter(np.zeros((2, 2))), "none")
+    a = ad.parameter(np.zeros((4, 3)))
+    b = ad.parameter(np.zeros((5, 2)))
+    head = ad.parameter(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="do not chain"):
         GnnStack([a, b], [head])
     with pytest.raises(ValueError, match="do not chain"):
         GnnStack([a], [head])
     with pytest.raises(ValueError, match="at least one head"):
         GnnStack([a], [])
-    with pytest.raises(ValueError, match="trunk layers must be relu"):
-        GnnStack([GcnLayer(ad.parameter(np.zeros((4, 2))), "none")], [head])
-    with pytest.raises(ValueError, match="unknown activation"):
-        GcnLayer(ad.parameter(np.zeros((2, 2))), activation="tanh")
 
 
 def test_single_linear_layer_forward_matches_numpy():
@@ -112,7 +106,7 @@ def test_single_linear_layer_forward_matches_numpy():
     A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     X = rng.standard_normal((3, 4))
     W = rng.standard_normal((4, 2))
-    stack = GnnStack([], [GcnLayer(ad.parameter(W), "none")])
+    stack = GnnStack([], [ad.parameter(W)])
     out = gnn_forward(stack, propagator(A), ad.constant(X))
     expected = normalize_adjacency(A) @ X @ W
     assert np.allclose(out.values, expected, atol=1e-12)
@@ -122,8 +116,8 @@ def test_single_linear_layer_forward_matches_numpy():
 def test_relu_hidden_layer_blocks_negative_channels():
     A = np.zeros((2, 2))
     X = np.ones((2, 1))
-    hidden = GcnLayer(ad.parameter(np.array([[-1.0]])), "relu")
-    out_layer = GcnLayer(ad.parameter(np.array([[1.0]])), "none")
+    hidden = ad.parameter(np.array([[-1.0]]))
+    out_layer = ad.parameter(np.array([[1.0]]))
     out = gnn_forward(GnnStack([hidden], [out_layer]), propagator(A), ad.constant(X))
     assert np.allclose(out.values, 0.0)
     ad.backward(reduce_sum(out))
@@ -155,23 +149,21 @@ def test_variational_stack_structure():
     rng = np.random.default_rng(2)
     stack = TieredVgaeParams.init(rng, (6, 3, 3), depth=3).encoders[1]
     assert len(stack.trunk) == 2
-    assert stack.depth == 3
-    assert [head.weight.shape for head in stack.heads] == [(3, 3), (3, 3)]
-    assert [layer.activation for layer in stack.layers] == ["relu", "relu", "none", "none"]
+    assert [head.shape for head in stack.heads] == [(3, 3), (3, 3)]
     assert stack.input_dim == 6
-    assert stack.output_dim == 3
     assert len(stack.weights()) == 4
     # depth 1 keeps only the two heads
     shallow = TieredVgaeParams.init(rng, (6, 3, 3), 1).encoders[1]
     assert shallow.trunk == []
-    assert [head.weight.shape for head in shallow.heads] == [(6, 3), (6, 3)]
+    assert [head.shape for head in shallow.heads] == [(6, 3), (6, 3)]
+    assert shallow.input_dim == 6
 
 
 def test_variational_head_validation():
-    trunk = [GcnLayer(ad.parameter(np.zeros((4, 3))), "relu")]
-    good = GcnLayer(ad.parameter(np.zeros((3, 2))), "none")
-    bad_in = GcnLayer(ad.parameter(np.zeros((5, 2))), "none")
-    bad_out = GcnLayer(ad.parameter(np.zeros((3, 6))), "none")
+    trunk = [ad.parameter(np.zeros((4, 3)))]
+    good = ad.parameter(np.zeros((3, 2)))
+    bad_in = ad.parameter(np.zeros((5, 2)))
+    bad_out = ad.parameter(np.zeros((3, 6)))
     with pytest.raises(ValueError, match="do not chain"):
         GnnStack(trunk, [bad_in, good])
     with pytest.raises(ValueError, match="same shape"):
@@ -192,13 +184,13 @@ def test_variational_forward_returns_positive_std():
 
 def test_log_std_is_clamped_before_exp():
     # a huge log-std weight must saturate at exp(LOG_STD_CLAMP), not overflow
-    huge = GcnLayer(ad.parameter(np.full((1, 1), 1e6)), "none")
-    mean_head = GcnLayer(ad.parameter(np.ones((1, 1))), "none")
+    huge = ad.parameter(np.full((1, 1), 1e6))
+    mean_head = ad.parameter(np.ones((1, 1)))
     stack = GnnStack([], [mean_head, huge])
     A = np.zeros((1, 1))
     _, std = gnn_forward_variational(stack, propagator(A), ad.constant(np.ones((1, 1))))
     assert np.allclose(std.values, np.exp(LOG_STD_CLAMP))
-    tiny = GcnLayer(ad.parameter(np.full((1, 1), -1e6)), "none")
+    tiny = ad.parameter(np.full((1, 1), -1e6))
     stack = GnnStack([], [mean_head, tiny])
     _, std = gnn_forward_variational(stack, propagator(A), ad.constant(np.ones((1, 1))))
     assert np.allclose(std.values, np.exp(-LOG_STD_CLAMP))

@@ -7,6 +7,7 @@ variational one with unit std and zero noise.
 
 from dataclasses import replace
 
+import encode_oracle
 import numpy as np
 import pytest
 from chain_oracle import assert_same_bits, reduce_sum
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
-from moltiers.gnn import GcnLayer, GnnStack
+from moltiers.gnn import GnnStack
 from moltiers.models import (
     MoleculeData,
     TieredEmbeddings,
@@ -35,7 +36,6 @@ from moltiers.models import (
     kl_standard_normal,
     mean_edge_auc,
     reconstruction_loss,
-    reparameterize,
     vgae_losses,
     zero_noise,
 )
@@ -293,10 +293,10 @@ def test_reparameterize_is_mean_plus_std_times_noise():
     mean = ad.constant([[1.0, 2.0]])
     std = ad.constant([[0.5, 3.0]])
     noise = np.array([[2.0, -1.0]])
-    sample = reparameterize(mean, std, noise)
+    sample = ad.reparameterize(mean, std, noise)
     assert np.array_equal(sample.values, [[2.0, -1.0]])
     with pytest.raises(ad.ShapeError):
-        reparameterize(mean, std, np.zeros((2, 2)))
+        ad.reparameterize(mean, std, np.zeros((2, 2)))
 
 
 def test_noise_sources():
@@ -313,13 +313,9 @@ def deterministic_twin(gae, input_dim=16):
     the log-std head is all zeros, so std is 1 everywhere."""
     encoders = []
     for stack in gae.encoders:
-        trunk = stack.layers[:-1]
-        last = stack.layers[-1]
-        mean_head = GcnLayer(last.weight, "none")
-        log_std = GcnLayer(
-            ad.parameter(np.zeros(last.weight.shape)), "none"
-        )
-        encoders.append(GnnStack(list(trunk), [mean_head, log_std]))
+        last = stack.heads[0]
+        log_std = ad.parameter(np.zeros(last.shape))
+        encoders.append(GnnStack(stack.trunk, [last, log_std]))
     return TieredVgaeParams(
         encoders=tuple(encoders),
         pair_decoder=gae.pair_decoder,
@@ -345,10 +341,10 @@ def test_variational_encoding_with_zero_noise_equals_means(ethanol_data):
     params = TieredVgaeParams.init(np.random.default_rng(4), (3, 3, 3), 2)
     with ad.no_grad():
         emb, stats = encode_tiered_variational(params, ethanol_data, zero_noise)
-    assert np.array_equal(emb.node.values, stats[0].mean.values)
-    assert np.array_equal(emb.group.values, stats[1].mean.values)
-    assert np.array_equal(emb.graph.values, stats[2].mean.values)
-    assert all(np.all(s.std.values > 0) for s in stats)
+    assert np.array_equal(emb.node.values, stats[0][0].values)
+    assert np.array_equal(emb.group.values, stats[1][0].values)
+    assert np.array_equal(emb.graph.values, stats[2][0].values)
+    assert all(np.all(std.values > 0) for _, std in stats)
 
 
 def test_elbo_is_negated_penalized_loss(ethanol_data):
@@ -369,8 +365,57 @@ def test_noisy_sample_changes_decoder_input_only(ethanol_data):
         )
     # pooling consumes means, so posterior statistics ignore the noise draw
     for a, b in zip(stats_zero, stats_noisy):
-        assert np.array_equal(a.mean.values, b.mean.values)
-        assert np.array_equal(a.std.values, b.std.values)
+        assert np.array_equal(a[0].values, b[0].values)
+        assert np.array_equal(a[1].values, b[1].values)
+
+
+def _oracle_encode(params, data, noise):
+    if noise is None:
+        return encode_oracle.encode_tiered(params, data), []
+    embeddings, stats = encode_oracle.encode_tiered_variational(params, data, noise)
+    return embeddings, [(tier.mean, tier.std) for tier in stats]
+
+
+def _shared_encode(params, data, noise):
+    if noise is None:
+        return encode_tiered(params, data), []
+    return encode_tiered_variational(params, data, noise)
+
+
+def _encoding(encode, kl, params, data, seed):
+    """Dtype, shape and bytes of each tier's embedding, (mean, std) and KL,
+    the tape length after decode + loss, and every weight's gradient."""
+    noise = gaussian_noise(np.random.default_rng(seed)) if params.variational else None
+    embeddings, stats = encode(params, data, noise)
+    kls = [kl(mean, std) for mean, std in stats]
+    loss = reconstruction_loss(*decode(params, embeddings), data.adjacency, data.features)
+    for term in kls:
+        loss = ad.add(loss, term)
+    tensors = [embeddings.node, embeddings.group, embeddings.graph, *sum(stats, ()), *kls]
+    tape = ad.tape_size()
+    for weight in params.trainable():
+        weight.grad = None
+    ad.backward(loss)
+    arrays = [t.values for t in tensors] + [w.grad for w in params.trainable()]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], tape
+
+
+@settings(max_examples=60)
+@given(
+    variational=st.booleans(),
+    depth=st.integers(1, 3),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    molecule=st.integers(0, 29),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_shared_tier_walk_matches_the_separate_encoders(
+    corpus_data, variational, depth, dims, molecule, seed
+):
+    model = TieredVgaeParams if variational else TieredGaeParams
+    params = model.init(np.random.default_rng(seed), dims, depth)
+    data = corpus_data[molecule]
+    expected = _encoding(_oracle_encode, encode_oracle.kl_standard_normal, params, data, seed)
+    assert _encoding(_shared_encode, kl_standard_normal, params, data, seed) == expected
 
 
 def permuted(graph, perm):
@@ -384,7 +429,7 @@ def permuted(graph, perm):
 
 def _molecule_embedding_and_tier_kl(params, data):
     embeddings, stats = encode_tiered_variational(params, data, zero_noise)
-    kl = [kl_standard_normal(tier.mean, tier.std).item() for tier in stats]
+    kl = [kl_standard_normal(*tier).item() for tier in stats]
     return embeddings.graph.values, np.array(kl)
 
 

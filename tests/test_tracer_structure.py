@@ -1,0 +1,49 @@
+"""The benchmark tracer's view of a training run: which spans nest where.
+
+The benchmark's per-layer numbers name each encoder tier by the order of
+the forwards inside an encode span and count KL evaluations per step, so
+the encoder must keep calling its patched bindings in that shape. The
+tracer patches module bindings, so calls here go through module attributes.
+"""
+
+import numpy as np
+
+from moltiers import models, train
+from moltiers.smiles import parse_smiles
+
+TIERS = ["gnn.forward.atom", "gnn.forward.group", "gnn.forward.molecule"]
+
+
+def test_encode_spans_hold_the_three_tiers_and_vgae_steps_three_kl_spans(perfbench_tracer):
+    smiles = ("CCO", "O=Cc1ccc(O)c(OC)c1")
+    dataset = [models.MoleculeData.from_graph(parse_smiles(text)) for text in smiles]
+    config = train.TrainConfig(dims=(3, 3, 3), depth=2, epochs=2, seed=0)
+    with perfbench_tracer.Tracer() as tracer:
+        gae, _ = train.train_gae(dataset, config)
+        vgae, _ = train.train_vgae(dataset, config)
+        aucs = [models.mean_edge_auc(params, dataset) for params in (gae, vgae)]
+    assert all(np.isfinite(aucs))
+
+    spans = tracer.spans
+    children = [[] for _ in spans]
+    for name, _, _, parent, _ in spans:
+        if parent >= 0:
+            children[parent].append(name)
+    encodes = [index for index, span in enumerate(spans) if span[0] == "models.encode"]
+    # one per step, 2 molecules x 2 epochs per model, and one per evaluated molecule
+    assert len(encodes) == 2 * 4 + 2 * 2
+    assert all(children[index] == TIERS for index in encodes)
+
+    loops = [index for index, span in enumerate(spans) if span[0] == "train.loop"]
+    assert len(loops) == 2  # GAE, then VGAE
+
+    def loop_of(index):
+        while spans[index][3] >= 0:
+            index = spans[index][3]
+        return index
+
+    steps = [index for index, span in enumerate(spans) if span[0] == "models.step"]
+    kl_per_step = {loop: [] for loop in loops}
+    for index in steps:
+        kl_per_step[loop_of(index)].append(children[index].count("models.kl"))
+    assert kl_per_step == {loops[0]: [0] * 4, loops[1]: [3] * 4}
