@@ -7,9 +7,11 @@ accumulating gradients additively into every tensor that participated, then
 clears the tape. The tape is rebuilt on each forward pass, so shapes may
 change freely between passes (graphs of different sizes train in one loop).
 
-Everything is strictly 2-D: scalars are 1x1 matrices and vectors are single
-rows or columns. The only broadcasting rule is scalar-vs-matrix. A tape and
-its tensors belong to one single-threaded training session.
+Recorded tensors are 2-D: scalars are 1x1 matrices and vectors are single
+rows or columns. The only broadcasting rule is scalar-vs-matrix. Evaluation
+also runs padded (B, n, .) stacks through the fused ops under
+:func:`no_grad`, never through :func:`matmul`. A tape and its tensors
+belong to one single-threaded training session.
 """
 
 from __future__ import annotations
@@ -336,14 +338,15 @@ def tiered_decode(
     Z = [node | B_g @ group | B_m @ graph], the constant broadcasts B_g and
     B_m carrying group and molecule rows down to the nodes. The logits are
     clamped to +-SIGMOID_CLAMP, keeping every probability strictly inside
-    (0, 1). Shapes must agree; the encoders' outputs do.
+    (0, 1). Shapes must agree; the encoders' outputs do. Stacked inputs
+    give stacked outputs, under :func:`no_grad` only: the vjp is 2-D.
 
     Z's gradient accumulates as the chain's did: through Z F, then Z^T,
     then Z Theta. Z^T is a view, the F-ordered layout BLAS always saw."""
     rows = [node.values, group_broadcast @ group.values, graph_broadcast @ graph.values]
-    z_vals, p_vals, f_vals = np.hstack(rows), pair.values, feature.values
+    z_vals, p_vals, f_vals = np.concatenate(rows, axis=-1), pair.values, feature.values
     left = z_vals @ p_vals
-    flipped = z_vals.T
+    flipped = np.swapaxes(z_vals, -1, -2)
     # 1 / (1 + exp(-clip(logits))), each step in place over the logits
     probs = left @ flipped
     np.clip(probs, -SIGMOID_CLAMP, SIGMOID_CLAMP, out=probs)

@@ -7,7 +7,7 @@ latent line between two molecules and report decoded edge statistics).
 
 Exit codes: 0 success, 1 when any input line fails to parse, 2 for I/O
 problems, 3 when training aborts on a non-finite loss, 4 for checkpoint or
-config mismatches.
+config mismatches, 5 for usage errors (a bad option or training value).
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ from .train import (
 TOP_EDGES = 10
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's, but exit 5: its 2 is the I/O errors' code
+        self.print_usage(sys.stderr)
+        self.exit(5, f"{self.prog}: error: {message}\n")
+
+
 def _dims(text: str) -> tuple[int, int, int]:
     try:
         first, second, third = (int(part) for part in text.split(","))
@@ -59,7 +65,7 @@ def _steps(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moltiers",
         description="Tiered graph autoencoders for molecules.",
     )
@@ -179,7 +185,7 @@ def cmd_train(args) -> int:
             feature_weight=args.lambda_x,
         )
     except ValueError as err:
-        args.usage_error(str(err))  # exits 2, before any input is read
+        args.usage_error(str(err))  # exits 5, before any input is read
     graphs, failures = _load_graphs(args.input)
     if failures:
         return 1

@@ -84,17 +84,18 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 def _stack_outputs(
     stack: GnnStack, propagator: Tensor, features: Tensor, heads: int
 ) -> tuple[Tensor, ...]:
-    """The outputs of a stack with ``heads`` heads on one graph, as one tape
-    record, after checking ``features`` fit; the propagator is a constant."""
+    """The outputs of a stack with ``heads`` heads on one graph or a padded
+    stack, as one tape record, after checking ``features`` fit; the
+    propagator is a constant."""
     if len(stack.heads) != heads:
         raise ValueError(f"stack head count {len(stack.heads)}, expected {heads}")
-    if features.shape[0] != propagator.shape[0]:
+    if features.shape[-2] != propagator.shape[-2]:
         raise ad.ShapeError(
-            f"features have {features.shape[0]} rows for {propagator.shape[0]} nodes"
+            f"features have {features.shape[-2]} rows for {propagator.shape[-2]} nodes"
         )
-    if features.shape[1] != stack.input_dim:
+    if features.shape[-1] != stack.input_dim:
         raise ad.ShapeError(
-            f"features have width {features.shape[1]}, stack expects {stack.input_dim}"
+            f"features have width {features.shape[-1]}, stack expects {stack.input_dim}"
         )
     return ad.gcn_stack(propagator.values, features, stack.trunk, stack.heads, LOG_STD_CLAMP)
 

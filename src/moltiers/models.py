@@ -104,6 +104,10 @@ class MoleculeData:
         """
         return ad.wrap(scale_adjacency(self.adjacency, self.atom_scale))
 
+    def pool(self, tier: int, rows: Tensor) -> Tensor:
+        """Tier 0's rows summed into groups, or tier 1's into the molecule."""
+        return ad.matmul((self.atoms_to_groups, self.groups_to_molecule)[tier], rows)
+
     @property
     def name(self) -> str:
         return self.graph.name
@@ -115,6 +119,39 @@ class MoleculeData:
     @property
     def num_groups(self) -> int:
         return len(self.group_set)
+
+
+class _MoleculeBatch:
+    """Molecules zero-padded to the most atoms and groups among them and
+    stacked: :class:`MoleculeData`'s attributes with a leading batch axis.
+    Padded rows have zero features, propagator rows and membership, so they
+    stay exactly 0 in every tier. Inference only: it pools with ``np.matmul``."""
+
+    def __init__(self, molecules: Sequence[MoleculeData]):
+        atoms = np.array([data.num_atoms for data in molecules])
+        groups = np.array([data.num_groups for data in molecules])
+        size, n, g = len(molecules), atoms.max(), groups.max()
+        atom_tier, group_tier = np.zeros((size, n, n)), np.zeros((size, g, g))
+        features = np.zeros((size, n, molecules[0].features.shape[1]))
+        self.node_to_group = np.zeros((size, n, g))
+        for k, data in enumerate(molecules):
+            atom_tier[k, : atoms[k], : atoms[k]] = data.atom_propagator().values
+            features[k, : atoms[k]] = data.features
+            group_tier[k, : groups[k], : groups[k]] = data.group_propagator.values
+            self.node_to_group[k, : atoms[k], : groups[k]] = data.node_to_group
+        molecule_tier = np.stack([data.molecule_propagator.values for data in molecules])
+        self._atom_propagator, self.group_propagator = ad.wrap(atom_tier), ad.wrap(group_tier)
+        self.molecule_propagator, self.atom_features = ad.wrap(molecule_tier), ad.wrap(features)
+        self.atoms_to_groups = np.ascontiguousarray(self.node_to_group.transpose(0, 2, 1))
+        self.groups_to_molecule = (np.arange(g) < groups[:, None, None]).astype(np.float64)
+        self.molecule_to_atoms = (np.arange(n)[:, None] < atoms[:, None, None]).astype(np.float64)
+
+    def atom_propagator(self) -> Tensor:
+        return self._atom_propagator
+
+    def pool(self, tier: int, rows: Tensor) -> Tensor:
+        pools = (self.atoms_to_groups, self.groups_to_molecule)
+        return ad.wrap(np.matmul(pools[tier], rows.values))
 
 
 @dataclass
@@ -240,14 +277,13 @@ class TieredVgaeParams(TieredParams):
 
 
 def _encode(params, data: MoleculeData, noise: NoiseSource | None):
-    """GNN, pool to groups, GNN, pool to the molecule, GNN, over the
-    molecule's constants. With ``noise`` each tier's stack gives (mean, std),
+    """GNN, pool to groups, GNN, pool to the molecule, GNN, over the constants
+    of a molecule or a padded batch. With ``noise`` each tier gives (mean, std),
     its embedding is a reparameterized sample and its mean is pooled.
     Returns the embeddings and the per-tier (mean, std) pairs, if any."""
     # gnn_forward and gnn_forward_variational are read from this module's
     # globals on every call, where perfbench's tracer rebinds them.
     propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
-    pools = (data.atoms_to_groups, data.groups_to_molecule)
     features = data.atom_features
     embeddings, stats = [], []
     for tier, stack in enumerate(params.encoders):
@@ -259,7 +295,7 @@ def _encode(params, data: MoleculeData, noise: NoiseSource | None):
             embedding = ad.reparameterize(pooled, std, noise(pooled.shape))
         embeddings.append(embedding)
         if tier < 2:
-            features = ad.matmul(pools[tier], pooled)
+            features = data.pool(tier, pooled)
     return TieredEmbeddings(*embeddings, data), stats
 
 
@@ -443,16 +479,42 @@ def encode_for_inference(params, data: MoleculeData) -> TieredEmbeddings:
     return encode_tiered(params, data)
 
 
+_EVAL_BATCH_CELLS = 16_384  # padded cells B * n_max**2 of one evaluation batch, at most
+
+
+def _size_buckets(dataset: Sequence[MoleculeData]) -> list[list[int]]:
+    """Dataset indices by atom count, cut where a run's B * n_max**2 would
+    pass _EVAL_BATCH_CELLS; a molecule over it on its own is a run of one."""
+    buckets: list[list[int]] = []
+    for index in sorted(range(len(dataset)), key=lambda i: dataset[i].num_atoms):
+        n = dataset[index].num_atoms
+        if not buckets or (len(buckets[-1]) + 1) * n * n > _EVAL_BATCH_CELLS:
+            buckets.append([])
+        buckets[-1].append(index)
+    return buckets
+
+
 def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
-    """Mean per-molecule edge AUC; variational models decode their means."""
+    """Mean per-molecule edge AUC; variational models decode their means.
+    Each size bucket of two or more runs as one padded batch, and each
+    molecule is scored on its own n x n slice. A NaN probability raises for
+    the first such molecule in dataset order."""
     if not dataset:
         raise ValueError("empty dataset")
-    scores = []
+    scores, failures = np.empty(len(dataset)), {}
     with ad.no_grad():
-        for data in dataset:
-            edge_probs, _ = decode(params, encode_for_inference(params, data))
-            try:
-                scores.append(edge_auc(edge_probs.values, data.adjacency))
-            except ValueError as err:
-                raise ValueError(f"molecule {data.name!r}: {err}") from err
+        for bucket in _size_buckets(dataset):
+            members = [dataset[index] for index in bucket]
+            batch = members[0] if len(bucket) == 1 else _MoleculeBatch(members)
+            edge_probs = decode(params, encode_for_inference(params, batch))[0].values
+            edge_probs = edge_probs.reshape(len(bucket), *edge_probs.shape[-2:])
+            for index, data, probs in zip(bucket, members, edge_probs):
+                n = data.num_atoms
+                try:
+                    scores[index] = edge_auc(probs[:n, :n], data.adjacency)
+                except ValueError as err:
+                    failures[index] = err
+    if failures:
+        first, err = min(failures.items())
+        raise ValueError(f"molecule {dataset[first].name!r}: {err}") from err
     return float(np.mean(scores))

@@ -124,7 +124,7 @@ def test_train_rejects_bad_dims(corpus_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["train", "--input", corpus_file, "--out", str(tmp_path / "x"),
               "--dims", "4,4"])
-    assert err.value.code == 2
+    assert err.value.code == 5
     assert "expected D1,D2,D3" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["train", "--input", corpus_file, "--out", str(tmp_path / "x"),
@@ -146,12 +146,14 @@ TRAIN_USAGE_ERRORS = {
 }
 
 
+# The name keeps its old exit code so the test ids stay stable; usage errors
+# exit 5, apart from I/O errors' 2.
 @pytest.mark.parametrize("option", list(TRAIN_USAGE_ERRORS))
 def test_train_usage_errors_exit_2_before_reading_input(tmp_path, capsys, option):
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as err:
         main(["train", "--input", str(tmp_path / "absent.smi"), "--out", str(out), *option.split()])
-    assert err.value.code == 2
+    assert err.value.code == 5
     stderr = capsys.readouterr().err
     assert "i/o error" not in stderr
     last_line = stderr.splitlines()[-1]
@@ -288,5 +290,6 @@ def test_interp_rejects_single_step(trained_dir, capsys):
 
 
 def test_unknown_subcommand_exits_via_argparse():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         main(["compress", "--input", "x"])
+    assert err.value.code == 5

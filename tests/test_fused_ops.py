@@ -487,6 +487,63 @@ def test_full_loss_gradients_match_finite_differences(
         assert any(ad.grad_check(loss, tensor, h) < 1e-4 for h in GRAD_CHECK_STEPS), name
 
 
+# Near-dead GAE inits, (molecule, dims, depth, seed): every edge logit lies
+# within +-0.1, and some gradient entries are nonzero but below 1e-8.
+# ``grad_check`` at its default step reads 9.4e-4, 6.5e-4, 9.5e-4 and 6.0e-4
+# on them, each worst at a ``decoder.pair`` entry of 7e-10 to 1.1e-8.
+NEAR_DEAD_INITS = [
+    ("acetic-acid", (3, 4, 4), 2, 48),
+    ("glyceric-acid", (6, 5, 5), 3, 59),
+    ("crotonaldehyde", (3, 5, 5), 2, 69),
+    ("chloroacetic-acid", (5, 3, 5), 3, 150),
+]
+SWEEP_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
+
+
+@pytest.mark.parametrize("molecule, dims, depth, seed", NEAR_DEAD_INITS)
+def test_an_h_sweep_confirms_gradient_entries_below_the_grad_check_floor(
+    corpus_data, molecule, dims, depth, seed
+):
+    """A central difference at step h carries round-off of about
+    eps * |loss| / h, 1e-11 at ``grad_check``'s default 1e-5, which swamps
+    entries below its relative error's 1e-8 floor. Here each nonzero entry
+    below that floor must agree with the estimate at every step of the sweep
+    to 1e-4 of itself plus 4 eps * |loss| / h. At h = 1e-3 that bound is
+    about 1e-12, so the largest step resolves the entries; no relu input
+    lies within it of the kink."""
+    data = next(data for data in corpus_data if data.name == molecule)
+    params = TieredGaeParams.init(np.random.default_rng(seed), dims, depth)
+    with ad.no_grad():
+        probs = decode(params, encode_tiered(params, data))[0].values
+    assert np.abs(np.log(probs / (1.0 - probs))).max() < 0.1
+    assert not _near_relu_kink(params, data, None)
+
+    loss = gae_loss(params, data)
+    round_off = 4.0 * np.finfo(np.float64).eps * abs(loss.item())
+    ad.backward(loss)
+    checked = 0
+    for name, tensor in params.named_weights().items():
+        analytic, tensor.grad = tensor.grad, None
+        for index in zip(*np.nonzero((analytic != 0.0) & (np.abs(analytic) < 1e-8))):
+            estimates = []
+            with ad.no_grad():
+                for h in SWEEP_STEPS:
+                    original = tensor.values[index]
+                    tensor.values[index] = original + h
+                    high = gae_loss(params, data).item()
+                    tensor.values[index] = original - h
+                    low = gae_loss(params, data).item()
+                    tensor.values[index] = original
+                    estimates.append((high - low) / (2.0 * h))
+            expected = analytic[index]
+            assert all(
+                abs(expected - numeric) <= 1e-4 * abs(expected) + round_off / h
+                for h, numeric in zip(SWEEP_STEPS, estimates)
+            ), (name, index, expected, estimates)
+            checked += 1
+    assert checked > 0
+
+
 def test_the_kink_guard_excludes_a_draw_that_fails_every_step(corpus_data):
     # A tier-1 trunk pre-activation 1.4e-6 from 0: ``tier1.trunk0``'s relative
     # errors read 0.50, 0.71 and 0.73 at the three steps, while h = 1e-6

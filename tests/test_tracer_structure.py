@@ -30,8 +30,9 @@ def test_encode_spans_hold_the_three_tiers_and_vgae_steps_three_kl_spans(perfben
         if parent >= 0:
             children[parent].append(name)
     encodes = [index for index, span in enumerate(spans) if span[0] == "models.encode"]
-    # one per step, 2 molecules x 2 epochs per model, and one per evaluated molecule
-    assert len(encodes) == 2 * 4 + 2 * 2
+    # one per step, 2 molecules x 2 epochs per model, and one per evaluated
+    # batch: both molecules fit one
+    assert len(encodes) == 2 * 4 + 2
     assert all(children[index] == TIERS for index in encodes)
 
     loops = [index for index, span in enumerate(spans) if span[0] == "train.loop"]
@@ -47,3 +48,31 @@ def test_encode_spans_hold_the_three_tiers_and_vgae_steps_three_kl_spans(perfben
     for index in steps:
         kl_per_step[loop_of(index)].append(children[index].count("models.kl"))
     assert kl_per_step == {loops[0]: [0] * 4, loops[1]: [3] * 4}
+
+
+def test_a_traced_corpus_evaluation_runs_one_encode_per_batch(perfbench_tracer, corpus_data):
+    """The whole corpus is one padded batch; its stacked pools must not reach
+    the tracer's 2-D ``autodiff.matmul`` counter."""
+    rng = np.random.default_rng(0)
+    params = [
+        models.TieredGaeParams.init(rng, (4, 4, 4), 2),
+        models.TieredVgaeParams.init(rng, (4, 4, 4), 2),
+    ]
+    untraced = [models.mean_edge_auc(p, corpus_data) for p in params]
+    with perfbench_tracer.Tracer() as tracer:
+        traced = [models.mean_edge_auc(p, corpus_data) for p in params]
+    assert traced == untraced
+
+    spans = tracer.spans
+    children = [[] for _ in spans]
+    for name, _, _, parent, _ in spans:
+        if parent >= 0:
+            children[parent].append(name)
+    evals = [index for index, span in enumerate(spans) if span[0] == "models.eval"]
+    assert len(evals) == 2
+    for index in evals:
+        assert children[index].count("models.encode") == 1
+        assert children[index].count("models.decode") == 1
+        assert children[index].count("models.edge_auc") == len(corpus_data)
+    encodes = [index for index, span in enumerate(spans) if span[0] == "models.encode"]
+    assert all(children[index] == TIERS for index in encodes)
