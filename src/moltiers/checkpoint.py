@@ -72,16 +72,27 @@ def save_checkpoint(params, path) -> None:
 def _take_weight(weights: dict, name: str, shape: tuple[int, int]) -> ad.Tensor:
     if name not in weights:
         raise CheckpointError(f"checkpoint is missing weight {name!r}")
-    array = np.asarray(weights[name], dtype=np.float64)
-    if array.ndim != 2 or array.shape != shape:
-        raise CheckpointError(
-            f"weight {name!r} has shape {array.shape}, expected {shape}"
-        )
+    # As objects, ragged rows stay lists and JSON strings, booleans and nulls
+    # keep their types, so one type check rejects them all.
+    array = np.array(weights[name], dtype=object)
+    if not {type(x) for x in array.flat} <= {int, float}:
+        raise CheckpointError(f"weight {name!r} is not a numeric rectangular matrix")
+    if array.shape != shape:
+        raise CheckpointError(f"weight {name!r} has shape {array.shape}, expected {shape}")
+    try:
+        array = array.astype(np.float64)
+        finite = np.isfinite(array).all()
+    except OverflowError:  # an integer past float64's range
+        finite = False
+    if not finite:
+        raise CheckpointError(f"weight {name!r} has a non-finite entry")
     return ad.parameter(array)
 
 
 def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
-    """Read a checkpoint back into a parameter container of the right kind."""
+    """Read a checkpoint back into a parameter container of the right kind.
+    Raises CheckpointError unless the weights are exactly the config's spec,
+    each a finite numeric matrix of its spec shape."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -114,5 +125,8 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
     weights = payload.get("weights")
     if not isinstance(weights, dict):
         raise CheckpointError("checkpoint has no weights object")
+    unknown = sorted(set(weights) - {name for name, _ in spec})
+    if unknown:
+        raise CheckpointError(f"weights outside the spec of this config: {', '.join(unknown)}")
     tensors = {name: _take_weight(weights, name, shape) for name, shape in spec}
     return params_class.from_weights(tensors, dims, depth, input_dim)

@@ -12,12 +12,12 @@ membership matrix whose rows sum to one (an atom in m groups contributes
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from .molgraph import MolecularGraph
+from .molgraph import MolecularGraph, ring_bonds
 
 FUNCTIONAL_GROUP = "FG"
 AROMATIC_RING = "AromaticRing"
@@ -60,28 +60,23 @@ class GroupSet:
         return iter(self.groups)
 
 
+def _with_hydrogens(graph: MolecularGraph, atoms: Collection[int]) -> tuple[int, ...]:
+    """``atoms`` plus the hydrogens bonded to them, sorted ascending."""
+    members = set(atoms)
+    for atom in atoms:
+        members.update(nbr for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H")
+    return tuple(sorted(members))
+
+
 def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     """Rings whose every bond is aromatic, each returned with its attached
     hydrogens, sorted ascending."""
-    bond_order = {}
-    for bond in graph.bonds:
-        i, j = bond.endpoints
-        bond_order[(min(i, j), max(i, j))] = bond.order
-
-    results = []
-    for ring in graph.rings:
-        edges = [
-            (min(ring[i], ring[(i + 1) % len(ring)]), max(ring[i], ring[(i + 1) % len(ring)]))
-            for i in range(len(ring))
-        ]
-        if all(bond_order[e] == "aromatic" for e in edges):
-            members = set(ring)
-            for atom in ring:
-                members.update(
-                    nbr for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H"
-                )
-            results.append(tuple(sorted(members)))
-    return results
+    aromatic = {tuple(sorted(b.endpoints)) for b in graph.bonds if b.order == "aromatic"}
+    return [
+        _with_hydrogens(graph, ring)
+        for ring in graph.rings
+        if all(pair in aromatic for pair in ring_bonds(ring))
+    ]
 
 
 def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
@@ -108,10 +103,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
                     marked.add(end)
 
     for i, atom in enumerate(atoms):
-        if atom.element != "C" or atom.aromatic:
-            continue
-        orders = [b.order for b in graph.bonds_at(i)]
-        if any(o != "single" for o in orders):
+        if atom.element != "C" or atom.aromatic or i in graph.unsaturated:
             continue
         hetero_neighbors = sum(
             1 for nbr in graph.neighbors(i) if atoms[nbr].element in ("O", "N", "S")
@@ -124,21 +116,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
             marked.update(ring)
 
     # Merge marked atoms that are bonded to each other.
-    cores: list[set[int]] = []
-    unvisited = set(marked)
-    while unvisited:
-        seed = min(unvisited)
-        core = {seed}
-        queue = deque([seed])
-        unvisited.discard(seed)
-        while queue:
-            node = queue.popleft()
-            for nbr in graph.neighbors(node):
-                if nbr in unvisited:
-                    unvisited.discard(nbr)
-                    core.add(nbr)
-                    queue.append(nbr)
-        cores.append(core)
+    cores = [set(part) for part in graph.components(marked)]
 
     # An unmarked carbon joins the core that holds all of its heavy neighbors;
     # cores are disjoint, so one pass finds the one core, if any.
@@ -150,13 +128,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
         if len(owners) == 1 and None not in owners:
             cores[owners.pop()].add(i)
 
-    groups = []
-    for members in cores:
-        for member in list(members):
-            members.update(
-                nbr for nbr in graph.neighbors(member) if atoms[nbr].element == "H"
-            )
-        groups.append(tuple(sorted(members)))
+    groups = [_with_hydrogens(graph, core) for core in cores]
     groups.sort(key=lambda g: g[0])
     return groups
 
@@ -169,28 +141,8 @@ def partition(graph: MolecularGraph) -> GroupSet:
     functional = identify_functional_groups(graph)
     rings = detect_aromatic_rings(graph)
 
-    covered: set[int] = set()
-    for group in functional:
-        covered.update(group)
-    for group in rings:
-        covered.update(group)
-
-    leftovers: list[tuple[int, ...]] = []
-    unvisited = set(range(graph.num_atoms)) - covered
-    while unvisited:
-        seed = min(unvisited)
-        component = {seed}
-        queue = deque([seed])
-        unvisited.discard(seed)
-        while queue:
-            node = queue.popleft()
-            for nbr in graph.neighbors(node):
-                if nbr in unvisited:
-                    unvisited.discard(nbr)
-                    component.add(nbr)
-                    queue.append(nbr)
-        leftovers.append(tuple(sorted(component)))
-    leftovers.sort(key=lambda g: g[0])
+    covered = {atom for group in functional + rings for atom in group}
+    leftovers = graph.components(set(range(graph.num_atoms)) - covered)
 
     groups = [Group(FUNCTIONAL_GROUP, g) for g in functional]
     groups += [Group(AROMATIC_RING, g) for g in sorted(rings, key=lambda g: g[0])]

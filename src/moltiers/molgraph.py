@@ -4,14 +4,15 @@ Hydrogens are explicit nodes: graphs carry every atom, adjacency is binary
 and symmetric, and for a connected molecule U = N - 1 + R where R is the
 number of independent rings. Ring perception (a shortest-cycle basis) runs
 at construction so rings, per-bond ring flags and conjugation flags are
-always available.
+always available. The basis also decides connectivity: it has U - N + C
+members for C connected components, so no separate walk is needed.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,12 +80,17 @@ class Bond:
         return (self.first, self.second)
 
 
+def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The bonds of a ring, in ring order, each as a sorted atom pair."""
+    return [(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+
+
 class MolecularGraph:
     """One connected molecule with explicit hydrogens.
 
-    Construction validates connectivity, builds the adjacency matrix, runs
-    ring perception and derives the per-bond ring and conjugation flags.
-    Treat instances as immutable afterwards.
+    Construction builds the adjacency matrix, runs ring perception, rejects
+    a disconnected graph by its ring count and derives the per-bond ring
+    and conjugation flags. Treat instances as immutable afterwards.
     """
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond], name: str = "", smiles: str = ""):
@@ -99,6 +105,7 @@ class MolecularGraph:
             atom.index = i
 
         self.adjacency = np.zeros((n, n))
+        self._neighbors: list[list[int]] = [[] for _ in range(n)]
         seen_pairs = set()
         for bond in self.bonds:
             i, j = bond.endpoints
@@ -110,58 +117,47 @@ class MolecularGraph:
             seen_pairs.add(key)
             self.adjacency[i, j] = 1.0
             self.adjacency[j, i] = 1.0
-
-        self._neighbors: list[list[int]] = [[] for _ in range(n)]
-        self._bonds_at: list[list[Bond]] = [[] for _ in range(n)]
-        for bond in self.bonds:
-            i, j = bond.endpoints
             self._neighbors[i].append(j)
             self._neighbors[j].append(i)
-            self._bonds_at[i].append(bond)
-            self._bonds_at[j].append(bond)
-
-        self._check_connected()
 
         self.rings: tuple[tuple[int, ...], ...] = tuple(
             shortest_cycle_basis(n, [b.endpoints for b in self.bonds])
         )
-        expected = len(self.bonds) - n + 1
-        if len(self.rings) != expected:
-            raise RuntimeError(f"ring perception found {len(self.rings)}, expected {expected}")
+        if len(self.rings) != len(self.bonds) - n + 1:
+            reachable = len(self.components(range(n))[0])
+            raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
 
-        ring_edges = set()
-        ring_atoms = set()
-        for ring in self.rings:
-            ring_atoms.update(ring)
-            for i, node in enumerate(ring):
-                nxt = ring[(i + 1) % len(ring)]
-                ring_edges.add((min(node, nxt), max(node, nxt)))
+        ring_edges = {pair for ring in self.rings for pair in ring_bonds(ring)}
         #: Atoms on at least one ring of the basis.
-        self.ring_atoms = frozenset(ring_atoms)
-
-        multi = [
-            any(b.order in ("double", "triple", "aromatic") for b in self._bonds_at[i])
-            for i in range(n)
-        ]
+        self.ring_atoms = frozenset(atom for ring in self.rings for atom in ring)
+        #: Atoms with a double, triple or aromatic bond.
+        self.unsaturated = frozenset(
+            atom for bond in self.bonds if bond.order != "single" for atom in bond.endpoints
+        )
         for bond in self.bonds:
             i, j = bond.endpoints
             bond.in_ring = (min(i, j), max(i, j)) in ring_edges
-            bond.conjugated = bond.order == "single" and multi[i] and multi[j]
+            bond.conjugated = bond.order == "single" and i in self.unsaturated and j in self.unsaturated
 
         self._node_features: np.ndarray | None = None
 
-    def _check_connected(self) -> None:
-        n = len(self.atoms)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for nbr in self._neighbors[node]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        if len(seen) != n:
-            raise ValueError(f"molecular graph is disconnected ({len(seen)} of {n} atoms reachable)")
+    def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
+        """Connected parts of the subgraph induced by ``nodes``, each sorted.
+        A part is grown by BFS from its smallest node, and the parts come in
+        that order."""
+        unvisited = set(nodes)
+        parts = []
+        while unvisited:
+            seed = min(unvisited)
+            unvisited.discard(seed)
+            part = [seed]
+            for node in part:  # the list is the BFS queue
+                for nbr in self._neighbors[node]:
+                    if nbr in unvisited:
+                        unvisited.discard(nbr)
+                        part.append(nbr)
+            parts.append(tuple(sorted(part)))
+        return parts
 
     # -- simple accessors ---------------------------------------------------
 
@@ -179,9 +175,6 @@ class MolecularGraph:
 
     def neighbors(self, index: int) -> list[int]:
         return self._neighbors[index]
-
-    def bonds_at(self, index: int) -> list[Bond]:
-        return self._bonds_at[index]
 
     def formula(self) -> str:
         return hill_formula(atom.element for atom in self.atoms)

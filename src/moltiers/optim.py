@@ -87,23 +87,17 @@ class SGD(_FlatOptimizer):
         self.step_count += 1
 
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam(_FlatOptimizer):
-    """Adam with bias correction (Kingma & Ba defaults)."""
+    """Adam with bias correction and the defaults above."""
 
     kind = "adam"
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float):
         super().__init__(params, learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         # First and second moments, laid out like the parameter vector.
         self._m = np.zeros_like(self.vector)
         self._v = np.zeros_like(self.vector)
@@ -117,16 +111,16 @@ class Adam(_FlatOptimizer):
         self.step_count += 1
         t = self.step_count
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        grad_sq = (1.0 - self.beta2) * grad
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        grad_sq = (1.0 - BETA2) * grad
         grad_sq *= grad
         v += grad_sq
-        update = m / (1.0 - self.beta1 ** t)
+        update = m / (1.0 - BETA1 ** t)
         update *= self.learning_rate
-        denom = v / (1.0 - self.beta2 ** t)
+        denom = v / (1.0 - BETA2 ** t)
         np.sqrt(denom, out=denom)
-        denom += self.epsilon
+        denom += EPSILON
         update /= denom
         self.vector -= update

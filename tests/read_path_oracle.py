@@ -1,6 +1,9 @@
 """The read path as it was before it became linear: ring perception that
 searches every edge, functional-group absorption that rescans every atom
-for every core, and node featurization one atom at a time.
+for every core, and node featurization one atom at a time. Also the
+partition and the ring and conjugation flags as they were before the
+graph shared one component walk and one unsaturation set: a BFS per use,
+a bond-order dict for aromatic rings and per-atom bond lists.
 
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
@@ -13,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from moltiers.cycles import _bfs_path, _cycle_edge_ids, _fundamental_cycles
+from moltiers.grouping import AROMATIC_RING, COMPONENT, FUNCTIONAL_GROUP, Group, GroupSet
 from moltiers.molgraph import ELEMENTS, NODE_FEATURE_DIM, MolecularGraph
 
 
@@ -83,7 +87,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     for i, atom in enumerate(atoms):
         if atom.element != "C" or atom.aromatic:
             continue
-        orders = [b.order for b in graph.bonds_at(i)]
+        orders = [b.order for b in graph.bonds if i in b.endpoints]
         if any(o != "single" for o in orders):
             continue
         hetero_neighbors = sum(
@@ -129,6 +133,92 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
         groups.append(tuple(sorted(members)))
     groups.sort(key=lambda g: g[0])
     return groups
+
+
+def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
+    bond_order = {}
+    for bond in graph.bonds:
+        i, j = bond.endpoints
+        bond_order[(min(i, j), max(i, j))] = bond.order
+
+    results = []
+    for ring in graph.rings:
+        edges = [
+            (min(ring[i], ring[(i + 1) % len(ring)]), max(ring[i], ring[(i + 1) % len(ring)]))
+            for i in range(len(ring))
+        ]
+        if all(bond_order[e] == "aromatic" for e in edges):
+            members = set(ring)
+            for atom in ring:
+                members.update(
+                    nbr for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H"
+                )
+            results.append(tuple(sorted(members)))
+    return results
+
+
+def partition(graph: MolecularGraph) -> GroupSet:
+    functional = identify_functional_groups(graph)
+    rings = detect_aromatic_rings(graph)
+
+    covered: set[int] = set()
+    for group in functional:
+        covered.update(group)
+    for group in rings:
+        covered.update(group)
+
+    leftovers: list[tuple[int, ...]] = []
+    unvisited = set(range(graph.num_atoms)) - covered
+    while unvisited:
+        seed = min(unvisited)
+        component = {seed}
+        queue = deque([seed])
+        unvisited.discard(seed)
+        while queue:
+            node = queue.popleft()
+            for nbr in graph.neighbors(node):
+                if nbr in unvisited:
+                    unvisited.discard(nbr)
+                    component.add(nbr)
+                    queue.append(nbr)
+        leftovers.append(tuple(sorted(component)))
+    leftovers.sort(key=lambda g: g[0])
+
+    groups = [Group(FUNCTIONAL_GROUP, g) for g in functional]
+    groups += [Group(AROMATIC_RING, g) for g in sorted(rings, key=lambda g: g[0])]
+    groups += [Group(COMPONENT, g) for g in leftovers]
+    return GroupSet(groups)
+
+
+def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, bool]]]:
+    """``ring_atoms`` and each bond's ``(in_ring, conjugated)``, derived as
+    the constructor derived them from its per-atom bond lists."""
+    n = graph.num_atoms
+    bonds_at = [[] for _ in range(n)]
+    for bond in graph.bonds:
+        i, j = bond.endpoints
+        bonds_at[i].append(bond)
+        bonds_at[j].append(bond)
+
+    ring_edges = set()
+    ring_atoms = set()
+    for ring in graph.rings:
+        ring_atoms.update(ring)
+        for i, node in enumerate(ring):
+            nxt = ring[(i + 1) % len(ring)]
+            ring_edges.add((min(node, nxt), max(node, nxt)))
+
+    multi = [
+        any(b.order in ("double", "triple", "aromatic") for b in bonds_at[i])
+        for i in range(n)
+    ]
+    flags = []
+    for bond in graph.bonds:
+        i, j = bond.endpoints
+        in_ring = (min(i, j), max(i, j)) in ring_edges
+        conjugated = bond.order == "single" and multi[i] and multi[j]
+        flags.append((in_ring, conjugated))
+    return frozenset(ring_atoms), flags
 
 
 def atom_in_ring(graph: MolecularGraph, index: int) -> bool:

@@ -194,6 +194,70 @@ def test_missing_and_misshapen_weights_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cls", [TieredGaeParams, TieredVgaeParams])
+@pytest.mark.parametrize(("depth", "layers"), [(3, 1), (3, 2), (2, 1)])
+def test_a_shallower_config_does_not_drop_weights(tmp_path, cls, depth, layers):
+    path = tmp_path / "model.json"
+    save_checkpoint(cls.init(np.random.default_rng(16), (2, 3, 4), depth), path)
+    payload = json.loads(path.read_text())
+    payload["config"]["layers"] = layers
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="outside the spec"):
+        load_checkpoint(path)
+
+
+def test_a_stray_weight_name_rejected(tmp_path):
+    path = corrupt(tmp_path, lambda p: p["weights"].update({"tier4.layer0": [[1.0]]}))
+    with pytest.raises(CheckpointError, match="outside the spec of this config: tier4.layer0"):
+        load_checkpoint(path)
+
+
+def set_pair(value):
+    return lambda p: p["weights"].update({"decoder.pair": value})
+
+
+def set_pair_entry(value):
+    return lambda p: p["weights"]["decoder.pair"][0].__setitem__(0, value)
+
+
+NOT_A_MATRIX = "not a numeric rectangular matrix"
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    [
+        pytest.param(set_pair_entry("oops"), NOT_A_MATRIX, id="string-entry"),
+        pytest.param(set_pair_entry("1.5"), NOT_A_MATRIX, id="numeric-string-entry"),
+        pytest.param(set_pair_entry(True), NOT_A_MATRIX, id="boolean-entry"),
+        pytest.param(set_pair_entry(None), NOT_A_MATRIX, id="null-entry"),
+        pytest.param(set_pair_entry({}), NOT_A_MATRIX, id="object-entry"),
+        pytest.param(set_pair_entry([1.0]), NOT_A_MATRIX, id="list-entry"),
+        pytest.param(set_pair("abc"), NOT_A_MATRIX, id="string-weight"),
+        pytest.param(
+            lambda p: p["weights"]["decoder.pair"][0].append(0.5), NOT_A_MATRIX, id="long-row"
+        ),
+        pytest.param(
+            lambda p: p["weights"]["decoder.pair"].__setitem__(1, "ab"), NOT_A_MATRIX, id="string-row"
+        ),
+        pytest.param(set_pair_entry(float("nan")), "non-finite", id="nan"),
+        pytest.param(set_pair_entry(float("inf")), "non-finite", id="inf"),
+        pytest.param(set_pair_entry(float("-inf")), "non-finite", id="minus-inf"),
+        pytest.param(set_pair_entry(10**400), "non-finite", id="integer-past-float64"),
+        pytest.param(set_pair([[[0.5] * 6] * 6]), "has shape", id="three-dimensional"),
+    ],
+)
+def test_a_weight_that_is_no_finite_numeric_matrix_rejected(tmp_path, mutate, message):
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(corrupt(tmp_path, mutate))
+
+
+def test_integer_entries_load_as_floats(tmp_path):
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    loaded = load_checkpoint(corrupt(tmp_path, set_pair(identity)))
+    assert loaded.pair_decoder.values.dtype == np.float64
+    assert np.array_equal(loaded.pair_decoder.values, np.eye(6))
+
+
 def test_bad_config_rejected(tmp_path):
     path = corrupt(tmp_path, lambda p: p["config"].pop("dims"))
     with pytest.raises(CheckpointError, match="bad checkpoint config"):

@@ -256,6 +256,20 @@ def test_embed_with_corrupt_checkpoint_exits_4(tmp_path, corpus_file, capsys):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+def test_embed_with_a_checkpoint_outside_its_spec_exits_4(trained_dir, corpus_file, capsys):
+    """A depth-2 checkpoint whose config claims depth 1 would load as a
+    depth-1 model without the deeper weights; it must be refused."""
+    path = trained_dir / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["config"]["layers"] = 1
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["embed", str(path), "--input", corpus_file]) == 4
+    captured = capsys.readouterr()
+    assert "checkpoint error" in captured.err and "outside the spec" in captured.err
+    assert captured.out == ""
+
+
 def test_interp_output_structure(trained_dir, tmp_path):
     out = tmp_path / "interp.json"
     code = main([

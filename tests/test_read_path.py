@@ -1,18 +1,23 @@
 """The linear read path against the per-edge, per-core and per-atom versions
-it replaced: ring bases, functional groups and node features must match
-them exactly, and ring perception must search ring bonds only."""
+it replaced: ring bases, functional groups, aromatic rings, the whole
+partition, ring and conjugation flags and node features must match them
+exactly. Ring perception must search ring bonds only, and connectivity
+must come from the ring count, with no component walk for a connected
+molecule."""
 
 import random
+import re
 
 import pytest
 import read_path_oracle as oracle
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from moltiers import cycles
-from moltiers.grouping import identify_functional_groups
-from moltiers.molgraph import featurize_nodes
+from moltiers.grouping import detect_aromatic_rings, identify_functional_groups, partition
+from moltiers.molgraph import Atom, Bond, MolecularGraph, featurize_nodes, load_molecules
 from moltiers.smiles import parse_smiles
+
 
 @st.composite
 def ring_system_graphs(draw):
@@ -75,6 +80,12 @@ def assert_read_path_matches_oracle(graph):
     edges = [bond.endpoints for bond in graph.bonds]
     assert list(graph.rings) == oracle.shortest_cycle_basis(graph.num_atoms, edges)
     assert identify_functional_groups(graph) == oracle.identify_functional_groups(graph)
+    assert detect_aromatic_rings(graph) == oracle.detect_aromatic_rings(graph)
+    groups, expected_groups = partition(graph), oracle.partition(graph)
+    assert [(g.kind, g.atoms) for g in groups] == [(g.kind, g.atoms) for g in expected_groups]
+    ring_atoms, flags = oracle.ring_flags(graph)
+    assert graph.ring_atoms == ring_atoms
+    assert [(bond.in_ring, bond.conjugated) for bond in graph.bonds] == flags
     features, expected = featurize_nodes(graph), oracle.featurize_nodes(graph)
     assert features.dtype == expected.dtype and features.shape == expected.shape
     assert features.tobytes() == expected.tobytes()
@@ -115,3 +126,55 @@ def test_ring_perception_searches_ring_bonds_only(monkeypatch, chain):
     assert ring_bonds == 12
     assert len(calls) == ring_bonds < graph.num_bonds
 
+
+
+def reachable_from_atom_0(num_nodes, edges):
+    adjacency = [[] for _ in range(num_nodes)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for nbr in adjacency[stack.pop()]:
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen)
+
+
+@given(ring_system_graphs())
+@example((4, [(0, 1), (1, 2), (2, 0)]))
+@example((5, [(3, 1), (1, 2), (2, 3), (0, 4)]))
+@example((3, [(0, 1), (1, 2)]))
+def test_connectivity_comes_from_the_ring_count(graph):
+    """All-carbon graphs; an isolated node makes a draw disconnected."""
+    num_nodes, edges = graph
+    atoms = [Atom("C") for _ in range(num_nodes)]
+    bonds = [Bond(a, b, "single") for a, b in edges]
+    reachable = reachable_from_atom_0(num_nodes, edges)
+    if reachable == num_nodes:
+        built = MolecularGraph(atoms, bonds)
+        assert built.ring_count == len(edges) - num_nodes + 1
+    else:
+        message = f"disconnected ({reachable} of {num_nodes} atoms reachable)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MolecularGraph(atoms, bonds)
+
+
+def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
+    """Building every corpus molecule never calls ``components``; a
+    disconnected graph calls it once, for its error message."""
+    calls = []
+    walk = MolecularGraph.components
+
+    def counted(self, nodes):
+        calls.append(self)
+        return walk(self, nodes)
+
+    monkeypatch.setattr(MolecularGraph, "components", counted)
+    records = load_molecules(corpus_path)
+    assert len(records) == 30 and all(r.graph is not None for r in records)
+    assert calls == []
+    with pytest.raises(ValueError, match="disconnected"):
+        MolecularGraph([Atom("C"), Atom("C"), Atom("O")], [Bond(0, 1, "single")])
+    assert len(calls) == 1
