@@ -62,16 +62,23 @@ def degree_scale(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency must be symmetric")
     if (adjacency < 0).any():
         raise ValueError("adjacency must be non-negative")
-    return 1.0 / np.sqrt((adjacency + np.eye(adjacency.shape[0])).sum(axis=1))
+    return 1.0 / np.sqrt(_plus_identity(adjacency).sum(axis=1))
+
+
+def _plus_identity(adjacency: np.ndarray) -> np.ndarray:
+    """A + I, or each A + I of a stack, as a new array, without an np.eye."""
+    result = np.array(adjacency, dtype=np.float64, order="C")
+    result.reshape(*result.shape[:-2], -1)[..., :: result.shape[-1] + 1] += 1.0
+    return result
 
 
 def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """scale (A + I) scale for a ``scale`` from :func:`degree_scale`; does
-    not validate again."""
-    scaled = np.array(adjacency, dtype=np.float64)
-    scaled.flat[:: len(scaled) + 1] += 1.0  # + I; a strided slice costs less than np.eye
-    scaled *= scale[:, None]
-    scaled *= scale[None, :]
+    not validate again. Over a (B, n, n) stack with (B, n) scales, a node
+    padded with scale 0 keeps a row and column of +0.0."""
+    scaled = _plus_identity(adjacency)
+    scaled *= scale[..., :, None]
+    scaled *= scale[..., None, :]
     return scaled
 
 

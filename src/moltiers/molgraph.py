@@ -106,15 +106,12 @@ class MolecularGraph:
 
         self.adjacency = np.zeros((n, n))
         self._neighbors: list[list[int]] = [[] for _ in range(n)]
-        seen_pairs = set()
         for bond in self.bonds:
             i, j = bond.endpoints
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bond endpoint out of range: {bond.endpoints}")
-            key = (min(i, j), max(i, j))
-            if key in seen_pairs:
-                raise ValueError(f"duplicate bond between atoms {key}")
-            seen_pairs.add(key)
+            if self.adjacency[i, j] == 1.0:  # an earlier bond wrote it
+                raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
             self.adjacency[i, j] = 1.0
             self.adjacency[j, i] = 1.0
             self._neighbors[i].append(j)

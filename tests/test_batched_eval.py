@@ -4,8 +4,9 @@
 zero-padded stack. Padding changes the order of BLAS sums, so probabilities
 agree with a molecule decoded alone to 1e-12, not bit for bit; a bucket of
 one, and so every molecule over the bucket budget, runs the per-molecule path
-and matches it byte for byte. ``models.edge_auc`` is wrapped to see what each
-molecule is scored on.
+and matches it byte for byte. The counting core ``models._mann_whitney`` is
+wrapped to see what each molecule is scored on; a batch member is scored from
+the prefix of its row of one pair gather, a run of one through ``edge_auc``.
 """
 
 import copy
@@ -26,6 +27,7 @@ from moltiers.models import (
     TieredGaeParams,
     TieredVgaeParams,
     decode,
+    _mann_whitney as mann_whitney,
     edge_auc,
     encode_for_inference,
     mean_edge_auc,
@@ -60,17 +62,34 @@ def batched(params, members):
         return decode(params, encode_for_inference(params, models._MoleculeBatch(members)))[0].values
 
 
-def scored_runs(params, dataset):
-    """(mean_edge_auc, [(probs, adjacency, score)] per edge_auc call)."""
-    calls = []
+def scored_runs(params, dataset, decimals=None):
+    """(mean_edge_auc, each bucket's decoded probabilities, [(dataset index,
+    whether it ran alone, scores, labels, score)] per call of the counting
+    core). The core runs a bucket at a time, its members in order, so the
+    calls follow ``_size_buckets``. With ``decimals`` the decoded
+    probabilities are rounded, to force ties."""
+    decoded, calls = [], []
 
-    def recording_edge_auc(probs, adjacency):
-        score = edge_auc(probs, adjacency)
-        calls.append((probs.copy(), adjacency, score))
+    def rounding_decode(params, embeddings):
+        edge_probs, features = decode(params, embeddings)
+        if decimals is not None:
+            edge_probs = ad.wrap(np.round(edge_probs.values, decimals))
+        decoded.append(edge_probs.values.copy())
+        return edge_probs, features
+
+    def recording_core(scores, labels):
+        score = mann_whitney(scores, labels)
+        calls.append((scores.copy(), labels, score))
         return score
 
-    with mock.patch.object(models, "edge_auc", recording_edge_auc):
-        return mean_edge_auc(params, dataset), calls
+    with mock.patch.object(models, "decode", rounding_decode), mock.patch.object(
+        models, "_mann_whitney", recording_core
+    ):
+        mean = mean_edge_auc(params, dataset)
+    buckets = models._size_buckets(dataset)
+    order = [(index, len(bucket) == 1) for bucket in buckets for index in bucket]
+    assert len(calls) == len(order)  # each molecule scored once
+    return mean, decoded, [(*run, *call) for run, call in zip(order, calls)]
 
 
 def near_tie_bound(probs, adjacency):
@@ -105,30 +124,77 @@ def test_each_molecule_is_scored_on_its_own_slice_within_tolerance_of_the_oracle
     molecules, case
 ):
     params, dataset = build(case, molecules)
-    mean, calls = scored_runs(params, dataset)
+    mean, _, calls = scored_runs(params, dataset)
 
-    by_adjacency = {id(data.adjacency): data for data in dataset}
-    seen = set()
-    for probs, adjacency, _ in calls:
-        data = by_adjacency[id(adjacency)]
-        assert probs.shape == (data.num_atoms, data.num_atoms)
-        expected = alone(params, data)
-        if data.num_atoms ** 2 > BUDGET:
-            assert_same_bits(probs, expected, data.name)
-        else:
-            assert np.abs(probs - expected).max() <= TOLERANCE, data.name
-        seen.add(id(adjacency))
-    assert seen == set(by_adjacency)
+    for index, ran_alone, scores, labels, _ in calls:
+        data = dataset[index]
+        own = alone(params, data)
+        assert ran_alone or data.num_atoms ** 2 <= BUDGET
+        if ran_alone:  # through edge_auc, which takes the pairs by i, then j
+            upper = ~np.tri(data.num_atoms, dtype=bool)
+            assert_same_bits(scores, own[upper], data.name)
+            assert_same_bits(labels, data.adjacency[upper] > 0, data.name)
+        else:  # its own pairs only: its prefix of the batch's gather
+            assert labels is data.pair_labels
+            expected = models._pairs(own)
+            assert scores.shape == expected.shape
+            assert scores.size == data.num_atoms * (data.num_atoms - 1) // 2
+            assert np.abs(scores - expected).max(initial=0.0) <= TOLERANCE, data.name
 
-    # the mean is over the slices' AUCs in dataset order, each molecule once
-    score_of = {id(adjacency): score for _, adjacency, score in calls}
-    assert len(calls) == len(dataset)
-    assert_same_bits(mean, np.float64(np.mean([score_of[id(d.adjacency)] for d in dataset])))
+    # the mean is over the molecules' AUCs in dataset order, each molecule once
+    score_of = {index: score for index, *_, score in calls}
+    assert sorted(score_of) == list(range(len(dataset)))
+    assert_same_bits(mean, np.float64(np.mean([score_of[i] for i in range(len(dataset))])))
 
     # the oracle differs by at most the share of its near-tied pairs
     assert abs(mean - eval_oracle.mean_edge_auc(params, dataset)) <= np.mean(
         [near_tie_bound(alone(params, data), data.adjacency) for data in dataset]
     ) + 1e-15
+
+
+@settings(max_examples=40, derandomize=True, database=None)
+@given(case=models_and_data, decimals=st.sampled_from([None, 1, 2, 3]))
+def test_each_member_scores_the_bits_of_edge_auc_on_its_own_slice(molecules, case, decimals):
+    params, dataset = build(case, molecules)
+    mean, decoded, calls = scored_runs(params, dataset, decimals)
+
+    buckets = models._size_buckets(dataset)
+    assert len(decoded) == len(buckets)
+    expected = {}
+    for bucket, probs in zip(buckets, decoded):
+        for index, member_probs in zip(bucket, probs.reshape(len(bucket), *probs.shape[-2:])):
+            n = dataset[index].num_atoms
+            expected[index] = edge_auc(member_probs[:n, :n], dataset[index].adjacency)
+    assert_same_bits([score for *_, score in calls], [expected[index] for index, *_ in calls])
+    assert_same_bits(mean, np.float64(np.mean([expected[i] for i in range(len(dataset))])))
+
+
+def test_a_molecules_pairs_are_the_prefix_of_its_padded_gather():
+    n_max = 9
+    rows, cols = np.indices((n_max, n_max))
+    codes = 100.0 * rows + cols
+    gathered = models._pairs(np.stack([codes, codes + 0.5]))
+    assert gathered.shape == (2, n_max * (n_max - 1) // 2)
+    for n in range(1, n_max + 1):
+        prefix = gathered[0, : n * (n - 1) // 2]
+        assert sorted(prefix) == sorted(100.0 * i + j for j in range(n) for i in range(j))
+        assert_same_bits(prefix, models._pairs(codes[:n, :n]))
+    assert_same_bits(gathered[1], gathered[0] + 0.5)
+
+
+@settings(max_examples=30, derandomize=True, database=None)
+@given(picks=st.lists(st.integers(0, 37), min_size=2, max_size=12))
+def test_the_stacked_atom_propagator_has_each_members_bytes(molecules, picks):
+    members = [molecules[pick] for pick in picks]
+    stacked = models._MoleculeBatch(members).atom_propagator().values
+    n_max = max(data.num_atoms for data in members)
+    assert stacked.shape == (len(members), n_max, n_max)
+    for member, data in zip(stacked, members):
+        n = data.num_atoms
+        assert_same_bits(member[:n, :n], data.atom_propagator().values, data.name)
+        padding = np.ones((n_max, n_max), dtype=bool)
+        padding[:n, :n] = False
+        assert_same_bits(member[padding], np.zeros(padding.sum()), data.name)  # +0.0
 
 
 @settings(max_examples=30, derandomize=True, database=None)

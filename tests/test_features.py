@@ -97,6 +97,12 @@ def test_graph_rejects_duplicate_bonds():
     bonds = [Bond(0, 1, "single"), Bond(1, 0, "single")]
     with pytest.raises(ValueError, match="duplicate bond"):
         MolecularGraph(atoms, bonds)
+    # a repeat in either direction names the sorted pair
+    atoms = [Atom("C"), Atom("C"), Atom("O")]
+    for first, repeat in (((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))):
+        bonds = [Bond(0, 1, "single"), Bond(*first, "single"), Bond(*repeat, "double")]
+        with pytest.raises(ValueError, match=r"^duplicate bond between atoms \(1, 2\)$"):
+            MolecularGraph(atoms, bonds)
 
 
 def test_graph_rejects_out_of_range_endpoints():

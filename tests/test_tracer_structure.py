@@ -50,17 +50,17 @@ def test_encode_spans_hold_the_three_tiers_and_vgae_steps_three_kl_spans(perfben
     assert kl_per_step == {loops[0]: [0] * 4, loops[1]: [3] * 4}
 
 
-def test_a_traced_corpus_evaluation_runs_one_encode_per_batch(perfbench_tracer, corpus_data):
-    """The whole corpus is one padded batch; its stacked pools must not reach
-    the tracer's 2-D ``autodiff.matmul`` counter."""
+def traced_evaluations(tracer_module, dataset):
+    """The children's names of each ``models.eval`` span, GAE then VGAE, after
+    checking that tracing leaves the values and each encode's tiers alone."""
     rng = np.random.default_rng(0)
     params = [
         models.TieredGaeParams.init(rng, (4, 4, 4), 2),
         models.TieredVgaeParams.init(rng, (4, 4, 4), 2),
     ]
-    untraced = [models.mean_edge_auc(p, corpus_data) for p in params]
-    with perfbench_tracer.Tracer() as tracer:
-        traced = [models.mean_edge_auc(p, corpus_data) for p in params]
+    untraced = [models.mean_edge_auc(p, dataset) for p in params]
+    with tracer_module.Tracer() as tracer:
+        traced = [models.mean_edge_auc(p, dataset) for p in params]
     assert traced == untraced
 
     spans = tracer.spans
@@ -68,11 +68,29 @@ def test_a_traced_corpus_evaluation_runs_one_encode_per_batch(perfbench_tracer, 
     for name, _, _, parent, _ in spans:
         if parent >= 0:
             children[parent].append(name)
-    evals = [index for index, span in enumerate(spans) if span[0] == "models.eval"]
-    assert len(evals) == 2
-    for index in evals:
-        assert children[index].count("models.encode") == 1
-        assert children[index].count("models.decode") == 1
-        assert children[index].count("models.edge_auc") == len(corpus_data)
     encodes = [index for index, span in enumerate(spans) if span[0] == "models.encode"]
     assert all(children[index] == TIERS for index in encodes)
+    return [children[index] for index, span in enumerate(spans) if span[0] == "models.eval"]
+
+
+def test_a_traced_corpus_evaluation_runs_one_encode_per_batch(perfbench_tracer, corpus_data):
+    """The whole corpus is one padded batch; its stacked pools must not reach
+    the tracer's 2-D ``autodiff.matmul`` counter, and its members are scored
+    from one pair gather, not by ``edge_auc``."""
+    evals = traced_evaluations(perfbench_tracer, corpus_data)
+    assert len(evals) == 2
+    for children in evals:
+        assert children.count("models.encode") == 1
+        assert children.count("models.decode") == 1
+        assert children.count("models.edge_auc") == 0
+
+
+def test_a_traced_run_of_one_is_scored_by_edge_auc(perfbench_tracer, corpus_data, backbone_data):
+    over_budget = backbone_data[-1]
+    assert over_budget.num_atoms ** 2 > models._EVAL_BATCH_CELLS
+    evals = traced_evaluations(perfbench_tracer, [*corpus_data, over_budget])
+    assert len(evals) == 2
+    for children in evals:
+        assert children.count("models.encode") == 2  # the corpus batch, then the run of one
+        assert children.count("models.decode") == 2
+        assert children.count("models.edge_auc") == 1
