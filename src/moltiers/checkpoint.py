@@ -64,9 +64,8 @@ def save_checkpoint(params, path) -> None:
         },
         "weights": {name: w.values.tolist() for name, w in params.named_weights().items()},
     }
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    with atomic_write(path) as handle:  # one write: json.dump writes per token
+        handle.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _take_weight(weights: dict, name: str, shape: tuple[int, int]) -> ad.Tensor:

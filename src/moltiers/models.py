@@ -46,9 +46,10 @@ class MoleculeData:
     """Everything the models need for one molecule, computed once.
 
     Besides the graph and its partition this holds every constant the
-    encoder, decoder and loss read: the atom degree scale, the group- and
-    molecule-tier propagators, the feature, pooling and broadcast matrices
-    and the loss's edge weights. The only n x n array kept is ``adjacency``;
+    encoder, decoder and loss read: the atom degree scale, the propagators,
+    the feature, pooling and broadcast matrices and the loss's edge weights.
+    :meth:`from_graph` builds ``adjacency`` and ``features`` once; the graph
+    keeps neither. ``adjacency`` is the only n x n array kept, and
     :meth:`atom_propagator` rebuilds the atom tier's propagator from it.
     """
 
@@ -80,13 +81,12 @@ class MoleculeData:
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "MoleculeData":
         group_set = partition(graph)
-        node_to_group = build_membership(group_set, graph.num_atoms)
         return cls(
             graph=graph,
             group_set=group_set,
             adjacency=graph.adjacency,
             features=graph.node_features,
-            node_to_group=node_to_group,
+            node_to_group=build_membership(group_set, graph.num_atoms),
             group_to_graph=graph_membership(len(group_set)),
         )
 

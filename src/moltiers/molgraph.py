@@ -1,11 +1,10 @@
 """Molecular graph model and feature matrices.
 
-Hydrogens are explicit nodes: graphs carry every atom, adjacency is binary
-and symmetric, and for a connected molecule U = N - 1 + R where R is the
-number of independent rings. Ring perception (a shortest-cycle basis) runs
-at construction so rings, per-bond ring flags and conjugation flags are
-always available. The basis also decides connectivity: it has U - N + C
-members for C connected components, so no separate walk is needed.
+Hydrogens are explicit nodes: graphs carry every atom, and for a connected
+molecule U = N - 1 + R where R is the number of independent rings. Ring
+perception (a shortest-cycle basis) runs at construction; the basis also
+decides connectivity, having U - N + C members for C connected components.
+A graph holds no array: its adjacency and node features are built on access.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def hill_formula(elements: Iterable[str]) -> str:
     return "".join(f"{e}{counts[e]}" if counts[e] > 1 else e for e in ordered)
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     element: str
     formal_charge: int = 0
@@ -61,7 +60,7 @@ class Atom:
             raise ValueError(f"unsupported element {self.element!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     first: int
     second: int
@@ -86,11 +85,11 @@ def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 class MolecularGraph:
-    """One connected molecule with explicit hydrogens.
+    """One connected molecule with explicit hydrogens, holding no array.
 
-    Construction builds the adjacency matrix, runs ring perception, rejects
-    a disconnected graph by its ring count and derives the per-bond ring
-    and conjugation flags. Treat instances as immutable afterwards.
+    Construction checks the bonds, runs ring perception, rejects a
+    disconnected graph by its ring count and derives the per-bond ring and
+    conjugation flags. Treat instances as immutable afterwards.
     """
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond], name: str = "", smiles: str = ""):
@@ -104,22 +103,17 @@ class MolecularGraph:
         for i, atom in enumerate(self.atoms):
             atom.index = i
 
-        self.adjacency = np.zeros((n, n))
         self._neighbors: list[list[int]] = [[] for _ in range(n)]
         for bond in self.bonds:
             i, j = bond.endpoints
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bond endpoint out of range: {bond.endpoints}")
-            if self.adjacency[i, j] == 1.0:  # an earlier bond wrote it
+            if j in self._neighbors[i]:  # an earlier bond joined them
                 raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
-            self.adjacency[i, j] = 1.0
-            self.adjacency[j, i] = 1.0
             self._neighbors[i].append(j)
             self._neighbors[j].append(i)
 
-        self.rings: tuple[tuple[int, ...], ...] = tuple(
-            shortest_cycle_basis(n, [b.endpoints for b in self.bonds])
-        )
+        self.rings = tuple(shortest_cycle_basis(n, [b.endpoints for b in self.bonds]))
         if len(self.rings) != len(self.bonds) - n + 1:
             reachable = len(self.components(range(n))[0])
             raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
@@ -135,8 +129,6 @@ class MolecularGraph:
             i, j = bond.endpoints
             bond.in_ring = (min(i, j), max(i, j)) in ring_edges
             bond.conjugated = bond.order == "single" and i in self.unsaturated and j in self.unsaturated
-
-        self._node_features: np.ndarray | None = None
 
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.
@@ -176,11 +168,19 @@ class MolecularGraph:
     def formula(self) -> str:
         return hill_formula(atom.element for atom in self.atoms)
 
+    def _bond_ends(self) -> np.ndarray:  # (2, U): each bond's first atom, then its second
+        return np.array([[b.first for b in self.bonds], [b.second for b in self.bonds]], dtype=np.intp)
+
     @property
-    def node_features(self) -> np.ndarray:
-        if self._node_features is None:
-            self._node_features = featurize_nodes(self)
-        return self._node_features
+    def adjacency(self) -> np.ndarray:
+        """The binary, symmetric adjacency, built on each access, never kept."""
+        adjacency, ends = np.zeros((self.num_atoms, self.num_atoms)), self._bond_ends()
+        adjacency[ends, ends[::-1]] = 1.0
+        return adjacency
+
+    @property
+    def node_features(self) -> np.ndarray:  # built on each access, never kept
+        return featurize_nodes(self)
 
     def __repr__(self) -> str:
         label = self.name or self.smiles or "?"
@@ -198,9 +198,9 @@ def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
     features[np.arange(len(atoms)), [ELEMENTS.index(a.element) for a in atoms]] = 1.0
     features[:, 11] = [a.aromatic for a in atoms]
     features[:, 12] = [a.formal_charge for a in atoms]
-    # Neighbour counts are small integers, exact in float64 in any order.
-    hydrogens = graph.adjacency @ features[:, 0]  # ELEMENTS[0] is H
-    features[:, 13] = graph.adjacency.sum(axis=1) - hydrogens
+    ends = graph._bond_ends()  # each end counts its other end, exactly; ELEMENTS[0] is H
+    hydrogens = np.bincount(ends.ravel(), features[ends[::-1], 0].ravel(), len(atoms))
+    features[:, 13] = np.bincount(ends.ravel(), minlength=len(atoms)) - hydrogens
     features[:, 14] = hydrogens
     features[list(graph.ring_atoms), 15] = 1.0
     return features

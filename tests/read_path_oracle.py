@@ -5,6 +5,11 @@ partition and the ring and conjugation flags as they were before the
 graph shared one component walk and one unsaturation set: a BFS per use,
 a bond-order dict for aromatic rings and per-atom bond lists.
 
+And the dense arrays as a graph built and stored them before it kept no
+array: the adjacency from per-bond scalar stores, and node features whose
+hydrogen count is ``A @ is_H`` and whose heavy degree is the row sum minus
+that count.
+
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
 featurization called.
@@ -243,4 +248,28 @@ def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
         features[i, 13] = float(heavy_degree(graph, i))
         features[i, 14] = float(attached_hydrogens(graph, i))
         features[i, 15] = 1.0 if atom_in_ring(graph, i) else 0.0
+    return features
+
+
+def adjacency(graph: MolecularGraph) -> np.ndarray:
+    n = graph.num_atoms
+    result = np.zeros((n, n))
+    for bond in graph.bonds:
+        i, j = bond.endpoints
+        result[i, j] = 1.0
+        result[j, i] = 1.0
+    return result
+
+
+def dense_featurize_nodes(graph: MolecularGraph) -> np.ndarray:
+    atoms = graph.atoms
+    features = np.zeros((len(atoms), NODE_FEATURE_DIM))
+    features[np.arange(len(atoms)), [ELEMENTS.index(a.element) for a in atoms]] = 1.0
+    features[:, 11] = [a.aromatic for a in atoms]
+    features[:, 12] = [a.formal_charge for a in atoms]
+    stored = adjacency(graph)
+    hydrogens = stored @ features[:, 0]  # ELEMENTS[0] is H
+    features[:, 13] = stored.sum(axis=1) - hydrogens
+    features[:, 14] = hydrogens
+    features[list(graph.ring_atoms), 15] = 1.0
     return features

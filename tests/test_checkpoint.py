@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moltiers import checkpoint
 from moltiers.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from moltiers.models import (
     MoleculeData,
@@ -275,18 +276,58 @@ def test_missing_file_raises_oserror(tmp_path):
         load_checkpoint(tmp_path / "missing.json")
 
 
+class _RecordingFile:
+    """A text file whose writes are recorded; with ``fail`` each write puts
+    half its text in the file and then raises, as a full disk would."""
+
+    def __init__(self, handle, writes, fail):
+        self.handle, self.writes, self.fail = handle, writes, fail
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.writes.append(len(text))
+        if self.fail:
+            self.handle.write(text[: len(text) // 2])
+            raise RuntimeError("disk full")
+        return self.handle.write(text)
+
+
+def _record_writes(monkeypatch, fail=False) -> list[int]:
+    """Route ``checkpoint``'s ``open`` through :class:`_RecordingFile`;
+    returns the list that each write's length is appended to."""
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        return _RecordingFile(open(*args, **kwargs), writes, fail)
+
+    monkeypatch.setattr(checkpoint, "open", recording_open, raising=False)
+    return writes
+
+
+def test_a_checkpoint_is_written_in_one_call(tmp_path, monkeypatch):
+    params = TieredGaeParams.init(np.random.default_rng(1), (16, 16, 16), 3)
+    save_checkpoint(params, tmp_path / "reference.json")
+    writes = _record_writes(monkeypatch)
+    save_checkpoint(params, tmp_path / "model.json")
+    expected = (tmp_path / "reference.json").read_bytes()
+    assert (tmp_path / "model.json").read_bytes() == expected
+    assert writes == [len(expected.decode("utf-8"))]
+
+
 def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     save_checkpoint(TieredGaeParams.init(np.random.default_rng(1), (3, 3, 3), 2), path)
     before = path.read_bytes()
 
-    def dump_then_fail(payload, handle, **kwargs):
-        handle.write('{"format_version": 1, "weights": {')
-        raise RuntimeError("disk full")
-
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    writes = _record_writes(monkeypatch, fail=True)
     with pytest.raises(RuntimeError, match="disk full"):
         save_checkpoint(TieredGaeParams.init(np.random.default_rng(2), (3, 3, 3), 2), path)
+    assert writes  # the failure came mid-write
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 

@@ -1,20 +1,23 @@
 """The linear read path against the per-edge, per-core and per-atom versions
 it replaced: ring bases, functional groups, aromatic rings, the whole
 partition, ring and conjugation flags and node features must match them
-exactly. Ring perception must search ring bonds only, and connectivity
-must come from the ring count, with no component walk for a connected
-molecule."""
+exactly, and so must the adjacency and features that
+``MoleculeData.from_graph`` builds from the bond endpoints. Ring perception
+must search ring bonds only, and connectivity must come from the ring count,
+with no component walk for a connected molecule."""
 
 import random
 import re
 
 import pytest
 import read_path_oracle as oracle
+from chain_oracle import assert_same_bits
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from moltiers import cycles
 from moltiers.grouping import detect_aromatic_rings, identify_functional_groups, partition
+from moltiers.models import MoleculeData
 from moltiers.molgraph import Atom, Bond, MolecularGraph, featurize_nodes, load_molecules
 from moltiers.smiles import parse_smiles
 
@@ -107,6 +110,40 @@ def test_backbone_read_path_matches_oracle(perfbench_gen, seed, target, phenylen
 def test_library_read_path_matches_oracle(perfbench_gen, seed):
     text = perfbench_gen._library_smiles(random.Random(seed))
     assert_read_path_matches_oracle(parse_smiles(text))
+
+
+def assert_dense_arrays_match_oracle(graph):
+    """``from_graph``'s adjacency and features, and the graph's properties,
+    have the bits of the arrays a graph used to store."""
+    adjacency, features = oracle.adjacency(graph), oracle.dense_featurize_nodes(graph)
+    data = MoleculeData.from_graph(graph)
+    assert_same_bits(data.adjacency, adjacency)
+    assert_same_bits(data.features, features)
+    assert_same_bits(graph.adjacency, adjacency)
+    assert_same_bits(graph.node_features, features)
+
+
+def test_corpus_dense_arrays_match_the_stored_oracle(corpus_graphs):
+    for graph in corpus_graphs:
+        assert_dense_arrays_match_oracle(graph)
+
+
+def test_a_graph_without_bonds_has_zero_degree_arrays():
+    graph = MolecularGraph([Atom("Cl", formal_charge=-1)], [])
+    assert_dense_arrays_match_oracle(graph)
+    assert graph.adjacency.shape == (1, 1) and graph.node_features[0, 13:15].tolist() == [0.0, 0.0]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(100, 190))
+def test_backbone_dense_arrays_match_the_stored_oracle(perfbench_gen, seed, target):
+    text = perfbench_gen.backbone(random.Random(seed), target, 15, count_hydrogens=True)
+    assert_dense_arrays_match_oracle(parse_smiles(text))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_library_dense_arrays_match_the_stored_oracle(perfbench_gen, seed):
+    text = perfbench_gen._library_smiles(random.Random(seed))
+    assert_dense_arrays_match_oracle(parse_smiles(text))
 
 
 @pytest.mark.parametrize("chain", [20, 40])
