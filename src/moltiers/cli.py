@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
+from .grouping import build_membership, partition
 from .models import (
     MoleculeData,
     decode_with_graph_vector,
@@ -154,9 +155,9 @@ def cmd_partition(args) -> int:
     graphs, failures = _load_graphs(args.input)
     molecules = []
     for graph in graphs:
-        data = MoleculeData.from_graph(graph)
+        group_set = partition(graph)
         groups = []
-        for group in data.group_set:
+        for group in group_set:
             formula = hill_formula(graph.atoms[i].element for i in group.atoms)
             groups.append({"kind": group.kind, "atoms": list(group.atoms), "formula": formula})
         molecules.append(
@@ -165,7 +166,7 @@ def cmd_partition(args) -> int:
                 "smiles": graph.smiles,
                 "num_atoms": graph.num_atoms,
                 "groups": groups,
-                "membership": _matrix_doc(data.node_to_group),
+                "membership": _matrix_doc(build_membership(group_set, graph.num_atoms)),
             }
         )
     _write_json({"molecules": molecules}, args.out)

@@ -29,6 +29,7 @@ from .gnn import (
 )
 from .grouping import GroupSet, build_membership, graph_membership, partition
 from .molgraph import NODE_FEATURE_DIM, MolecularGraph
+from .pooling import coarse_adjacency, pool_rows
 
 NoiseSource = Callable[[tuple[int, int]], np.ndarray]
 
@@ -45,11 +46,11 @@ def gaussian_noise(rng: np.random.Generator) -> NoiseSource:
 class MoleculeData:
     """Everything the models need for one molecule, computed once.
 
-    Besides the graph and its partition this holds every constant the
-    encoder, decoder and loss read: the atom degree scale, the propagators,
-    the feature, pooling and broadcast matrices and the loss's edge weights.
-    :meth:`from_graph` builds ``adjacency`` and ``features`` once; the graph
-    keeps neither. ``adjacency`` is the only n x n array kept, and
+    Besides the graph and its partition this holds, each once, every
+    constant the encoder, decoder and loss read: the features, the two
+    memberships the encoder pools through, the atom degree scale, the coarse
+    propagators, the broadcast column and the loss's edge weights. Built by
+    :meth:`from_graph`; ``adjacency`` is the only n x n array kept, and
     :meth:`atom_propagator` rebuilds the atom tier's propagator from it.
     """
 
@@ -62,20 +63,14 @@ class MoleculeData:
     atom_scale: np.ndarray = field(init=False)
     group_propagator: Tensor = field(init=False)
     molecule_propagator: Tensor = field(init=False)
-    atom_features: Tensor = field(init=False)
-    atoms_to_groups: Tensor = field(init=False)
-    groups_to_molecule: Tensor = field(init=False)
     molecule_to_atoms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.atom_scale = degree_scale(self.adjacency)
-        group_adjacency = self.node_to_group.T @ self.adjacency @ self.node_to_group
-        molecule_adjacency = self.group_to_graph.T @ group_adjacency @ self.group_to_graph
+        group_adjacency = coarse_adjacency(self.adjacency, self.node_to_group)
+        molecule_adjacency = coarse_adjacency(group_adjacency, self.group_to_graph)
         self.group_propagator = ad.constant(normalize_adjacency(group_adjacency))
         self.molecule_propagator = ad.constant(normalize_adjacency(molecule_adjacency))
-        self.atom_features = ad.constant(self.features)
-        self.atoms_to_groups = ad.constant(self.node_to_group.T)
-        self.groups_to_molecule = ad.constant(self.group_to_graph.T)
         self.molecule_to_atoms = np.ones((self.num_atoms, 1))
 
     @classmethod
@@ -109,10 +104,6 @@ class MoleculeData:
         """
         return ad.wrap(scale_adjacency(self.adjacency, self.atom_scale))
 
-    def pool(self, tier: int, rows: Tensor) -> Tensor:
-        """Tier 0's rows summed into groups, or tier 1's into the molecule."""
-        return ad.matmul((self.atoms_to_groups, self.groups_to_molecule)[tier], rows)
-
     @property
     def name(self) -> str:
         return self.graph.name
@@ -131,7 +122,7 @@ class _MoleculeBatch:
     stacked: :class:`MoleculeData`'s attributes with a leading batch axis, the
     atom propagator built by one stacked :func:`scale_adjacency`. Padded rows
     have zero features, propagator rows and membership, so they stay exactly
-    0 in every tier. Inference only: it pools with ``np.matmul``."""
+    0 in every tier. Inference only: a stack pools with ``np.matmul``."""
 
     def __init__(self, molecules: Sequence[MoleculeData]):
         atoms = np.array([data.num_atoms for data in molecules])
@@ -139,28 +130,23 @@ class _MoleculeBatch:
         size, n, g = len(molecules), atoms.max(), groups.max()
         adjacency, group_tier = np.zeros((size, n, n)), np.zeros((size, g, g))
         atom_scale = np.zeros((size, n))
-        features = np.zeros((size, n, molecules[0].features.shape[1]))
+        self.features = np.zeros((size, n, molecules[0].features.shape[1]))
         self.node_to_group = np.zeros((size, n, g))
         for k, data in enumerate(molecules):
             adjacency[k, : atoms[k], : atoms[k]] = data.adjacency
             atom_scale[k, : atoms[k]] = data.atom_scale
-            features[k, : atoms[k]] = data.features
+            self.features[k, : atoms[k]] = data.features
             group_tier[k, : groups[k], : groups[k]] = data.group_propagator.values
             self.node_to_group[k, : atoms[k], : groups[k]] = data.node_to_group
         molecule_tier = np.stack([data.molecule_propagator.values for data in molecules])
         atom_tier = scale_adjacency(adjacency, atom_scale)
         self._atom_propagator, self.group_propagator = ad.wrap(atom_tier), ad.wrap(group_tier)
-        self.molecule_propagator, self.atom_features = ad.wrap(molecule_tier), ad.wrap(features)
-        self.atoms_to_groups = np.ascontiguousarray(self.node_to_group.transpose(0, 2, 1))
-        self.groups_to_molecule = (np.arange(g) < groups[:, None, None]).astype(np.float64)
+        self.molecule_propagator = ad.wrap(molecule_tier)
+        self.group_to_graph = (np.arange(g)[:, None] < groups[:, None, None]).astype(np.float64)
         self.molecule_to_atoms = (np.arange(n)[:, None] < atoms[:, None, None]).astype(np.float64)
 
     def atom_propagator(self) -> Tensor:
         return self._atom_propagator
-
-    def pool(self, tier: int, rows: Tensor) -> Tensor:
-        pools = (self.atoms_to_groups, self.groups_to_molecule)
-        return ad.wrap(np.matmul(pools[tier], rows.values))
 
 
 @dataclass
@@ -293,7 +279,7 @@ def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     # gnn_forward and gnn_forward_variational are read from this module's
     # globals on every call, where perfbench's tracer rebinds them.
     propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
-    features = data.atom_features
+    features = ad.wrap(data.features)
     embeddings, stats = [], []
     for tier, stack in enumerate(params.encoders):
         if noise is None:
@@ -304,7 +290,7 @@ def _encode(params, data: MoleculeData, noise: NoiseSource | None):
             embedding = ad.reparameterize(pooled, std, noise(pooled.shape))
         embeddings.append(embedding)
         if tier < 2:
-            features = data.pool(tier, pooled)
+            features = pool_rows((data.node_to_group, data.group_to_graph)[tier], pooled)
     return TieredEmbeddings(*embeddings, data), stats
 
 

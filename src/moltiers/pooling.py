@@ -1,11 +1,13 @@
-"""Membership-weighted graph coarsening.
+"""Membership-weighted graph coarsening, the one definition the pipeline runs.
 
 Pooling contracts node embeddings and adjacency through a fixed membership
-matrix M: features become M^T Z and adjacency M^T A M. M is data, not a
-parameter, so gradients flow through the embeddings only. With a binary
-row-stochastic M the pooled features are exact group sums and the pooled
-adjacency counts intra-group edge weight on the diagonal and cross-group
-weight off it.
+matrix M: features become M^T Z (:func:`pool_rows`, which the encoder runs
+on one molecule or a padded stack) and adjacency M^T A M
+(:func:`coarse_adjacency`, which builds ``MoleculeData``'s coarse tiers);
+:func:`diff_group_pool` composes the two. M is data, not a parameter, so
+gradients flow through the embeddings only. With a binary row-stochastic M
+the pooled features are exact group sums and the pooled adjacency counts
+intra-group edge weight on the diagonal and cross-group weight off it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ class CoarsenedGraph:
     features: Tensor
 
 
+def coarse_adjacency(adjacency: np.ndarray, membership: np.ndarray) -> np.ndarray:
+    """M^T A M: one row and column per group."""
+    return membership.T @ adjacency @ membership
+
+
+def pool_rows(membership: np.ndarray, rows: Tensor) -> Tensor:
+    """M^T Z, one row per group: one recorded ``autodiff.matmul`` over a view
+    of M^T for one graph, one unrecorded ``np.matmul`` for a padded stack."""
+    if rows.values.ndim == 3:
+        return ad.wrap(np.matmul(membership.transpose(0, 2, 1), rows.values))
+    return ad.matmul(ad.wrap(membership.T), rows)
+
+
 def diff_group_pool(
     adjacency: np.ndarray, embeddings: Tensor, membership: np.ndarray
 ) -> CoarsenedGraph:
@@ -44,8 +59,5 @@ def diff_group_pool(
         raise ShapeError(f"membership is {membership.shape}, expected {n} rows")
     if embeddings.shape[0] != n:
         raise ShapeError(f"embeddings have {embeddings.shape[0]} rows for {n} nodes")
-
-    coarse_adjacency = membership.T @ adjacency @ membership
-    coarse_features = ad.matmul(ad.constant(membership.T), embeddings)
-    return CoarsenedGraph(coarse_adjacency, coarse_features)
-
+    coarse = coarse_adjacency(adjacency, membership)
+    return CoarsenedGraph(coarse, pool_rows(membership, embeddings))

@@ -33,15 +33,26 @@ class TierStats:
     std: Tensor
 
 
+def _constants(data: MoleculeData) -> tuple[Tensor, Tensor, Tensor]:
+    """Constant tensors of the features and of the two pooling matrices,
+    copied from the molecule's ``features``, ``node_to_group`` and
+    ``group_to_graph``."""
+    return (
+        ad.constant(data.features),
+        ad.constant(data.node_to_group.T),
+        ad.constant(data.group_to_graph.T),
+    )
+
+
 def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddings:
     """Encode one molecule: GNN, pool to groups, GNN, pool to the molecule,
-    GNN. Propagators and pooling matrices are the molecule's constants."""
-    node = gnn_forward(params.encoders[0], data.atom_propagator(), data.atom_features)
-    group = gnn_forward(
-        params.encoders[1], data.group_propagator, ad.matmul(data.atoms_to_groups, node)
-    )
+    GNN. Propagators are the molecule's constants; the feature and pooling
+    tensors are built here."""
+    features, atoms_to_groups, groups_to_molecule = _constants(data)
+    node = gnn_forward(params.encoders[0], data.atom_propagator(), features)
+    group = gnn_forward(params.encoders[1], data.group_propagator, ad.matmul(atoms_to_groups, node))
     graph = gnn_forward(
-        params.encoders[2], data.molecule_propagator, ad.matmul(data.groups_to_molecule, group)
+        params.encoders[2], data.molecule_propagator, ad.matmul(groups_to_molecule, group)
     )
     return TieredEmbeddings(node, group, graph, data)
 
@@ -62,8 +73,7 @@ def encode_tiered_variational(
     stats: list[TierStats] = []
     samples: list[Tensor] = []
     propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
-    pools = (data.atoms_to_groups, data.groups_to_molecule)
-    features = data.atom_features
+    features, *pools = _constants(data)
     for tier, stack in enumerate(params.encoders):
         mean, std = gnn_forward_variational(stack, propagators[tier], features)
         stats.append(TierStats(mean, std))

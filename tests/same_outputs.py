@@ -1,0 +1,142 @@
+"""Byte-identity check of the command line's outputs between two source trees.
+
+Usage::
+
+    python tests/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository, for instance one made with
+``git archive``. The script runs the same matrix of ``moltiers`` commands in
+subprocesses from each tree's ``src``:
+
+- ``parse`` and ``partition`` on ``data/corpus30.smi``, on 300 library
+  molecules (``gen.library(3, count=300)``) and on 12 backbones
+  (``gen.large_molecules(1, count=12)``);
+- ``train --epochs 20`` on the corpus for gae/vgae x adam/sgd x seeds 0 and
+  42;
+- ``embed`` of the corpus at the node, group and graph tiers and ``interp
+  'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each with the tree's own
+  seed-0 Adam checkpoint of either model.
+
+Both trees read one set of inputs, taken from CHANGE_TREE. Every command's
+stdout, stderr and exit code and every file it writes are kept; in
+``train``'s stdout the output directory is masked, since it differs between
+the trees. Each file is then printed as identical or different, and the
+script exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
+    """The three molecule files, written into ``directory``, by absolute path."""
+    directory = directory.resolve()
+    spec = importlib.util.spec_from_file_location("perfbench_gen", tree / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inputs = {
+        "corpus": directory / "corpus30.smi",
+        "library": directory / "library.smi",
+        "large": directory / "large.smi",
+    }
+    shutil.copyfile(tree / "data" / "corpus30.smi", inputs["corpus"])
+    inputs["library"].write_text(gen.library(3, count=300)[0])
+    inputs["large"].write_text(gen.large_molecules(1, count=12))
+    return inputs
+
+
+def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str]]]:
+    """(run name, argv after ``moltiers``) in run order. A run keeps its
+    outputs in ``results/<run name>/``, where ``train`` also writes."""
+    corpus = str(inputs["corpus"])
+    runs = []
+    for name, path in inputs.items():
+        runs.append((f"parse-{name}", ["parse", "--input", str(path)]))
+        runs.append((f"partition-{name}", ["partition", "--input", str(path)]))
+    for model in ("gae", "vgae"):
+        for optimizer in ("adam", "sgd"):
+            for seed in ("0", "42"):
+                name = f"train-{model}-{optimizer}-seed{seed}"
+                runs.append((name, [
+                    "train", "--input", corpus, "--out", str(results / name),
+                    "--model", model, "--optimizer", optimizer, "--seed", seed, "--epochs", "20",
+                ]))
+    for model in ("gae", "vgae"):
+        checkpoint = str(results / f"train-{model}-adam-seed0" / "checkpoint.json")
+        for tier in ("node", "group", "graph"):
+            runs.append((f"embed-{model}-{tier}", [
+                "embed", checkpoint, "--input", corpus, "--tier", tier,
+            ]))
+        runs.append((f"interp-{model}", [
+            "interp", checkpoint, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1", "--steps", "4",
+        ]))
+    return runs
+
+
+def run_matrix(tree: Path, inputs: dict[str, Path], results: Path) -> None:
+    """Run every command from ``tree``'s ``src``, keeping each one's stdout,
+    stderr and exit code in its own directory under ``results``."""
+    if not (tree / "src" / "moltiers" / "cli.py").is_file():
+        raise SystemExit(f"{tree} has no src/moltiers/cli.py")
+    env, results = {**os.environ, "PYTHONPATH": str(tree / "src")}, results.resolve()
+    for name, argv in commands(inputs, results):
+        out = results / name
+        out.mkdir(parents=True)
+        done = subprocess.run(
+            [sys.executable, "-m", "moltiers.cli", *argv],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        stdout = done.stdout
+        if argv[0] == "train":
+            stdout = stdout.replace(str(out), "<out>")
+        (out / "stdout").write_text(stdout)
+        (out / "stderr").write_text(done.stderr)
+        (out / "exit").write_text(f"{done.returncode}\n")
+
+
+def compare(first: Path, second: Path) -> list[str]:
+    """Print every file under either directory as identical or different,
+    by relative path; return the paths that differ, a missing file
+    included."""
+    names = sorted({
+        str(path.relative_to(root))
+        for root in (first, second)
+        for path in root.rglob("*")
+        if path.is_file()
+    })
+    different = []
+    for name in names:
+        a, b = first / name, second / name
+        same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
+        print(f"{'identical' if same else 'different'}  {name}")
+        if not same:
+            different.append(name)
+    return different
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in argv)
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as scratch:
+        scratch = Path(scratch)
+        (scratch / "inputs").mkdir()
+        inputs = write_inputs(change, scratch / "inputs")
+        for label, tree in (("parent", parent), ("change", change)):
+            run_matrix(tree, inputs, scratch / label)
+        different = compare(scratch / "parent", scratch / "change")
+    print(f"{len(different)} file(s) differ" if different else "every file is identical")
+    return 1 if different else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ def test_partition_writes_to_stdout_by_default(corpus_file, capsys):
     assert main(["partition", "--input", corpus_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["molecules"]) == 3
+
+
+def test_partition_builds_no_model_constants(monkeypatch, corpus_file, capsys):
+    # partition prints groups and memberships only: no propagator, features
+    # or degree scale is built for it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("partition built model constants")
+
+    monkeypatch.setattr(cli.MoleculeData, "from_graph", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("moltiers") and hasattr(module, "normalize_adjacency"):
+            monkeypatch.setattr(module, "normalize_adjacency", forbidden)
+    assert main(["partition", "--input", corpus_file]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [m["membership"]["shape"] for m in doc["molecules"]] == [[9, 2], [8, 1], [19, 4]]
 
 
 def test_out_naming_a_directory_exits_2_and_writes_nothing(tmp_path, corpus_file, capsys):

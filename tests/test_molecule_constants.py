@@ -2,9 +2,11 @@
 reference, and what MoleculeData keeps.
 
 The reference rebuilds every propagator with ``normalize_adjacency`` on raw
-adjacencies, pools with ``diff_group_pool`` and computes the loss with the
-primitive op chain, as each training step once did. The cached path and the
-fused edge loss must reproduce it bit for bit, gradients included.
+adjacencies, pools with the membership algebra written out (M^T A M and
+M^T Z, not ``moltiers.pooling``, which the encoder runs) and computes the
+loss with the primitive op chain, as each training step once did. The
+cached path and the fused edge loss must reproduce it bit for bit,
+gradients included.
 """
 
 import sys
@@ -15,7 +17,7 @@ from chain_oracle import assert_same_bits, hstack, sigmoid, transpose
 from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
-from moltiers import gnn, models
+from moltiers import gnn, models, pooling
 from moltiers.gnn import gnn_forward, gnn_forward_variational, normalize_adjacency
 from moltiers.models import (
     TieredGaeParams,
@@ -23,11 +25,12 @@ from moltiers.models import (
     encode_tiered,
     encode_tiered_variational,
     gae_loss,
+    gaussian_noise,
     kl_standard_normal,
+    mean_edge_auc,
     vgae_losses,
     zero_noise,
 )
-from moltiers.pooling import diff_group_pool
 from moltiers.train import TrainConfig, train_gae, train_vgae
 
 
@@ -35,12 +38,17 @@ def _propagator(adjacency):
     return ad.constant(normalize_adjacency(adjacency))
 
 
+def _pooled(adjacency, rows, membership):
+    """M^T A M and M^T Z, written out."""
+    return membership.T @ adjacency @ membership, ad.matmul(ad.constant(membership.T), rows)
+
+
 def reference_encode(params, data):
     node = gnn_forward(params.encoders[0], _propagator(data.adjacency), ad.constant(data.features))
-    groups = diff_group_pool(data.adjacency, node, data.node_to_group)
-    group = gnn_forward(params.encoders[1], _propagator(groups.adjacency), groups.features)
-    molecule = diff_group_pool(groups.adjacency, group, data.group_to_graph)
-    graph = gnn_forward(params.encoders[2], _propagator(molecule.adjacency), molecule.features)
+    groups, group_rows = _pooled(data.adjacency, node, data.node_to_group)
+    group = gnn_forward(params.encoders[1], _propagator(groups), group_rows)
+    molecule, molecule_rows = _pooled(groups, group, data.group_to_graph)
+    graph = gnn_forward(params.encoders[2], _propagator(molecule), molecule_rows)
     return node, group, graph
 
 
@@ -56,8 +64,7 @@ def reference_encode_variational(params, data):
         stds.append(std)
         samples.append(ad.reparameterize(mean, std, zero_noise(mean.shape)))
         if tier < 2:
-            coarse = diff_group_pool(adjacency, mean, memberships[tier])
-            adjacency, features = coarse.adjacency, coarse.features
+            adjacency, features = _pooled(adjacency, mean, memberships[tier])
     return samples, means, stds
 
 
@@ -173,17 +180,18 @@ def test_training_traces_match_the_primitive_chain_loss(monkeypatch, corpus_data
     )
 
 
-def _count_calls(monkeypatch, function):
-    """Count calls to ``function`` through every moltiers module binding."""
+def _record_calls(monkeypatch, function):
+    """Record the positional arguments of each call to ``function`` through
+    every moltiers module binding."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def recording(*args, **kwargs):
+        calls.append(args)
         return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("moltiers") and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counting)
+            monkeypatch.setattr(module, function.__name__, recording)
     return calls
 
 
@@ -192,8 +200,8 @@ def test_training_steps_neither_normalize_nor_validate(monkeypatch, corpus_data,
     counts = {}
     for epochs in (1, 5):
         with monkeypatch.context() as patch:
-            normalize = _count_calls(patch, gnn.normalize_adjacency)
-            validate = _count_calls(patch, gnn.degree_scale)
+            normalize = _record_calls(patch, gnn.normalize_adjacency)
+            validate = _record_calls(patch, gnn.degree_scale)
             train(corpus_data[:4], TrainConfig(dims=(4, 4, 4), depth=2, epochs=epochs))
         counts[epochs] = (len(normalize), len(validate))
     assert counts[1] == counts[5]
@@ -207,6 +215,58 @@ def test_molecule_data_keeps_no_square_array_besides_adjacency(corpus_data):
             values = value.values if isinstance(value, ad.Tensor) else value
             if isinstance(values, np.ndarray) and name != "adjacency":
                 assert values.shape != square, (data.name, name)
+
+
+def test_molecule_data_keeps_each_array_once(monkeypatch, corpus_data):
+    # the atom tier reads the molecule's own features, and no pooling matrix
+    # is kept beside the memberships it would be the transpose of
+    calls = _record_calls(monkeypatch, gnn.gnn_forward)
+    params = TieredGaeParams.init(np.random.default_rng(5))
+    for data in corpus_data:
+        del calls[:]
+        encode_tiered(params, data)
+        _, _, features = calls[0]
+        assert np.shares_memory(features.values, data.features), data.name
+        if data.num_groups == 1:  # a 1 x 1 membership is its own transpose
+            continue
+        transposes = (data.node_to_group.T, data.group_to_graph.T)
+        for name, value in vars(data).items():
+            values = value.values if isinstance(value, ad.Tensor) else value
+            if isinstance(values, np.ndarray):
+                assert not any(np.array_equal(values, t) for t in transposes), (data.name, name)
+
+
+def test_the_pipeline_pools_through_the_pooling_module(monkeypatch, corpus_data, corpus_graphs):
+    # criterion 3 and tests/test_pooling.py check diff_group_pool, which is
+    # exactly the two functions the encoder and from_graph call
+    assert models.pool_rows is pooling.pool_rows
+    assert models.coarse_adjacency is pooling.coarse_adjacency
+    rows = _record_calls(monkeypatch, pooling.pool_rows)
+    adjacencies = _record_calls(monkeypatch, pooling.coarse_adjacency)
+    data = corpus_data[0]
+    pooling.diff_group_pool(data.adjacency, ad.constant(data.features), data.node_to_group)
+    assert (len(rows), len(adjacencies)) == (1, 1)
+
+    del rows[:], adjacencies[:]
+    models.MoleculeData.from_graph(corpus_graphs[0])
+    assert len(adjacencies) == 2 and not rows
+
+    rng = np.random.default_rng(6)
+    gae, vgae = TieredGaeParams.init(rng), TieredVgaeParams.init(rng)
+    steps = (
+        lambda: gae_loss(gae, data),
+        lambda: ad.add(*vgae_losses(vgae, data, gaussian_noise(rng))),
+    )
+    for step in steps:
+        del rows[:]
+        ad.backward(step())
+        assert [pooled.values.ndim for _, pooled in rows] == [2, 2]
+
+    del rows[:]
+    buckets = models._size_buckets(corpus_data)
+    mean_edge_auc(gae, corpus_data)
+    expected = [3 if len(bucket) > 1 else 2 for bucket in buckets for _ in range(2)]
+    assert [pooled.values.ndim for _, pooled in rows] == expected
 
 
 def test_atom_propagator_wraps_the_fresh_array_without_a_copy(monkeypatch, corpus_data):

@@ -22,7 +22,7 @@ ALLOWED = {
     ("grouping", "check_bond_consistency"): "acceptance oracle: the partition's bond check",
     ("models", "elbo"): "acceptance oracle: the VGAE objective the acceptance tests call",
     ("models", "mean_edge_auc"): "perfbench tracer target: the evaluation span",
-    ("pooling", "diff_group_pool"): "perfbench tracer target: the pooling span",
+    ("pooling", "diff_group_pool"): "criterion 3 and perfbench tracer target",
 }
 
 

@@ -1,0 +1,24 @@
+"""The byte-identity check of ``tests/same_outputs.py``: its comparison names
+each file that differs between two output directories."""
+
+import same_outputs
+
+
+def test_compare_reports_the_file_that_differs_in_one_byte(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "train-gae").mkdir(parents=True)
+        (root / "train-gae" / "trace.csv").write_bytes(b"epoch,loss\n1,0.5\n")
+        (root / "stdout").write_bytes(b"same\n")
+    (change / "train-gae" / "trace.csv").write_bytes(b"epoch,loss\n1,0.6\n")
+    assert same_outputs.compare(parent, change) == ["train-gae/trace.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["identical  stdout", "different  train-gae/trace.csv"]
+
+
+def test_compare_reports_a_file_that_one_side_lacks(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "exit").write_text("0\n")
+    assert same_outputs.compare(parent, change) == ["exit"]
