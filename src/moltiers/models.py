@@ -11,7 +11,7 @@ tiers see deterministic inputs, and samples with reparameterized noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
@@ -27,7 +27,7 @@ from .gnn import (
     normalize_adjacency,
     scale_adjacency,
 )
-from .grouping import GroupSet, build_membership, graph_membership, partition
+from .grouping import build_membership, graph_membership, partition
 from .molgraph import NODE_FEATURE_DIM, MolecularGraph
 from .pooling import coarse_adjacency, pool_rows
 
@@ -42,30 +42,25 @@ def gaussian_noise(rng: np.random.Generator) -> NoiseSource:
     return lambda shape: rng.standard_normal(shape)
 
 
-@dataclass
 class MoleculeData:
-    """Everything the models need for one molecule, computed once.
+    """Everything the models need for one molecule, computed once from its
+    graph, the constructor's only argument.
 
     Besides the graph and its partition this holds, each once, every
-    constant the encoder, decoder and loss read: the features, the two
-    memberships the encoder pools through, the atom degree scale, the coarse
-    propagators, the broadcast column and the loss's edge weights. Built by
-    :meth:`from_graph`; ``adjacency`` is the only n x n array kept, and
-    :meth:`atom_propagator` rebuilds the atom tier's propagator from it.
+    constant the encoder, decoder and loss read: the adjacency, the features,
+    the two memberships the encoder pools through, the atom degree scale, the
+    coarse propagators, the broadcast column and the loss's edge weights.
+    ``adjacency`` is the only n x n array kept, and :meth:`atom_propagator`
+    rebuilds the atom tier's propagator from it.
     """
 
-    graph: MolecularGraph
-    group_set: GroupSet
-    adjacency: np.ndarray
-    features: np.ndarray
-    node_to_group: np.ndarray
-    group_to_graph: np.ndarray
-    atom_scale: np.ndarray = field(init=False)
-    group_propagator: Tensor = field(init=False)
-    molecule_propagator: Tensor = field(init=False)
-    molecule_to_atoms: np.ndarray = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, graph: MolecularGraph):
+        self.graph = graph
+        self.group_set = partition(graph)
+        self.adjacency = graph.adjacency
+        self.features = graph.node_features
+        self.node_to_group = build_membership(self.group_set, graph.num_atoms)
+        self.group_to_graph = graph_membership(len(self.group_set))
         self.atom_scale = degree_scale(self.adjacency)
         group_adjacency = coarse_adjacency(self.adjacency, self.node_to_group)
         molecule_adjacency = coarse_adjacency(group_adjacency, self.group_to_graph)
@@ -75,15 +70,7 @@ class MoleculeData:
 
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "MoleculeData":
-        group_set = partition(graph)
-        return cls(
-            graph=graph,
-            group_set=group_set,
-            adjacency=graph.adjacency,
-            features=graph.node_features,
-            node_to_group=build_membership(group_set, graph.num_atoms),
-            group_to_graph=graph_membership(len(group_set)),
-        )
+        return cls(graph)
 
     @cached_property
     def edge_weights(self) -> tuple[float, float]:
@@ -347,11 +334,20 @@ def edge_loss_weights(adjacency: np.ndarray) -> tuple[float, float]:
     the target :func:`moltiers.autodiff.edge_feature_loss` requires."""
     if np.signbit(adjacency).any() or not np.isin(adjacency, (0.0, 1.0)).all():
         raise ValueError("edge loss target must hold only 0 and 1, and no -0.0")
-    upper = (~np.tri(adjacency.shape[0], dtype=bool)).astype(np.float64)  # i < j
-    positives = float((adjacency * upper).sum())
-    negatives = float(upper.sum() - positives)
+    n = adjacency.shape[0]
+    positives = int(np.count_nonzero(_pairs(adjacency)))
+    negatives = n * (n - 1) // 2 - positives
     pos_weight = negatives / positives if positives > 0 else 1.0
-    return pos_weight, float((upper * (1.0 + (pos_weight - 1.0) * adjacency)).sum())
+    return pos_weight, float(_pair_weights(adjacency, pos_weight).sum())
+
+
+def _pair_weights(adjacency: np.ndarray, pos_weight: float) -> np.ndarray:
+    """The edge loss's weight of each pair: 1 + (pos_weight - 1) A on the
+    pairs i < j and +0.0 elsewhere, built in one array."""
+    pair_weights = adjacency * (pos_weight - 1.0)
+    pair_weights += 1.0
+    np.copyto(pair_weights, 0.0, where=np.tri(adjacency.shape[0], dtype=bool))
+    return pair_weights
 
 
 def reconstruction_loss(
@@ -380,11 +376,7 @@ def reconstruction_loss(
         )
 
     pos_weight, total_weight = edge_weights or edge_loss_weights(adjacency)
-    # edge_loss_weights' summand, zeros' signs included: 1 + (pos_weight - 1) A
-    # on the pairs i < j, +0.0 elsewhere
-    pair_weights = adjacency * (pos_weight - 1.0)
-    pair_weights += 1.0
-    np.copyto(pair_weights, 0.0, where=np.tri(n, dtype=bool))
+    pair_weights = _pair_weights(adjacency, pos_weight)
     return ad.edge_feature_loss(
         edge_probs, feature_recon, adjacency, pair_weights, total_weight, features, feature_weight
     )

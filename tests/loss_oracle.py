@@ -3,7 +3,9 @@
 This is the loss as it was before the edge BCE became the single op
 ``weighted_bce_sum``: the ``np.triu`` pair mask and ten records for the
 edge term. Tests use it as the oracle that the fused op must match bit for
-bit, values and gradients alike.
+bit, values and gradients alike. :func:`edge_loss_weights` is the loss
+weights' computation as it was before one builder made the pair weights
+for both the step and the total: the reference for those two floats.
 """
 
 import numpy as np
@@ -42,3 +44,13 @@ def chain_reconstruction_loss(
     difference = sub(feature_recon, ad.constant(features))
     feature_term = reduce_mean(mul(difference, difference))
     return ad.add(edge_term, ad.scale(feature_term, float(feature_weight)))
+
+
+def edge_loss_weights(adjacency):
+    """(pos_weight, total_weight) over the pairs i < j through a float
+    ``upper`` mask, without the 0/1 check."""
+    upper = (~np.tri(adjacency.shape[0], dtype=bool)).astype(np.float64)  # i < j
+    positives = float((adjacency * upper).sum())
+    negatives = float(upper.sum() - positives)
+    pos_weight = negatives / positives if positives > 0 else 1.0
+    return pos_weight, float((upper * (1.0 + (pos_weight - 1.0) * adjacency)).sum())

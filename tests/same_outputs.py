@@ -15,13 +15,20 @@ subprocesses from each tree's ``src``:
   42;
 - ``embed`` of the corpus at the node, group and graph tiers and ``interp
   'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each with the tree's own
-  seed-0 Adam checkpoint of either model.
+  seed-0 Adam checkpoint of either model;
+- the failure paths: ``embed`` and ``interp`` with a GAE checkpoint whose
+  stacks read 6 features (exit 4), ``embed`` with a corrupt checkpoint
+  (exit 4), ``interp`` with the endpoint ``C@C`` (exit 1), ``parse`` on a
+  missing file (exit 2), ``train --dims 0,1,1`` (exit 5) and a VGAE run
+  with SGD whose loss turns non-finite in its first epoch (exit 3).
 
 Both trees read one set of inputs, taken from CHANGE_TREE. Every command's
-stdout, stderr and exit code and every file it writes are kept; in
-``train``'s stdout the output directory is masked, since it differs between
-the trees. Each file is then printed as identical or different, and the
-script exits 1 on any difference.
+stdout, stderr and exit code and every file it writes are kept. In stdout
+and stderr the run's directory and the tree's root are masked, since both
+differ between the trees: ``train`` prints where it wrote, and numpy's
+warnings print the path of the source line that raised them. Each file is
+then printed as identical or different, and the script exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -36,8 +43,23 @@ import tempfile
 from pathlib import Path
 
 
+MOLECULE_FILES = ("corpus", "library", "large")
+
+# Run in a subprocess from a tree's src, with the checkpoint's path as argument.
+NARROW_CHECKPOINT = """
+import sys
+import numpy as np
+from moltiers.checkpoint import save_checkpoint
+from moltiers.models import TieredGaeParams
+params = TieredGaeParams.init(np.random.default_rng(0), (4, 4, 4), 2, input_dim=6)
+save_checkpoint(params, sys.argv[1])
+"""
+
+
 def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
-    """The three molecule files, written into ``directory``, by absolute path."""
+    """The three molecule files, a GAE checkpoint whose stacks read 6
+    features and a corrupt checkpoint, written into ``directory``, and a
+    missing file, by absolute path."""
     directory = directory.resolve()
     spec = importlib.util.spec_from_file_location("perfbench_gen", tree / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
@@ -50,6 +72,14 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
     shutil.copyfile(tree / "data" / "corpus30.smi", inputs["corpus"])
     inputs["library"].write_text(gen.library(3, count=300)[0])
     inputs["large"].write_text(gen.large_molecules(1, count=12))
+    inputs["narrow"] = directory / "narrow-checkpoint.json"
+    subprocess.run(
+        [sys.executable, "-c", NARROW_CHECKPOINT, str(inputs["narrow"])],
+        env={**os.environ, "PYTHONPATH": str(tree / "src")}, check=True,
+    )
+    inputs["corrupt"] = directory / "corrupt-checkpoint.json"
+    inputs["corrupt"].write_text("{}")
+    inputs["missing"] = directory / "absent.smi"
     return inputs
 
 
@@ -58,9 +88,9 @@ def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str
     outputs in ``results/<run name>/``, where ``train`` also writes."""
     corpus = str(inputs["corpus"])
     runs = []
-    for name, path in inputs.items():
-        runs.append((f"parse-{name}", ["parse", "--input", str(path)]))
-        runs.append((f"partition-{name}", ["partition", "--input", str(path)]))
+    for name in MOLECULE_FILES:
+        runs.append((f"parse-{name}", ["parse", "--input", str(inputs[name])]))
+        runs.append((f"partition-{name}", ["partition", "--input", str(inputs[name])]))
     for model in ("gae", "vgae"):
         for optimizer in ("adam", "sgd"):
             for seed in ("0", "42"):
@@ -78,7 +108,31 @@ def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str
         runs.append((f"interp-{model}", [
             "interp", checkpoint, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1", "--steps", "4",
         ]))
+    narrow = str(inputs["narrow"])
+    trained = str(results / "train-gae-adam-seed0" / "checkpoint.json")
+    runs += [
+        ("embed-narrow", ["embed", narrow, "--input", corpus]),
+        ("interp-narrow", ["interp", narrow, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1"]),
+        ("embed-corrupt", ["embed", str(inputs["corrupt"]), "--input", corpus]),
+        ("interp-bad-endpoint", ["interp", trained, "C@C", "CCO"]),
+        ("parse-missing", ["parse", "--input", str(inputs["missing"])]),
+        ("train-zero-dims", [
+            "train", "--input", corpus, "--out", str(results / "train-zero-dims"),
+            "--dims", "0,1,1",
+        ]),
+        ("train-vgae-sgd-diverges", [
+            "train", "--input", corpus, "--out", str(results / "train-vgae-sgd-diverges"),
+            "--model", "vgae", "--optimizer", "sgd", "--layers", "1", "--dims", "3,4,5",
+            "--epochs", "30", "--seed", "42",
+        ]),
+    ]
     return runs
+
+
+def mask(text: str, tree: Path, out: Path) -> str:
+    """``text`` with the run's directory shown as ``<out>`` and the tree's
+    root as ``<tree>``."""
+    return text.replace(str(out), "<out>").replace(str(tree), "<tree>")
 
 
 def run_matrix(tree: Path, inputs: dict[str, Path], results: Path) -> None:
@@ -94,11 +148,8 @@ def run_matrix(tree: Path, inputs: dict[str, Path], results: Path) -> None:
             [sys.executable, "-m", "moltiers.cli", *argv],
             cwd=out, env=env, capture_output=True, text=True,
         )
-        stdout = done.stdout
-        if argv[0] == "train":
-            stdout = stdout.replace(str(out), "<out>")
-        (out / "stdout").write_text(stdout)
-        (out / "stderr").write_text(done.stderr)
+        (out / "stdout").write_text(mask(done.stdout, tree, out))
+        (out / "stderr").write_text(mask(done.stderr, tree, out))
         (out / "exit").write_text(f"{done.returncode}\n")
 
 

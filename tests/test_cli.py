@@ -9,7 +9,9 @@ import pytest
 
 import moltiers.autodiff as ad
 from moltiers import cli
+from moltiers.checkpoint import save_checkpoint
 from moltiers.cli import main
+from moltiers.models import TieredGaeParams
 
 SMALL_CORPUS = "CCO ethanol\nCC(=O)O acetic-acid\nO=Cc1ccc(O)c(OC)c1 vanillin\n"
 
@@ -283,6 +285,22 @@ def test_embed_with_a_checkpoint_outside_its_spec_exits_4(trained_dir, corpus_fi
     assert main(["embed", str(path), "--input", corpus_file]) == 4
     captured = capsys.readouterr()
     assert "checkpoint error" in captured.err and "outside the spec" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["embed", "interp"])
+def test_a_checkpoint_of_another_feature_width_exits_4(tmp_path, corpus_file, capsys, command):
+    """A well-formed checkpoint whose stacks read 6 features, where every
+    molecule has 16, fails at the first encode and writes no document."""
+    path = tmp_path / "narrow.json"
+    params = TieredGaeParams.init(np.random.default_rng(0), (4, 4, 4), 2, input_dim=6)
+    save_checkpoint(params, path)
+    molecules = ["--input", corpus_file] if command == "embed" else ["CCO", "CC(=O)O"]
+    assert main([command, str(path), *molecules]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "checkpoint does not fit these molecules: features have width 16, stack expects 6\n"
+    )
     assert captured.out == ""
 
 

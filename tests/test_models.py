@@ -5,9 +5,10 @@ of N(0,1) against the prior is 0, and a deterministic encoder is the
 variational one with unit std and zero noise.
 """
 
-from dataclasses import replace
+from unittest import mock
 
 import encode_oracle
+import loss_oracle
 import numpy as np
 import pytest
 from chain_oracle import assert_same_bits, reduce_sum
@@ -217,7 +218,8 @@ def test_edge_loss_requires_a_0_1_target(ethanol_data, entry):
     assert ad.tape_size() == records
     if entry > 0:  # a symmetric non-negative adjacency that encodes fine
         weighted = ethanol_data.adjacency * np.where(ethanol_data.adjacency > 0, entry, 1.0)
-        data = replace(ethanol_data, adjacency=weighted)
+        data = MoleculeData.from_graph(ethanol_data.graph)
+        data.adjacency = weighted
         with pytest.raises(ValueError, match="only 0 and 1"):
             gae_loss(small_params(input_dim=data.features.shape[1]), data)
         ad.clear_tape()
@@ -267,6 +269,43 @@ def test_reconstruction_loss_equals_primitive_chain(case):
         assert grad is None
     else:
         assert_same_bits(grad, expected_grad)
+
+
+@st.composite
+def zero_one_matrices(draw):
+    """A 0/1 matrix, symmetric with a zero diagonal or arbitrary."""
+    n = draw(st.integers(1, 40))
+    bits = draw(arrays(bool, (n, n)))
+    if draw(st.booleans()):
+        bits = np.triu(bits, k=1)
+        bits = bits | bits.T
+    return bits.astype(np.float64)
+
+
+@given(zero_one_matrices())
+@example(np.zeros((1, 1)))
+@example(np.zeros((2, 2)))
+@example(np.ones((2, 2)) - np.eye(2))
+@example(np.zeros((7, 7)))
+@example(np.ones((7, 7)) - np.eye(7))
+@example(np.ones((7, 7)))
+def test_edge_loss_weights_match_the_reference_and_the_step_pair_weights(adjacency):
+    """The two floats have the reference's bits, and the total is the sum of
+    the pair weights each step hands to the fused loss."""
+    weights = edge_loss_weights(adjacency)
+    expected = loss_oracle.edge_loss_weights(adjacency)
+    assert [type(w) for w in weights] == [float, float]
+    assert [w.hex() for w in weights] == [w.hex() for w in expected]
+    n = adjacency.shape[0]
+    with mock.patch.object(ad, "edge_feature_loss", wraps=ad.edge_feature_loss) as fused:
+        with ad.no_grad():
+            reconstruction_loss(
+                ad.constant(np.full((n, n), 0.5)), ad.constant(np.zeros((n, 2))), adjacency,
+                np.zeros((n, 2)),
+            )
+    pair_weights, total_weight = fused.call_args.args[3:5]
+    assert total_weight.hex() == weights[1].hex()
+    assert float(pair_weights.sum()).hex() == weights[1].hex()
 
 
 def test_kl_closed_forms():

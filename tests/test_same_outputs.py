@@ -1,5 +1,6 @@
 """The byte-identity check of ``tests/same_outputs.py``: its comparison names
-each file that differs between two output directories."""
+each file that differs between two output directories, and its masking
+hides the paths that differ between two trees."""
 
 import same_outputs
 
@@ -22,3 +23,15 @@ def test_compare_reports_a_file_that_one_side_lacks(tmp_path, capsys):
     change.mkdir()
     (change / "exit").write_text("0\n")
     assert same_outputs.compare(parent, change) == ["exit"]
+
+
+def test_mask_hides_the_run_directory_and_the_tree_root(tmp_path):
+    tree, out = tmp_path / "parent", tmp_path / "results" / "train-vgae-sgd-diverges"
+    stdout = f"trained gae on 30 molecules; checkpoint: {out}/checkpoint.json\n"
+    stderr = f"{tree}/src/moltiers/autodiff.py:257: RuntimeWarning: overflow encountered\n"
+    assert same_outputs.mask(stdout, tree, out) == (
+        "trained gae on 30 molecules; checkpoint: <out>/checkpoint.json\n"
+    )
+    assert same_outputs.mask(stderr, tree, out) == (
+        "<tree>/src/moltiers/autodiff.py:257: RuntimeWarning: overflow encountered\n"
+    )
