@@ -200,14 +200,16 @@ def cmd_train(args) -> int:
     trace_path = out_dir / "trace.csv"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
-        if args.model == "vgae":
-            params, trace = train_vgae(dataset, config)
-            csv_text = vgae_trace_csv(trace)
-            final = f"final elbo {trace[-1].elbo}" if trace else "no epochs run"
-        else:
-            params, trace = train_gae(dataset, config)
-            csv_text = gae_trace_csv(trace)
-            final = f"final loss {trace[-1]}" if trace else "no epochs run"
+        # A diverging run ends with its own abort message (exit 3), not numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.model == "vgae":
+                params, trace = train_vgae(dataset, config)
+                csv_text = vgae_trace_csv(trace)
+                final = f"final elbo {trace[-1].elbo}" if trace else "no epochs run"
+            else:
+                params, trace = train_gae(dataset, config)
+                csv_text = gae_trace_csv(trace)
+                final = f"final loss {trace[-1]}" if trace else "no epochs run"
         save_checkpoint(params, checkpoint_path)
         with atomic_write(trace_path) as handle:
             handle.write(csv_text)

@@ -6,8 +6,12 @@ is exactly the set of edges that lie on some cycle (any cycle is an XOR of
 fundamental cycles, so a bridge is on none). For each of those cycle edges
 we then take the shortest cycle through it, by BFS over the cycle edges
 with that edge removed, and greedily select independent cycles over GF(2)
-until the cycle space is spanned. Bridges and the chains they form are
-never searched, so the cost grows with the ring systems, not the molecule.
+until the cycle space is spanned. Fundamental cycles that share no node
+(isolated rings) are each the only cycle through their edges, so they are
+the basis as they stand, with no search. A node of degree 1 (a molecule's
+hydrogens and halogens) lies on no cycle and is never walked, bridges are
+never searched, and a forest returns once its walk is done, so the cost
+grows with the ring systems, not the molecule.
 On molecular graphs this recovers the chemically meaningful small rings,
 e.g. the two 6-rings of naphthalene instead of its 10-ring perimeter.
 """
@@ -18,7 +22,7 @@ from collections import deque
 from typing import Sequence
 
 
-def _bfs_path(adj: list[list[int]], src: int, dst: int, banned: frozenset[int]) -> list[int] | None:
+def _bfs_path(adj: dict[int, list], src: int, dst: int, banned: int) -> list[int] | None:
     """Shortest path src -> dst that avoids the banned edge, or None."""
     if src == dst:
         return [src]
@@ -27,7 +31,7 @@ def _bfs_path(adj: list[list[int]], src: int, dst: int, banned: frozenset[int]) 
     while queue:
         node = queue.popleft()
         for nbr, edge_id in adj[node]:
-            if edge_id in banned or nbr in parents:
+            if edge_id == banned or nbr in parents:
                 continue
             parents[nbr] = node
             if nbr == dst:
@@ -40,58 +44,71 @@ def _bfs_path(adj: list[list[int]], src: int, dst: int, banned: frozenset[int]) 
     return None
 
 
-def _fundamental_cycles(num_nodes: int, adj: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Cycles induced by non-tree edges of a BFS spanning forest, and its tree count."""
+def _fundamental_cycles(
+    adj: list[list[tuple[int, int]]], degree: list[int], partner: list[int], num_edges: int
+) -> tuple[list[list[int]], int]:
+    """Cycles induced by non-tree edges of a BFS spanning forest, and its tree count.
+
+    ``adj`` holds only the edges between nodes of degree 2 or more, and
+    ``partner`` the one neighbour of each degree-1 node. Such a node only
+    ends tree paths, so it is never queued, and one that would root a tree
+    passes the root to its neighbour: the tree paths among the other nodes,
+    and so the cycles, stay those of a walk over every node.
+    """
+    num_nodes = len(adj)
     parent = [-2] * num_nodes  # -2 unvisited, -1 root
-    parent_edge = [-1] * num_nodes
+    parent_edge, depth = [-1] * num_nodes, [0] * num_nodes
     order: list[int] = []
     components = 0
     for root in range(num_nodes):
+        if degree[root] == 1:
+            other = partner[root]
+            if degree[other] == 1:  # two nodes joined only to each other
+                components += root < other
+                continue
+            root = other
         if parent[root] != -2:
             continue
         components += 1
         parent[root] = -1
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
+        queue = [root]
+        for node in queue:  # the list is the BFS queue
             for nbr, edge_id in adj[node]:
-                if parent[nbr] != -2:
-                    continue
-                parent[nbr] = node
-                parent_edge[nbr] = edge_id
-                queue.append(nbr)
+                if parent[nbr] == -2:
+                    parent[nbr], parent_edge[nbr], depth[nbr] = node, edge_id, depth[node] + 1
+                    queue.append(nbr)
+        order += queue
+    if num_edges == num_nodes - components:
+        return [], components
 
-    tree_edges = {parent_edge[n] for n in range(num_nodes) if parent_edge[n] >= 0}
     cycles = []
     seen_edges = set()
     for node in order:
         for nbr, edge_id in adj[node]:
-            if edge_id in tree_edges or edge_id in seen_edges:
+            if parent_edge[nbr] == edge_id or parent_edge[node] == edge_id or edge_id in seen_edges:
                 continue
             seen_edges.add(edge_id)
-            # Walk both endpoints up to the root, then trim the shared tail.
-            path_a = [node]
-            while parent[path_a[-1]] >= 0:
-                path_a.append(parent[path_a[-1]])
-            path_b = [nbr]
-            while parent[path_b[-1]] >= 0:
-                path_b.append(parent[path_b[-1]])
-            in_a = {n: i for i, n in enumerate(path_a)}
-            meet = next(i for i, n in enumerate(path_b) if n in in_a)
-            junction = path_b[meet]
-            cycle = path_a[: in_a[junction] + 1] + path_b[:meet][::-1]
-            cycles.append(cycle)
+            # Climb from the deeper end until the two tree paths meet.
+            path_a, path_b = [node], [nbr]
+            while path_a[-1] != path_b[-1]:
+                deeper = path_a if depth[path_a[-1]] >= depth[path_b[-1]] else path_b
+                deeper.append(parent[deeper[-1]])
+            cycles.append(path_a + path_b[-2::-1])
     return cycles, components
 
 
 def _cycle_edge_ids(cycle: list[int], edge_ids: dict[tuple[int, int], int]) -> list[int]:
-    ids = []
-    for i, node in enumerate(cycle):
-        nxt = cycle[(i + 1) % len(cycle)]
-        key = (node, nxt) if node < nxt else (nxt, node)
-        ids.append(edge_ids[key])
-    return ids
+    return [edge_ids[(a, b) if a < b else (b, a)] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def _as_searched(cycle: list[int], edge_ids: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """The only cycle through its edges, as the search from its lowest-id edge
+    (u, v), u < v, finds it: from v the long way round to u."""
+    pairs = [(a, b) if a < b else (b, a) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    u, v = min(pairs, key=edge_ids.__getitem__)
+    i = cycle.index(v)
+    path = cycle[i:] + cycle[:i]
+    return tuple(path if path[1:2] != [u] else [v, *path[:0:-1]])
 
 
 def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -100,46 +117,55 @@ def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> li
     The basis has exactly U - N + C members (U edges, N nodes, C connected
     components).
     """
+    degree = [0] * num_nodes
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    # Only edges between nodes of degree 2 or more can lie on a cycle. A
+    # repeated edge raises both its ends to degree 2, so every repeat is seen.
     edge_ids: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    partner = [0] * num_nodes
     for edge_id, (u, v) in enumerate(edges):
-        key = (u, v) if u < v else (v, u)
-        if key in edge_ids:
-            raise ValueError(f"duplicate edge {key}")
-        edge_ids[key] = edge_id
-        adj[u].append((v, edge_id))
-        adj[v].append((u, edge_id))
+        if degree[u] > 1 and degree[v] > 1:
+            key = (u, v) if u < v else (v, u)
+            if key in edge_ids:
+                raise ValueError(f"duplicate edge {key}")
+            edge_ids[key] = edge_id
+            adj[u].append((v, edge_id))
+            adj[v].append((u, edge_id))
+        else:
+            partner[u], partner[v] = v, u
 
-    fundamental, components = _fundamental_cycles(num_nodes, adj)
+    fundamental, components = _fundamental_cycles(adj, degree, partner, len(edges))
+    if len({node for cycle in fundamental for node in cycle}) == sum(map(len, fundamental)):
+        # Cycles that share no node are each the only cycle through their edges.
+        return sorted((_as_searched(c, edge_ids) for c in fundamental), key=lambda c: (len(c), c))
+    on_cycle = {e for cycle in fundamental for e in _cycle_edge_ids(cycle, edge_ids)}
     # A shortest path avoiding an edge, plus that edge, is a simple cycle, so
     # it uses cycle edges only and the pruned adjacency finds the same path.
-    on_cycle = {e for cycle in fundamental for e in _cycle_edge_ids(cycle, edge_ids)}
-    ring_adj = [[(nbr, e) for nbr, e in row if e in on_cycle] for row in adj]
-    candidates = [
-        _bfs_path(ring_adj, v, u, frozenset([edge_id]))
-        for (u, v), edge_id in edge_ids.items()
-        if edge_id in on_cycle
-    ]
+    ring_adj = {
+        node: [(nbr, e) for nbr, e in adj[node] if e in on_cycle]
+        for node in {node for cycle in fundamental for node in cycle}
+    }
+    candidates = [_bfs_path(ring_adj, v, u, e) for (u, v), e in edge_ids.items() if e in on_cycle]
     candidates.extend(fundamental)
 
-    seen: set[frozenset[int]] = set()
-    unique = []
+    unique: dict[frozenset[int], tuple[list[int], list[int]]] = {}
     for cycle in candidates:
-        key = frozenset(_cycle_edge_ids(cycle, edge_ids))
-        if key not in seen:
-            seen.add(key)
-            unique.append(cycle)
-    unique.sort(key=lambda c: (len(c), tuple(c)))
+        ids = _cycle_edge_ids(cycle, edge_ids)
+        unique.setdefault(frozenset(ids), (cycle, ids))
+    ranked = sorted(unique.values(), key=lambda pair: (len(pair[0]), tuple(pair[0])))
 
     target = len(edges) - num_nodes + components
 
     basis: list[tuple[int, ...]] = []
     pivots: dict[int, int] = {}  # pivot edge-id -> reduced bitset
-    for cycle in unique:
+    for cycle, ids in ranked:
         if len(basis) == target:
             break
         vec = 0
-        for edge_id in _cycle_edge_ids(cycle, edge_ids):
+        for edge_id in ids:
             vec ^= 1 << edge_id
         while vec:
             pivot = vec.bit_length() - 1

@@ -12,6 +12,7 @@ membership matrix whose rows sum to one (an atom in m groups contributes
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -38,8 +39,10 @@ class Group:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if not self.atoms:
             raise ValueError("a group cannot be empty")
-        if tuple(sorted(self.atoms)) != self.atoms:
-            raise ValueError("group atoms must be sorted")
+        ordered = tuple(sorted(set(self.atoms)))
+        if ordered != self.atoms:
+            repeated = len(ordered) < len(self.atoms)
+            raise ValueError(f"group atoms must {'not repeat' if repeated else 'be sorted'}")
 
 
 @dataclass
@@ -62,20 +65,23 @@ class GroupSet:
 
 def _with_hydrogens(graph: MolecularGraph, atoms: Collection[int]) -> tuple[int, ...]:
     """``atoms`` plus the hydrogens bonded to them, sorted ascending."""
-    members = set(atoms)
-    for atom in atoms:
-        members.update(nbr for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H")
+    members = {
+        nbr for atom in atoms for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H"
+    }
+    members.update(atoms)
     return tuple(sorted(members))
 
 
 def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     """Rings whose every bond is aromatic, each returned with its attached
     hydrogens, sorted ascending."""
-    aromatic = {tuple(sorted(b.endpoints)) for b in graph.bonds if b.order == "aromatic"}
+    if not graph.rings:
+        return []
+    aromatic = {(b.first, b.second) for b in graph.bonds if b.order == "aromatic"}
     return [
         _with_hydrogens(graph, ring)
         for ring in graph.rings
-        if all(pair in aromatic for pair in ring_bonds(ring))
+        if all((a, b) in aromatic or (b, a) in aromatic for a, b in ring_bonds(ring))
     ]
 
 
@@ -89,42 +95,37 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     absorbs its hydrogens and any terminal carbon whose heavy neighbors all
     lie inside the group (the methyl of a methoxy).
     """
-    atoms = graph.atoms
-    marked: set[int] = set()
+    atoms, neighbors = graph.atoms, graph.neighbors
+    elements = [atom.element for atom in atoms]
+    marked = {i for i, e in enumerate(elements) if e not in ("C", "H") and not atoms[i].aromatic}
 
-    for i, atom in enumerate(atoms):
-        if atom.element not in ("C", "H") and not atom.aromatic:
-            marked.add(i)
-
-    for bond in graph.bonds:
-        if bond.order in ("double", "triple"):
-            for end in bond.endpoints:
-                if atoms[end].element == "C":
-                    marked.add(end)
-
-    for i, atom in enumerate(atoms):
-        if atom.element != "C" or atom.aromatic or i in graph.unsaturated:
-            continue
-        hetero_neighbors = sum(
-            1 for nbr in graph.neighbors(i) if atoms[nbr].element in ("O", "N", "S")
-        )
-        if hetero_neighbors >= 2:
-            marked.add(i)
+    marked.update(
+        end for bond in graph.bonds if bond.order == "double" or bond.order == "triple"
+        for end in (bond.first, bond.second) if elements[end] == "C"
+    )
+    # The acetal rule counts each carbon's O, N and S neighbours from their side.
+    hetero_bonds = Counter(
+        nbr for i, e in enumerate(elements) if e in ("O", "N", "S") for nbr in neighbors(i)
+    )
+    marked.update(
+        i for i, count in hetero_bonds.items()
+        if count >= 2 and elements[i] == "C" and not atoms[i].aromatic and i not in graph.unsaturated
+    )
 
     for ring in graph.rings:
-        if len(ring) == 3 and any(atoms[i].element not in ("C", "H") for i in ring):
+        if len(ring) == 3 and any(elements[i] not in ("C", "H") for i in ring):
             marked.update(ring)
 
     # Merge marked atoms that are bonded to each other.
     cores = [set(part) for part in graph.components(marked)]
 
     # An unmarked carbon joins the core that holds all of its heavy neighbors;
-    # cores are disjoint, so one pass finds the one core, if any.
+    # cores are disjoint, so one pass over the carbons next to a core finds
+    # the one core, if any.
     core_of = {atom: k for k, core in enumerate(cores) for atom in core}
-    for i, atom in enumerate(atoms):
-        if atom.element != "C" or i in marked:
-            continue
-        owners = {core_of.get(nbr) for nbr in graph.neighbors(i) if atoms[nbr].element != "H"}
+    bordering = {nbr for atom in marked for nbr in neighbors(atom) if elements[nbr] == "C"}
+    for i in bordering - marked:
+        owners = {core_of.get(nbr) for nbr in neighbors(i) if elements[nbr] != "H"}
         if len(owners) == 1 and None not in owners:
             cores[owners.pop()].add(i)
 
@@ -156,20 +157,18 @@ def build_membership(group_set: GroupSet, num_atoms: int) -> np.ndarray:
     row sums to exactly one. Raises CoverageError for an uncovered atom."""
     if not len(group_set):
         raise CoverageError("no groups to build a membership matrix from")
-    counts = np.zeros(num_atoms)
-    for group in group_set:
-        for atom in group.atoms:
-            if not 0 <= atom < num_atoms:
-                raise ValueError(f"group references atom {atom} outside 0..{num_atoms - 1}")
-            counts[atom] += 1
-    uncovered = np.flatnonzero(counts == 0)
-    if uncovered.size:
-        raise CoverageError(f"atom {int(uncovered[0])} is not covered by any group")
+    atoms = [atom for group in group_set for atom in group.atoms]
+    if min(atoms) < 0 or max(atoms) >= num_atoms:
+        atom = next(atom for atom in atoms if not 0 <= atom < num_atoms)
+        raise ValueError(f"group references atom {atom} outside 0..{num_atoms - 1}")
+    index = np.array(atoms)
+    counts = np.bincount(index, minlength=num_atoms)
+    if not counts.all():
+        raise CoverageError(f"atom {int(counts.argmin())} is not covered by any group")
 
+    columns = np.repeat(np.arange(len(group_set)), [len(group.atoms) for group in group_set])
     matrix = np.zeros((num_atoms, len(group_set)))
-    for column, group in enumerate(group_set):
-        for atom in group.atoms:
-            matrix[atom, column] = 1.0 / counts[atom]
+    matrix[index, columns] = 1.0 / counts[index]
     return matrix
 
 

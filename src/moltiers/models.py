@@ -21,14 +21,13 @@ from . import autodiff as ad
 from .autodiff import Tensor, kl_standard_normal
 from .gnn import (
     GnnStack,
-    degree_scale,
     gnn_forward,
     gnn_forward_variational,
     normalize_adjacency,
     scale_adjacency,
 )
 from .grouping import build_membership, graph_membership, partition
-from .molgraph import NODE_FEATURE_DIM, MolecularGraph
+from .molgraph import NODE_FEATURE_DIM, MolecularGraph, featurize_nodes
 from .pooling import coarse_adjacency, pool_rows
 
 NoiseSource = Callable[[tuple[int, int]], np.ndarray]
@@ -57,11 +56,14 @@ class MoleculeData:
     def __init__(self, graph: MolecularGraph):
         self.graph = graph
         self.group_set = partition(graph)
-        self.adjacency = graph.adjacency
-        self.features = graph.node_features
+        ends = graph._bond_ends()
+        self.adjacency = np.zeros((graph.num_atoms, graph.num_atoms))
+        self.adjacency[ends, ends[::-1]] = 1.0
+        self.features = featurize_nodes(graph, ends)
         self.node_to_group = build_membership(self.group_set, graph.num_atoms)
         self.group_to_graph = graph_membership(len(self.group_set))
-        self.atom_scale = degree_scale(self.adjacency)
+        # The row sums of A + I are small integers, so this has degree_scale's bits.
+        self.atom_scale = 1.0 / np.sqrt(np.bincount(ends.ravel(), minlength=graph.num_atoms) + 1)
         group_adjacency = coarse_adjacency(self.adjacency, self.node_to_group)
         molecule_adjacency = coarse_adjacency(group_adjacency, self.group_to_graph)
         self.group_propagator = ad.constant(normalize_adjacency(group_adjacency))

@@ -4,7 +4,8 @@ Hydrogens are explicit nodes: graphs carry every atom, and for a connected
 molecule U = N - 1 + R where R is the number of independent rings. Ring
 perception (a shortest-cycle basis) runs at construction; the basis also
 decides connectivity, having U - N + C members for C connected components.
-A graph holds no array: its adjacency and node features are built on access.
+A graph holds no array: :class:`moltiers.models.MoleculeData` builds its
+adjacency, and :func:`featurize_nodes` its node features, from ``_bond_ends``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ BOND_ORDERS = ("single", "double", "triple", "aromatic")
 
 #: Width of the node feature rows produced by :func:`featurize_nodes`.
 NODE_FEATURE_DIM = len(ELEMENTS) + 5
+_ELEMENT_COLUMN = {element: column for column, element in enumerate(ELEMENTS)}
 
 
 def hill_formula(elements: Iterable[str]) -> str:
@@ -80,8 +82,8 @@ class Bond:
 
 
 def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The bonds of a ring, in ring order, each as a sorted atom pair."""
-    return [(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+    """The bonds of a ring, in ring order, each as (atom, next atom)."""
+    return list(zip(ring, ring[1:] + ring[:1]))
 
 
 class MolecularGraph:
@@ -103,32 +105,33 @@ class MolecularGraph:
         for i, atom in enumerate(self.atoms):
             atom.index = i
 
-        self._neighbors: list[list[int]] = [[] for _ in range(n)]
-        for bond in self.bonds:
-            i, j = bond.endpoints
+        self._neighbors = neighbors = [[] for _ in range(n)]
+        pairs = [(bond.first, bond.second) for bond in self.bonds]
+        for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bond endpoint out of range: {bond.endpoints}")
-            if j in self._neighbors[i]:  # an earlier bond joined them
+                raise ValueError(f"bond endpoint out of range: {(i, j)}")
+            if j in neighbors[i]:  # an earlier bond joined them
                 raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
-            self._neighbors[i].append(j)
-            self._neighbors[j].append(i)
+            neighbors[i].append(j)
+            neighbors[j].append(i)
 
-        self.rings = tuple(shortest_cycle_basis(n, [b.endpoints for b in self.bonds]))
+        self.rings = tuple(shortest_cycle_basis(n, pairs))
         if len(self.rings) != len(self.bonds) - n + 1:
             reachable = len(self.components(range(n))[0])
             raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
 
         ring_edges = {pair for ring in self.rings for pair in ring_bonds(ring)}
+        ring_edges |= {(b, a) for a, b in ring_edges}
         #: Atoms on at least one ring of the basis.
         self.ring_atoms = frozenset(atom for ring in self.rings for atom in ring)
         #: Atoms with a double, triple or aromatic bond.
-        self.unsaturated = frozenset(
-            atom for bond in self.bonds if bond.order != "single" for atom in bond.endpoints
+        self.unsaturated = unsaturated = frozenset(
+            end for bond, pair in zip(self.bonds, pairs) if bond.order != "single" for end in pair
         )
-        for bond in self.bonds:
-            i, j = bond.endpoints
-            bond.in_ring = (min(i, j), max(i, j)) in ring_edges
-            bond.conjugated = bond.order == "single" and i in self.unsaturated and j in self.unsaturated
+        for bond, pair in zip(self.bonds, pairs):
+            i, j = pair
+            bond.in_ring = pair in ring_edges
+            bond.conjugated = bond.order == "single" and i in unsaturated and j in unsaturated
 
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.
@@ -171,34 +174,26 @@ class MolecularGraph:
     def _bond_ends(self) -> np.ndarray:  # (2, U): each bond's first atom, then its second
         return np.array([[b.first for b in self.bonds], [b.second for b in self.bonds]], dtype=np.intp)
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The binary, symmetric adjacency, built on each access, never kept."""
-        adjacency, ends = np.zeros((self.num_atoms, self.num_atoms)), self._bond_ends()
-        adjacency[ends, ends[::-1]] = 1.0
-        return adjacency
-
-    @property
-    def node_features(self) -> np.ndarray:  # built on each access, never kept
-        return featurize_nodes(self)
-
     def __repr__(self) -> str:
         label = self.name or self.smiles or "?"
         return f"MolecularGraph({label}: {self.num_atoms} atoms, {self.num_bonds} bonds)"
 
 
-def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
-    """Node feature matrix, one row per atom.
+def featurize_nodes(graph: MolecularGraph, ends: np.ndarray | None = None) -> np.ndarray:
+    """Node feature matrix, one row per atom; ``ends`` is the graph's
+    ``_bond_ends()`` if the caller has it already.
 
     Columns, in order: one-hot element over ELEMENTS (11), aromatic flag,
     formal charge, heavy-atom degree, attached hydrogen count, in-ring flag.
     """
     atoms = graph.atoms
     features = np.zeros((len(atoms), NODE_FEATURE_DIM))
-    features[np.arange(len(atoms)), [ELEMENTS.index(a.element) for a in atoms]] = 1.0
+    features[np.arange(len(atoms)), [_ELEMENT_COLUMN[a.element] for a in atoms]] = 1.0
     features[:, 11] = [a.aromatic for a in atoms]
     features[:, 12] = [a.formal_charge for a in atoms]
-    ends = graph._bond_ends()  # each end counts its other end, exactly; ELEMENTS[0] is H
+    if ends is None:
+        ends = graph._bond_ends()
+    # Each end counts its other end, exactly; ELEMENTS[0] is H.
     hydrogens = np.bincount(ends.ravel(), features[ends[::-1], 0].ravel(), len(atoms))
     features[:, 13] = np.bincount(ends.ravel(), minlength=len(atoms)) - hydrogens
     features[:, 14] = hydrogens

@@ -28,13 +28,14 @@ atom's hydrogens inserted immediately after it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .molgraph import ELEMENTS, VALENCES, Atom, Bond, MolecularGraph
 
 _ORGANIC = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 _AROMATIC = {"b", "c", "n", "o", "p", "s"}
 _BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple"}
+_BOND_VALENCE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1}
 
 _BRACKET = re.compile(
     r"^(?P<element>[A-Z][a-z]?|[bcnops])(?P<hydrogens>H[0-9]*)?"
@@ -72,14 +73,15 @@ class ValenceOverflowError(SmilesError):
     """Bond order sum exceeds the element's maximum valence."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _ParsedAtom:
     element: str
     aromatic: bool
     position: int
     charge: int = 0
     explicit_hydrogens: int | None = None  # None means: derive from valence
-    bond_orders: list[str] = field(default_factory=list)
+    bond_sum: int = 0  # each bond's order, aromatic ones counting 1
+    aromatic_bonds: bool = False
 
 
 def _parse_bracket(body: str, position: int) -> _ParsedAtom:
@@ -124,12 +126,8 @@ def _implicit_hydrogens(atom: _ParsedAtom) -> int:
     shared increment when any are present. Aromatic atoms fill only their
     lowest valence state. Bracket atoms never reach here.
     """
-    singles = atom.bond_orders.count("single")
-    doubles = atom.bond_orders.count("double")
-    triples = atom.bond_orders.count("triple")
-    aromatic = atom.bond_orders.count("aromatic")
-    raw = singles + 2 * doubles + 3 * triples + aromatic
-    total = raw + (1 if aromatic else 0)
+    raw = atom.bond_sum
+    total = raw + atom.aromatic_bonds
 
     states = VALENCES[atom.element]
     # The shared aromatic increment models delocalized bonding; it does not
@@ -140,10 +138,11 @@ def _implicit_hydrogens(atom: _ParsedAtom) -> int:
             f"of {atom.element}",
             atom.position,
         )
-    if atom.aromatic:
-        valence = states[0]
-    else:
-        valence = next(v for v in states if v >= total)
+    valence = states[0]
+    if not atom.aromatic:
+        for valence in states:
+            if valence >= total:
+                break
     return max(0, valence - total)
 
 
@@ -166,18 +165,20 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     open_rings: dict[str, tuple[int, str | None, int]] = {}  # digit -> (atom, order, position)
 
     def add_bond(a: int, b: int, order: str | None, position: int) -> None:
-        pair = (min(a, b), max(a, b))
+        pair = (a, b) if a < b else (b, a)
         if a == b:
             raise UnmatchedRingBondError("ring closure bonds an atom to itself", position)
         if pair in bonded_pairs:
             raise SmilesError(f"duplicate bond between atoms {pair[0]} and {pair[1]}", position)
+        first, second = atoms[a], atoms[b]
         if order is None:
-            both_aromatic = atoms[a].aromatic and atoms[b].aromatic
-            order = "aromatic" if both_aromatic else "single"
+            order = "aromatic" if first.aromatic and second.aromatic else "single"
         bonded_pairs.add(pair)
         bonds.append((a, b, order))
-        atoms[a].bond_orders.append(order)
-        atoms[b].bond_orders.append(order)
+        first.bond_sum += _BOND_VALENCE[order]
+        second.bond_sum += _BOND_VALENCE[order]
+        if order == "aromatic":
+            first.aromatic_bonds = second.aromatic_bonds = True
 
     def add_atom(parsed: _ParsedAtom) -> None:
         nonlocal previous, pending_bond
@@ -194,7 +195,16 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     while i < len(text):
         char = text[i]
 
-        if char == "(":
+        if char in _ORGANIC:
+            symbol = text[i:i + 2]
+            if symbol != "Cl" and symbol != "Br":
+                symbol = char
+            add_atom(_ParsedAtom(symbol, False, i))
+            i += len(symbol)
+        elif char in _AROMATIC:
+            add_atom(_ParsedAtom(char.capitalize(), True, i))
+            i += 1
+        elif char == "(":
             if previous is None:
                 raise UnbalancedParenthesesError("branch before the first atom", i)
             if pending_bond is not None:
@@ -234,18 +244,6 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
                 raise UnsupportedTokenError("unclosed '['", i)
             add_atom(_parse_bracket(text[i + 1:end], i))
             i = end + 1
-        elif char == "C" and text[i:i + 2] == "Cl":
-            add_atom(_ParsedAtom("Cl", False, i))
-            i += 2
-        elif char == "B" and text[i:i + 2] == "Br":
-            add_atom(_ParsedAtom("Br", False, i))
-            i += 2
-        elif char in _ORGANIC:
-            add_atom(_ParsedAtom(char, False, i))
-            i += 1
-        elif char in _AROMATIC:
-            add_atom(_ParsedAtom(char.capitalize(), True, i))
-            i += 1
         elif char == "H":
             raise UnsupportedTokenError("write hydrogen as a bracket atom [H]", i)
         elif char == ".":
@@ -277,18 +275,14 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     out_atoms: list[Atom] = []
     out_bonds: list[Bond] = []
     for parsed in atoms:
-        if parsed.explicit_hydrogens is None:
+        h_count = parsed.explicit_hydrogens
+        if h_count is None:
             h_count = _implicit_hydrogens(parsed)
-        else:
-            h_count = parsed.explicit_hydrogens
         index = len(out_atoms)
         final_index.append(index)
         out_atoms.append(Atom(parsed.element, parsed.charge, parsed.aromatic))
-        for _ in range(h_count):
-            out_atoms.append(Atom("H"))
-            out_bonds.append(Bond(index, len(out_atoms) - 1, "single"))
-
-    for a, b, order in bonds:
-        out_bonds.append(Bond(final_index[a], final_index[b], order))
+        out_atoms += [Atom("H") for _ in range(h_count)]
+        out_bonds += [Bond(index, h, "single") for h in range(index + 1, len(out_atoms))]
+    out_bonds += [Bond(final_index[a], final_index[b], order) for a, b, order in bonds]
 
     return MolecularGraph(out_atoms, out_bonds, name=name, smiles=text)

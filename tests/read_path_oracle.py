@@ -10,6 +10,11 @@ array: the adjacency from per-bond scalar stores, and node features whose
 hydrogen count is ``A @ is_H`` and whose heavy degree is the row sum minus
 that count.
 
+Also the ring search's helpers as they were before ring perception
+skipped degree-1 nodes (``_bfs_path``, ``_fundamental_cycles`` and
+``_cycle_edge_ids``, copied so that the reference does not run the code it
+checks), and the membership matrix filled one numpy scalar at a time.
+
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
 featurization called.
@@ -20,9 +25,91 @@ from typing import Sequence
 
 import numpy as np
 
-from moltiers.cycles import _bfs_path, _cycle_edge_ids, _fundamental_cycles
-from moltiers.grouping import AROMATIC_RING, COMPONENT, FUNCTIONAL_GROUP, Group, GroupSet
+from moltiers.grouping import (
+    AROMATIC_RING,
+    COMPONENT,
+    FUNCTIONAL_GROUP,
+    CoverageError,
+    Group,
+    GroupSet,
+)
 from moltiers.molgraph import ELEMENTS, NODE_FEATURE_DIM, MolecularGraph
+
+
+def _bfs_path(adj: list[list[int]], src: int, dst: int, banned: frozenset[int]) -> list[int] | None:
+    """Shortest path src -> dst that avoids the banned edge, or None."""
+    if src == dst:
+        return [src]
+    parents = {src: -1}
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        for nbr, edge_id in adj[node]:
+            if edge_id in banned or nbr in parents:
+                continue
+            parents[nbr] = node
+            if nbr == dst:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(parents[path[-1]])
+                path.reverse()
+                return path
+            queue.append(nbr)
+    return None
+
+
+def _fundamental_cycles(num_nodes: int, adj: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Cycles induced by non-tree edges of a BFS spanning forest, and its tree count."""
+    parent = [-2] * num_nodes  # -2 unvisited, -1 root
+    parent_edge = [-1] * num_nodes
+    order: list[int] = []
+    components = 0
+    for root in range(num_nodes):
+        if parent[root] != -2:
+            continue
+        components += 1
+        parent[root] = -1
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for nbr, edge_id in adj[node]:
+                if parent[nbr] != -2:
+                    continue
+                parent[nbr] = node
+                parent_edge[nbr] = edge_id
+                queue.append(nbr)
+
+    tree_edges = {parent_edge[n] for n in range(num_nodes) if parent_edge[n] >= 0}
+    cycles = []
+    seen_edges = set()
+    for node in order:
+        for nbr, edge_id in adj[node]:
+            if edge_id in tree_edges or edge_id in seen_edges:
+                continue
+            seen_edges.add(edge_id)
+            # Walk both endpoints up to the root, then trim the shared tail.
+            path_a = [node]
+            while parent[path_a[-1]] >= 0:
+                path_a.append(parent[path_a[-1]])
+            path_b = [nbr]
+            while parent[path_b[-1]] >= 0:
+                path_b.append(parent[path_b[-1]])
+            in_a = {n: i for i, n in enumerate(path_a)}
+            meet = next(i for i, n in enumerate(path_b) if n in in_a)
+            junction = path_b[meet]
+            cycle = path_a[: in_a[junction] + 1] + path_b[:meet][::-1]
+            cycles.append(cycle)
+    return cycles, components
+
+
+def _cycle_edge_ids(cycle: list[int], edge_ids: dict[tuple[int, int], int]) -> list[int]:
+    ids = []
+    for i, node in enumerate(cycle):
+        nxt = cycle[(i + 1) % len(cycle)]
+        key = (node, nxt) if node < nxt else (nxt, node)
+        ids.append(edge_ids[key])
+    return ids
 
 
 def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -273,3 +360,23 @@ def dense_featurize_nodes(graph: MolecularGraph) -> np.ndarray:
     features[:, 14] = hydrogens
     features[list(graph.ring_atoms), 15] = 1.0
     return features
+
+
+def build_membership(group_set: GroupSet, num_atoms: int) -> np.ndarray:
+    if not len(group_set):
+        raise CoverageError("no groups to build a membership matrix from")
+    counts = np.zeros(num_atoms)
+    for group in group_set:
+        for atom in group.atoms:
+            if not 0 <= atom < num_atoms:
+                raise ValueError(f"group references atom {atom} outside 0..{num_atoms - 1}")
+            counts[atom] += 1
+    uncovered = np.flatnonzero(counts == 0)
+    if uncovered.size:
+        raise CoverageError(f"atom {int(uncovered[0])} is not covered by any group")
+
+    matrix = np.zeros((num_atoms, len(group_set)))
+    for column, group in enumerate(group_set):
+        for atom in group.atoms:
+            matrix[atom, column] = 1.0 / counts[atom]
+    return matrix

@@ -9,13 +9,14 @@ Each tree is a checkout of this repository, for instance one made with
 subprocesses from each tree's ``src``:
 
 - ``parse`` and ``partition`` on ``data/corpus30.smi``, on 300 library
-  molecules (``gen.library(3, count=300)``) and on 12 backbones
-  (``gen.large_molecules(1, count=12)``);
+  molecules (``gen.library(3, count=300)``), on 12 backbones
+  (``gen.large_molecules(1, count=12)``) and on six ring systems (fused,
+  with atoms in three rings, spiro and bridged: ``RING_SYSTEMS``);
 - ``train --epochs 20`` on the corpus for gae/vgae x adam/sgd x seeds 0 and
   42;
-- ``embed`` of the corpus at the node, group and graph tiers and ``interp
-  'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each with the tree's own
-  seed-0 Adam checkpoint of either model;
+- ``embed`` of the corpus and of the ring systems at the node, group and
+  graph tiers and ``interp 'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each
+  with the tree's own seed-0 Adam checkpoint of either model;
 - the failure paths: ``embed`` and ``interp`` with a GAE checkpoint whose
   stacks read 6 features (exit 4), ``embed`` with a corrupt checkpoint
   (exit 4), ``interp`` with the endpoint ``C@C`` (exit 1), ``parse`` on a
@@ -23,7 +24,10 @@ subprocesses from each tree's ``src``:
   with SGD whose loss turns non-finite in its first epoch (exit 3).
 
 Both trees read one set of inputs, taken from CHANGE_TREE. Every command's
-stdout, stderr and exit code and every file it writes are kept. In stdout
+stdout, stderr and exit code and every file it writes are kept. ``train``
+writes to an ``out`` directory inside its run's directory that does not
+exist before the run, and whether it exists afterwards is kept too, so a
+run that leaves its directory behind differs from one that removes it. In stdout
 and stderr the run's directory and the tree's root are masked, since both
 differ between the trees: ``train`` prints where it wrote, and numpy's
 warnings print the path of the source line that raised them. Each file is
@@ -43,7 +47,16 @@ import tempfile
 from pathlib import Path
 
 
-MOLECULE_FILES = ("corpus", "library", "large")
+MOLECULE_FILES = ("corpus", "library", "large", "rings")
+
+RING_SYSTEMS = """\
+c1ccc2ccccc2c1 naphthalene
+c1ccc2[nH]ccc2c1 indole
+c1cc2ccc3cccc4ccc(c1)c2c34 pyrene
+c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67 coronene
+C1CCC2(CC1)CCCC2 spiro[4.5]decane
+C1CC2CCC1C2 norbornane
+"""
 
 # Run in a subprocess from a tree's src, with the checkpoint's path as argument.
 NARROW_CHECKPOINT = """
@@ -57,7 +70,7 @@ save_checkpoint(params, sys.argv[1])
 
 
 def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
-    """The three molecule files, a GAE checkpoint whose stacks read 6
+    """The four molecule files, a GAE checkpoint whose stacks read 6
     features and a corrupt checkpoint, written into ``directory``, and a
     missing file, by absolute path."""
     directory = directory.resolve()
@@ -68,10 +81,12 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
         "corpus": directory / "corpus30.smi",
         "library": directory / "library.smi",
         "large": directory / "large.smi",
+        "rings": directory / "rings.smi",
     }
     shutil.copyfile(tree / "data" / "corpus30.smi", inputs["corpus"])
     inputs["library"].write_text(gen.library(3, count=300)[0])
     inputs["large"].write_text(gen.large_molecules(1, count=12))
+    inputs["rings"].write_text(RING_SYSTEMS)
     inputs["narrow"] = directory / "narrow-checkpoint.json"
     subprocess.run(
         [sys.executable, "-c", NARROW_CHECKPOINT, str(inputs["narrow"])],
@@ -85,7 +100,7 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
 
 def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str]]]:
     """(run name, argv after ``moltiers``) in run order. A run keeps its
-    outputs in ``results/<run name>/``, where ``train`` also writes."""
+    outputs in ``results/<run name>/``; ``train`` writes to its ``out``."""
     corpus = str(inputs["corpus"])
     runs = []
     for name in MOLECULE_FILES:
@@ -96,20 +111,23 @@ def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str
             for seed in ("0", "42"):
                 name = f"train-{model}-{optimizer}-seed{seed}"
                 runs.append((name, [
-                    "train", "--input", corpus, "--out", str(results / name),
+                    "train", "--input", corpus, "--out", str(results / name / "out"),
                     "--model", model, "--optimizer", optimizer, "--seed", seed, "--epochs", "20",
                 ]))
     for model in ("gae", "vgae"):
-        checkpoint = str(results / f"train-{model}-adam-seed0" / "checkpoint.json")
+        checkpoint = str(results / f"train-{model}-adam-seed0" / "out" / "checkpoint.json")
         for tier in ("node", "group", "graph"):
             runs.append((f"embed-{model}-{tier}", [
                 "embed", checkpoint, "--input", corpus, "--tier", tier,
+            ]))
+            runs.append((f"embed-{model}-{tier}-rings", [
+                "embed", checkpoint, "--input", str(inputs["rings"]), "--tier", tier,
             ]))
         runs.append((f"interp-{model}", [
             "interp", checkpoint, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1", "--steps", "4",
         ]))
     narrow = str(inputs["narrow"])
-    trained = str(results / "train-gae-adam-seed0" / "checkpoint.json")
+    trained = str(results / "train-gae-adam-seed0" / "out" / "checkpoint.json")
     runs += [
         ("embed-narrow", ["embed", narrow, "--input", corpus]),
         ("interp-narrow", ["interp", narrow, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1"]),
@@ -117,11 +135,11 @@ def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str
         ("interp-bad-endpoint", ["interp", trained, "C@C", "CCO"]),
         ("parse-missing", ["parse", "--input", str(inputs["missing"])]),
         ("train-zero-dims", [
-            "train", "--input", corpus, "--out", str(results / "train-zero-dims"),
+            "train", "--input", corpus, "--out", str(results / "train-zero-dims" / "out"),
             "--dims", "0,1,1",
         ]),
         ("train-vgae-sgd-diverges", [
-            "train", "--input", corpus, "--out", str(results / "train-vgae-sgd-diverges"),
+            "train", "--input", corpus, "--out", str(results / "train-vgae-sgd-diverges" / "out"),
             "--model", "vgae", "--optimizer", "sgd", "--layers", "1", "--dims", "3,4,5",
             "--epochs", "30", "--seed", "42",
         ]),
@@ -137,7 +155,8 @@ def mask(text: str, tree: Path, out: Path) -> str:
 
 def run_matrix(tree: Path, inputs: dict[str, Path], results: Path) -> None:
     """Run every command from ``tree``'s ``src``, keeping each one's stdout,
-    stderr and exit code in its own directory under ``results``."""
+    stderr and exit code, and for ``train`` whether its ``out`` exists, in
+    its own directory under ``results``."""
     if not (tree / "src" / "moltiers" / "cli.py").is_file():
         raise SystemExit(f"{tree} has no src/moltiers/cli.py")
     env, results = {**os.environ, "PYTHONPATH": str(tree / "src")}, results.resolve()
@@ -151,6 +170,8 @@ def run_matrix(tree: Path, inputs: dict[str, Path], results: Path) -> None:
         (out / "stdout").write_text(mask(done.stdout, tree, out))
         (out / "stderr").write_text(mask(done.stderr, tree, out))
         (out / "exit").write_text(f"{done.returncode}\n")
+        if argv[0] == "train":
+            (out / "out-exists").write_text(f"{(out / 'out').is_dir()}\n")
 
 
 def compare(first: Path, second: Path) -> list[str]:

@@ -1,8 +1,11 @@
 """End-to-end CLI runs through main(argv): outputs, files and exit codes."""
 
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +215,22 @@ def test_an_aborted_train_removes_only_the_out_directories_it_created(
     assert last_line == "training aborted: non-finite loss at epoch 1 on molecule 'acrylic-acid'"
     assert (tmp_path / "a").exists() == out.exists() == existing
     assert tmp_path.exists()
+
+
+def test_a_diverging_train_prints_only_its_abort_line(tmp_path, corpus_path):
+    """In a process of its own, where numpy's warnings reach stderr."""
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "moltiers.cli", "train", "--input", str(corpus_path),
+         "--out", str(out), "--model", "vgae", "--optimizer", "sgd", "--layers", "1",
+         "--dims", "3,4,5", "--epochs", "30", "--seed", "42"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "training aborted: non-finite loss at epoch 1 on molecule 'acrylic-acid'\n"
+    assert not out.exists()
 
 
 def test_an_unwritable_out_fails_before_training_and_leaves_no_directory(

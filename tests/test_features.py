@@ -9,6 +9,7 @@ from moltiers.molgraph import (
     Atom,
     Bond,
     MolecularGraph,
+    featurize_nodes,
     load_molecules,
 )
 from moltiers.smiles import parse_smiles
@@ -26,7 +27,7 @@ def test_element_vocabulary_and_width():
 
 
 def test_vanillin_node_feature_rows(vanillin):
-    X = vanillin.node_features
+    X = featurize_nodes(vanillin)
     assert X.shape == (19, 16)
     # carbonyl oxygen: one heavy neighbour, no hydrogens, acyclic
     assert X[0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
@@ -42,7 +43,7 @@ def test_vanillin_node_feature_rows(vanillin):
 
 def test_one_hot_block_is_exactly_one_per_row(corpus_graphs):
     for g in corpus_graphs:
-        X = g.node_features
+        X = featurize_nodes(g)
         assert np.all(X[:, : len(ELEMENTS)].sum(axis=1) == 1.0)
         for i, atom in enumerate(g.atoms):
             assert X[i, ELEMENTS.index(atom.element)] == 1.0
@@ -50,7 +51,7 @@ def test_one_hot_block_is_exactly_one_per_row(corpus_graphs):
 
 def test_degree_columns_match_adjacency(corpus_graphs):
     for g in corpus_graphs:
-        X = g.node_features
+        X = featurize_nodes(g)
         for i, atom in enumerate(g.atoms):
             neighbours = g.neighbors(i)
             hydrogens = sum(1 for j in neighbours if g.atoms[j].element == "H")
@@ -64,7 +65,7 @@ def test_degree_columns_match_adjacency(corpus_graphs):
 
 
 def test_ring_flag_matches_perceived_rings(vanillin):
-    X = vanillin.node_features
+    X = featurize_nodes(vanillin)
     in_ring = {i for ring in vanillin.rings for i in ring}
     assert vanillin.ring_atoms == in_ring
     for i in range(vanillin.num_atoms):
@@ -74,7 +75,7 @@ def test_ring_flag_matches_perceived_rings(vanillin):
 def test_charge_column_carries_signed_charges():
     g = parse_smiles("C[N+](=O)[O-]")
     assert g.formula() == "CH3NO2"
-    X = g.node_features
+    X = featurize_nodes(g)
     assert X[4, COL_CHARGE] == 1.0
     assert X[6, COL_CHARGE] == -1.0
     assert np.count_nonzero(X[:, COL_CHARGE]) == 2

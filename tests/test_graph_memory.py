@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 
+from moltiers.models import MoleculeData
 from moltiers.molgraph import Atom, Bond, MolecularGraph, load_molecules
 
 
@@ -35,10 +36,9 @@ def test_a_parsed_graph_holds_no_array(tmp_path, corpus_path, perfbench_gen):
     for graph in graphs:
         assert not any(isinstance(value, np.ndarray) for value in reachable(graph))
         assert not hasattr(graph.atoms[0], "__dict__") and not hasattr(graph.bonds[0], "__dict__")
-    # the dense views are built anew on each access and never kept
+    # building a molecule's arrays leaves none on its graph
     graph = graphs[0]
-    assert graph.adjacency is not graph.adjacency
-    assert graph.node_features is not graph.node_features
+    MoleculeData.from_graph(graph)
     assert not any(isinstance(value, np.ndarray) for value in reachable(graph))
 
 

@@ -186,6 +186,9 @@ def test_group_field_validation():
         Group(FUNCTIONAL_GROUP, ())
     with pytest.raises(ValueError, match="must be sorted"):
         Group(FUNCTIONAL_GROUP, (2, 1))
+    # A repeat would give its atom a membership row summing to less than one.
+    with pytest.raises(ValueError, match="must not repeat"):
+        Group(FUNCTIONAL_GROUP, (0, 0, 1))
 
 
 def test_split_double_bond_is_a_violation():

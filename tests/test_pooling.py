@@ -7,6 +7,7 @@ from chain_oracle import mul, reduce_sum
 import moltiers.autodiff as ad
 from moltiers.autodiff import ShapeError
 from moltiers.grouping import build_membership, partition
+from moltiers.models import MoleculeData
 from moltiers.pooling import diff_group_pool
 
 
@@ -91,7 +92,7 @@ def test_binary_membership_reduces_to_group_sums(vanillin):
     gs = partition(vanillin)
     M = build_membership(gs, vanillin.num_atoms)
     Z = np.random.default_rng(13).standard_normal((vanillin.num_atoms, 3))
-    result = diff_group_pool(vanillin.adjacency, ad.constant(Z), M)
+    result = diff_group_pool(MoleculeData.from_graph(vanillin).adjacency, ad.constant(Z), M)
     for column, group in enumerate(gs.groups):
         expected = Z[list(group.atoms)].sum(axis=0)
         assert np.allclose(result.features.values[column], expected, atol=1e-12)

@@ -1,10 +1,10 @@
 """The linear read path against the per-edge, per-core and per-atom versions
 it replaced: ring bases, functional groups, aromatic rings, the whole
 partition, ring and conjugation flags and node features must match them
-exactly, and so must the adjacency and features that
-``MoleculeData.from_graph`` builds from the bond endpoints. Ring perception
-must search ring bonds only, and connectivity must come from the ring count,
-with no component walk for a connected molecule."""
+exactly, and so must the adjacency, features, degree scale and membership
+that ``MoleculeData.from_graph`` builds from the bond endpoints and the
+groups. Ring perception must search ring bonds only, and connectivity must
+come from the ring count, with no component walk for a connected molecule."""
 
 import random
 import re
@@ -16,7 +16,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from moltiers import cycles
-from moltiers.grouping import detect_aromatic_rings, identify_functional_groups, partition
+from moltiers.gnn import degree_scale
+from moltiers.grouping import (
+    COMPONENT,
+    Group,
+    GroupSet,
+    build_membership,
+    detect_aromatic_rings,
+    identify_functional_groups,
+    partition,
+)
 from moltiers.models import MoleculeData
 from moltiers.molgraph import Atom, Bond, MolecularGraph, featurize_nodes, load_molecules
 from moltiers.smiles import parse_smiles
@@ -113,14 +122,13 @@ def test_library_read_path_matches_oracle(perfbench_gen, seed):
 
 
 def assert_dense_arrays_match_oracle(graph):
-    """``from_graph``'s adjacency and features, and the graph's properties,
-    have the bits of the arrays a graph used to store."""
+    """``from_graph``'s adjacency and features, and ``featurize_nodes`` on
+    the graph alone, have the bits of the arrays a graph used to store."""
     adjacency, features = oracle.adjacency(graph), oracle.dense_featurize_nodes(graph)
     data = MoleculeData.from_graph(graph)
     assert_same_bits(data.adjacency, adjacency)
     assert_same_bits(data.features, features)
-    assert_same_bits(graph.adjacency, adjacency)
-    assert_same_bits(graph.node_features, features)
+    assert_same_bits(featurize_nodes(graph), features)
 
 
 def test_corpus_dense_arrays_match_the_stored_oracle(corpus_graphs):
@@ -131,7 +139,8 @@ def test_corpus_dense_arrays_match_the_stored_oracle(corpus_graphs):
 def test_a_graph_without_bonds_has_zero_degree_arrays():
     graph = MolecularGraph([Atom("Cl", formal_charge=-1)], [])
     assert_dense_arrays_match_oracle(graph)
-    assert graph.adjacency.shape == (1, 1) and graph.node_features[0, 13:15].tolist() == [0.0, 0.0]
+    data = MoleculeData.from_graph(graph)
+    assert data.adjacency.shape == (1, 1) and data.features[0, 13:15].tolist() == [0.0, 0.0]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(100, 190))
@@ -148,8 +157,10 @@ def test_library_dense_arrays_match_the_stored_oracle(perfbench_gen, seed):
 
 @pytest.mark.parametrize("chain", [20, 40])
 def test_ring_perception_searches_ring_bonds_only(monkeypatch, chain):
-    """Two phenylenes joined by a long chain: one BFS per ring bond, none
-    for the chain's bridges or the C-H bonds."""
+    """Two phenylenes joined by a long chain share no atom, so each is the
+    only cycle through its bonds and no BFS runs. A naphthalene with the
+    chain: one BFS per ring bond, none for the chain's bridges or the C-H
+    bonds."""
     calls = []
     search = cycles._bfs_path
 
@@ -159,13 +170,15 @@ def test_ring_perception_searches_ring_bonds_only(monkeypatch, chain):
 
     monkeypatch.setattr(cycles, "_bfs_path", counted)
     graph = parse_smiles("Cc1ccc(cc1)" + "C" * chain + "c1ccc(cc1)C")
+    assert sum(bond.in_ring for bond in graph.bonds) == 12 and graph.ring_count == 2
+    assert calls == []
+    graph = parse_smiles("Cc1ccc2ccccc2c1" + "C" * chain)
     ring_bonds = sum(bond.in_ring for bond in graph.bonds)
-    assert ring_bonds == 12
+    assert ring_bonds == 11
     assert len(calls) == ring_bonds < graph.num_bonds
 
 
-
-def reachable_from_atom_0(num_nodes, edges):
+def atoms_reached_from_atom_0(num_nodes, edges):
     adjacency = [[] for _ in range(num_nodes)]
     for a, b in edges:
         adjacency[a].append(b)
@@ -176,7 +189,7 @@ def reachable_from_atom_0(num_nodes, edges):
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)
-    return len(seen)
+    return seen
 
 
 @given(ring_system_graphs())
@@ -188,7 +201,7 @@ def test_connectivity_comes_from_the_ring_count(graph):
     num_nodes, edges = graph
     atoms = [Atom("C") for _ in range(num_nodes)]
     bonds = [Bond(a, b, "single") for a, b in edges]
-    reachable = reachable_from_atom_0(num_nodes, edges)
+    reachable = len(atoms_reached_from_atom_0(num_nodes, edges))
     if reachable == num_nodes:
         built = MolecularGraph(atoms, bonds)
         assert built.ring_count == len(edges) - num_nodes + 1
@@ -215,3 +228,57 @@ def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
     with pytest.raises(ValueError, match="disconnected"):
         MolecularGraph([Atom("C"), Atom("C"), Atom("O")], [Bond(0, 1, "single")])
     assert len(calls) == 1
+
+
+PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
+CORONENE = "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67"
+
+
+def carbon_skeleton(num_nodes, edges):
+    """An all-carbon molecule on a drawn graph: each part that atom 0 does
+    not reach is joined to atom 0 by one more single bond, at its smallest atom."""
+    edges = list(edges)
+    while len(reached := atoms_reached_from_atom_0(num_nodes, edges)) < num_nodes:
+        edges.append((0, min(set(range(num_nodes)) - reached)))
+    bonds = [Bond(a, b, "single") for a, b in edges]
+    return MolecularGraph([Atom("C") for _ in range(num_nodes)], bonds)
+
+
+def assert_constants_match_oracle(graph):
+    """``atom_scale`` has ``degree_scale``'s bits, and the membership those of
+    the scalar-write loop."""
+    data = MoleculeData.from_graph(graph)
+    assert_same_bits(data.atom_scale, degree_scale(data.adjacency))
+    assert_same_bits(data.node_to_group, oracle.build_membership(data.group_set, graph.num_atoms))
+
+
+@given(ring_system_graphs())
+def test_constants_of_ring_system_skeletons_match_oracle(graph):
+    assert_constants_match_oracle(carbon_skeleton(*graph))
+
+
+def test_constants_of_the_corpus_and_polycyclic_aromatics_match_oracle(corpus_graphs):
+    polycyclic = [parse_smiles(PYRENE), parse_smiles(CORONENE)]
+    # Their inner carbons sit in three rings, so their rows hold 1/3.
+    for graph in polycyclic:
+        assert max(sum(atom in g.atoms for g in partition(graph)) for atom in graph.ring_atoms) == 3
+    for graph in corpus_graphs + polycyclic:
+        assert_constants_match_oracle(graph)
+
+
+@st.composite
+def group_sets(draw):
+    """(groups, atom count): overlapping groups of up to 12 atoms that cover
+    every atom, the last one gathering whatever the others missed."""
+    num_atoms = draw(st.integers(1, 12))
+    groups = draw(st.lists(st.sets(st.integers(0, num_atoms - 1), min_size=1), max_size=6))
+    missed = set(range(num_atoms)).difference(*groups)
+    groups += [missed] if missed else []
+    return GroupSet([Group(COMPONENT, tuple(sorted(g))) for g in groups]), num_atoms
+
+
+@given(group_sets())
+def test_membership_matches_the_scalar_write_loop(drawn):
+    group_set, num_atoms = drawn
+    expected = oracle.build_membership(group_set, num_atoms)
+    assert_same_bits(build_membership(group_set, num_atoms), expected)

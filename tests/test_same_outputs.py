@@ -1,6 +1,7 @@
 """The byte-identity check of ``tests/same_outputs.py``: its comparison names
-each file that differs between two output directories, and its masking
-hides the paths that differ between two trees."""
+each file that differs between two output directories, its masking hides
+the paths that differ between two trees, and its ``train`` runs write where
+no directory was made for them."""
 
 import same_outputs
 
@@ -35,3 +36,16 @@ def test_mask_hides_the_run_directory_and_the_tree_root(tmp_path):
     assert same_outputs.mask(stderr, tree, out) == (
         "<tree>/src/moltiers/autodiff.py:257: RuntimeWarning: overflow encountered\n"
     )
+
+
+def test_train_writes_where_no_directory_was_made_for_it(tmp_path):
+    """So the check sees whether an aborted ``train`` leaves its ``--out``
+    behind; the ring systems reach ``parse``, ``partition`` and ``embed``."""
+    names = (*same_outputs.MOLECULE_FILES, "narrow", "corrupt", "missing")
+    results = tmp_path / "results"
+    runs = same_outputs.commands({name: tmp_path / name for name in names}, results)
+    trains = [(name, argv) for name, argv in runs if argv[0] == "train"]
+    assert len(trains) == 10
+    for name, argv in trains:
+        assert argv[argv.index("--out") + 1] == str(results / name / "out")
+    assert {"parse-rings", "partition-rings", "embed-vgae-group-rings"} <= {name for name, _ in runs}
