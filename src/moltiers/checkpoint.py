@@ -114,11 +114,13 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
         raise CheckpointError("checkpoint has no config object")
     params_class = TieredVgaeParams if kind == "vgae" else TieredGaeParams
     try:
-        dims = tuple(int(d) for d in config["dims"])
-        depth = int(config["layers"])
-        input_dim = int(config["input_dim"])
+        dims, depth, input_dim = config["dims"], config["layers"], config["input_dim"]
+        # type(True) is bool, not int: JSON booleans, floats and strings all fail
+        if type(dims) is not list or any(type(v) is not int for v in (*dims, depth, input_dim)):
+            raise ValueError(f"dims, layers and input_dim must be JSON integers: {config}")
+        dims = tuple(dims)
         spec = param_spec(params_class.variational, dims, depth, input_dim)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, ValueError) as err:
         raise CheckpointError(f"bad checkpoint config: {err}") from err
 
     weights = payload.get("weights")

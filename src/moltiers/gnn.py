@@ -45,9 +45,28 @@ class GnnStack:
         return self.trunk + self.heads
 
 
-def degree_scale(adjacency: np.ndarray) -> np.ndarray:
-    """D^-1/2 of A + I as a vector, one entry per node, after checking that
-    ``adjacency`` is a valid graph.
+def _plus_identity(adjacency: np.ndarray) -> np.ndarray:
+    """A + I, or each A + I of a stack, as a new array, without an np.eye."""
+    result = np.array(adjacency, dtype=np.float64, order="C")
+    result.reshape(*result.shape[:-2], -1)[..., :: result.shape[-1] + 1] += 1.0
+    return result
+
+
+def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """scale (A + I) scale for a degree ``scale``, by default D^-1/2 from the
+    row sums of A + I; does not validate. Over a (B, n, n) stack with (B, n)
+    scales, a node padded with scale 0 keeps a row and column of +0.0."""
+    scaled = _plus_identity(adjacency)
+    if scale is None:
+        scale = 1.0 / np.sqrt(scaled.sum(axis=-1))
+    scaled *= scale[..., :, None]
+    scaled *= scale[..., None, :]
+    return scaled
+
+
+def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self-loops,
+    after checking that ``adjacency`` is a valid graph.
 
     Accepts any symmetric non-negative matrix, including weighted coarse
     adjacencies from pooling. The self-loop keeps every degree positive.
@@ -56,36 +75,11 @@ def degree_scale(adjacency: np.ndarray) -> np.ndarray:
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError(f"adjacency must be square, got {adjacency.shape}")
     # Exact equality is the common case, implies allclose and costs far less.
-    if not (
-        (adjacency == adjacency.T).all() or np.allclose(adjacency, adjacency.T, atol=1e-9)
-    ):
+    if not ((adjacency == adjacency.T).all() or np.allclose(adjacency, adjacency.T, atol=1e-9)):
         raise ValueError("adjacency must be symmetric")
     if (adjacency < 0).any():
         raise ValueError("adjacency must be non-negative")
-    return 1.0 / np.sqrt(_plus_identity(adjacency).sum(axis=1))
-
-
-def _plus_identity(adjacency: np.ndarray) -> np.ndarray:
-    """A + I, or each A + I of a stack, as a new array, without an np.eye."""
-    result = np.array(adjacency, dtype=np.float64, order="C")
-    result.reshape(*result.shape[:-2], -1)[..., :: result.shape[-1] + 1] += 1.0
-    return result
-
-
-def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """scale (A + I) scale for a ``scale`` from :func:`degree_scale`; does
-    not validate again. Over a (B, n, n) stack with (B, n) scales, a node
-    padded with scale 0 keeps a row and column of +0.0."""
-    scaled = _plus_identity(adjacency)
-    scaled *= scale[..., :, None]
-    scaled *= scale[..., None, :]
-    return scaled
-
-
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self-loops."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    return scale_adjacency(adjacency, degree_scale(adjacency))
+    return scale_adjacency(adjacency)
 
 
 def _stack_outputs(

@@ -48,7 +48,7 @@ class MoleculeData:
     Besides the graph and its partition this holds, each once, every
     constant the encoder, decoder and loss read: the adjacency, the features,
     the two memberships the encoder pools through, the atom degree scale, the
-    coarse propagators, the broadcast column and the loss's edge weights.
+    group propagator, the broadcast column and the loss's edge weights.
     ``adjacency`` is the only n x n array kept, and :meth:`atom_propagator`
     rebuilds the atom tier's propagator from it.
     """
@@ -62,12 +62,10 @@ class MoleculeData:
         self.features = featurize_nodes(graph, ends)
         self.node_to_group = build_membership(self.group_set, graph.num_atoms)
         self.group_to_graph = graph_membership(len(self.group_set))
-        # The row sums of A + I are small integers, so this has degree_scale's bits.
+        # The row sums of A + I are small integers, exact in any summation order.
         self.atom_scale = 1.0 / np.sqrt(np.bincount(ends.ravel(), minlength=graph.num_atoms) + 1)
         group_adjacency = coarse_adjacency(self.adjacency, self.node_to_group)
-        molecule_adjacency = coarse_adjacency(group_adjacency, self.group_to_graph)
-        self.group_propagator = ad.constant(normalize_adjacency(group_adjacency))
-        self.molecule_propagator = ad.constant(normalize_adjacency(molecule_adjacency))
+        self.group_propagator = ad.wrap(normalize_adjacency(group_adjacency))
         self.molecule_to_atoms = np.ones((self.num_atoms, 1))
 
     @classmethod
@@ -127,10 +125,8 @@ class _MoleculeBatch:
             self.features[k, : atoms[k]] = data.features
             group_tier[k, : groups[k], : groups[k]] = data.group_propagator.values
             self.node_to_group[k, : atoms[k], : groups[k]] = data.node_to_group
-        molecule_tier = np.stack([data.molecule_propagator.values for data in molecules])
-        atom_tier = scale_adjacency(adjacency, atom_scale)
-        self._atom_propagator, self.group_propagator = ad.wrap(atom_tier), ad.wrap(group_tier)
-        self.molecule_propagator = ad.wrap(molecule_tier)
+        self._atom_propagator = ad.wrap(scale_adjacency(adjacency, atom_scale))
+        self.group_propagator = ad.wrap(group_tier)
         self.group_to_graph = (np.arange(g)[:, None] < groups[:, None, None]).astype(np.float64)
         self.molecule_to_atoms = (np.arange(n)[:, None] < atoms[:, None, None]).astype(np.float64)
 
@@ -259,6 +255,10 @@ class TieredVgaeParams(TieredParams):
 # ---------------------------------------------------------------------------
 # Encoding
 
+# The molecule tier is a graph of one node: its renormalized adjacency
+# (0 + 1) / sqrt(1 * 1) is exactly 1, and broadcasts over a (B, 1, d) stack.
+_MOLECULE_PROPAGATOR = ad.constant([[1.0]])
+
 
 def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     """GNN, pool to groups, GNN, pool to the molecule, GNN, over the constants
@@ -267,7 +267,7 @@ def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     Returns the embeddings and the per-tier (mean, std) pairs, if any."""
     # gnn_forward and gnn_forward_variational are read from this module's
     # globals on every call, where perfbench's tracer rebinds them.
-    propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
+    propagators = (data.atom_propagator(), data.group_propagator, _MOLECULE_PROPAGATOR)
     features = ad.wrap(data.features)
     embeddings, stats = [], []
     for tier, stack in enumerate(params.encoders):

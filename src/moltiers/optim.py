@@ -36,8 +36,8 @@ class _FlatOptimizer:
     kind: str
 
     def __init__(self, params: Sequence[Tensor], learning_rate: float):
-        if learning_rate <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
+        if not 0.0 < learning_rate < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.step_count = 0

@@ -3,7 +3,7 @@
 Pooling contracts node embeddings and adjacency through a fixed membership
 matrix M: features become M^T Z (:func:`pool_rows`, which the encoder runs
 on one molecule or a padded stack) and adjacency M^T A M
-(:func:`coarse_adjacency`, which builds ``MoleculeData``'s coarse tiers);
+(:func:`coarse_adjacency`, which builds ``MoleculeData``'s group tier);
 :func:`diff_group_pool` composes the two. M is data, not a parameter, so
 gradients flow through the embeddings only. With a binary row-stochastic M
 the pooled features are exact group sums and the pooled adjacency counts

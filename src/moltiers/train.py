@@ -57,6 +57,9 @@ class TrainConfig:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         param_spec(False, self.dims, self.depth)  # raises on bad dims or depth
+        for name in ("learning_rate", "beta", "feature_weight"):
+            if not math.isfinite(value := getattr(self, name)):  # NaN and inf pass checks below
+                raise ValueError(f"{name.replace('_', ' ')} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:

@@ -4,7 +4,8 @@
 tiers themselves, with a ``reparameterize`` that checked the noise shape and
 a ``kl_standard_normal`` that checked the stats' shapes before the fused
 ops did. Tests use these copies as the oracle the shared walk in
-``moltiers.models`` must match bit for bit.
+``moltiers.models`` must match bit for bit. The molecule tier, a graph of
+one node, runs over the unit propagator [[1.0]].
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from moltiers.models import (
     TieredGaeParams,
     TieredVgaeParams,
 )
+
+UNIT = np.ones((1, 1))
 
 
 @dataclass
@@ -52,7 +55,7 @@ def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddin
     node = gnn_forward(params.encoders[0], data.atom_propagator(), features)
     group = gnn_forward(params.encoders[1], data.group_propagator, ad.matmul(atoms_to_groups, node))
     graph = gnn_forward(
-        params.encoders[2], data.molecule_propagator, ad.matmul(groups_to_molecule, group)
+        params.encoders[2], ad.constant(UNIT), ad.matmul(groups_to_molecule, group)
     )
     return TieredEmbeddings(node, group, graph, data)
 
@@ -72,7 +75,7 @@ def encode_tiered_variational(
     noise every sample equals its mean."""
     stats: list[TierStats] = []
     samples: list[Tensor] = []
-    propagators = (data.atom_propagator(), data.group_propagator, data.molecule_propagator)
+    propagators = (data.atom_propagator(), data.group_propagator, ad.constant(UNIT))
     features, *pools = _constants(data)
     for tier, stack in enumerate(params.encoders):
         mean, std = gnn_forward_variational(stack, propagators[tier], features)

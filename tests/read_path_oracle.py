@@ -13,7 +13,9 @@ that count.
 Also the ring search's helpers as they were before ring perception
 skipped degree-1 nodes (``_bfs_path``, ``_fundamental_cycles`` and
 ``_cycle_edge_ids``, copied so that the reference does not run the code it
-checks), and the membership matrix filled one numpy scalar at a time.
+checks), the membership matrix filled one numpy scalar at a time, and the
+atom degree scale taken from the row sums of A + I, as ``gnn.degree_scale``
+took it before ``MoleculeData`` counted bond ends.
 
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
@@ -380,3 +382,11 @@ def build_membership(group_set: GroupSet, num_atoms: int) -> np.ndarray:
         for atom in group.atoms:
             matrix[atom, column] = 1.0 / counts[atom]
     return matrix
+
+
+def degree_scale(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 of A + I as a vector: 1 / sqrt of each row sum of a copy of
+    ``adjacency`` with 1.0 added to its diagonal."""
+    with_loops = np.array(adjacency, dtype=np.float64)
+    with_loops[np.diag_indices_from(with_loops)] += 1.0
+    return 1.0 / np.sqrt(with_loops.sum(axis=1))

@@ -219,7 +219,8 @@ def test_the_nan_error_names_the_first_bad_molecule_in_dataset_order(molecules, 
     dataset = [copy.copy(data) for data in dataset]
     for k in bad:
         dataset[k] = copy.copy(dataset[k])
-        dataset[k].molecule_propagator = ad.constant(np.full((1, 1), np.nan))
+        shape = dataset[k].group_propagator.shape
+        dataset[k].group_propagator = ad.constant(np.full(shape, np.nan))
         dataset[k].graph = copy.copy(dataset[k].graph)
         dataset[k].graph.name = f"bad-{k}"
     with pytest.raises(ValueError) as batched_error:

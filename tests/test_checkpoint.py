@@ -271,6 +271,29 @@ def test_bad_config_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("dims", "222"),
+        ("dims", [2.7, 2, 2]),
+        ("dims", [2.0, 2, 2]),
+        ("dims", [True, 2, 2]),
+        ("dims", {"0": 2}),
+        ("layers", 1.9),
+        ("layers", "1"),
+        ("layers", True),
+        ("layers", None),
+        ("input_dim", 16.5),
+        ("input_dim", "16"),
+    ],
+)
+def test_a_config_value_that_is_no_json_integer_rejected(tmp_path, key, value):
+    # each of these once loaded through int(), truncated or coerced
+    path = corrupt(tmp_path, lambda p: p["config"].update({key: value}))
+    with pytest.raises(CheckpointError, match="bad checkpoint config: .* must be JSON integers"):
+        load_checkpoint(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.json")

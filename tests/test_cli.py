@@ -157,6 +157,12 @@ TRAIN_USAGE_ERRORS = {
     "--layers 0": "depth must be at least 1, got 0",
     "--layers abc": "argument --layers: invalid int value: 'abc'",
     "--lr 0": "learning rate must be positive, got 0.0",
+    "--lr nan": "learning rate must be finite, got nan",
+    "--lr inf": "learning rate must be finite, got inf",
+    "--beta nan": "beta must be finite, got nan",
+    "--beta inf": "beta must be finite, got inf",
+    "--lambda-x nan": "feature weight must be finite, got nan",
+    "--lambda-x inf": "feature weight must be finite, got inf",
     "--epochs -1": "epochs must be non-negative, got -1",
     "--beta -1": "beta must be non-negative, got -1.0",
     "--lambda-x -1": "feature weight must be non-negative, got -1.0",

@@ -1,10 +1,12 @@
 """Per-molecule constants: the cached encoder path against the per-call
 reference, and what MoleculeData keeps.
 
-The reference rebuilds every propagator with ``normalize_adjacency`` on raw
-adjacencies, pools with the membership algebra written out (M^T A M and
-M^T Z, not ``moltiers.pooling``, which the encoder runs) and computes the
-loss with the primitive op chain, as each training step once did. The
+The reference rebuilds the atom and group propagators with
+``normalize_adjacency`` on raw adjacencies, runs the molecule tier, a graph
+of one node, over the unit propagator [[1.0]], pools with the membership
+algebra written out (M^T A M and M^T Z, not ``moltiers.pooling``, which the
+encoder runs) and computes the loss with the primitive op chain, as each
+training step once did. The
 cached path and the fused edge loss must reproduce it bit for bit,
 gradients included.
 """
@@ -38,6 +40,9 @@ def _propagator(adjacency):
     return ad.constant(normalize_adjacency(adjacency))
 
 
+UNIT = np.ones((1, 1))  # the molecule tier's propagator: one node, A + I = [[1]]
+
+
 def _pooled(adjacency, rows, membership):
     """M^T A M and M^T Z, written out."""
     return membership.T @ adjacency @ membership, ad.matmul(ad.constant(membership.T), rows)
@@ -47,8 +52,8 @@ def reference_encode(params, data):
     node = gnn_forward(params.encoders[0], _propagator(data.adjacency), ad.constant(data.features))
     groups, group_rows = _pooled(data.adjacency, node, data.node_to_group)
     group = gnn_forward(params.encoders[1], _propagator(groups), group_rows)
-    molecule, molecule_rows = _pooled(groups, group, data.group_to_graph)
-    graph = gnn_forward(params.encoders[2], _propagator(molecule), molecule_rows)
+    _, molecule_rows = _pooled(groups, group, data.group_to_graph)
+    graph = gnn_forward(params.encoders[2], ad.constant(UNIT), molecule_rows)
     return node, group, graph
 
 
@@ -59,7 +64,8 @@ def reference_encode_variational(params, data):
     memberships = (data.node_to_group, data.group_to_graph)
     samples, means, stds = [], [], []
     for tier, stack in enumerate(params.encoders):
-        mean, std = gnn_forward_variational(stack, _propagator(adjacency), features)
+        propagator = _propagator(adjacency) if tier < 2 else ad.constant(UNIT)
+        mean, std = gnn_forward_variational(stack, propagator, features)
         means.append(mean)
         stds.append(std)
         samples.append(ad.reparameterize(mean, std, zero_noise(mean.shape)))
@@ -108,20 +114,24 @@ def _written_out(adjacency):
     return inv_sqrt_degree[:, None] * with_loops * inv_sqrt_degree[None, :]
 
 
-def test_propagators_are_the_written_out_formula(corpus_data):
+def test_propagators_are_the_written_out_formula(monkeypatch, corpus_data):
     # pins normalize_adjacency, which the references below use, to
     # D^-1/2 (A + I) D^-1/2 in one fixed order of operations, so that a
-    # change shared by the cached and reference paths cannot pass unseen
+    # change shared by the cached and reference paths cannot pass unseen;
+    # the molecule tier runs over exactly [[1.0]]
+    calls = _record_calls(monkeypatch, gnn.gnn_forward)
+    params = TieredGaeParams.init(np.random.default_rng(2))
     for data in corpus_data:
         groups = data.node_to_group.T @ data.adjacency @ data.node_to_group
-        molecule = data.group_to_graph.T @ groups @ data.group_to_graph
         for adjacency, cached in (
             (data.adjacency, data.atom_propagator()),
             (groups, data.group_propagator),
-            (molecule, data.molecule_propagator),
         ):
             assert_same_bits(normalize_adjacency(adjacency), _written_out(adjacency))
             assert_same_bits(cached.values, _written_out(adjacency))
+        del calls[:]
+        encode_tiered(params, data)
+        assert_same_bits(calls[2][1].values, UNIT)
 
 
 def test_cached_gae_path_is_bit_identical_to_per_call_reference(corpus_data):
@@ -200,10 +210,10 @@ def test_training_steps_neither_normalize_nor_validate(monkeypatch, corpus_data,
     counts = {}
     for epochs in (1, 5):
         with monkeypatch.context() as patch:
+            # normalize_adjacency is the one function that validates an adjacency
             normalize = _record_calls(patch, gnn.normalize_adjacency)
-            validate = _record_calls(patch, gnn.degree_scale)
             train(corpus_data[:4], TrainConfig(dims=(4, 4, 4), depth=2, epochs=epochs))
-        counts[epochs] = (len(normalize), len(validate))
+        counts[epochs] = len(normalize)
     assert counts[1] == counts[5]
 
 
@@ -243,13 +253,15 @@ def test_the_pipeline_pools_through_the_pooling_module(monkeypatch, corpus_data,
     assert models.coarse_adjacency is pooling.coarse_adjacency
     rows = _record_calls(monkeypatch, pooling.pool_rows)
     adjacencies = _record_calls(monkeypatch, pooling.coarse_adjacency)
+    normalized = _record_calls(monkeypatch, gnn.normalize_adjacency)
     data = corpus_data[0]
     pooling.diff_group_pool(data.adjacency, ad.constant(data.features), data.node_to_group)
     assert (len(rows), len(adjacencies)) == (1, 1)
 
     del rows[:], adjacencies[:]
     models.MoleculeData.from_graph(corpus_graphs[0])
-    assert len(adjacencies) == 2 and not rows
+    # the group tier only: the molecule tier of one node has no adjacency
+    assert len(adjacencies) == len(normalized) == 1 and not rows
 
     rng = np.random.default_rng(6)
     gae, vgae = TieredGaeParams.init(rng), TieredVgaeParams.init(rng)

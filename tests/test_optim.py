@@ -24,6 +24,13 @@ def test_sgd_definition():
     assert w.values[0, 0] == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("optimizer", [SGD, Adam])
+@pytest.mark.parametrize("learning_rate", [0.0, -0.1, float("nan"), float("inf")])
+def test_learning_rate_must_be_positive_and_finite(optimizer, learning_rate):
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        optimizer([make_param([[1.0]])], learning_rate=learning_rate)
+
+
 def test_sgd_updates_in_place_and_clears_grad():
     w = make_param([[2.0, -2.0]])
     opt = SGD([w], learning_rate=0.5)

@@ -16,7 +16,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from moltiers import cycles
-from moltiers.gnn import degree_scale
 from moltiers.grouping import (
     COMPONENT,
     Group,
@@ -245,10 +244,10 @@ def carbon_skeleton(num_nodes, edges):
 
 
 def assert_constants_match_oracle(graph):
-    """``atom_scale`` has ``degree_scale``'s bits, and the membership those of
-    the scalar-write loop."""
+    """``atom_scale`` has the row-sum degree scale's bits, and the membership
+    those of the scalar-write loop."""
     data = MoleculeData.from_graph(graph)
-    assert_same_bits(data.atom_scale, degree_scale(data.adjacency))
+    assert_same_bits(data.atom_scale, oracle.degree_scale(data.adjacency))
     assert_same_bits(data.node_to_group, oracle.build_membership(data.group_set, graph.num_atoms))
 
 
