@@ -392,7 +392,8 @@ def edge_feature_loss(
 ) -> Tensor:
     """sum(W * -(T log p + (1 - T) log(1 - p))) / total_weight, each log's
     input floored at LOG_FLOOR, plus feature_weight * mean((R - X)^2). The
-    edge term is 0 when total_weight is not positive. Shapes must agree, as
+    edge term and its gradient are 0 when total_weight is not positive, as
+    for a molecule of one atom, which has no pairs. Shapes must agree, as
     :func:`moltiers.models.reconstruction_loss` checks.
 
     T must hold only +0.0 and 1.0, as
@@ -425,6 +426,8 @@ def edge_feature_loss(
             grad_probs /= selected
             np.subtract(0.0, grad_probs, out=grad_probs, where=is_edge)
             grad_probs += 0.0
+        elif probs.tracked:  # so the decoder's weights get a gradient, as an optimizer needs
+            grad_probs = np.zeros(probs.values.shape)
         if recon.tracked:
             g_squared = np.full(difference.shape, (g * feature_weight)[0, 0] / difference.size)
             grad_recon = g_squared * difference + g_squared * difference

@@ -229,29 +229,25 @@ def cmd_embed(args) -> int:
     params = load_checkpoint(args.checkpoint)
     graphs, failures = _load_graphs(args.input)
     molecules = []
-    try:
-        with ad.no_grad():
-            for graph in graphs:
-                data = MoleculeData.from_graph(graph)
-                embeddings = encode_for_inference(params, data)
-                doc = {
-                    "name": graph.name,
-                    "smiles": graph.smiles,
-                    "membership_node_to_group": _matrix_doc(data.node_to_group),
-                    "membership_group_to_graph": _matrix_doc(data.group_to_graph),
-                }
-                if args.tier == "node":
-                    doc["embeddings"] = _matrix_doc(embeddings.node.values)
-                    doc["elements"] = [atom.element for atom in graph.atoms]
-                elif args.tier == "group":
-                    doc["embeddings"] = _matrix_doc(embeddings.group.values)
-                    doc["group_kinds"] = data.group_set.kinds
-                else:
-                    doc["embeddings"] = _matrix_doc(embeddings.graph.values)
-                molecules.append(doc)
-    except ad.ShapeError as err:
-        print(f"checkpoint does not fit these molecules: {err}", file=sys.stderr)
-        return 4
+    with ad.no_grad():
+        for graph in graphs:
+            data = MoleculeData.from_graph(graph)
+            embeddings = encode_for_inference(params, data)
+            doc = {
+                "name": graph.name,
+                "smiles": graph.smiles,
+                "membership_node_to_group": _matrix_doc(data.node_to_group),
+                "membership_group_to_graph": _matrix_doc(data.group_to_graph),
+            }
+            if args.tier == "node":
+                doc["embeddings"] = _matrix_doc(embeddings.node.values)
+                doc["elements"] = [atom.element for atom in graph.atoms]
+            elif args.tier == "group":
+                doc["embeddings"] = _matrix_doc(embeddings.group.values)
+                doc["group_kinds"] = data.group_set.kinds
+            else:
+                doc["embeddings"] = _matrix_doc(embeddings.graph.values)
+            molecules.append(doc)
     _write_json({"tier": args.tier, "molecules": molecules}, args.out)
     return 1 if failures else 0
 
@@ -264,41 +260,37 @@ def cmd_interp(args) -> int:
     except SmilesError as err:
         print(f"cannot parse endpoint: {err}", file=sys.stderr)
         return 1
-    try:
-        with ad.no_grad():
-            emb_a = encode_for_inference(params, MoleculeData.from_graph(graph_a))
-            emb_b = encode_for_inference(params, MoleculeData.from_graph(graph_b))
-            start = emb_a.graph.values.reshape(-1)
-            end = emb_b.graph.values.reshape(-1)
-            path = interpolate_latent(start, end, args.steps)
+    with ad.no_grad():
+        emb_a = encode_for_inference(params, MoleculeData.from_graph(graph_a))
+        emb_b = encode_for_inference(params, MoleculeData.from_graph(graph_b))
+        start = emb_a.graph.values.reshape(-1)
+        end = emb_b.graph.values.reshape(-1)
+        path = interpolate_latent(start, end, args.steps)
 
-            decoded = []
-            alphas = np.linspace(0.0, 1.0, args.steps)
-            for alpha, vector in zip(alphas, path):
-                # Decoded statistics only: the probabilities live in the first
-                # endpoint's atom frame with its molecule-tier rows swapped for
-                # the interpolated vector. No molecules are decoded.
-                probs = decode_with_graph_vector(params, emb_a, vector)
-                # Pairs i < j by descending probability, then by (i, j); the
-                # mean sums in that order, so its rounding stays fixed.
-                rows, cols = np.nonzero(~np.tri(*probs.shape, dtype=bool))
-                pair_probs = probs[rows, cols]
-                order = np.lexsort((cols, rows, -pair_probs))
-                mean_prob = float(np.mean(pair_probs[order])) if order.size else 0.0
-                top = order[:TOP_EDGES]
-                decoded.append(
-                    {
-                        "alpha": float(alpha),
-                        "mean_edge_probability": mean_prob,
-                        "top_edges": [
-                            {"first": i, "second": j, "probability": p}
-                            for p, i, j in zip(*(a[top].tolist() for a in (pair_probs, rows, cols)))
-                        ],
-                    }
-                )
-    except ad.ShapeError as err:
-        print(f"checkpoint does not fit these molecules: {err}", file=sys.stderr)
-        return 4
+        decoded = []
+        alphas = np.linspace(0.0, 1.0, args.steps)
+        for alpha, vector in zip(alphas, path):
+            # Decoded statistics only: the probabilities live in the first
+            # endpoint's atom frame with its molecule-tier rows swapped for
+            # the interpolated vector. No molecules are decoded.
+            probs = decode_with_graph_vector(params, emb_a, vector)
+            # Pairs i < j by descending probability, then by (i, j); the
+            # mean sums in that order, so its rounding stays fixed.
+            rows, cols = np.nonzero(~np.tri(*probs.shape, dtype=bool))
+            pair_probs = probs[rows, cols]
+            order = np.lexsort((cols, rows, -pair_probs))
+            mean_prob = float(np.mean(pair_probs[order])) if order.size else 0.0
+            top = order[:TOP_EDGES]
+            decoded.append(
+                {
+                    "alpha": float(alpha),
+                    "mean_edge_probability": mean_prob,
+                    "top_edges": [
+                        {"first": i, "second": j, "probability": p}
+                        for p, i, j in zip(*(a[top].tolist() for a in (pair_probs, rows, cols)))
+                    ],
+                }
+            )
 
     doc = {
         "endpoints": {
@@ -323,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
+        return 4
+    except ad.ShapeError as err:  # a well-formed checkpoint whose stacks read other widths
+        print(f"checkpoint does not fit these molecules: {err}", file=sys.stderr)
         return 4
     except NonFiniteLossError as err:
         print(f"training aborted: {err}", file=sys.stderr)

@@ -45,15 +45,15 @@ def _bfs_path(adj: dict[int, list], src: int, dst: int, banned: int) -> list[int
 
 
 def _fundamental_cycles(
-    adj: list[list[tuple[int, int]]], degree: list[int], partner: list[int], num_edges: int
+    adj: list[list[tuple[int, int]]], neighbors: Sequence[Sequence[int]], num_edges: int
 ) -> tuple[list[list[int]], int]:
     """Cycles induced by non-tree edges of a BFS spanning forest, and its tree count.
 
-    ``adj`` holds only the edges between nodes of degree 2 or more, and
-    ``partner`` the one neighbour of each degree-1 node. Such a node only
-    ends tree paths, so it is never queued, and one that would root a tree
-    passes the root to its neighbour: the tree paths among the other nodes,
-    and so the cycles, stay those of a walk over every node.
+    ``adj`` holds only the edges between nodes of degree 2 or more. A node
+    of degree 1 only ends tree paths, so it is never queued, and one that
+    would root a tree passes the root to its one neighbour: the tree paths
+    among the other nodes, and so the cycles, stay those of a walk over
+    every node.
     """
     num_nodes = len(adj)
     parent = [-2] * num_nodes  # -2 unvisited, -1 root
@@ -61,9 +61,9 @@ def _fundamental_cycles(
     order: list[int] = []
     components = 0
     for root in range(num_nodes):
-        if degree[root] == 1:
-            other = partner[root]
-            if degree[other] == 1:  # two nodes joined only to each other
+        if len(neighbors[root]) == 1:
+            other = neighbors[root][0]
+            if len(neighbors[other]) == 1:  # two nodes joined only to each other
                 components += root < other
                 continue
             root = other
@@ -111,33 +111,26 @@ def _as_searched(cycle: list[int], edge_ids: dict[tuple[int, int], int]) -> tupl
     return tuple(path if path[1:2] != [u] else [v, *path[:0:-1]])
 
 
-def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+def shortest_cycle_basis(
+    neighbors: Sequence[Sequence[int]], edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, ...]]:
     """Return a cycle basis as ordered node tuples, shortest cycles first.
 
-    The basis has exactly U - N + C members (U edges, N nodes, C connected
-    components).
+    ``neighbors`` lists each node's neighbours, in the order of ``edges``,
+    whose positions number the edges; neither may repeat an edge. The basis
+    has exactly U - N + C members (U edges, N nodes, C connected components).
     """
-    degree = [0] * num_nodes
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    # Only edges between nodes of degree 2 or more can lie on a cycle. A
-    # repeated edge raises both its ends to degree 2, so every repeat is seen.
+    num_nodes = len(neighbors)
+    # Only edges between nodes of degree 2 or more can lie on a cycle.
     edge_ids: dict[tuple[int, int], int] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    partner = [0] * num_nodes
     for edge_id, (u, v) in enumerate(edges):
-        if degree[u] > 1 and degree[v] > 1:
-            key = (u, v) if u < v else (v, u)
-            if key in edge_ids:
-                raise ValueError(f"duplicate edge {key}")
-            edge_ids[key] = edge_id
+        if len(neighbors[u]) > 1 and len(neighbors[v]) > 1:
+            edge_ids[(u, v) if u < v else (v, u)] = edge_id
             adj[u].append((v, edge_id))
             adj[v].append((u, edge_id))
-        else:
-            partner[u], partner[v] = v, u
 
-    fundamental, components = _fundamental_cycles(adj, degree, partner, len(edges))
+    fundamental, components = _fundamental_cycles(adj, neighbors, len(edges))
     if len({node for cycle in fundamental for node in cycle}) == sum(map(len, fundamental)):
         # Cycles that share no node are each the only cycle through their edges.
         return sorted((_as_searched(c, edge_ids) for c in fundamental), key=lambda c: (len(c), c))

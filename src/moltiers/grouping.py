@@ -192,11 +192,14 @@ def check_bond_consistency(graph: MolecularGraph, group_set: GroupSet) -> list[V
     """Report bonds that split across groups against the grouping rules:
     multiple or aromatic bonds ("multiple-bond"), conjugated single bonds
     ("conjugated") and ring bonds ("same-ring"). A bond can violate several
-    rules at once; one violation is emitted per rule."""
+    rules at once; one violation is emitted per rule. A single bond is
+    conjugated when both its atoms are in ``graph.unsaturated``, and a ring
+    bond when its atoms are adjacent in a ring of ``graph.rings``."""
     membership_of: list[set[int]] = [set() for _ in range(graph.num_atoms)]
     for column, group in enumerate(group_set):
         for atom in group.atoms:
             membership_of[atom].add(column)
+    ring_edges = {pair for ring in graph.rings for pair in ring_bonds(ring)}
 
     violations = []
     for bond in graph.bonds:
@@ -206,8 +209,8 @@ def check_bond_consistency(graph: MolecularGraph, group_set: GroupSet) -> list[V
             continue
         if bond.order in ("double", "triple", "aromatic"):
             violations.append(Violation(i, j, "multiple-bond"))
-        if bond.conjugated:
+        elif i in graph.unsaturated and j in graph.unsaturated:
             violations.append(Violation(i, j, "conjugated"))
-        if bond.in_ring:
+        if (i, j) in ring_edges or (j, i) in ring_edges:
             violations.append(Violation(i, j, "same-ring"))
     return violations

@@ -2,8 +2,9 @@
 
 Hydrogens are explicit nodes: graphs carry every atom, and for a connected
 molecule U = N - 1 + R where R is the number of independent rings. Ring
-perception (a shortest-cycle basis) runs at construction; the basis also
-decides connectivity, having U - N + C members for C connected components.
+perception (a shortest-cycle basis) runs at construction, over the neighbour
+lists the constructor checks; the basis also decides connectivity, having
+U - N + C members for C connected components.
 A graph holds no array: :class:`moltiers.models.MoleculeData` builds its
 adjacency, and :func:`featurize_nodes` its node features, from ``_bond_ends``.
 """
@@ -55,7 +56,6 @@ class Atom:
     element: str
     formal_charge: int = 0
     aromatic: bool = False
-    index: int = -1
 
     def __post_init__(self):
         if self.element not in ELEMENTS:
@@ -67,8 +67,6 @@ class Bond:
     first: int
     second: int
     order: str
-    in_ring: bool = False
-    conjugated: bool = False
 
     def __post_init__(self):
         if self.order not in BOND_ORDERS:
@@ -89,9 +87,10 @@ def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
 class MolecularGraph:
     """One connected molecule with explicit hydrogens, holding no array.
 
-    Construction checks the bonds, runs ring perception, rejects a
-    disconnected graph by its ring count and derives the per-bond ring and
-    conjugation flags. Treat instances as immutable afterwards.
+    Construction checks and indexes the bonds, runs ring perception over
+    that index and rejects a disconnected graph by its ring count. It
+    writes nothing into the atoms and bonds it is given. Treat instances as
+    immutable afterwards.
     """
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond], name: str = "", smiles: str = ""):
@@ -102,8 +101,6 @@ class MolecularGraph:
         self.name = name
         self.smiles = smiles
         n = len(self.atoms)
-        for i, atom in enumerate(self.atoms):
-            atom.index = i
 
         self._neighbors = neighbors = [[] for _ in range(n)]
         pairs = [(bond.first, bond.second) for bond in self.bonds]
@@ -115,23 +112,17 @@ class MolecularGraph:
             neighbors[i].append(j)
             neighbors[j].append(i)
 
-        self.rings = tuple(shortest_cycle_basis(n, pairs))
+        self.rings = tuple(shortest_cycle_basis(neighbors, pairs))
         if len(self.rings) != len(self.bonds) - n + 1:
             reachable = len(self.components(range(n))[0])
             raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
 
-        ring_edges = {pair for ring in self.rings for pair in ring_bonds(ring)}
-        ring_edges |= {(b, a) for a, b in ring_edges}
         #: Atoms on at least one ring of the basis.
         self.ring_atoms = frozenset(atom for ring in self.rings for atom in ring)
         #: Atoms with a double, triple or aromatic bond.
-        self.unsaturated = unsaturated = frozenset(
+        self.unsaturated = frozenset(
             end for bond, pair in zip(self.bonds, pairs) if bond.order != "single" for end in pair
         )
-        for bond, pair in zip(self.bonds, pairs):
-            i, j = pair
-            bond.in_ring = pair in ring_edges
-            bond.conjugated = bond.order == "single" and i in unsaturated and j in unsaturated
 
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.

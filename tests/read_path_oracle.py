@@ -20,6 +20,11 @@ took it before ``MoleculeData`` counted bond ends.
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
 featurization called.
+
+Last, two helpers that hand the library's versions their inputs or read
+their outputs: the neighbour lists a graph builds from its bonds, and each
+bond's multiple-bond, ring and conjugation facts as
+``check_bond_consistency`` reports them.
 """
 
 from collections import deque
@@ -34,6 +39,7 @@ from moltiers.grouping import (
     CoverageError,
     Group,
     GroupSet,
+    check_bond_consistency,
 )
 from moltiers.molgraph import ELEMENTS, NODE_FEATURE_DIM, MolecularGraph
 
@@ -286,7 +292,7 @@ def partition(graph: MolecularGraph) -> GroupSet:
 
 def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, bool]]]:
     """``ring_atoms`` and each bond's ``(in_ring, conjugated)``, derived as
-    the constructor derived them from its per-atom bond lists."""
+    the graph constructor once derived them from its per-atom bond lists."""
     n = graph.num_atoms
     bonds_at = [[] for _ in range(n)]
     for bond in graph.bonds:
@@ -390,3 +396,25 @@ def degree_scale(adjacency: np.ndarray) -> np.ndarray:
     with_loops = np.array(adjacency, dtype=np.float64)
     with_loops[np.diag_indices_from(with_loops)] += 1.0
     return 1.0 / np.sqrt(with_loops.sum(axis=1))
+
+
+def neighbor_lists(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Each node's neighbours in edge order, as ``MolecularGraph`` lists them
+    for ring perception."""
+    neighbors = [[] for _ in range(num_nodes)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    return neighbors
+
+
+def bond_flags(graph: MolecularGraph) -> list[tuple[bool, bool, bool]]:
+    """Each bond's ``(multiple, in_ring, conjugated)``, read from the
+    violations of a partition that puts every atom in a group of its own
+    and so splits every bond."""
+    alone = GroupSet([Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)])
+    found = {(v.first, v.second, v.rule) for v in check_bond_consistency(graph, alone)}
+    return [
+        tuple((*bond.endpoints, rule) in found for rule in ("multiple-bond", "same-ring", "conjugated"))
+        for bond in graph.bonds
+    ]

@@ -13,10 +13,12 @@ subprocesses from each tree's ``src``:
   (``gen.large_molecules(1, count=12)``) and on six ring systems (fused,
   with atoms in three rings, spiro and bridged: ``RING_SYSTEMS``);
 - ``train --epochs 20`` on the corpus for gae/vgae x adam/sgd x seeds 0 and
-  42;
+  42, and ``train --epochs 3`` of either model on two molecules of one atom
+  each (``ONE_ATOM``);
 - ``embed`` of the corpus and of the ring systems at the node, group and
   graph tiers and ``interp 'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each
-  with the tree's own seed-0 Adam checkpoint of either model;
+  with PARENT_TREE's seed-0 Adam checkpoint of either model, so that a
+  change to ``train`` alone leaves them identical;
 - the failure paths: ``embed`` and ``interp`` with a GAE checkpoint whose
   stacks read 6 features (exit 4), ``embed`` with a corrupt checkpoint
   (exit 4), ``interp`` with the endpoint ``C@C`` (exit 1), ``parse`` on a
@@ -58,6 +60,8 @@ C1CCC2(CC1)CCCC2 spiro[4.5]decane
 C1CC2CCC1C2 norbornane
 """
 
+ONE_ATOM = "C methane\n[Cl-] chloride\n"
+
 # Run in a subprocess from a tree's src, with the checkpoint's path as argument.
 NARROW_CHECKPOINT = """
 import sys
@@ -70,9 +74,9 @@ save_checkpoint(params, sys.argv[1])
 
 
 def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
-    """The four molecule files, a GAE checkpoint whose stacks read 6
-    features and a corrupt checkpoint, written into ``directory``, and a
-    missing file, by absolute path."""
+    """The four molecule files, the one-atom training file, a GAE checkpoint
+    whose stacks read 6 features and a corrupt checkpoint, written into
+    ``directory``, and a missing file, by absolute path."""
     directory = directory.resolve()
     spec = importlib.util.spec_from_file_location("perfbench_gen", tree / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
@@ -87,6 +91,8 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
     inputs["library"].write_text(gen.library(3, count=300)[0])
     inputs["large"].write_text(gen.large_molecules(1, count=12))
     inputs["rings"].write_text(RING_SYSTEMS)
+    inputs["one-atom"] = directory / "one-atom.smi"
+    inputs["one-atom"].write_text(ONE_ATOM)
     inputs["narrow"] = directory / "narrow-checkpoint.json"
     subprocess.run(
         [sys.executable, "-c", NARROW_CHECKPOINT, str(inputs["narrow"])],
@@ -98,9 +104,11 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
     return inputs
 
 
-def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str]]]:
+def commands(inputs: dict[str, Path], results: Path, trained: Path) -> list[tuple[str, list[str]]]:
     """(run name, argv after ``moltiers``) in run order. A run keeps its
-    outputs in ``results/<run name>/``; ``train`` writes to its ``out``."""
+    outputs in ``results/<run name>/``; ``train`` writes to its ``out``.
+    ``embed`` and ``interp`` read the checkpoints that the ``train`` runs
+    wrote under ``trained``, the parent's results."""
     corpus = str(inputs["corpus"])
     runs = []
     for name in MOLECULE_FILES:
@@ -114,8 +122,13 @@ def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str
                     "train", "--input", corpus, "--out", str(results / name / "out"),
                     "--model", model, "--optimizer", optimizer, "--seed", seed, "--epochs", "20",
                 ]))
+        name = f"train-{model}-one-atom"
+        runs.append((name, [
+            "train", "--input", str(inputs["one-atom"]), "--out", str(results / name / "out"),
+            "--model", model, "--epochs", "3",
+        ]))
     for model in ("gae", "vgae"):
-        checkpoint = str(results / f"train-{model}-adam-seed0" / "out" / "checkpoint.json")
+        checkpoint = str(trained / f"train-{model}-adam-seed0" / "out" / "checkpoint.json")
         for tier in ("node", "group", "graph"):
             runs.append((f"embed-{model}-{tier}", [
                 "embed", checkpoint, "--input", corpus, "--tier", tier,
@@ -127,12 +140,12 @@ def commands(inputs: dict[str, Path], results: Path) -> list[tuple[str, list[str
             "interp", checkpoint, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1", "--steps", "4",
         ]))
     narrow = str(inputs["narrow"])
-    trained = str(results / "train-gae-adam-seed0" / "out" / "checkpoint.json")
+    gae_checkpoint = str(trained / "train-gae-adam-seed0" / "out" / "checkpoint.json")
     runs += [
         ("embed-narrow", ["embed", narrow, "--input", corpus]),
         ("interp-narrow", ["interp", narrow, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1"]),
         ("embed-corrupt", ["embed", str(inputs["corrupt"]), "--input", corpus]),
-        ("interp-bad-endpoint", ["interp", trained, "C@C", "CCO"]),
+        ("interp-bad-endpoint", ["interp", gae_checkpoint, "C@C", "CCO"]),
         ("parse-missing", ["parse", "--input", str(inputs["missing"])]),
         ("train-zero-dims", [
             "train", "--input", corpus, "--out", str(results / "train-zero-dims" / "out"),
@@ -153,14 +166,15 @@ def mask(text: str, tree: Path, out: Path) -> str:
     return text.replace(str(out), "<out>").replace(str(tree), "<tree>")
 
 
-def run_matrix(tree: Path, inputs: dict[str, Path], results: Path) -> None:
+def run_matrix(tree: Path, inputs: dict[str, Path], results: Path, trained: Path) -> None:
     """Run every command from ``tree``'s ``src``, keeping each one's stdout,
     stderr and exit code, and for ``train`` whether its ``out`` exists, in
-    its own directory under ``results``."""
+    its own directory under ``results``; ``embed`` and ``interp`` read the
+    checkpoints under ``trained``."""
     if not (tree / "src" / "moltiers" / "cli.py").is_file():
         raise SystemExit(f"{tree} has no src/moltiers/cli.py")
     env, results = {**os.environ, "PYTHONPATH": str(tree / "src")}, results.resolve()
-    for name, argv in commands(inputs, results):
+    for name, argv in commands(inputs, results, trained.resolve()):
         out = results / name
         out.mkdir(parents=True)
         done = subprocess.run(
@@ -203,8 +217,8 @@ def main(argv: list[str]) -> int:
         scratch = Path(scratch)
         (scratch / "inputs").mkdir()
         inputs = write_inputs(change, scratch / "inputs")
-        for label, tree in (("parent", parent), ("change", change)):
-            run_matrix(tree, inputs, scratch / label)
+        for label, tree in (("parent", parent), ("change", change)):  # the parent trains first
+            run_matrix(tree, inputs, scratch / label, scratch / "parent")
         different = compare(scratch / "parent", scratch / "change")
     print(f"{len(different)} file(s) differ" if different else "every file is identical")
     return 1 if different else 0

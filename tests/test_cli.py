@@ -141,6 +141,20 @@ def test_train_vgae_trace_format(tmp_path, corpus_file):
     assert doc["model_kind"] == "vgae"
 
 
+@pytest.mark.parametrize("model", ["gae", "vgae"])
+def test_train_on_one_atom_molecules(tmp_path, capsys, model):
+    """A molecule of one atom has no pairs, so no edge loss; the decoder's
+    weights still get a gradient and the run completes."""
+    path = tmp_path / "one-atom.smi"
+    path.write_text("C methane\n[Cl-] chloride\n")
+    out = tmp_path / "run"
+    assert main(["train", "--input", str(path), "--out", str(out), "--model", model, "--epochs", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "checkpoint.json").read_text())["model_kind"] == model
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) == 4 and all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
+
 def test_train_rejects_bad_dims(corpus_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["train", "--input", corpus_file, "--out", str(tmp_path / "x"),

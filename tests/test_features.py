@@ -1,7 +1,10 @@
 """Graph container, node/edge featurization and molecule-file loading."""
 
+import copy
+
 import numpy as np
 import pytest
+from read_path_oracle import bond_flags
 
 from moltiers.molgraph import (
     ELEMENTS,
@@ -104,6 +107,20 @@ def test_graph_rejects_duplicate_bonds():
         bonds = [Bond(0, 1, "single"), Bond(*first, "single"), Bond(*repeat, "double")]
         with pytest.raises(ValueError, match=r"^duplicate bond between atoms \(1, 2\)$"):
             MolecularGraph(atoms, bonds)
+
+
+def test_building_a_graph_leaves_its_atoms_and_bonds_unchanged():
+    """A triangle, then a chain over the same objects: the atoms reversed and
+    two of the triangle's bonds. Neither build writes into an input, so the
+    triangle keeps its bonds' multiple-bond, ring and conjugation facts."""
+    atoms = [Atom("C"), Atom("N", formal_charge=1), Atom("C")]
+    bonds = [Bond(0, 1, "single"), Bond(1, 2, "double"), Bond(2, 0, "single")]
+    inputs = copy.deepcopy((atoms, bonds))
+    triangle = MolecularGraph(atoms, bonds)
+    assert (atoms, bonds) == inputs
+    MolecularGraph(atoms[::-1], bonds[:2])
+    assert (atoms, bonds) == inputs
+    assert bond_flags(triangle) == [(False, True, False), (True, True, False), (False, True, False)]
 
 
 def test_graph_rejects_out_of_range_endpoints():

@@ -232,14 +232,19 @@ def _run(op, case):
     return records, [out.values for out in outputs], [tensor.grad for tensor in inputs]
 
 
-def assert_matches_chain(op, chain, case):
+def assert_matches_chain(op, chain, case, zero_for_none=()):
+    """The op's one record has the chain's bits. A tracked input listed in
+    ``zero_for_none`` that the chain leaves without a gradient must get an
+    exact-zero gradient from the op."""
     records, values, grads = _run(op, case)
     _, chain_values, chain_grads = _run(chain, case)
     assert records == 1
     assert len(values) == len(chain_values)
     for value, chain_value in zip(values, chain_values):
         assert_same_bits(value, chain_value)
-    for grad, chain_grad in zip(grads, chain_grads):
+    for k, (grad, chain_grad) in enumerate(zip(grads, chain_grads)):
+        if chain_grad is None and case.tracked[k] and k in zero_for_none:
+            chain_grad = np.zeros(case.arrays[k].shape)
         assert (grad is None) == (chain_grad is None)
         if grad is not None:
             assert_same_bits(grad, chain_grad)
@@ -259,7 +264,9 @@ def test_tiered_decode_matches_its_chain(case):
 
 @given(loss_cases())
 def test_edge_feature_loss_matches_its_chain(case):
-    assert_matches_chain(ad.edge_feature_loss, chain_edge_feature_loss, case)
+    # Without pair weight the chain's edge term is a constant, which leaves the
+    # probabilities without a gradient; the op gives them an exact zero.
+    assert_matches_chain(ad.edge_feature_loss, chain_edge_feature_loss, case, zero_for_none=(0,))
 
 
 @given(sample_cases())

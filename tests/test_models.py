@@ -265,8 +265,8 @@ def test_reconstruction_loss_equals_primitive_chain(case):
     value, grad = _loss_and_gradient(reconstruction_loss, probs, adjacency)
     expected_value, expected_grad = _loss_and_gradient(chain_reconstruction_loss, probs, adjacency)
     assert_same_bits(value, expected_value)
-    if expected_grad is None:  # no pair carries weight: the edge term is a constant
-        assert grad is None
+    if expected_grad is None:  # no pair carries weight: the chain's edge term is a constant
+        assert_same_bits(grad, np.zeros_like(probs))  # and the loss gives an exact zero
     else:
         assert_same_bits(grad, expected_grad)
 

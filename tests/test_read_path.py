@@ -1,7 +1,7 @@
 """The linear read path against the per-edge, per-core and per-atom versions
 it replaced: ring bases, functional groups, aromatic rings, the whole
-partition, ring and conjugation flags and node features must match them
-exactly, and so must the adjacency, features, degree scale and membership
+partition, the ring and conjugation flags that ``check_bond_consistency``
+reports and node features must match them exactly, and so must the adjacency, features, degree scale and membership
 that ``MoleculeData.from_graph`` builds from the bond endpoints and the
 groups. Ring perception must search ring bonds only, and connectivity must
 come from the ring count, with no component walk for a connected molecule."""
@@ -84,7 +84,8 @@ def ring_system_graphs(draw):
 @given(ring_system_graphs())
 def test_cycle_basis_matches_the_all_edges_search(graph):
     num_nodes, edges = graph
-    assert cycles.shortest_cycle_basis(num_nodes, edges) == oracle.shortest_cycle_basis(num_nodes, edges)
+    basis = cycles.shortest_cycle_basis(oracle.neighbor_lists(num_nodes, edges), edges)
+    assert basis == oracle.shortest_cycle_basis(num_nodes, edges)
 
 
 def assert_read_path_matches_oracle(graph):
@@ -96,7 +97,7 @@ def assert_read_path_matches_oracle(graph):
     assert [(g.kind, g.atoms) for g in groups] == [(g.kind, g.atoms) for g in expected_groups]
     ring_atoms, flags = oracle.ring_flags(graph)
     assert graph.ring_atoms == ring_atoms
-    assert [(bond.in_ring, bond.conjugated) for bond in graph.bonds] == flags
+    assert oracle.bond_flags(graph) == [(b.order != "single", *f) for b, f in zip(graph.bonds, flags)]
     features, expected = featurize_nodes(graph), oracle.featurize_nodes(graph)
     assert features.dtype == expected.dtype and features.shape == expected.shape
     assert features.tobytes() == expected.tobytes()
@@ -169,19 +170,16 @@ def test_ring_perception_searches_ring_bonds_only(monkeypatch, chain):
 
     monkeypatch.setattr(cycles, "_bfs_path", counted)
     graph = parse_smiles("Cc1ccc(cc1)" + "C" * chain + "c1ccc(cc1)C")
-    assert sum(bond.in_ring for bond in graph.bonds) == 12 and graph.ring_count == 2
+    assert sum(in_ring for _, in_ring, _ in oracle.bond_flags(graph)) == 12 and graph.ring_count == 2
     assert calls == []
     graph = parse_smiles("Cc1ccc2ccccc2c1" + "C" * chain)
-    ring_bonds = sum(bond.in_ring for bond in graph.bonds)
+    ring_bonds = sum(in_ring for _, in_ring, _ in oracle.bond_flags(graph))
     assert ring_bonds == 11
     assert len(calls) == ring_bonds < graph.num_bonds
 
 
 def atoms_reached_from_atom_0(num_nodes, edges):
-    adjacency = [[] for _ in range(num_nodes)]
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    adjacency = oracle.neighbor_lists(num_nodes, edges)
     seen, stack = {0}, [0]
     while stack:
         for nbr in adjacency[stack.pop()]:
@@ -254,6 +252,14 @@ def assert_constants_match_oracle(graph):
 @given(ring_system_graphs())
 def test_constants_of_ring_system_skeletons_match_oracle(graph):
     assert_constants_match_oracle(carbon_skeleton(*graph))
+
+
+@given(ring_system_graphs())
+def test_ring_flags_of_ring_system_skeletons_match_oracle(graph):
+    """Edges come shuffled and flipped, so ring bonds point both ways round
+    their rings."""
+    graph = carbon_skeleton(*graph)
+    assert oracle.bond_flags(graph) == [(False, *flags) for flags in oracle.ring_flags(graph)[1]]
 
 
 def test_constants_of_the_corpus_and_polycyclic_aromatics_match_oracle(corpus_graphs):

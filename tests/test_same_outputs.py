@@ -1,7 +1,8 @@
 """The byte-identity check of ``tests/same_outputs.py``: its comparison names
 each file that differs between two output directories, its masking hides
-the paths that differ between two trees, and its ``train`` runs write where
-no directory was made for them."""
+the paths that differ between two trees, its ``train`` runs write where no
+directory was made for them, and its ``embed`` and ``interp`` runs read the
+parent tree's checkpoints."""
 
 import same_outputs
 
@@ -41,11 +42,23 @@ def test_mask_hides_the_run_directory_and_the_tree_root(tmp_path):
 def test_train_writes_where_no_directory_was_made_for_it(tmp_path):
     """So the check sees whether an aborted ``train`` leaves its ``--out``
     behind; the ring systems reach ``parse``, ``partition`` and ``embed``."""
-    names = (*same_outputs.MOLECULE_FILES, "narrow", "corrupt", "missing")
-    results = tmp_path / "results"
-    runs = same_outputs.commands({name: tmp_path / name for name in names}, results)
+    names = (*same_outputs.MOLECULE_FILES, "one-atom", "narrow", "corrupt", "missing")
+    results, trained = tmp_path / "results", tmp_path / "parent"
+    runs = same_outputs.commands({name: tmp_path / name for name in names}, results, trained)
     trains = [(name, argv) for name, argv in runs if argv[0] == "train"]
-    assert len(trains) == 10
+    assert len(trains) == 12
     for name, argv in trains:
         assert argv[argv.index("--out") + 1] == str(results / name / "out")
     assert {"parse-rings", "partition-rings", "embed-vgae-group-rings"} <= {name for name, _ in runs}
+    assert {"train-gae-one-atom", "train-vgae-one-atom"} <= {name for name, _ in trains}
+
+
+def test_embed_and_interp_read_the_parents_checkpoints(tmp_path):
+    """So a change that moves ``train`` alone leaves every embedding as it was."""
+    names = (*same_outputs.MOLECULE_FILES, "one-atom", "narrow", "corrupt", "missing")
+    results, trained = tmp_path / "change", tmp_path / "parent"
+    runs = same_outputs.commands({name: tmp_path / name for name in names}, results, trained)
+    checkpoints = {argv[1] for _, argv in runs if argv[0] in ("embed", "interp")}
+    assert checkpoints == {
+        str(trained / f"train-{model}-adam-seed0" / "out" / "checkpoint.json") for model in ("gae", "vgae")
+    } | {str(tmp_path / "narrow"), str(tmp_path / "corrupt")}

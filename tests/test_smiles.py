@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from read_path_oracle import bond_flags
 
 from moltiers.smiles import (
     SmilesError,
@@ -16,7 +17,7 @@ from moltiers.smiles import (
 
 
 def atom_tuples(graph):
-    return [(a.index, a.element, a.formal_charge, a.aromatic) for a in graph.atoms]
+    return [(i, a.element, a.formal_charge, a.aromatic) for i, a in enumerate(graph.atoms)]
 
 
 def bond_tuples(graph):
@@ -94,16 +95,16 @@ def test_benzene_ring_and_bond_orders():
     g = parse_smiles("c1ccccc1")
     assert g.rings == ((2, 4, 6, 8, 10, 0),)
     ring_atoms = set(g.rings[0])
-    for a in g.atoms:
-        assert a.aromatic == (a.index in ring_atoms)
+    for i, a in enumerate(g.atoms):
+        assert a.aromatic == (i in ring_atoms)
     orders = {}
     for b in g.bonds:
         orders.setdefault(b.order, 0)
         orders[b.order] += 1
     # six ring bonds plus one C-H per carbon
     assert orders == {"aromatic": 6, "single": 6}
-    for b in g.bonds:
-        assert b.in_ring == (b.order == "aromatic")
+    for b, (_, in_ring, _) in zip(g.bonds, bond_flags(g)):
+        assert in_ring == (b.order == "aromatic")
 
 
 def test_bracket_atom_charges_and_hydrogens():
@@ -139,17 +140,17 @@ def test_explicit_bond_orders():
 
 def test_conjugation_marks_single_bonds_between_multiple_bonds():
     g = parse_smiles("C=CC=C")
-    flagged = [(b.first, b.second) for b in g.bonds if b.conjugated]
+    flagged = [b.endpoints for b, (*_, conjugated) in zip(g.bonds, bond_flags(g)) if conjugated]
     assert flagged == [(3, 5)]
     # carboxyl C-O next to C=O does not qualify: O carries no second multiple bond
     g = parse_smiles("CC(=O)O")
-    assert not any(b.conjugated for b in g.bonds)
+    assert not any(conjugated for *_, conjugated in bond_flags(g))
 
 
 def test_branch_nesting():
     g = parse_smiles("CC(C(C)C)C")  # 2,3-dimethylbutane
     assert g.formula() == "C6H14"
-    heavy = [a.index for a in g.atoms if a.element == "C"]
+    heavy = [i for i, a in enumerate(g.atoms) if a.element == "C"]
     degree = {i: sum(1 for j in g.neighbors(i) if g.atoms[j].element == "C") for i in heavy}
     assert sorted(degree.values()) == [1, 1, 1, 1, 3, 3]
 
