@@ -158,7 +158,7 @@ def cmd_partition(args) -> int:
         group_set = partition(graph)
         groups = []
         for group in group_set:
-            formula = hill_formula(graph.atoms[i].element for i in group.atoms)
+            formula = hill_formula(graph.elements[i] for i in group.atoms)
             groups.append({"kind": group.kind, "atoms": list(group.atoms), "formula": formula})
         molecules.append(
             {
@@ -241,7 +241,7 @@ def cmd_embed(args) -> int:
             }
             if args.tier == "node":
                 doc["embeddings"] = _matrix_doc(embeddings.node.values)
-                doc["elements"] = [atom.element for atom in graph.atoms]
+                doc["elements"] = graph.elements
             elif args.tier == "group":
                 doc["embeddings"] = _matrix_doc(embeddings.group.values)
                 doc["group_kinds"] = data.group_set.kinds

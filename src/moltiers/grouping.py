@@ -65,9 +65,8 @@ class GroupSet:
 
 def _with_hydrogens(graph: MolecularGraph, atoms: Collection[int]) -> tuple[int, ...]:
     """``atoms`` plus the hydrogens bonded to them, sorted ascending."""
-    members = {
-        nbr for atom in atoms for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H"
-    }
+    elements, neighbors = graph.elements, graph.neighbors
+    members = {nbr for atom in atoms for nbr in neighbors(atom) if elements[nbr] == "H"}
     members.update(atoms)
     return tuple(sorted(members))
 
@@ -77,7 +76,7 @@ def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     hydrogens, sorted ascending."""
     if not graph.rings:
         return []
-    aromatic = {(b.first, b.second) for b in graph.bonds if b.order == "aromatic"}
+    aromatic = {pair for pair, order in zip(graph.pairs, graph.orders) if order == "aromatic"}
     return [
         _with_hydrogens(graph, ring)
         for ring in graph.rings
@@ -95,13 +94,12 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     absorbs its hydrogens and any terminal carbon whose heavy neighbors all
     lie inside the group (the methyl of a methoxy).
     """
-    atoms, neighbors = graph.atoms, graph.neighbors
-    elements = [atom.element for atom in atoms]
-    marked = {i for i, e in enumerate(elements) if e not in ("C", "H") and not atoms[i].aromatic}
+    elements, aromatic, neighbors = graph.elements, graph.aromatic, graph.neighbors
+    marked = {i for i, e in enumerate(elements) if e not in ("C", "H") and not aromatic[i]}
 
     marked.update(
-        end for bond in graph.bonds if bond.order == "double" or bond.order == "triple"
-        for end in (bond.first, bond.second) if elements[end] == "C"
+        end for pair, order in zip(graph.pairs, graph.orders) if order in ("double", "triple")
+        for end in pair if elements[end] == "C"
     )
     # The acetal rule counts each carbon's O, N and S neighbours from their side.
     hetero_bonds = Counter(
@@ -109,7 +107,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     )
     marked.update(
         i for i, count in hetero_bonds.items()
-        if count >= 2 and elements[i] == "C" and not atoms[i].aromatic and i not in graph.unsaturated
+        if count >= 2 and elements[i] == "C" and not aromatic[i] and i not in graph.unsaturated
     )
 
     for ring in graph.rings:
@@ -202,12 +200,11 @@ def check_bond_consistency(graph: MolecularGraph, group_set: GroupSet) -> list[V
     ring_edges = {pair for ring in graph.rings for pair in ring_bonds(ring)}
 
     violations = []
-    for bond in graph.bonds:
-        i, j = bond.endpoints
+    for (i, j), order in zip(graph.pairs, graph.orders):
         shares_group = bool(membership_of[i] & membership_of[j])
         if shares_group:
             continue
-        if bond.order in ("double", "triple", "aromatic"):
+        if order in ("double", "triple", "aromatic"):
             violations.append(Violation(i, j, "multiple-bond"))
         elif i in graph.unsaturated and j in graph.unsaturated:
             violations.append(Violation(i, j, "conjugated"))

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -74,10 +76,6 @@ class Bond:
         if self.first == self.second:
             raise ValueError(f"bond joins atom {self.first} to itself")
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.first, self.second)
-
 
 def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
     """The bonds of a ring, in ring order, each as (atom, next atom)."""
@@ -85,26 +83,34 @@ def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 class MolecularGraph:
-    """One connected molecule with explicit hydrogens, holding no array.
+    """One connected molecule with explicit hydrogens, held as lists.
 
-    Construction checks and indexes the bonds, runs ring perception over
-    that index and rejects a disconnected graph by its ring count. It
-    writes nothing into the atoms and bonds it is given. Treat instances as
-    immutable afterwards.
+    Per atom: ``elements``, ``charges`` and ``aromatic`` flags; per bond:
+    ``pairs`` (first atom, second atom) and ``orders``. ``atoms`` and
+    ``bonds`` are :class:`Atom` and :class:`Bond` views of them, built on
+    first access. Construction checks and indexes the bonds, runs ring
+    perception over that index and rejects a disconnected graph by its ring
+    count. ``fields``, the parser's hand-off, replaces ``atoms`` and
+    ``bonds`` by the five lists, elements and orders already checked.
+    Treat instances as immutable afterwards.
     """
 
-    def __init__(self, atoms: list[Atom], bonds: list[Bond], name: str = "", smiles: str = ""):
-        if not atoms:
+    def __init__(self, atoms: list[Atom], bonds: list[Bond], name: str = "", smiles: str = "",
+                 *, fields: tuple[list, list, list, list, list] | None = None):
+        if fields is None:
+            atoms, bonds = list(atoms), list(bonds)  # each is read more than once
+            fields = ([a.element for a in atoms], [a.formal_charge for a in atoms],
+                      [a.aromatic for a in atoms], [(b.first, b.second) for b in bonds],
+                      [b.order for b in bonds])
+        self.elements, self.charges, self.aromatic, self.pairs, self.orders = fields
+        if not self.elements:
             raise ValueError("a molecule needs at least one atom")
-        self.atoms = list(atoms)
-        self.bonds = list(bonds)
         self.name = name
         self.smiles = smiles
-        n = len(self.atoms)
+        n = len(self.elements)
 
         self._neighbors = neighbors = [[] for _ in range(n)]
-        pairs = [(bond.first, bond.second) for bond in self.bonds]
-        for i, j in pairs:
+        for i, j in self.pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bond endpoint out of range: {(i, j)}")
             if j in neighbors[i]:  # an earlier bond joined them
@@ -112,8 +118,8 @@ class MolecularGraph:
             neighbors[i].append(j)
             neighbors[j].append(i)
 
-        self.rings = tuple(shortest_cycle_basis(neighbors, pairs))
-        if len(self.rings) != len(self.bonds) - n + 1:
+        self.rings = tuple(shortest_cycle_basis(neighbors, self.pairs))
+        if len(self.rings) != len(self.pairs) - n + 1:
             reachable = len(self.components(range(n))[0])
             raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
 
@@ -121,8 +127,16 @@ class MolecularGraph:
         self.ring_atoms = frozenset(atom for ring in self.rings for atom in ring)
         #: Atoms with a double, triple or aromatic bond.
         self.unsaturated = frozenset(
-            end for bond, pair in zip(self.bonds, pairs) if bond.order != "single" for end in pair
+            end for pair, order in zip(self.pairs, self.orders) if order != "single" for end in pair
         )
+
+    @cached_property
+    def atoms(self) -> list[Atom]:
+        return [Atom(*atom) for atom in zip(self.elements, self.charges, self.aromatic)]
+
+    @cached_property
+    def bonds(self) -> list[Bond]:
+        return [Bond(i, j, order) for (i, j), order in zip(self.pairs, self.orders)]
 
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.
@@ -146,11 +160,11 @@ class MolecularGraph:
 
     @property
     def num_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.elements)
 
     @property
     def num_bonds(self) -> int:
-        return len(self.bonds)
+        return len(self.pairs)
 
     @property
     def ring_count(self) -> int:
@@ -160,10 +174,11 @@ class MolecularGraph:
         return self._neighbors[index]
 
     def formula(self) -> str:
-        return hill_formula(atom.element for atom in self.atoms)
+        return hill_formula(self.elements)
 
     def _bond_ends(self) -> np.ndarray:  # (2, U): each bond's first atom, then its second
-        return np.array([[b.first for b in self.bonds], [b.second for b in self.bonds]], dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(self.pairs), np.intp, 2 * len(self.pairs))
+        return flat.reshape(-1, 2).T.copy()  # C order, so that ravel() is a view
 
     def __repr__(self) -> str:
         label = self.name or self.smiles or "?"
@@ -177,16 +192,16 @@ def featurize_nodes(graph: MolecularGraph, ends: np.ndarray | None = None) -> np
     Columns, in order: one-hot element over ELEMENTS (11), aromatic flag,
     formal charge, heavy-atom degree, attached hydrogen count, in-ring flag.
     """
-    atoms = graph.atoms
-    features = np.zeros((len(atoms), NODE_FEATURE_DIM))
-    features[np.arange(len(atoms)), [_ELEMENT_COLUMN[a.element] for a in atoms]] = 1.0
-    features[:, 11] = [a.aromatic for a in atoms]
-    features[:, 12] = [a.formal_charge for a in atoms]
+    n = graph.num_atoms
+    features = np.zeros((n, NODE_FEATURE_DIM))
+    features[np.arange(n), [_ELEMENT_COLUMN[e] for e in graph.elements]] = 1.0
+    features[:, 11] = graph.aromatic
+    features[:, 12] = graph.charges
     if ends is None:
         ends = graph._bond_ends()
     # Each end counts its other end, exactly; ELEMENTS[0] is H.
-    hydrogens = np.bincount(ends.ravel(), features[ends[::-1], 0].ravel(), len(atoms))
-    features[:, 13] = np.bincount(ends.ravel(), minlength=len(atoms)) - hydrogens
+    hydrogens = np.bincount(ends.ravel(), features[ends[::-1], 0].ravel(), n)
+    features[:, 13] = np.bincount(ends.ravel(), minlength=n) - hydrogens
     features[:, 14] = hydrogens
     features[list(graph.ring_atoms), 15] = 1.0
     return features

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .molgraph import ELEMENTS, VALENCES, Atom, Bond, MolecularGraph
+from .molgraph import ELEMENTS, VALENCES, MolecularGraph
 
 _ORGANIC = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 _AROMATIC = {"b", "c", "n", "o", "p", "s"}
@@ -216,7 +217,10 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
                 raise SmilesError("dangling bond symbol before ')'", i)
             if not branch_stack:
                 raise UnbalancedParenthesesError("unexpected ')'", i)
-            previous, _ = branch_stack.pop()
+            anchor, opened = branch_stack.pop()
+            if previous == anchor:  # no atom since the '('
+                raise SmilesError("empty branch", opened)
+            previous = anchor
             i += 1
         elif char in _BOND_SYMBOLS:
             if pending_bond is not None:
@@ -270,19 +274,16 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
         raise SmilesError("no atoms in input")
 
     # Assign final indices: heavy atoms in traversal order, hydrogens right
-    # after their atom.
-    final_index: list[int] = []
-    out_atoms: list[Atom] = []
-    out_bonds: list[Bond] = []
-    for parsed in atoms:
-        h_count = parsed.explicit_hydrogens
-        if h_count is None:
-            h_count = _implicit_hydrogens(parsed)
-        index = len(out_atoms)
-        final_index.append(index)
-        out_atoms.append(Atom(parsed.element, parsed.charge, parsed.aromatic))
-        out_atoms += [Atom("H") for _ in range(h_count)]
-        out_bonds += [Bond(index, h, "single") for h in range(index + 1, len(out_atoms))]
-    out_bonds += [Bond(final_index[a], final_index[b], order) for a, b, order in bonds]
-
-    return MolecularGraph(out_atoms, out_bonds, name=name, smiles=text)
+    # after their atom; the hydrogens' bonds come before the parsed ones.
+    h_counts = [_implicit_hydrogens(parsed) if parsed.explicit_hydrogens is None
+                else parsed.explicit_hydrogens for parsed in atoms]
+    final_index = list(accumulate([1 + count for count in h_counts[:-1]], initial=0))
+    n = final_index[-1] + 1 + h_counts[-1]
+    elements, charges, aromatic = ["H"] * n, [0] * n, [False] * n
+    for index, parsed in zip(final_index, atoms):
+        elements[index], charges[index], aromatic[index] = parsed.element, parsed.charge, parsed.aromatic
+    pairs = [(atom, h) for atom, count in zip(final_index, h_counts) for h in range(atom + 1, atom + 1 + count)]
+    orders = ["single"] * len(pairs) + [order for _, _, order in bonds]
+    pairs += [(final_index[a], final_index[b]) for a, b, _ in bonds]
+    fields = (elements, charges, aromatic, pairs, orders)
+    return MolecularGraph([], [], name=name, smiles=text, fields=fields)

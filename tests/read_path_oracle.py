@@ -180,14 +180,14 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
 
     for bond in graph.bonds:
         if bond.order in ("double", "triple"):
-            for end in bond.endpoints:
+            for end in (bond.first, bond.second):
                 if atoms[end].element == "C":
                     marked.add(end)
 
     for i, atom in enumerate(atoms):
         if atom.element != "C" or atom.aromatic:
             continue
-        orders = [b.order for b in graph.bonds if i in b.endpoints]
+        orders = [b.order for b in graph.bonds if i in (b.first, b.second)]
         if any(o != "single" for o in orders):
             continue
         hetero_neighbors = sum(
@@ -238,7 +238,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
 def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     bond_order = {}
     for bond in graph.bonds:
-        i, j = bond.endpoints
+        i, j = bond.first, bond.second
         bond_order[(min(i, j), max(i, j))] = bond.order
 
     results = []
@@ -296,7 +296,7 @@ def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, 
     n = graph.num_atoms
     bonds_at = [[] for _ in range(n)]
     for bond in graph.bonds:
-        i, j = bond.endpoints
+        i, j = bond.first, bond.second
         bonds_at[i].append(bond)
         bonds_at[j].append(bond)
 
@@ -314,7 +314,7 @@ def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, 
     ]
     flags = []
     for bond in graph.bonds:
-        i, j = bond.endpoints
+        i, j = bond.first, bond.second
         in_ring = (min(i, j), max(i, j)) in ring_edges
         conjugated = bond.order == "single" and multi[i] and multi[j]
         flags.append((in_ring, conjugated))
@@ -350,7 +350,7 @@ def adjacency(graph: MolecularGraph) -> np.ndarray:
     n = graph.num_atoms
     result = np.zeros((n, n))
     for bond in graph.bonds:
-        i, j = bond.endpoints
+        i, j = bond.first, bond.second
         result[i, j] = 1.0
         result[j, i] = 1.0
     return result
@@ -415,6 +415,6 @@ def bond_flags(graph: MolecularGraph) -> list[tuple[bool, bool, bool]]:
     alone = GroupSet([Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)])
     found = {(v.first, v.second, v.rule) for v in check_bond_consistency(graph, alone)}
     return [
-        tuple((*bond.endpoints, rule) in found for rule in ("multiple-bond", "same-ring", "conjugated"))
+        tuple((bond.first, bond.second, rule) in found for rule in ("multiple-bond", "same-ring", "conjugated"))
         for bond in graph.bonds
     ]

@@ -123,6 +123,18 @@ def test_building_a_graph_leaves_its_atoms_and_bonds_unchanged():
     assert bond_flags(triangle) == [(False, True, False), (True, True, False), (False, True, False)]
 
 
+def test_graph_reads_atoms_and_bonds_from_any_iterable():
+    """The constructor reads its atoms and bonds once per field list, so it
+    copies them first: generators give the same graph as lists."""
+    atoms = [Atom("C"), Atom("N", formal_charge=1, aromatic=True), Atom("C")]
+    bonds = [Bond(0, 1, "single"), Bond(1, 2, "double")]
+    from_lists = MolecularGraph(atoms, bonds)
+    from_generators = MolecularGraph((a for a in atoms), (b for b in bonds))
+    for field in ("elements", "charges", "aromatic", "pairs", "orders", "unsaturated"):
+        assert getattr(from_generators, field) == getattr(from_lists, field), field
+    assert from_lists.charges == [0, 1, 0] and from_lists.aromatic == [False, True, False]
+
+
 def test_graph_rejects_out_of_range_endpoints():
     with pytest.raises(ValueError, match="out of range"):
         MolecularGraph([Atom("C"), Atom("C")], [Bond(0, 5, "single")])

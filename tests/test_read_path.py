@@ -9,6 +9,7 @@ come from the ring count, with no component walk for a connected molecule."""
 import random
 import re
 
+import numpy as np
 import pytest
 import read_path_oracle as oracle
 from chain_oracle import assert_same_bits
@@ -25,7 +26,7 @@ from moltiers.grouping import (
     identify_functional_groups,
     partition,
 )
-from moltiers.models import MoleculeData
+from moltiers.models import MoleculeData, TieredGaeParams, TieredVgaeParams, encode_for_inference
 from moltiers.molgraph import Atom, Bond, MolecularGraph, featurize_nodes, load_molecules
 from moltiers.smiles import parse_smiles
 
@@ -89,7 +90,7 @@ def test_cycle_basis_matches_the_all_edges_search(graph):
 
 
 def assert_read_path_matches_oracle(graph):
-    edges = [bond.endpoints for bond in graph.bonds]
+    edges = [(bond.first, bond.second) for bond in graph.bonds]
     assert list(graph.rings) == oracle.shortest_cycle_basis(graph.num_atoms, edges)
     assert identify_functional_groups(graph) == oracle.identify_functional_groups(graph)
     assert detect_aromatic_rings(graph) == oracle.detect_aromatic_rings(graph)
@@ -225,6 +226,36 @@ def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
     with pytest.raises(ValueError, match="disconnected"):
         MolecularGraph([Atom("C"), Atom("C"), Atom("O")], [Bond(0, 1, "single")])
     assert len(calls) == 1
+
+
+def test_parsing_and_embedding_build_no_atom_or_bond(monkeypatch, tmp_path, corpus_path, perfbench_gen):
+    """A graph is per-field lists: the parser hands them over, and nothing
+    from the parse to an encode reads the ``atoms`` and ``bonds`` views."""
+    built = []
+
+    def counted(check):
+        def post_init(self):
+            built.append(self)
+            check(self)
+        return post_init
+
+    for cls in (Atom, Bond):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    library = tmp_path / "library.smi"
+    library.write_text("\n".join(perfbench_gen.library(1)[0].splitlines()[:200]) + "\n")
+    graphs = [r.graph for path in (corpus_path, library) for r in load_molecules(path) if r.graph]
+    assert len(graphs) > 200
+    gae = TieredGaeParams.init(np.random.default_rng(0))
+    vgae = TieredVgaeParams.init(np.random.default_rng(0))
+    for graph in graphs:
+        data = MoleculeData.from_graph(graph)
+        encode_for_inference(gae, data)
+        encode_for_inference(vgae, data)
+        graph.formula()
+    assert built == []
+    atoms, bonds = graphs[0].atoms, graphs[0].bonds
+    assert graphs[0].atoms is atoms and graphs[0].bonds is bonds  # built once, on first access
+    assert len(built) == len(atoms) + len(bonds)
 
 
 PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"

@@ -1,0 +1,37 @@
+"""The digest comparison of ``tests/read_path_digest.py``: its comparison
+names each digest that differs or that one side lacks, and its sections
+tell apart molecules that differ only where that section looks."""
+
+import read_path_digest
+
+
+def test_compare_reports_the_digest_that_differs(capsys):
+    parent = {"corpus/graph": "aa", "corpus/rings": "bb"}
+    change = {"corpus/graph": "aa", "corpus/rings": "bc"}
+    assert read_path_digest.compare(parent, change) == ["corpus/rings"]
+    assert capsys.readouterr().out.splitlines() == ["identical  corpus/graph", "different  corpus/rings"]
+
+
+def test_compare_reports_a_digest_that_one_side_lacks():
+    assert read_path_digest.compare({"corpus/graph": "aa"}, {}) == ["corpus/graph"]
+    assert read_path_digest.compare({}, {"rings/encode": "aa"}) == ["rings/encode"]
+    assert read_path_digest.compare({}, {}) == []
+
+
+def test_sections_see_what_they_hash(tmp_path):
+    def digest(text):
+        path = tmp_path / "molecules.smi"
+        path.write_text(text)
+        return read_path_digest.digest_file(path)
+
+    base = digest("CCO ethanol\nC@C bad\n")
+    assert digest("CCO ethanol\nC@C bad\n") == base
+    assert set(base) == set(read_path_digest.SECTIONS)
+    # a name reaches the graph section alone
+    renamed = digest("CCO ethyl-alcohol\nC@C bad\n")
+    assert [s for s in base if renamed[s] != base[s]] == ["graph"]
+    # an error's repr is hashed
+    assert digest("CCO ethanol\nC.C bad\n")["graph"] != base["graph"]
+    # one more ring changes every section
+    ring = digest("C1CO1 oxirane\nC@C bad\n")
+    assert all(ring[s] != base[s] for s in base)

@@ -1,10 +1,11 @@
 """Parser tests: frozen atom/bond layouts, aromatic perception, error positions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from read_path_oracle import bond_flags
 
+from moltiers.molgraph import MolecularGraph
 from moltiers.smiles import (
     SmilesError,
     UnbalancedParenthesesError,
@@ -140,7 +141,7 @@ def test_explicit_bond_orders():
 
 def test_conjugation_marks_single_bonds_between_multiple_bonds():
     g = parse_smiles("C=CC=C")
-    flagged = [b.endpoints for b, (*_, conjugated) in zip(g.bonds, bond_flags(g)) if conjugated]
+    flagged = [(b.first, b.second) for b, (*_, conjugated) in zip(g.bonds, bond_flags(g)) if conjugated]
     assert flagged == [(3, 5)]
     # carboxyl C-O next to C=O does not qualify: O carries no second multiple bond
     g = parse_smiles("CC(=O)O")
@@ -195,6 +196,10 @@ def test_two_digits_on_one_atom():
         ("=CC", SmilesError, 0),
         ("C(=)C", SmilesError, 3),
         ("C=#C", SmilesError, 2),
+        ("C()C", SmilesError, 1),
+        ("C(())C", SmilesError, 2),
+        ("CC(=O)()", SmilesError, 6),
+        ("C1CC(1)C", SmilesError, 4),
         ("O=C=O=C", ValenceOverflowError, 4),
         ("FF(F)F", ValenceOverflowError, 1),
     ],
@@ -240,3 +245,20 @@ def test_parser_raises_only_smiles_errors(text):
     except SmilesError:
         return
     assert graph.num_atoms >= 1
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(SMILES_TOKENS), max_size=24).map("".join))
+@example("O=Cc1ccc(O)c(OC)c1")
+@example("c1cc2ccc3cccc4ccc(c1)c2c34")
+@example("C[N+](=O)[O-]")
+def test_atom_and_bond_views_rebuild_the_same_graph(text):
+    """The parser's lists and the lists a graph builds from its own
+    ``atoms`` and ``bonds`` views give the same molecule."""
+    try:
+        graph = parse_smiles(text)
+    except SmilesError:
+        return
+    rebuilt = MolecularGraph(graph.atoms, graph.bonds)
+    for field in ("elements", "charges", "aromatic", "pairs", "orders", "rings", "ring_atoms", "unsaturated"):
+        assert getattr(rebuilt, field) == getattr(graph, field), field
