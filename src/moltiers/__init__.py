@@ -50,8 +50,6 @@ from .models import (
     zero_noise,
 )
 from .molgraph import (
-    Atom,
-    Bond,
     MolecularGraph,
     NODE_FEATURE_DIM,
     featurize_nodes,

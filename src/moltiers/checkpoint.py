@@ -95,7 +95,7 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, bytes that are not UTF-8, or an integer past Python's digit limit
         raise CheckpointError(f"malformed checkpoint file: {err}") from err
     if not isinstance(payload, dict):
         raise CheckpointError("malformed checkpoint file: top level is not an object")

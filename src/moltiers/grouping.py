@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
+from operator import lt
 
 import numpy as np
 
@@ -39,9 +40,8 @@ class Group:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if not self.atoms:
             raise ValueError("a group cannot be empty")
-        ordered = tuple(sorted(set(self.atoms)))
-        if ordered != self.atoms:
-            repeated = len(ordered) < len(self.atoms)
+        if not all(map(lt, self.atoms, self.atoms[1:])):  # strictly ascending
+            repeated = len(set(self.atoms)) < len(self.atoms)
             raise ValueError(f"group atoms must {'not repeat' if repeated else 'be sorted'}")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -53,30 +52,6 @@ def hill_formula(elements: Iterable[str]) -> str:
     return "".join(f"{e}{counts[e]}" if counts[e] > 1 else e for e in ordered)
 
 
-@dataclass(slots=True)
-class Atom:
-    element: str
-    formal_charge: int = 0
-    aromatic: bool = False
-
-    def __post_init__(self):
-        if self.element not in ELEMENTS:
-            raise ValueError(f"unsupported element {self.element!r}")
-
-
-@dataclass(slots=True)
-class Bond:
-    first: int
-    second: int
-    order: str
-
-    def __post_init__(self):
-        if self.order not in BOND_ORDERS:
-            raise ValueError(f"unsupported bond order {self.order!r}")
-        if self.first == self.second:
-            raise ValueError(f"bond joins atom {self.first} to itself")
-
-
 def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
     """The bonds of a ring, in ring order, each as (atom, next atom)."""
     return list(zip(ring, ring[1:] + ring[:1]))
@@ -86,31 +61,34 @@ class MolecularGraph:
     """One connected molecule with explicit hydrogens, held as lists.
 
     Per atom: ``elements``, ``charges`` and ``aromatic`` flags; per bond:
-    ``pairs`` (first atom, second atom) and ``orders``. ``atoms`` and
-    ``bonds`` are :class:`Atom` and :class:`Bond` views of them, built on
-    first access. Construction checks and indexes the bonds, runs ring
+    ``pairs`` (first atom, second atom) and ``orders``. Construction copies
+    each input into a list of its own, checks the lengths, elements and bond
+    orders, then checks and indexes the bonds in one pass, runs ring
     perception over that index and rejects a disconnected graph by its ring
-    count. ``fields``, the parser's hand-off, replaces ``atoms`` and
-    ``bonds`` by the five lists, elements and orders already checked.
-    Treat instances as immutable afterwards.
+    count. Treat instances as immutable afterwards.
     """
 
-    def __init__(self, atoms: list[Atom], bonds: list[Bond], name: str = "", smiles: str = "",
-                 *, fields: tuple[list, list, list, list, list] | None = None):
-        if fields is None:
-            atoms, bonds = list(atoms), list(bonds)  # each is read more than once
-            fields = ([a.element for a in atoms], [a.formal_charge for a in atoms],
-                      [a.aromatic for a in atoms], [(b.first, b.second) for b in bonds],
-                      [b.order for b in bonds])
-        self.elements, self.charges, self.aromatic, self.pairs, self.orders = fields
-        if not self.elements:
-            raise ValueError("a molecule needs at least one atom")
+    def __init__(self, elements: Iterable[str], charges: Iterable[int], aromatic: Iterable[bool],
+                 pairs: Iterable[tuple[int, int]], orders: Iterable[str], name: str = "", smiles: str = ""):
+        self.elements, self.charges, self.aromatic = list(elements), list(charges), list(aromatic)
+        self.pairs, self.orders = list(map(tuple, pairs)), list(orders)  # a set can hold a pair
         self.name = name
         self.smiles = smiles
         n = len(self.elements)
+        if not n:
+            raise ValueError("a molecule needs at least one atom")
+        if not n == len(self.charges) == len(self.aromatic) or len(self.pairs) != len(self.orders):
+            raise ValueError(f"unequal lengths: {n} elements, {len(self.charges)} charges, {len(self.aromatic)} "
+                             f"aromatic flags; {len(self.pairs)} pairs, {len(self.orders)} orders")
+        for values, known, kind in ((self.elements, ELEMENTS, "element"),
+                                    (self.orders, BOND_ORDERS, "bond order")):
+            if not set(known).issuperset(values):
+                raise ValueError(f"unsupported {kind} {next(v for v in values if v not in known)!r}")
 
         self._neighbors = neighbors = [[] for _ in range(n)]
         for i, j in self.pairs:
+            if i == j:
+                raise ValueError(f"bond joins atom {i} to itself")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bond endpoint out of range: {(i, j)}")
             if j in neighbors[i]:  # an earlier bond joined them
@@ -129,14 +107,6 @@ class MolecularGraph:
         self.unsaturated = frozenset(
             end for pair, order in zip(self.pairs, self.orders) if order != "single" for end in pair
         )
-
-    @cached_property
-    def atoms(self) -> list[Atom]:
-        return [Atom(*atom) for atom in zip(self.elements, self.charges, self.aromatic)]
-
-    @cached_property
-    def bonds(self) -> list[Bond]:
-        return [Bond(i, j, order) for (i, j), order in zip(self.pairs, self.orders)]
 
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.
@@ -219,12 +189,13 @@ class MoleculeRecord:
 
 def load_molecules(path) -> list[MoleculeRecord]:
     """Read a molecule file: one ``SMILES [name]`` per line; blank lines and
-    ``#`` comments are skipped. Parse failures are captured per record, not
-    raised."""
+    ``#`` comments are skipped. Parse failures, and lines that are not
+    UTF-8, are captured per record, not raised."""
     from .smiles import SmilesError, parse_smiles
 
     records: list[MoleculeRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    # Bytes that are not UTF-8 decode to lone surrogates, which only their line's record sees.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -234,8 +205,9 @@ def load_molecules(path) -> list[MoleculeRecord]:
             name = parts[1].strip() if len(parts) > 1 else smiles
             record = MoleculeRecord(line_number, line)
             try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")  # the strict decode, for its error
                 record.graph = parse_smiles(smiles, name=name)
-            except SmilesError as err:
+            except (SmilesError, UnicodeDecodeError) as err:
                 record.error = err
             records.append(record)
     return records

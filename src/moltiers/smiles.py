@@ -285,5 +285,4 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     pairs = [(atom, h) for atom, count in zip(final_index, h_counts) for h in range(atom + 1, atom + 1 + count)]
     orders = ["single"] * len(pairs) + [order for _, _, order in bonds]
     pairs += [(final_index[a], final_index[b]) for a, b, _ in bonds]
-    fields = (elements, charges, aromatic, pairs, orders)
-    return MolecularGraph([], [], name=name, smiles=text, fields=fields)
+    return MolecularGraph(elements, charges, aromatic, pairs, orders, name=name, smiles=text)

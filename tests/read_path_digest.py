@@ -88,8 +88,8 @@ def digest_file(path: Path) -> dict[str, str]:
             add("graph", record.line_number, repr(record.error))
             continue
         add("graph", graph.name, graph.smiles, graph.formula(),
-            [(a.element, a.formal_charge, a.aromatic) for a in graph.atoms],
-            [(b.first, b.second, b.order) for b in graph.bonds],
+            list(zip(graph.elements, graph.charges, graph.aromatic)),
+            [(i, j, order) for (i, j), order in zip(graph.pairs, graph.orders)],
             [graph.neighbors(i) for i in range(graph.num_atoms)])
         add("rings", graph.rings, sorted(graph.ring_atoms), sorted(graph.unsaturated))
         groups = partition(graph)

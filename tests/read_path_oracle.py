@@ -21,13 +21,14 @@ Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
 featurization called.
 
-Last, two helpers that hand the library's versions their inputs or read
-their outputs: the neighbour lists a graph builds from its bonds, and each
-bond's multiple-bond, ring and conjugation facts as
-``check_bond_consistency`` reports them.
+Last, helpers that hand the library's versions their inputs or read their
+outputs: the neighbour lists a graph builds from its bonds, the five
+constructor lists of an all-carbon molecule, and each bond's multiple-bond,
+ring and conjugation facts as ``check_bond_consistency`` reports them. The versions above read a graph's
+atoms and bonds as rows zipped from its per-field lists.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,18 @@ from moltiers.grouping import (
     check_bond_consistency,
 )
 from moltiers.molgraph import ELEMENTS, NODE_FEATURE_DIM, MolecularGraph
+
+
+AtomRow = namedtuple("AtomRow", "element formal_charge aromatic")
+BondRow = namedtuple("BondRow", "first second order")
+
+
+def atom_rows(graph: MolecularGraph) -> list[AtomRow]:
+    return [AtomRow(*row) for row in zip(graph.elements, graph.charges, graph.aromatic)]
+
+
+def bond_rows(graph: MolecularGraph) -> list[BondRow]:
+    return [BondRow(i, j, order) for (i, j), order in zip(graph.pairs, graph.orders)]
 
 
 def _bfs_path(adj: list[list[int]], src: int, dst: int, banned: frozenset[int]) -> list[int] | None:
@@ -171,14 +184,14 @@ def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> li
 
 
 def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
-    atoms = graph.atoms
+    atoms, bonds = atom_rows(graph), bond_rows(graph)
     marked: set[int] = set()
 
     for i, atom in enumerate(atoms):
         if atom.element not in ("C", "H") and not atom.aromatic:
             marked.add(i)
 
-    for bond in graph.bonds:
+    for bond in bonds:
         if bond.order in ("double", "triple"):
             for end in (bond.first, bond.second):
                 if atoms[end].element == "C":
@@ -187,7 +200,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     for i, atom in enumerate(atoms):
         if atom.element != "C" or atom.aromatic:
             continue
-        orders = [b.order for b in graph.bonds if i in (b.first, b.second)]
+        orders = [b.order for b in bonds if i in (b.first, b.second)]
         if any(o != "single" for o in orders):
             continue
         hetero_neighbors = sum(
@@ -237,7 +250,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
 
 def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     bond_order = {}
-    for bond in graph.bonds:
+    for bond in bond_rows(graph):
         i, j = bond.first, bond.second
         bond_order[(min(i, j), max(i, j))] = bond.order
 
@@ -251,7 +264,7 @@ def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
             members = set(ring)
             for atom in ring:
                 members.update(
-                    nbr for nbr in graph.neighbors(atom) if graph.atoms[nbr].element == "H"
+                    nbr for nbr in graph.neighbors(atom) if graph.elements[nbr] == "H"
                 )
             results.append(tuple(sorted(members)))
     return results
@@ -295,7 +308,7 @@ def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, 
     the graph constructor once derived them from its per-atom bond lists."""
     n = graph.num_atoms
     bonds_at = [[] for _ in range(n)]
-    for bond in graph.bonds:
+    for bond in bond_rows(graph):
         i, j = bond.first, bond.second
         bonds_at[i].append(bond)
         bonds_at[j].append(bond)
@@ -313,7 +326,7 @@ def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, 
         for i in range(n)
     ]
     flags = []
-    for bond in graph.bonds:
+    for bond in bond_rows(graph):
         i, j = bond.first, bond.second
         in_ring = (min(i, j), max(i, j)) in ring_edges
         conjugated = bond.order == "single" and multi[i] and multi[j]
@@ -326,17 +339,17 @@ def atom_in_ring(graph: MolecularGraph, index: int) -> bool:
 
 
 def heavy_degree(graph: MolecularGraph, index: int) -> int:
-    return sum(1 for nbr in graph.neighbors(index) if graph.atoms[nbr].element != "H")
+    return sum(1 for nbr in graph.neighbors(index) if graph.elements[nbr] != "H")
 
 
 def attached_hydrogens(graph: MolecularGraph, index: int) -> int:
-    return sum(1 for nbr in graph.neighbors(index) if graph.atoms[nbr].element == "H")
+    return sum(1 for nbr in graph.neighbors(index) if graph.elements[nbr] == "H")
 
 
 def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
     n = graph.num_atoms
     features = np.zeros((n, NODE_FEATURE_DIM))
-    for i, atom in enumerate(graph.atoms):
+    for i, atom in enumerate(atom_rows(graph)):
         features[i, ELEMENTS.index(atom.element)] = 1.0
         features[i, 11] = 1.0 if atom.aromatic else 0.0
         features[i, 12] = float(atom.formal_charge)
@@ -349,7 +362,7 @@ def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
 def adjacency(graph: MolecularGraph) -> np.ndarray:
     n = graph.num_atoms
     result = np.zeros((n, n))
-    for bond in graph.bonds:
+    for bond in bond_rows(graph):
         i, j = bond.first, bond.second
         result[i, j] = 1.0
         result[j, i] = 1.0
@@ -357,7 +370,7 @@ def adjacency(graph: MolecularGraph) -> np.ndarray:
 
 
 def dense_featurize_nodes(graph: MolecularGraph) -> np.ndarray:
-    atoms = graph.atoms
+    atoms = atom_rows(graph)
     features = np.zeros((len(atoms), NODE_FEATURE_DIM))
     features[np.arange(len(atoms)), [ELEMENTS.index(a.element) for a in atoms]] = 1.0
     features[:, 11] = [a.aromatic for a in atoms]
@@ -408,6 +421,12 @@ def neighbor_lists(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[lis
     return neighbors
 
 
+def carbon_fields(count: int, pairs: Sequence[tuple[int, int]], orders: Sequence[str] | None = None) -> tuple:
+    """``MolecularGraph``'s five lists for ``count`` uncharged aliphatic
+    carbons joined by ``pairs``, single bonds unless ``orders`` says otherwise."""
+    return ["C"] * count, [0] * count, [False] * count, list(pairs), list(orders or ["single"] * len(pairs))
+
+
 def bond_flags(graph: MolecularGraph) -> list[tuple[bool, bool, bool]]:
     """Each bond's ``(multiple, in_ring, conjugated)``, read from the
     violations of a partition that puts every atom in a group of its own
@@ -416,5 +435,5 @@ def bond_flags(graph: MolecularGraph) -> list[tuple[bool, bool, bool]]:
     found = {(v.first, v.second, v.rule) for v in check_bond_consistency(graph, alone)}
     return [
         tuple((bond.first, bond.second, rule) in found for rule in ("multiple-bond", "same-ring", "conjugated"))
-        for bond in graph.bonds
+        for bond in bond_rows(graph)
     ]

@@ -175,6 +175,12 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(CheckpointError, match="not an object"):
         load_checkpoint(path)
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(CheckpointError, match="malformed checkpoint file: 'utf-8' codec can't decode"):
+        load_checkpoint(path)
+    path.write_text('{"format_version": ' + "1" * 5000 + "}")  # past int's string-conversion limit
+    with pytest.raises(CheckpointError, match="malformed checkpoint file: Exceeds the limit"):
+        load_checkpoint(path)
 
 
 def test_version_and_kind_checked(tmp_path):

@@ -269,6 +269,31 @@ def test_train_on_unparseable_corpus_exits_1(tmp_path, capsys):
     assert main(["train", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["parse", "partition", "train", "embed"])
+def test_a_line_that_is_not_utf8_is_that_lines_error(trained_dir, tmp_path, capsys, command):
+    """Every command that reads a molecule file reports the line, loads
+    the others and exits 1; none ends in a traceback."""
+    path = tmp_path / "mixed.smi"
+    path.write_bytes(b"CCO ethanol\n\xff\xfeC bad\nCC(=O)O acetic-acid\n")
+    out = tmp_path / "out"
+    argv = {
+        "parse": ["parse", "--input", str(path)],
+        "partition": ["partition", "--input", str(path), "--out", str(out)],
+        "train": ["train", "--input", str(path), "--out", str(out)],
+        "embed": ["embed", str(trained_dir / "checkpoint.json"), "--input", str(path), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "line 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    if command == "parse":
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["ethanol", "acetic-acid"]
+    elif command == "train":
+        assert not out.exists()
+    else:
+        assert [m["name"] for m in json.loads(out.read_text())["molecules"]] == ["ethanol", "acetic-acid"]
+
+
 def test_embed_graph_tier(trained_dir, corpus_file, tmp_path):
     out = tmp_path / "emb.json"
     code = main([
@@ -311,6 +336,15 @@ def test_embed_with_corrupt_checkpoint_exits_4(tmp_path, corpus_file, capsys):
     bad.write_text("{}")
     assert main(["embed", str(bad), "--input", corpus_file]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_embed_with_a_checkpoint_that_is_not_utf8_exits_4(tmp_path, corpus_file, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["embed", str(bad), "--input", corpus_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("checkpoint error: malformed checkpoint file: 'utf-8' codec can't decode")
+    assert captured.out == ""
 
 
 def test_embed_with_a_checkpoint_outside_its_spec_exits_4(trained_dir, corpus_file, capsys):

@@ -4,13 +4,11 @@ import copy
 
 import numpy as np
 import pytest
-from read_path_oracle import bond_flags
+from read_path_oracle import bond_flags, carbon_fields
 
 from moltiers.molgraph import (
     ELEMENTS,
     NODE_FEATURE_DIM,
-    Atom,
-    Bond,
     MolecularGraph,
     featurize_nodes,
     load_molecules,
@@ -48,18 +46,18 @@ def test_one_hot_block_is_exactly_one_per_row(corpus_graphs):
     for g in corpus_graphs:
         X = featurize_nodes(g)
         assert np.all(X[:, : len(ELEMENTS)].sum(axis=1) == 1.0)
-        for i, atom in enumerate(g.atoms):
-            assert X[i, ELEMENTS.index(atom.element)] == 1.0
+        for i, element in enumerate(g.elements):
+            assert X[i, ELEMENTS.index(element)] == 1.0
 
 
 def test_degree_columns_match_adjacency(corpus_graphs):
     for g in corpus_graphs:
         X = featurize_nodes(g)
-        for i, atom in enumerate(g.atoms):
+        for i, element in enumerate(g.elements):
             neighbours = g.neighbors(i)
-            hydrogens = sum(1 for j in neighbours if g.atoms[j].element == "H")
+            hydrogens = sum(1 for j in neighbours if g.elements[j] == "H")
             heavy = len(neighbours) - hydrogens
-            if atom.element == "H":
+            if element == "H":
                 assert X[i, COL_DEGREE] == len(neighbours)
                 assert X[i, COL_HYDROGENS] == 0.0
             else:
@@ -86,67 +84,86 @@ def test_charge_column_carries_signed_charges():
 
 def test_graph_requires_at_least_one_atom():
     with pytest.raises(ValueError, match="at least one atom"):
-        MolecularGraph([], [])
+        MolecularGraph([], [], [], [], [])
 
 
 def test_graph_rejects_disconnected_input():
-    atoms = [Atom("C"), Atom("C"), Atom("C")]
-    bonds = [Bond(0, 1, "single")]
     with pytest.raises(ValueError, match="disconnected"):
-        MolecularGraph(atoms, bonds)
+        MolecularGraph(*carbon_fields(3, [(0, 1)]))
 
 
 def test_graph_rejects_duplicate_bonds():
-    atoms = [Atom("C"), Atom("C")]
-    bonds = [Bond(0, 1, "single"), Bond(1, 0, "single")]
     with pytest.raises(ValueError, match="duplicate bond"):
-        MolecularGraph(atoms, bonds)
+        MolecularGraph(*carbon_fields(2, [(0, 1), (1, 0)]))
     # a repeat in either direction names the sorted pair
-    atoms = [Atom("C"), Atom("C"), Atom("O")]
     for first, repeat in (((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))):
-        bonds = [Bond(0, 1, "single"), Bond(*first, "single"), Bond(*repeat, "double")]
+        fields = ["C", "C", "O"], [0, 0, 0], [False] * 3, [(0, 1), first, repeat], ["single", "single", "double"]
         with pytest.raises(ValueError, match=r"^duplicate bond between atoms \(1, 2\)$"):
-            MolecularGraph(atoms, bonds)
+            MolecularGraph(*fields)
 
 
 def test_building_a_graph_leaves_its_atoms_and_bonds_unchanged():
-    """A triangle, then a chain over the same objects: the atoms reversed and
-    two of the triangle's bonds. Neither build writes into an input, so the
-    triangle keeps its bonds' multiple-bond, ring and conjugation facts."""
-    atoms = [Atom("C"), Atom("N", formal_charge=1), Atom("C")]
-    bonds = [Bond(0, 1, "single"), Bond(1, 2, "double"), Bond(2, 0, "single")]
-    inputs = copy.deepcopy((atoms, bonds))
-    triangle = MolecularGraph(atoms, bonds)
-    assert (atoms, bonds) == inputs
-    MolecularGraph(atoms[::-1], bonds[:2])
-    assert (atoms, bonds) == inputs
+    """A triangle, then a chain over the same lists: the atoms reversed and
+    two of the triangle's bonds. Neither build writes into an input, and a
+    later write to an input does not reach a graph, so the triangle keeps
+    its bonds' multiple-bond, ring and conjugation facts."""
+    fields = ["C", "N", "C"], [0, 1, 0], [False] * 3, [(0, 1), (1, 2), (2, 0)], ["single", "double", "single"]
+    inputs = copy.deepcopy(fields)
+    triangle = MolecularGraph(*fields)
+    assert fields == inputs
+    elements, charges, aromatic, pairs, orders = fields
+    MolecularGraph(elements[::-1], charges[::-1], aromatic, pairs[:2], orders[:2])
+    assert fields == inputs
+    for field in fields:
+        field.clear()
+    assert (triangle.elements, triangle.charges, triangle.aromatic, triangle.pairs, triangle.orders) == inputs
     assert bond_flags(triangle) == [(False, True, False), (True, True, False), (False, True, False)]
 
 
 def test_graph_reads_atoms_and_bonds_from_any_iterable():
-    """The constructor reads its atoms and bonds once per field list, so it
-    copies them first: generators give the same graph as lists."""
-    atoms = [Atom("C"), Atom("N", formal_charge=1, aromatic=True), Atom("C")]
-    bonds = [Bond(0, 1, "single"), Bond(1, 2, "double")]
-    from_lists = MolecularGraph(atoms, bonds)
-    from_generators = MolecularGraph((a for a in atoms), (b for b in bonds))
+    """The constructor reads each field list more than once, so it copies
+    them first: generators give the same graph as lists, and so do pairs
+    given as lists."""
+    fields = ["C", "N", "C"], [0, 1, 0], [False, True, False], [(0, 1), (1, 2)], ["single", "double"]
+    from_lists = MolecularGraph(*fields)
+    from_generators = MolecularGraph(*((value for value in field) for field in fields))
+    elements, charges, aromatic, pairs, orders = fields
+    from_list_pairs = MolecularGraph(elements, charges, aromatic, [list(pair) for pair in pairs], orders)
     for field in ("elements", "charges", "aromatic", "pairs", "orders", "unsaturated"):
         assert getattr(from_generators, field) == getattr(from_lists, field), field
+        assert getattr(from_list_pairs, field) == getattr(from_lists, field), field
     assert from_lists.charges == [0, 1, 0] and from_lists.aromatic == [False, True, False]
 
 
 def test_graph_rejects_out_of_range_endpoints():
     with pytest.raises(ValueError, match="out of range"):
-        MolecularGraph([Atom("C"), Atom("C")], [Bond(0, 5, "single")])
+        MolecularGraph(*carbon_fields(2, [(0, 5)]))
 
 
-def test_atom_and_bond_field_validation():
-    with pytest.raises(ValueError, match="unsupported element"):
-        Atom("Xy")
-    with pytest.raises(ValueError, match="unsupported bond order"):
-        Bond(0, 1, order="quadruple")
-    with pytest.raises(ValueError, match="to itself"):
-        Bond(2, 2, "single")
+REJECTED_FIELDS = {
+    "no-atoms": (([], [], [], [], []), "at least one atom"),
+    "unknown-element": ((["C", "Xy"], [0, 0], [False] * 2, [(0, 1)], ["single"]), "unsupported element 'Xy'"),
+    "unknown-bond-order": (carbon_fields(2, [(0, 1)], ["quadruple"]), "unsupported bond order 'quadruple'"),
+    "self-bond": (carbon_fields(3, [(0, 1), (2, 2), (1, 2)]), "bond joins atom 2 to itself"),
+    "endpoint-out-of-range": (carbon_fields(2, [(0, 1), (1, 2)]), r"bond endpoint out of range: \(1, 2\)"),
+    "negative-endpoint": (carbon_fields(2, [(-1, 0)]), r"bond endpoint out of range: \(-1, 0\)"),
+    "duplicate-bond": (carbon_fields(2, [(0, 1), (1, 0)]), r"duplicate bond between atoms \(0, 1\)"),
+    "disconnected": (carbon_fields(3, [(0, 1)]), r"disconnected \(2 of 3 atoms reachable\)"),
+    "short-charges": ((["C", "C"], [0], [False] * 2, [(0, 1)], ["single"]), "unequal lengths: 2 elements, 1 charges"),
+    "short-aromatic-flags": ((["C", "C"], [0, 0], [False], [(0, 1)], ["single"]), "1 aromatic flags"),
+    "short-orders": (carbon_fields(3, [(0, 1), (1, 2)], ["double"]), "2 pairs, 1 orders"),
+    "long-orders": (carbon_fields(2, [(0, 1)], ["single", "single"]), "1 pairs, 2 orders"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_FIELDS))
+def test_the_constructor_rejects_every_malformed_molecule(case):
+    """Every check the constructor makes, each with its message: what the
+    parser would never hand over is rejected here, not later by
+    ``MoleculeData``."""
+    fields, message = REJECTED_FIELDS[case]
+    with pytest.raises(ValueError, match=message):
+        MolecularGraph(*fields)
 
 
 def test_formula_hill_order():
@@ -173,6 +190,20 @@ def test_load_molecules_skips_comments_and_captures_errors(tmp_path):
     assert records[1].error is not None
     # a record without a name falls back to its SMILES text
     assert records[2].graph.name == "CC(=O)O"
+
+
+def test_load_molecules_records_a_line_that_is_not_utf8(tmp_path):
+    """A line with bytes that are not UTF-8 is that line's error, with the
+    byte's position in the line; the lines around it still load, and a
+    comment is skipped whatever its bytes."""
+    path = tmp_path / "mols.smi"
+    path.write_bytes(b"CCO ethanol\r\n\xff\xfeC bad\r\n# caf\xe9\nCC caf\xe9\nCC(=O)O acid\n")
+    records = load_molecules(path)
+    assert [r.line_number for r in records] == [1, 2, 4, 5]
+    assert [r.graph.name for r in records if r.graph] == ["ethanol", "acid"]
+    for record, (byte, position) in zip(records[1:3], (("0xff", 0), ("0xe9", 6))):
+        assert isinstance(record.error, UnicodeDecodeError) and record.graph is None
+        assert f"can't decode byte {byte} in position {position}" in str(record.error)
 
 
 def test_corpus_loads_thirty_molecules(corpus_graphs):

@@ -1,20 +1,19 @@
 """A parsed molecule costs memory linear in its atoms: the graph holds no
-array, atoms and bonds are slotted, and the bytes that ``load_molecules``
-keeps per atom do not grow with molecule size."""
+array, and the bytes that ``load_molecules`` keeps per atom do not grow
+with molecule size."""
 
-import dataclasses
 import gc
 import tracemalloc
 
 import numpy as np
 
 from moltiers.models import MoleculeData
-from moltiers.molgraph import Atom, Bond, MolecularGraph, load_molecules
+from moltiers.molgraph import MolecularGraph, load_molecules
 
 
 def reachable(graph: MolecularGraph):
     """Every object reachable from the graph's attributes through
-    containers, atoms and bonds."""
+    containers."""
     stack, seen = list(vars(graph).values()), set()
     while stack:
         value = stack.pop()
@@ -22,9 +21,7 @@ def reachable(graph: MolecularGraph):
             continue
         seen.add(id(value))
         yield value
-        if isinstance(value, (Atom, Bond)):
-            stack.extend(getattr(value, field.name) for field in dataclasses.fields(value))
-        elif isinstance(value, (list, tuple, frozenset)):
+        if isinstance(value, (list, tuple, frozenset)):
             stack.extend(value)
 
 
@@ -35,7 +32,6 @@ def test_a_parsed_graph_holds_no_array(tmp_path, corpus_path, perfbench_gen):
     assert len(graphs) == 70
     for graph in graphs:
         assert not any(isinstance(value, np.ndarray) for value in reachable(graph))
-        assert not hasattr(graph.atoms[0], "__dict__") and not hasattr(graph.bonds[0], "__dict__")
     # building a molecule's arrays leaves none on its graph
     graph = graphs[0]
     MoleculeData.from_graph(graph)

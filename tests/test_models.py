@@ -40,7 +40,7 @@ from moltiers.models import (
     vgae_losses,
     zero_noise,
 )
-from moltiers.molgraph import Atom, Bond, MolecularGraph
+from moltiers.molgraph import MolecularGraph
 from moltiers.smiles import parse_smiles
 
 
@@ -459,11 +459,10 @@ def test_the_shared_tier_walk_matches_the_separate_encoders(
 
 def permuted(graph, perm):
     """``graph`` with atom i renumbered perm[i]."""
-    atoms = [None] * graph.num_atoms
-    for old, atom in enumerate(graph.atoms):
-        atoms[perm[old]] = Atom(atom.element, atom.formal_charge, atom.aromatic)
-    bonds = [Bond(perm[b.first], perm[b.second], b.order) for b in graph.bonds]
-    return MolecularGraph(atoms, bonds, name=graph.name)
+    olds = sorted(range(graph.num_atoms), key=lambda old: perm[old])  # the old index of each new atom
+    moved = [[values[old] for old in olds] for values in (graph.elements, graph.charges, graph.aromatic)]
+    pairs = [(perm[i], perm[j]) for i, j in graph.pairs]
+    return MolecularGraph(*moved, pairs, graph.orders, name=graph.name)
 
 
 def _molecule_embedding_and_tier_kl(params, data):

@@ -22,7 +22,6 @@ ALLOWED = {
     ("grouping", "check_bond_consistency"): "acceptance oracle: the partition's bond check",
     ("models", "elbo"): "acceptance oracle: the VGAE objective the acceptance tests call",
     ("models", "mean_edge_auc"): "perfbench tracer target: the evaluation span",
-    ("molgraph", "MolecularGraph.bonds"): "the Bond view of a graph's lists, for the oracles and callers",
     ("pooling", "diff_group_pool"): "criterion 3 and perfbench tracer target",
 }
 

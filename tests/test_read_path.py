@@ -9,7 +9,6 @@ come from the ring count, with no component walk for a connected molecule."""
 import random
 import re
 
-import numpy as np
 import pytest
 import read_path_oracle as oracle
 from chain_oracle import assert_same_bits
@@ -26,8 +25,8 @@ from moltiers.grouping import (
     identify_functional_groups,
     partition,
 )
-from moltiers.models import MoleculeData, TieredGaeParams, TieredVgaeParams, encode_for_inference
-from moltiers.molgraph import Atom, Bond, MolecularGraph, featurize_nodes, load_molecules
+from moltiers.models import MoleculeData
+from moltiers.molgraph import MolecularGraph, featurize_nodes, load_molecules
 from moltiers.smiles import parse_smiles
 
 
@@ -90,15 +89,14 @@ def test_cycle_basis_matches_the_all_edges_search(graph):
 
 
 def assert_read_path_matches_oracle(graph):
-    edges = [(bond.first, bond.second) for bond in graph.bonds]
-    assert list(graph.rings) == oracle.shortest_cycle_basis(graph.num_atoms, edges)
+    assert list(graph.rings) == oracle.shortest_cycle_basis(graph.num_atoms, graph.pairs)
     assert identify_functional_groups(graph) == oracle.identify_functional_groups(graph)
     assert detect_aromatic_rings(graph) == oracle.detect_aromatic_rings(graph)
     groups, expected_groups = partition(graph), oracle.partition(graph)
     assert [(g.kind, g.atoms) for g in groups] == [(g.kind, g.atoms) for g in expected_groups]
     ring_atoms, flags = oracle.ring_flags(graph)
     assert graph.ring_atoms == ring_atoms
-    assert oracle.bond_flags(graph) == [(b.order != "single", *f) for b, f in zip(graph.bonds, flags)]
+    assert oracle.bond_flags(graph) == [(order != "single", *f) for order, f in zip(graph.orders, flags)]
     features, expected = featurize_nodes(graph), oracle.featurize_nodes(graph)
     assert features.dtype == expected.dtype and features.shape == expected.shape
     assert features.tobytes() == expected.tobytes()
@@ -138,7 +136,7 @@ def test_corpus_dense_arrays_match_the_stored_oracle(corpus_graphs):
 
 
 def test_a_graph_without_bonds_has_zero_degree_arrays():
-    graph = MolecularGraph([Atom("Cl", formal_charge=-1)], [])
+    graph = MolecularGraph(["Cl"], [-1], [False], [], [])
     assert_dense_arrays_match_oracle(graph)
     data = MoleculeData.from_graph(graph)
     assert data.adjacency.shape == (1, 1) and data.features[0, 13:15].tolist() == [0.0, 0.0]
@@ -197,16 +195,15 @@ def atoms_reached_from_atom_0(num_nodes, edges):
 def test_connectivity_comes_from_the_ring_count(graph):
     """All-carbon graphs; an isolated node makes a draw disconnected."""
     num_nodes, edges = graph
-    atoms = [Atom("C") for _ in range(num_nodes)]
-    bonds = [Bond(a, b, "single") for a, b in edges]
+    fields = oracle.carbon_fields(num_nodes, edges)
     reachable = len(atoms_reached_from_atom_0(num_nodes, edges))
     if reachable == num_nodes:
-        built = MolecularGraph(atoms, bonds)
+        built = MolecularGraph(*fields)
         assert built.ring_count == len(edges) - num_nodes + 1
     else:
         message = f"disconnected ({reachable} of {num_nodes} atoms reachable)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            MolecularGraph(atoms, bonds)
+            MolecularGraph(*fields)
 
 
 def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
@@ -224,38 +221,8 @@ def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
     assert len(records) == 30 and all(r.graph is not None for r in records)
     assert calls == []
     with pytest.raises(ValueError, match="disconnected"):
-        MolecularGraph([Atom("C"), Atom("C"), Atom("O")], [Bond(0, 1, "single")])
+        MolecularGraph(["C", "C", "O"], [0] * 3, [False] * 3, [(0, 1)], ["single"])
     assert len(calls) == 1
-
-
-def test_parsing_and_embedding_build_no_atom_or_bond(monkeypatch, tmp_path, corpus_path, perfbench_gen):
-    """A graph is per-field lists: the parser hands them over, and nothing
-    from the parse to an encode reads the ``atoms`` and ``bonds`` views."""
-    built = []
-
-    def counted(check):
-        def post_init(self):
-            built.append(self)
-            check(self)
-        return post_init
-
-    for cls in (Atom, Bond):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
-    library = tmp_path / "library.smi"
-    library.write_text("\n".join(perfbench_gen.library(1)[0].splitlines()[:200]) + "\n")
-    graphs = [r.graph for path in (corpus_path, library) for r in load_molecules(path) if r.graph]
-    assert len(graphs) > 200
-    gae = TieredGaeParams.init(np.random.default_rng(0))
-    vgae = TieredVgaeParams.init(np.random.default_rng(0))
-    for graph in graphs:
-        data = MoleculeData.from_graph(graph)
-        encode_for_inference(gae, data)
-        encode_for_inference(vgae, data)
-        graph.formula()
-    assert built == []
-    atoms, bonds = graphs[0].atoms, graphs[0].bonds
-    assert graphs[0].atoms is atoms and graphs[0].bonds is bonds  # built once, on first access
-    assert len(built) == len(atoms) + len(bonds)
 
 
 PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
@@ -268,8 +235,7 @@ def carbon_skeleton(num_nodes, edges):
     edges = list(edges)
     while len(reached := atoms_reached_from_atom_0(num_nodes, edges)) < num_nodes:
         edges.append((0, min(set(range(num_nodes)) - reached)))
-    bonds = [Bond(a, b, "single") for a, b in edges]
-    return MolecularGraph([Atom("C") for _ in range(num_nodes)], bonds)
+    return MolecularGraph(*oracle.carbon_fields(num_nodes, edges))
 
 
 def assert_constants_match_oracle(graph):

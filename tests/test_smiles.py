@@ -18,11 +18,11 @@ from moltiers.smiles import (
 
 
 def atom_tuples(graph):
-    return [(i, a.element, a.formal_charge, a.aromatic) for i, a in enumerate(graph.atoms)]
+    return [(i, *atom) for i, atom in enumerate(zip(graph.elements, graph.charges, graph.aromatic))]
 
 
 def bond_tuples(graph):
-    return sorted((b.first, b.second, b.order) for b in graph.bonds)
+    return sorted((i, j, order) for (i, j), order in zip(graph.pairs, graph.orders))
 
 
 def test_ethanol_atoms_and_bonds():
@@ -88,7 +88,7 @@ def test_implicit_hydrogens_fill_default_valence(smiles, formula):
 def test_aromatic_ring_hydrogen_counts(smiles, formula, num_atoms):
     g = parse_smiles(smiles)
     assert g.formula() == formula
-    assert len(g.atoms) == num_atoms
+    assert len(g.elements) == num_atoms
     assert len(g.rings) == 1
 
 
@@ -96,40 +96,39 @@ def test_benzene_ring_and_bond_orders():
     g = parse_smiles("c1ccccc1")
     assert g.rings == ((2, 4, 6, 8, 10, 0),)
     ring_atoms = set(g.rings[0])
-    for i, a in enumerate(g.atoms):
-        assert a.aromatic == (i in ring_atoms)
+    for i, aromatic in enumerate(g.aromatic):
+        assert aromatic == (i in ring_atoms)
     orders = {}
-    for b in g.bonds:
-        orders.setdefault(b.order, 0)
-        orders[b.order] += 1
+    for order in g.orders:
+        orders.setdefault(order, 0)
+        orders[order] += 1
     # six ring bonds plus one C-H per carbon
     assert orders == {"aromatic": 6, "single": 6}
-    for b, (_, in_ring, _) in zip(g.bonds, bond_flags(g)):
-        assert in_ring == (b.order == "aromatic")
+    for order, (_, in_ring, _) in zip(g.orders, bond_flags(g)):
+        assert in_ring == (order == "aromatic")
 
 
 def test_bracket_atom_charges_and_hydrogens():
     g = parse_smiles("[NH4+]")
     assert g.formula() == "H4N"
-    assert g.atoms[0].formal_charge == 1
-    assert sum(1 for a in g.atoms if a.element == "H") == 4
+    assert g.charges[0] == 1
+    assert g.elements.count("H") == 4
 
     g = parse_smiles("[O-]")
-    assert len(g.atoms) == 1
-    assert g.atoms[0].formal_charge == -1
+    assert len(g.elements) == 1
+    assert g.charges[0] == -1
 
     g = parse_smiles("CC(=O)[O-]")
     assert g.formula() == "C2H3O2"
-    charges = [a.formal_charge for a in g.atoms]
-    assert charges.count(-1) == 1
-    assert sum(charges) == -1
+    assert g.charges.count(-1) == 1
+    assert sum(g.charges) == -1
 
 
 def test_two_letter_element_lookahead():
     g = parse_smiles("ClCCl")
-    assert [a.element for a in g.atoms] == ["Cl", "C", "H", "H", "Cl"]
+    assert g.elements == ["Cl", "C", "H", "H", "Cl"]
     g = parse_smiles("BrCBr")
-    assert [a.element for a in g.atoms] == ["Br", "C", "H", "H", "Br"]
+    assert g.elements == ["Br", "C", "H", "H", "Br"]
 
 
 def test_explicit_bond_orders():
@@ -141,7 +140,7 @@ def test_explicit_bond_orders():
 
 def test_conjugation_marks_single_bonds_between_multiple_bonds():
     g = parse_smiles("C=CC=C")
-    flagged = [(b.first, b.second) for b, (*_, conjugated) in zip(g.bonds, bond_flags(g)) if conjugated]
+    flagged = [pair for pair, (*_, conjugated) in zip(g.pairs, bond_flags(g)) if conjugated]
     assert flagged == [(3, 5)]
     # carboxyl C-O next to C=O does not qualify: O carries no second multiple bond
     g = parse_smiles("CC(=O)O")
@@ -151,8 +150,8 @@ def test_conjugation_marks_single_bonds_between_multiple_bonds():
 def test_branch_nesting():
     g = parse_smiles("CC(C(C)C)C")  # 2,3-dimethylbutane
     assert g.formula() == "C6H14"
-    heavy = [i for i, a in enumerate(g.atoms) if a.element == "C"]
-    degree = {i: sum(1 for j in g.neighbors(i) if g.atoms[j].element == "C") for i in heavy}
+    heavy = [i for i, element in enumerate(g.elements) if element == "C"]
+    degree = {i: sum(1 for j in g.neighbors(i) if g.elements[j] == "C") for i in heavy}
     assert sorted(degree.values()) == [1, 1, 1, 1, 3, 3]
 
 
@@ -165,7 +164,7 @@ def test_ring_closure_digit_reuse_after_closing():
 def test_ring_closure_order_may_sit_on_either_end():
     for s in ("C=1CC=1", "C=1CC1", "C1CC=1"):
         g = parse_smiles(s)
-        assert (5, 0, "double") in [(b.first, b.second, b.order) for b in g.bonds]
+        assert (5, 0, "double") in [(*pair, order) for pair, order in zip(g.pairs, g.orders)]
 
 
 def test_two_digits_on_one_atom():
@@ -253,12 +252,12 @@ def test_parser_raises_only_smiles_errors(text):
 @example("c1cc2ccc3cccc4ccc(c1)c2c34")
 @example("C[N+](=O)[O-]")
 def test_atom_and_bond_views_rebuild_the_same_graph(text):
-    """The parser's lists and the lists a graph builds from its own
-    ``atoms`` and ``bonds`` views give the same molecule."""
+    """A parsed graph's five lists, handed to the constructor, give the
+    same molecule: the constructor's checks accept what the parser made."""
     try:
         graph = parse_smiles(text)
     except SmilesError:
         return
-    rebuilt = MolecularGraph(graph.atoms, graph.bonds)
+    rebuilt = MolecularGraph(graph.elements, graph.charges, graph.aromatic, graph.pairs, graph.orders)
     for field in ("elements", "charges", "aromatic", "pairs", "orders", "rings", "ring_atoms", "unsaturated"):
         assert getattr(rebuilt, field) == getattr(graph, field), field
