@@ -232,35 +232,41 @@ def scale(a: Tensor, factor: float) -> Tensor:
 # accumulates in the same order.
 
 
+def _times(matrix: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """matrix @ values, a matrix of None being the identity."""
+    return values if matrix is None else matrix @ values
+
+
 def gcn_stack(
-    propagator: np.ndarray, features: Tensor, trunk: Sequence[Tensor], heads: Sequence[Tensor],
-    log_std_clamp: float,
+    propagator: np.ndarray | None, features: Tensor, trunk: Sequence[Tensor],
+    heads: Sequence[Tensor], log_std_clamp: float,
 ) -> tuple[Tensor, ...]:
-    """A graph-convolution stack over a constant propagator P: H becomes
-    relu((P @ H) @ W) for each trunk weight, then each head reads P @ H.
-    Returns (P @ H) @ W for one head; for two, (mean, std) with the second
-    head a log-std, std = exp(clip((P @ H) @ W, +-log_std_clamp)), whose
-    gradient passes only strictly inside the clamp. Shapes must chain, as a
-    :class:`moltiers.gnn.GnnStack` ensures. As in the chain, where the std
-    was the later record, its gradient reaches P @ H before the mean's."""
+    """A graph-convolution stack over a constant propagator P, or None for an
+    identity that takes no product: H becomes relu((P @ H) @ W) for each trunk
+    weight, then each head reads P @ H. Returns (P @ H) @ W for one head; for two,
+    (mean, std) with the second head a log-std, std = exp(clip((P @ H) @ W,
+    +-log_std_clamp)), whose gradient passes only strictly inside the clamp. Shapes
+    must chain, as a :class:`moltiers.gnn.GnnStack` ensures. As in the chain, where
+    the std was the later record, its gradient reaches P @ H before the mean's."""
     hidden, into = features.values, features.tracked
     layers = []  # per trunk layer: P @ H, relu mask, W and whether H is tracked
     for weight in trunk:
-        propagated = propagator @ hidden
+        propagated = _times(propagator, hidden)
         pre = propagated @ weight.values
         mask = pre > 0.0
         layers.append((propagated, mask, weight.values, into))
         hidden = np.where(mask, pre, 0.0)
         into = into or weight.tracked
-    propagated = propagator @ hidden
+    propagated = _times(propagator, hidden)
     head_values = [head.values for head in heads]
     results = [propagated @ head_values[0]]
     if len(heads) == 2:
         pre = propagated @ head_values[1]
-        std = np.exp(np.clip(pre, -log_std_clamp, log_std_clamp))
+        std = np.exp(pre.clip(-log_std_clamp, log_std_clamp))
         interior = (pre > -log_std_clamp) & (pre < log_std_clamp)
         results.append(std)
     outputs = tuple(map(wrap, results))
+    transposed = None if propagator is None else propagator.T
 
     def vjp(*grads):
         head_grads = [None] * len(heads)
@@ -276,7 +282,7 @@ def gcn_stack(
             if into:
                 part = g @ head_values[k].T
                 g_propagated = part if g_propagated is None else g_propagated + part
-        g_hidden = None if g_propagated is None else propagator.T @ g_propagated
+        g_hidden = None if g_propagated is None else _times(transposed, g_propagated)
         trunk_grads = [None] * len(trunk)
         for k in reversed(range(len(trunk))):
             if g_hidden is None:
@@ -285,7 +291,7 @@ def gcn_stack(
             g = g_hidden * mask
             if trunk[k].tracked:
                 trunk_grads[k] = layer_propagated.T @ g
-            g_hidden = propagator.T @ (g @ weight_values.T) if layer_into else None
+            g_hidden = _times(transposed, g @ weight_values.T) if layer_into else None
         return (g_hidden, *trunk_grads, *head_grads)
 
     _record(outputs, (features, *trunk, *heads), vjp)
@@ -346,10 +352,10 @@ def tiered_decode(
     rows = [node.values, group_broadcast @ group.values, graph_broadcast @ graph.values]
     z_vals, p_vals, f_vals = np.concatenate(rows, axis=-1), pair.values, feature.values
     left = z_vals @ p_vals
-    flipped = np.swapaxes(z_vals, -1, -2)
+    flipped = z_vals.swapaxes(-1, -2)
     # 1 / (1 + exp(-clip(logits))), each step in place over the logits
     probs = left @ flipped
-    np.clip(probs, -SIGMOID_CLAMP, SIGMOID_CLAMP, out=probs)
+    probs.clip(-SIGMOID_CLAMP, SIGMOID_CLAMP, out=probs)
     np.negative(probs, out=probs)
     np.exp(probs, out=probs)
     probs += 1.0
@@ -415,7 +421,8 @@ def edge_feature_loss(
     else:
         edge_term = np.zeros((1, 1))
     difference = recon.values - features
-    out = wrap(edge_term + (difference * difference).mean().reshape(1, 1) * feature_weight)
+    mse = np.add.reduce(difference * difference, axis=None) / difference.size  # .mean()'s bits
+    out = wrap(edge_term + mse.reshape(1, 1) * feature_weight)
 
     def vjp(g: np.ndarray):
         grad_probs = grad_recon = None
@@ -429,8 +436,8 @@ def edge_feature_loss(
         elif probs.tracked:  # so the decoder's weights get a gradient, as an optimizer needs
             grad_probs = np.zeros(probs.values.shape)
         if recon.tracked:
-            g_squared = np.full(difference.shape, (g * feature_weight)[0, 0] / difference.size)
-            grad_recon = g_squared * difference + g_squared * difference
+            part = (g * feature_weight)[0, 0] / difference.size * difference
+            grad_recon = part + part  # the chain's two products, each this one
         return (grad_probs, grad_recon)
 
     _record((out,), (probs, recon), vjp)

@@ -45,21 +45,20 @@ class GnnStack:
         return self.trunk + self.heads
 
 
-def _plus_identity(adjacency: np.ndarray) -> np.ndarray:
-    """A + I, or each A + I of a stack, as a new array, without an np.eye."""
-    result = np.array(adjacency, dtype=np.float64, order="C")
-    result.reshape(*result.shape[:-2], -1)[..., :: result.shape[-1] + 1] += 1.0
-    return result
-
-
 def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     """scale (A + I) scale for a degree ``scale``, by default D^-1/2 from the
     row sums of A + I; does not validate. Over a (B, n, n) stack with (B, n)
-    scales, a node padded with scale 0 keeps a row and column of +0.0."""
-    scaled = _plus_identity(adjacency)
-    if scale is None:
+    scales, a node padded with scale 0 keeps a row and column of +0.0. A given ``scale``
+    needs a C-ordered A with a zero diagonal, as an atom adjacency has: A + I is never built."""
+    given = scale is not None
+    scaled = adjacency * scale[..., :, None] if given else np.array(adjacency, np.float64, order="C")
+    diagonal = scaled.reshape(*scaled.shape[:-2], -1)[..., :: scaled.shape[-1] + 1]  # a view
+    if given:
+        diagonal[...] = scale
+    else:
+        diagonal += 1.0
         scale = 1.0 / np.sqrt(scaled.sum(axis=-1))
-    scaled *= scale[..., :, None]
+        scaled *= scale[..., :, None]
     scaled *= scale[..., None, :]
     return scaled
 
@@ -83,14 +82,14 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def _stack_outputs(
-    stack: GnnStack, propagator: Tensor, features: Tensor, heads: int
+    stack: GnnStack, propagator: Tensor | None, features: Tensor, heads: int
 ) -> tuple[Tensor, ...]:
     """The outputs of a stack with ``heads`` heads on one graph or a padded
     stack, as one tape record, after checking ``features`` fit; the
-    propagator is a constant."""
+    propagator is a constant, and None propagates nothing."""
     if len(stack.heads) != heads:
         raise ValueError(f"stack head count {len(stack.heads)}, expected {heads}")
-    if features.shape[-2] != propagator.shape[-2]:
+    if propagator is not None and features.shape[-2] != propagator.shape[-2]:
         raise ad.ShapeError(
             f"features have {features.shape[-2]} rows for {propagator.shape[-2]} nodes"
         )
@@ -98,18 +97,19 @@ def _stack_outputs(
         raise ad.ShapeError(
             f"features have width {features.shape[-1]}, stack expects {stack.input_dim}"
         )
-    return ad.gcn_stack(propagator.values, features, stack.trunk, stack.heads, LOG_STD_CLAMP)
+    values = None if propagator is None else propagator.values
+    return ad.gcn_stack(values, features, stack.trunk, stack.heads, LOG_STD_CLAMP)
 
 
-def gnn_forward(stack: GnnStack, propagator: Tensor, features: Tensor) -> Tensor:
+def gnn_forward(stack: GnnStack, propagator: Tensor | None, features: Tensor) -> Tensor:
     """Run a one-head stack over one graph given its propagator, the
-    normalized adjacency from :func:`normalize_adjacency`; returns node
-    embeddings, one row per node."""
+    normalized adjacency from :func:`normalize_adjacency`, or None where
+    that is exactly the identity; returns node embeddings, one row per node."""
     return _stack_outputs(stack, propagator, features, 1)[0]
 
 
 def gnn_forward_variational(
-    stack: GnnStack, propagator: Tensor, features: Tensor
+    stack: GnnStack, propagator: Tensor | None, features: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Run a mean/log-std stack; returns (mean, std) with
     std = exp(clamped log-std)."""

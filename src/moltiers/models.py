@@ -12,7 +12,7 @@ tiers see deterministic inputs, and samples with reparameterized noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -237,7 +237,7 @@ class TieredParams:
     def symmetrize_pair_decoder(self) -> None:
         """In place, so the decoder stays a view of the optimizer's vector."""
         values = self.pair_decoder.values
-        values[...] = (values + values.T) / 2.0
+        values[...] = (values + values.T) * 0.5  # exactly / 2.0
 
 
 class TieredGaeParams(TieredParams):
@@ -255,11 +255,6 @@ class TieredVgaeParams(TieredParams):
 # ---------------------------------------------------------------------------
 # Encoding
 
-# The molecule tier is a graph of one node: its renormalized adjacency
-# (0 + 1) / sqrt(1 * 1) is exactly 1, and broadcasts over a (B, 1, d) stack.
-_MOLECULE_PROPAGATOR = ad.constant([[1.0]])
-
-
 def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     """GNN, pool to groups, GNN, pool to the molecule, GNN, over the constants
     of a molecule or a padded batch. With ``noise`` each tier gives (mean, std),
@@ -267,7 +262,8 @@ def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     Returns the embeddings and the per-tier (mean, std) pairs, if any."""
     # gnn_forward and gnn_forward_variational are read from this module's
     # globals on every call, where perfbench's tracer rebinds them.
-    propagators = (data.atom_propagator(), data.group_propagator, _MOLECULE_PROPAGATOR)
+    # The molecule tier, one node, has the propagator (0 + 1) / sqrt(1 * 1) = 1: it runs with none.
+    propagators = (data.atom_propagator(), data.group_propagator, None)
     features = ad.wrap(data.features)
     embeddings, stats = [], []
     for tier, stack in enumerate(params.encoders):
@@ -348,7 +344,7 @@ def _pair_weights(adjacency: np.ndarray, pos_weight: float) -> np.ndarray:
     pairs i < j and +0.0 elsewhere, built in one array."""
     pair_weights = adjacency * (pos_weight - 1.0)
     pair_weights += 1.0
-    np.copyto(pair_weights, 0.0, where=np.tri(adjacency.shape[0], dtype=bool))
+    np.copyto(pair_weights, 0.0, where=_tri(adjacency.shape[0], 0))
     return pair_weights
 
 
@@ -442,17 +438,25 @@ def interpolate_latent(start: np.ndarray, end: np.ndarray, steps: int) -> list[n
     ]
 
 
+@cache
+def _tri(n: int, k: int, invert: bool = False) -> np.ndarray:
+    """np.tri(n, k=k, dtype=bool), or its complement, built once per atom count; read-only."""
+    mask = ~np.tri(n, k=k, dtype=bool) if invert else np.tri(n, k=k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _pairs(matrix: np.ndarray) -> np.ndarray:
     """Entries i < j of a square matrix, or of each in a stack, by j then i:
     a molecule's pairs are the first n(n-1)/2 of its zero-padded slice's."""
-    return np.swapaxes(matrix, -1, -2)[..., np.tri(matrix.shape[-1], k=-1, dtype=bool)]
+    return matrix.swapaxes(-1, -2)[..., _tri(matrix.shape[-1], -1)]
 
 
 def edge_auc(edge_probs: np.ndarray, adjacency: np.ndarray) -> float:
     """:func:`_mann_whitney` AUC of edge probabilities over the pairs i < j,
     taken by i and then j: a contiguous gather, faster than :func:`_pairs`'
     strided one at the sizes that run alone."""
-    upper = ~np.tri(*adjacency.shape, dtype=bool)  # i < j
+    upper = _tri(adjacency.shape[0], 0, True)  # i < j
     scores = edge_probs[upper]
     if np.isnan(scores).any():
         raise ValueError("edge probabilities contain NaN")

@@ -62,10 +62,10 @@ class MolecularGraph:
 
     Per atom: ``elements``, ``charges`` and ``aromatic`` flags; per bond:
     ``pairs`` (first atom, second atom) and ``orders``. Construction copies
-    each input into a list of its own, checks the lengths, elements and bond
-    orders, then checks and indexes the bonds in one pass, runs ring
-    perception over that index and rejects a disconnected graph by its ring
-    count. Treat instances as immutable afterwards.
+    each input into a list of its own, checks the lengths, elements, bond orders,
+    charges (ints) and aromatic flags (bools), then checks and indexes the bonds
+    in one pass, runs ring perception over that index and rejects a
+    disconnected graph by its ring count. Treat instances as immutable afterwards.
     """
 
     def __init__(self, elements: Iterable[str], charges: Iterable[int], aromatic: Iterable[bool],
@@ -84,6 +84,10 @@ class MolecularGraph:
                                     (self.orders, BOND_ORDERS, "bond order")):
             if not set(known).issuperset(values):
                 raise ValueError(f"unsupported {kind} {next(v for v in values if v not in known)!r}")
+        for values, kind, known in ((self.charges, "charge", int), (self.aromatic, "aromatic flag", bool)):
+            if set(map(type, values)) != {known}:  # one pass; so a bool is no charge, nor 1 a flag
+                atom = next(i for i, value in enumerate(values) if type(value) is not known)
+                raise ValueError(f"atom {atom} has {kind} {values[atom]!r}, not of type {known.__name__}")
 
         self._neighbors = neighbors = [[] for _ in range(n)]
         for i, j in self.pairs:

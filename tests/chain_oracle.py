@@ -297,7 +297,8 @@ def chain_bilinear_sigmoid(rows, pair):
 
 
 def chain_gcn_stack(propagator, features, trunk, heads, log_std_clamp):
-    propagator = wrap(propagator)
+    # no propagator is the molecule tier's, which the chain ran over [[1.0]]
+    propagator = wrap(np.ones((1, 1)) if propagator is None else propagator)
     hidden = features
     for weight in trunk:
         hidden = gcn_layer(propagator, hidden, weight, True)

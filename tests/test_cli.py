@@ -362,6 +362,19 @@ def test_embed_with_a_checkpoint_outside_its_spec_exits_4(trained_dir, corpus_fi
 
 
 @pytest.mark.parametrize("command", ["embed", "interp"])
+def test_a_checkpoint_nested_past_the_recursion_limit_exits_4(tmp_path, corpus_file, capsys, command):
+    """json.load raises RecursionError, not ValueError, on arrays nested this
+    deep; it is a malformed file all the same."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    molecules = ["--input", corpus_file] if command == "embed" else ["CCO", "CC(=O)O"]
+    assert main([command, str(deep), *molecules]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("checkpoint error: malformed checkpoint file: maximum recursion depth")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["embed", "interp"])
 def test_a_checkpoint_of_another_feature_width_exits_4(tmp_path, corpus_file, capsys, command):
     """A well-formed checkpoint whose stacks read 6 features, where every
     molecule has 16, fails at the first encode and writes no document."""

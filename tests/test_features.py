@@ -153,6 +153,11 @@ REJECTED_FIELDS = {
     "short-aromatic-flags": ((["C", "C"], [0, 0], [False], [(0, 1)], ["single"]), "1 aromatic flags"),
     "short-orders": (carbon_fields(3, [(0, 1), (1, 2)], ["double"]), "2 pairs, 1 orders"),
     "long-orders": (carbon_fields(2, [(0, 1)], ["single", "single"]), "1 pairs, 2 orders"),
+    "string-charge": ((["C"], ["x"], [False], [], []), "^atom 0 has charge 'x', not of type int$"),
+    "float-charge": ((["C", "O"], [0, 1.5], [False] * 2, [(0, 1)], ["double"]), r"^atom 1 has charge 1\.5,"),
+    "bool-charge": ((["C", "O"], [0, True], [False] * 2, [(0, 1)], ["double"]), "^atom 1 has charge True,"),
+    "int-aromatic-flag": ((["C", "O"], [0, 0], [False, 1], [(0, 1)], ["double"]),
+                          "^atom 1 has aromatic flag 1, not of type bool$"),
 }
 
 

@@ -142,11 +142,12 @@ def bilinear_cases(draw):
 
 
 @st.composite
-def stack_cases(draw):
+def stack_cases(draw, unit=False):
     """A GAE (one head) or VGAE (mean and log-std heads) stack of depth 1-3
-    over features, trunk and head weights; the propagator is a constant."""
+    over features, trunk and head weights; the propagator is a constant, with
+    ``unit`` the molecule tier's: one row over [[1.0]]."""
     rng = _rng(draw)
-    n, d_in, d = _size(draw), _size(draw), _size(draw)
+    n, d_in, d = 1 if unit else _size(draw), _size(draw), _size(draw)
     depth, heads = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
     scale = draw(st.sampled_from([0.3, 3.0, 30.0]))  # the larger ones reach the clamp
     bound = draw(st.sampled_from([0.5, 3.0, 10.0]))
@@ -154,12 +155,28 @@ def stack_cases(draw):
     arrays = [_draw_array(rng, (n, d_in))]
     arrays += [_draw_array(rng, (rows, d), scale) for rows in fan_in[:-1]]
     arrays += [_draw_array(rng, (fan_in[-1], d), scale) for _ in range(heads)]
-    propagator = np.abs(_draw_array(rng, (n, n)))
+    propagator = np.ones((1, 1)) if unit else np.abs(_draw_array(rng, (n, n)))
 
     def call(op, inputs):
         return op(propagator, inputs[0], inputs[1:depth], inputs[depth:], bound)
 
     return _case(draw, rng, arrays, [(n, d)] * heads, call=call)
+
+
+@st.composite
+def padded_molecule_rows(draw):
+    """A (B, 1, d) stack of molecule rows, some all zero as a padded batch's
+    are, and the trunk and head weights of a stack of depth 1-3."""
+    rng = _rng(draw)
+    batch, d_in, d = draw(st.integers(1, 4)), _size(draw), _size(draw)
+    depth, heads = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    scale = draw(st.sampled_from([0.3, 3.0, 30.0]))
+    features = _draw_array(rng, (batch, 1, d_in))
+    features[rng.random(batch) < 0.3] = 0.0
+    fan_in = [d_in] + [d] * (depth - 1)
+    trunk = [ad.constant(_draw_array(rng, (rows, d), scale)) for rows in fan_in[:-1]]
+    head_weights = [ad.constant(_draw_array(rng, (fan_in[-1], d), scale)) for _ in range(heads)]
+    return features, trunk, head_weights, draw(st.sampled_from([0.5, 3.0, 10.0]))
 
 
 @st.composite
@@ -255,6 +272,34 @@ def test_gcn_stack_matches_its_chain(case):
     # GAE and VGAE heads, depth 1-3, features tracked or not, outputs used
     # singly or together
     assert_matches_chain(ad.gcn_stack, chain_gcn_stack, case)
+
+
+@given(stack_cases(unit=True))
+def test_gcn_stack_without_a_propagator_matches_the_unit_one(case):
+    # the molecule tier, a graph of one node, runs with no propagator: the
+    # outputs and every input gradient have the bits of [[1.0]]'s, with one
+    # head or two and features tracked or not
+    records, values, grads = _run(lambda _, *rest: ad.gcn_stack(None, *rest), case)
+    unit_records, unit_values, unit_grads = _run(ad.gcn_stack, case)
+    assert records == unit_records == 1
+    for value, unit_value in zip(values, unit_values, strict=True):
+        assert_same_bits(value, unit_value)
+    for grad, unit_grad in zip(grads, unit_grads, strict=True):
+        assert (grad is None) == (unit_grad is None)
+        if grad is not None:
+            assert_same_bits(grad, unit_grad)
+
+
+@given(padded_molecule_rows())
+def test_gcn_stack_without_a_propagator_matches_the_unit_one_over_a_padded_batch(rows):
+    features, trunk, heads, bound = rows
+    with ad.no_grad():
+        outputs = ad.gcn_stack(None, ad.wrap(features), trunk, heads, bound)
+        unit_outputs = ad.gcn_stack(np.ones((1, 1)), ad.wrap(features), trunk, heads, bound)
+    assert len(outputs) == len(unit_outputs) == len(heads)
+    for output, unit_output in zip(outputs, unit_outputs):
+        assert output.shape == features.shape[:2] + (heads[0].shape[1],)
+        assert_same_bits(output.values, unit_output.values)
 
 
 @given(decode_cases())
@@ -415,7 +460,7 @@ def _trunk_pre_activations(params, data, noise) -> np.ndarray:
     def recording(propagator, features, trunk, heads, log_std_clamp):
         hidden = features.values
         for weight in trunk:
-            pre = (propagator @ hidden) @ weight.values
+            pre = (hidden if propagator is None else propagator @ hidden) @ weight.values
             pre_activations.append(pre.ravel())
             hidden = np.where(pre > 0.0, pre, 0.0)
         return gcn_stack(propagator, features, trunk, heads, log_std_clamp)

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from loss_oracle import chain_reconstruction_loss
 
 import moltiers.autodiff as ad
+from moltiers import models
 from moltiers.gnn import GnnStack
 from moltiers.models import (
     MoleculeData,
@@ -306,6 +307,19 @@ def test_edge_loss_weights_match_the_reference_and_the_step_pair_weights(adjacen
     pair_weights, total_weight = fused.call_args.args[3:5]
     assert total_weight.hex() == weights[1].hex()
     assert float(pair_weights.sum()).hex() == weights[1].hex()
+
+
+def test_the_pair_masks_are_np_tri_built_once_per_atom_count_and_read_only():
+    for n in (1, 2, 7, 12):
+        for k, invert in ((0, False), (-1, False), (0, True)):
+            mask = models._tri(n, k, invert)
+            expected = np.tri(n, k=k, dtype=bool)
+            assert_same_bits(mask, ~expected if invert else expected)
+            assert models._tri(n, k, invert) is mask
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = True
+            with pytest.raises(ValueError, match="read-only"):
+                mask |= True
 
 
 def test_kl_closed_forms():
