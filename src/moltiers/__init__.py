@@ -22,7 +22,6 @@ from .grouping import (
     FUNCTIONAL_GROUP,
     CoverageError,
     Group,
-    GroupSet,
     Violation,
     build_membership,
     check_bond_consistency,

@@ -53,15 +53,14 @@ class Tensor:
     references to the arrays they saw.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "tracked")
+    __slots__ = ("values", "grad", "tracked")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values, tracked: bool = False):
         self.values = _as_matrix(values)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         # Tracked tensors receive gradients during backward. Op outputs whose
         # inputs are tracked become tracked themselves.
-        self.tracked = self.requires_grad
+        self.tracked = bool(tracked)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,16 +72,16 @@ class Tensor:
         return float(self.values[0, 0])
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
+        flag = ", tracked=True" if self.tracked else ""
         return f"Tensor(shape={self.shape}{flag})"
 
 
 def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
+    return Tensor(values)
 
 
 def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
+    return Tensor(values, tracked=True)
 
 
 def wrap(values: np.ndarray) -> Tensor:
@@ -90,7 +89,7 @@ def wrap(values: np.ndarray) -> Tensor:
     result; unlike :func:`constant`, no copy, so nothing else may write to
     the array."""
     out = Tensor.__new__(Tensor)
-    out.values, out.requires_grad, out.grad, out.tracked = values, False, None, False
+    out.values, out.grad, out.tracked = values, None, False
     return out
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .models import TieredGaeParams, TieredParams, TieredVgaeParams, param_spec
+from .molgraph import NODE_FEATURE_DIM
 
 FORMAT_VERSION = 1
 
@@ -60,7 +61,7 @@ def save_checkpoint(params, path) -> None:
         "config": {
             "dims": list(params.dims),
             "layers": params.depth,
-            "input_dim": params.input_dim,
+            "input_dim": NODE_FEATURE_DIM,
         },
         "weights": {name: w.values.tolist() for name, w in params.named_weights().items()},
     }
@@ -118,8 +119,10 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
         # type(True) is bool, not int: JSON booleans, floats and strings all fail
         if type(dims) is not list or any(type(v) is not int for v in (*dims, depth, input_dim)):
             raise ValueError(f"dims, layers and input_dim must be JSON integers: {config}")
+        if input_dim != NODE_FEATURE_DIM:
+            raise ValueError(f"input_dim must be {NODE_FEATURE_DIM}, got {input_dim}")
         dims = tuple(dims)
-        spec = param_spec(params_class.variational, dims, depth, input_dim)
+        spec = param_spec(params_class.variational, dims, depth)
     except (KeyError, ValueError) as err:
         raise CheckpointError(f"bad checkpoint config: {err}") from err
 
@@ -130,4 +133,4 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
     if unknown:
         raise CheckpointError(f"weights outside the spec of this config: {', '.join(unknown)}")
     tensors = {name: _take_weight(weights, name, shape) for name, shape in spec}
-    return params_class.from_weights(tensors, dims, depth, input_dim)
+    return params_class.from_weights(tensors, dims, depth)

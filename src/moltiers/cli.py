@@ -82,17 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(handler=cmd_partition)
 
     cmd = commands.add_parser("train", help="train a model, write checkpoint and trace CSV")
+    defaults = TrainConfig()
     cmd.add_argument("--input", required=True, help="molecule file")
     cmd.add_argument("--out", required=True, help="output directory for checkpoint.json and trace.csv")
     cmd.add_argument("--model", choices=("gae", "vgae"), default="gae")
-    cmd.add_argument("--dims", type=_dims, default=(16, 16, 16), help="tier widths D1,D2,D3")
-    cmd.add_argument("--layers", type=int, default=3, help="GNN layers per tier")
-    cmd.add_argument("--lr", type=float, default=0.01, help="learning rate")
-    cmd.add_argument("--epochs", type=int, default=200)
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
-    cmd.add_argument("--beta", type=float, default=1.0, help="KL weight (vgae)")
-    cmd.add_argument("--lambda-x", type=float, default=0.1, dest="lambda_x",
+    cmd.add_argument("--dims", type=_dims, default=defaults.dims, help="tier widths D1,D2,D3")
+    cmd.add_argument("--layers", type=int, default=defaults.depth, help="GNN layers per tier")
+    cmd.add_argument("--lr", type=float, default=defaults.learning_rate, help="learning rate")
+    cmd.add_argument("--epochs", type=int, default=defaults.epochs)
+    cmd.add_argument("--seed", type=int, default=defaults.seed)
+    cmd.add_argument("--optimizer", choices=OPTIMIZERS, default=defaults.optimizer)
+    cmd.add_argument("--beta", type=float, default=defaults.beta, help="KL weight (vgae)")
+    cmd.add_argument("--lambda-x", type=float, default=defaults.feature_weight, dest="lambda_x",
                      help="feature reconstruction weight")
     cmd.set_defaults(handler=cmd_train, usage_error=cmd.error)
 
@@ -244,7 +245,7 @@ def cmd_embed(args) -> int:
                 doc["elements"] = graph.elements
             elif args.tier == "group":
                 doc["embeddings"] = _matrix_doc(embeddings.group.values)
-                doc["group_kinds"] = data.group_set.kinds
+                doc["group_kinds"] = [group.kind for group in data.group_set]
             else:
                 doc["embeddings"] = _matrix_doc(embeddings.graph.values)
             molecules.append(doc)
@@ -315,9 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
-        return 4
-    except ad.ShapeError as err:  # a well-formed checkpoint whose stacks read other widths
-        print(f"checkpoint does not fit these molecules: {err}", file=sys.stderr)
         return 4
     except NonFiniteLossError as err:
         print(f"training aborted: {err}", file=sys.stderr)

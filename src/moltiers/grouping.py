@@ -45,24 +45,6 @@ class Group:
             raise ValueError(f"group atoms must {'not repeat' if repeated else 'be sorted'}")
 
 
-@dataclass
-class GroupSet:
-    """Ordered groups of one molecule: functional groups first, then
-    aromatic rings, then leftover components."""
-
-    groups: list[Group]
-
-    @property
-    def kinds(self) -> list[str]:
-        return [g.kind for g in self.groups]
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    def __iter__(self):
-        return iter(self.groups)
-
-
 def _with_hydrogens(graph: MolecularGraph, atoms: Collection[int]) -> tuple[int, ...]:
     """``atoms`` plus the hydrogens bonded to them, sorted ascending."""
     elements, neighbors = graph.elements, graph.neighbors
@@ -132,7 +114,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     return groups
 
 
-def partition(graph: MolecularGraph) -> GroupSet:
+def partition(graph: MolecularGraph) -> list[Group]:
     """Partition every atom into functional groups, aromatic rings and
     leftover connected components, in that order, each kind sorted by its
     smallest member. A molecule without functional groups or aromatic rings
@@ -146,16 +128,16 @@ def partition(graph: MolecularGraph) -> GroupSet:
     groups = [Group(FUNCTIONAL_GROUP, g) for g in functional]
     groups += [Group(AROMATIC_RING, g) for g in sorted(rings, key=lambda g: g[0])]
     groups += [Group(COMPONENT, g) for g in leftovers]
-    return GroupSet(groups)
+    return groups
 
 
-def build_membership(group_set: GroupSet, num_atoms: int) -> np.ndarray:
+def build_membership(groups: list[Group], num_atoms: int) -> np.ndarray:
     """Node-to-group membership matrix, one row per atom, one column per
     group. An atom in m groups gets 1/m in each of their columns, so every
     row sums to exactly one. Raises CoverageError for an uncovered atom."""
-    if not len(group_set):
+    if not groups:
         raise CoverageError("no groups to build a membership matrix from")
-    atoms = [atom for group in group_set for atom in group.atoms]
+    atoms = [atom for group in groups for atom in group.atoms]
     if min(atoms) < 0 or max(atoms) >= num_atoms:
         atom = next(atom for atom in atoms if not 0 <= atom < num_atoms)
         raise ValueError(f"group references atom {atom} outside 0..{num_atoms - 1}")
@@ -164,8 +146,8 @@ def build_membership(group_set: GroupSet, num_atoms: int) -> np.ndarray:
     if not counts.all():
         raise CoverageError(f"atom {int(counts.argmin())} is not covered by any group")
 
-    columns = np.repeat(np.arange(len(group_set)), [len(group.atoms) for group in group_set])
-    matrix = np.zeros((num_atoms, len(group_set)))
+    columns = np.repeat(np.arange(len(groups)), [len(group.atoms) for group in groups])
+    matrix = np.zeros((num_atoms, len(groups)))
     matrix[index, columns] = 1.0 / counts[index]
     return matrix
 
@@ -186,7 +168,7 @@ class Violation:
     rule: str
 
 
-def check_bond_consistency(graph: MolecularGraph, group_set: GroupSet) -> list[Violation]:
+def check_bond_consistency(graph: MolecularGraph, groups: list[Group]) -> list[Violation]:
     """Report bonds that split across groups against the grouping rules:
     multiple or aromatic bonds ("multiple-bond"), conjugated single bonds
     ("conjugated") and ring bonds ("same-ring"). A bond can violate several
@@ -194,7 +176,7 @@ def check_bond_consistency(graph: MolecularGraph, group_set: GroupSet) -> list[V
     conjugated when both its atoms are in ``graph.unsaturated``, and a ring
     bond when its atoms are adjacent in a ring of ``graph.rings``."""
     membership_of: list[set[int]] = [set() for _ in range(graph.num_atoms)]
-    for column, group in enumerate(group_set):
+    for column, group in enumerate(groups):
         for atom in group.atoms:
             membership_of[atom].add(column)
     ring_edges = {pair for ring in graph.rings for pair in ring_bonds(ring)}

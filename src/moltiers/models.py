@@ -146,30 +146,29 @@ class TieredEmbeddings:
 
 
 def param_spec(
-    variational: bool, dims: Sequence[int], depth: int, input_dim: int = NODE_FEATURE_DIM
+    variational: bool, dims: Sequence[int], depth: int
 ) -> list[tuple[str, tuple[int, int]]]:
     """Format-v1 weight names and shapes, in the order init draws them,
     which is also the order of ``trainable()`` and so the layout of the
     optimizer's flat vector. Per tier t: depth - 1 relu layers, then one
     linear layer (GAE, ``tier{t}.layer{k}``) or, after ``tier{t}.trunk{k}``,
     the ``tier{t}.mean`` and ``tier{t}.log_std`` heads (VGAE); then
-    ``decoder.pair`` and ``decoder.feature``."""
+    ``decoder.pair`` and ``decoder.feature``. The atom tier reads and the
+    feature decoder writes ``NODE_FEATURE_DIM`` node features."""
     dims = tuple(dims)
     if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"dims must be three positive integers, got {dims}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be positive, got {input_dim}")
     trunk = "trunk" if variational else "layer"
     heads = ("mean", "log_std") if variational else (f"layer{depth - 1}",)
     spec = []
-    for tier, (d_in, d_out) in enumerate(zip((input_dim, *dims[:2]), dims), start=1):
+    for tier, (d_in, d_out) in enumerate(zip((NODE_FEATURE_DIM, *dims[:2]), dims), start=1):
         fan_in = [d_in] + [d_out] * (depth - 1)
         spec += [(f"tier{tier}.{trunk}{k}", (fan_in[k], d_out)) for k in range(depth - 1)]
         spec += [(f"tier{tier}.{head}", (fan_in[-1], d_out)) for head in heads]
     total = sum(dims)
-    return spec + [("decoder.pair", (total, total)), ("decoder.feature", (total, input_dim))]
+    return spec + [("decoder.pair", (total, total)), ("decoder.feature", (total, NODE_FEATURE_DIM))]
 
 
 @dataclass
@@ -187,34 +186,27 @@ class TieredParams:
     feature_decoder: Tensor
     dims: tuple[int, int, int]
     depth: int
-    input_dim: int
     variational: ClassVar[bool]
 
     @classmethod
     def init(
-        cls,
-        rng: np.random.Generator,
-        dims: Sequence[int] = (16, 16, 16),
-        depth: int = 3,
-        input_dim: int = NODE_FEATURE_DIM,
+        cls, rng: np.random.Generator, dims: Sequence[int] = (16, 16, 16), depth: int = 3
     ) -> "TieredParams":
         """Glorot-uniform weights drawn in spec order; the pair decoder
         starts as the symmetric part of its draw."""
         dims = tuple(int(d) for d in dims)
-        spec = param_spec(cls.variational, dims, depth, input_dim)
+        spec = param_spec(cls.variational, dims, depth)
         weights = {name: ad.glorot_uniform(rng, *shape) for name, shape in spec}
         pair = weights["decoder.pair"]
         weights["decoder.pair"] = (pair + pair.T) / 2.0
-        return cls.from_weights(
-            {name: ad.parameter(w) for name, w in weights.items()}, dims, depth, input_dim
-        )
+        return cls.from_weights({name: ad.parameter(w) for name, w in weights.items()}, dims, depth)
 
     @classmethod
     def from_weights(
-        cls, weights: dict[str, Tensor], dims: tuple[int, int, int], depth: int, input_dim: int
+        cls, weights: dict[str, Tensor], dims: tuple[int, int, int], depth: int
     ) -> "TieredParams":
         """Params over ``weights`` keyed by spec name."""
-        spec = param_spec(cls.variational, dims, depth, input_dim)
+        spec = param_spec(cls.variational, dims, depth)
         tensors = [weights[name] for name, _ in spec]
         per_tier = (len(tensors) - 2) // 3
         encoders = tuple(
@@ -223,7 +215,7 @@ class TieredParams:
             )
             for start in range(0, 3 * per_tier, per_tier)
         )
-        return cls(encoders, tensors[-2], tensors[-1], dims, depth, input_dim)
+        return cls(encoders, tensors[-2], tensors[-1], dims, depth)
 
     def trainable(self) -> list[Tensor]:
         """Every weight in spec order."""
@@ -231,7 +223,7 @@ class TieredParams:
         return weights + [self.pair_decoder, self.feature_decoder]
 
     def named_weights(self) -> dict[str, Tensor]:
-        spec = param_spec(self.variational, self.dims, self.depth, self.input_dim)
+        spec = param_spec(self.variational, self.dims, self.depth)
         return dict(zip((name for name, _ in spec), self.trainable()))
 
     def symmetrize_pair_decoder(self) -> None:

@@ -67,7 +67,7 @@ def digest_file(path: Path) -> dict[str, str]:
     import numpy as np
 
     from moltiers import autodiff as ad
-    from moltiers.grouping import COMPONENT, Group, GroupSet, check_bond_consistency, partition
+    from moltiers.grouping import COMPONENT, Group, check_bond_consistency, partition
     from moltiers.models import MoleculeData, TieredGaeParams, TieredVgaeParams, encode_for_inference
     from moltiers.molgraph import load_molecules
 
@@ -94,7 +94,7 @@ def digest_file(path: Path) -> dict[str, str]:
         add("rings", graph.rings, sorted(graph.ring_atoms), sorted(graph.unsaturated))
         groups = partition(graph)
         add("partition", [(group.kind, group.atoms) for group in groups])
-        singles = GroupSet([Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)])
+        singles = [Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)]
         add("consistency", check_bond_consistency(graph, groups), check_bond_consistency(graph, singles))
         data = MoleculeData.from_graph(graph)
         add("arrays", data.adjacency, data.features, data.node_to_group, data.group_to_graph,

@@ -39,7 +39,6 @@ from moltiers.grouping import (
     FUNCTIONAL_GROUP,
     CoverageError,
     Group,
-    GroupSet,
     check_bond_consistency,
 )
 from moltiers.molgraph import ELEMENTS, NODE_FEATURE_DIM, MolecularGraph
@@ -270,7 +269,7 @@ def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     return results
 
 
-def partition(graph: MolecularGraph) -> GroupSet:
+def partition(graph: MolecularGraph) -> list[Group]:
     functional = identify_functional_groups(graph)
     rings = detect_aromatic_rings(graph)
 
@@ -300,7 +299,7 @@ def partition(graph: MolecularGraph) -> GroupSet:
     groups = [Group(FUNCTIONAL_GROUP, g) for g in functional]
     groups += [Group(AROMATIC_RING, g) for g in sorted(rings, key=lambda g: g[0])]
     groups += [Group(COMPONENT, g) for g in leftovers]
-    return GroupSet(groups)
+    return groups
 
 
 def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, bool]]]:
@@ -383,7 +382,7 @@ def dense_featurize_nodes(graph: MolecularGraph) -> np.ndarray:
     return features
 
 
-def build_membership(group_set: GroupSet, num_atoms: int) -> np.ndarray:
+def build_membership(group_set: list[Group], num_atoms: int) -> np.ndarray:
     if not len(group_set):
         raise CoverageError("no groups to build a membership matrix from")
     counts = np.zeros(num_atoms)
@@ -431,7 +430,7 @@ def bond_flags(graph: MolecularGraph) -> list[tuple[bool, bool, bool]]:
     """Each bond's ``(multiple, in_ring, conjugated)``, read from the
     violations of a partition that puts every atom in a group of its own
     and so splits every bond."""
-    alone = GroupSet([Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)])
+    alone = [Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)]
     found = {(v.first, v.second, v.rule) for v in check_bond_consistency(graph, alone)}
     return [
         tuple((bond.first, bond.second, rule) in found for rule in ("multiple-bond", "same-ring", "conjugated"))

@@ -62,14 +62,23 @@ C1CC2CCC1C2 norbornane
 
 ONE_ATOM = "C methane\n[Cl-] chloride\n"
 
-# Run in a subprocess from a tree's src, with the checkpoint's path as argument.
+# Run in a subprocess from a tree's src, with the checkpoint's path as argument:
+# a GAE checkpoint narrowed in its JSON to stacks that read 6 features.
 NARROW_CHECKPOINT = """
+import json
 import sys
 import numpy as np
 from moltiers.checkpoint import save_checkpoint
 from moltiers.models import TieredGaeParams
-params = TieredGaeParams.init(np.random.default_rng(0), (4, 4, 4), 2, input_dim=6)
-save_checkpoint(params, sys.argv[1])
+save_checkpoint(TieredGaeParams.init(np.random.default_rng(0), (4, 4, 4), 2), sys.argv[1])
+with open(sys.argv[1]) as handle:
+    payload = json.load(handle)
+payload["config"]["input_dim"] = 6
+weights = payload["weights"]
+weights["tier1.layer0"] = weights["tier1.layer0"][:6]
+weights["decoder.feature"] = [row[:6] for row in weights["decoder.feature"]]
+with open(sys.argv[1], "w") as handle:
+    json.dump(payload, handle, indent=1, sort_keys=True)
 """
 
 

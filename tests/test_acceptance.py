@@ -79,7 +79,8 @@ def test_criterion_1_vanillin_partition():
         (AROMATIC_RING, Counter({"C": 6, "H": 3})),              # benzene core
     ]
     composition_ok = sorted(
-        zip(group_set.kinds, elements), key=lambda pair: sorted(pair[1].items())
+        zip((group.kind for group in group_set), elements),
+        key=lambda pair: sorted(pair[1].items()),
     ) == sorted(expected, key=lambda pair: sorted(pair[1].items()))
 
     membership_ok = (
@@ -112,7 +113,7 @@ def test_criterion_2_membership_invariants(corpus_graphs):
         membership = build_membership(group_set, graph.num_atoms)
         row_sum_dev = max(row_sum_dev, np.abs(membership.sum(axis=1) - 1.0).max())
         empty_groups += sum(1 for group in group_set if not group.atoms)
-        counts = Counter(group_set.kinds)
+        counts = Counter(group.kind for group in group_set)
         total = (
             counts[FUNCTIONAL_GROUP] + counts[AROMATIC_RING] + counts[COMPONENT]
         )
@@ -282,7 +283,6 @@ def deterministic_twin(gae):
         feature_decoder=gae.feature_decoder,
         dims=gae.dims,
         depth=gae.depth,
-        input_dim=gae.input_dim,
     )
 
 

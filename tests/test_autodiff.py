@@ -42,8 +42,8 @@ def test_tensor_rejects_higher_rank():
 def test_constant_vs_parameter():
     c = ad.constant([[1.0]])
     p = ad.parameter([[1.0]])
-    assert not c.requires_grad
-    assert p.requires_grad
+    assert not c.tracked
+    assert p.tracked
 
 
 def test_constant_and_parameter_copy_their_input():

@@ -36,7 +36,7 @@ def test_gae_round_trip_is_exact(tmp_path):
     assert isinstance(loaded, TieredGaeParams)
     assert loaded.dims == (5, 4, 3)
     assert loaded.depth == 2
-    assert loaded.input_dim == params.input_dim
+    assert loaded.encoders[0].input_dim == params.encoders[0].input_dim == 16
     for original, restored in zip(all_weights(params), all_weights(loaded)):
         assert np.array_equal(original, restored)
 
@@ -297,6 +297,15 @@ def test_a_config_value_that_is_no_json_integer_rejected(tmp_path, key, value):
     # each of these once loaded through int(), truncated or coerced
     path = corrupt(tmp_path, lambda p: p["config"].update({key: value}))
     with pytest.raises(CheckpointError, match="bad checkpoint config: .* must be JSON integers"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [6, 17])
+def test_an_input_width_other_than_the_node_features_rejected(tmp_path, value):
+    # weights of that width could encode no molecule
+    path = corrupt(tmp_path, lambda p: p["config"].update(input_dim=value))
+    message = f"bad checkpoint config: input_dim must be 16, got {value}$"
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
 

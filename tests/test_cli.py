@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main(argv): outputs, files and exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from moltiers import cli
 from moltiers.checkpoint import save_checkpoint
 from moltiers.cli import main
 from moltiers.models import TieredGaeParams
+from moltiers.train import TrainConfig
 
 SMALL_CORPUS = "CCO ethanol\nCC(=O)O acetic-acid\nO=Cc1ccc(O)c(OC)c1 vanillin\n"
 
@@ -164,6 +166,21 @@ def test_train_rejects_bad_dims(corpus_file, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--input", corpus_file, "--out", str(tmp_path / "x"),
               "--dims", "4,0,4"])
+
+
+# each TrainConfig field with the train option that sets it
+TRAIN_OPTIONS = {
+    "dims": "dims", "depth": "layers", "learning_rate": "lr", "epochs": "epochs",
+    "seed": "seed", "optimizer": "optimizer", "beta": "beta", "feature_weight": "lambda_x",
+}
+
+
+def test_train_option_defaults_are_the_train_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--input", "in.smi", "--out", "out"])
+    assert set(TRAIN_OPTIONS) == {field.name for field in dataclasses.fields(TrainConfig)}
+    defaults = TrainConfig()
+    for field, option in TRAIN_OPTIONS.items():
+        assert getattr(args, option) == getattr(defaults, field), field
 
 
 # each bad train option with the last line of its usage error
@@ -376,17 +393,20 @@ def test_a_checkpoint_nested_past_the_recursion_limit_exits_4(tmp_path, corpus_f
 
 @pytest.mark.parametrize("command", ["embed", "interp"])
 def test_a_checkpoint_of_another_feature_width_exits_4(tmp_path, corpus_file, capsys, command):
-    """A well-formed checkpoint whose stacks read 6 features, where every
-    molecule has 16, fails at the first encode and writes no document."""
+    """A checkpoint whose stacks read 6 features, where every molecule has
+    16, is rejected by the loader and writes no document."""
     path = tmp_path / "narrow.json"
-    params = TieredGaeParams.init(np.random.default_rng(0), (4, 4, 4), 2, input_dim=6)
-    save_checkpoint(params, path)
+    save_checkpoint(TieredGaeParams.init(np.random.default_rng(0), (4, 4, 4), 2), path)
+    payload = json.loads(path.read_text())
+    payload["config"]["input_dim"] = 6
+    weights = payload["weights"]
+    weights["tier1.layer0"] = weights["tier1.layer0"][:6]
+    weights["decoder.feature"] = [row[:6] for row in weights["decoder.feature"]]
+    path.write_text(json.dumps(payload))
     molecules = ["--input", corpus_file] if command == "embed" else ["CCO", "CC(=O)O"]
     assert main([command, str(path), *molecules]) == 4
     captured = capsys.readouterr()
-    assert captured.err == (
-        "checkpoint does not fit these molecules: features have width 16, stack expects 6\n"
-    )
+    assert captured.err == "checkpoint error: bad checkpoint config: input_dim must be 16, got 6\n"
     assert captured.out == ""
 
 

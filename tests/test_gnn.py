@@ -79,7 +79,7 @@ def test_normalize_input_validation():
 
 def test_gcn_stack_shapes_and_activations():
     rng = np.random.default_rng(0)
-    stack = TieredGaeParams.init(rng, (8, 8, 8), depth=3, input_dim=16).encoders[0]
+    stack = TieredGaeParams.init(rng, (8, 8, 8), depth=3).encoders[0]
     # two relu trunk layers, then the one linear head
     assert len(stack.trunk) == 2
     assert len(stack.heads) == 1
@@ -198,10 +198,10 @@ def test_log_std_is_clamped_before_exp():
 
 def test_forward_is_deterministic_for_fixed_seed():
     A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    X = np.arange(12.0).reshape(3, 4)
+    X = np.arange(48.0).reshape(3, 16)
     runs = []
     for _ in range(2):
-        stack = TieredGaeParams.init(np.random.default_rng(9), (5, 5, 5), 3, 4).encoders[0]
+        stack = TieredGaeParams.init(np.random.default_rng(9), (5, 5, 5), 3).encoders[0]
         out = gnn_forward(stack, propagator(A), ad.constant(X))
         runs.append(out.values.copy())
         ad.backward(reduce_sum(out))

@@ -55,8 +55,8 @@ def ethanol_data():
     return MoleculeData.from_graph(parse_smiles("CCO", name="ethanol"))
 
 
-def small_params(dims=(3, 3, 3), depth=2, seed=0, input_dim=16):
-    return TieredGaeParams.init(np.random.default_rng(seed), dims, depth, input_dim)
+def small_params(dims=(3, 3, 3), depth=2, seed=0):
+    return TieredGaeParams.init(np.random.default_rng(seed), dims, depth)
 
 
 def test_molecule_data_bundles_everything(vanillin_data):
@@ -222,7 +222,7 @@ def test_edge_loss_requires_a_0_1_target(ethanol_data, entry):
         data = MoleculeData.from_graph(ethanol_data.graph)
         data.adjacency = weighted
         with pytest.raises(ValueError, match="only 0 and 1"):
-            gae_loss(small_params(input_dim=data.features.shape[1]), data)
+            gae_loss(small_params(), data)
         ad.clear_tape()
 
 
@@ -360,7 +360,7 @@ def test_noise_sources():
     assert a.shape == (3, 2)
 
 
-def deterministic_twin(gae, input_dim=16):
+def deterministic_twin(gae):
     """Variational params that replay a deterministic model exactly: the
     trunk is every layer but the last, the mean head is the last layer and
     the log-std head is all zeros, so std is 1 everywhere."""
@@ -375,7 +375,6 @@ def deterministic_twin(gae, input_dim=16):
         feature_decoder=gae.feature_decoder,
         dims=gae.dims,
         depth=gae.depth,
-        input_dim=input_dim,
     )
 
 

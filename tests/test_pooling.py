@@ -93,7 +93,7 @@ def test_binary_membership_reduces_to_group_sums(vanillin):
     M = build_membership(gs, vanillin.num_atoms)
     Z = np.random.default_rng(13).standard_normal((vanillin.num_atoms, 3))
     result = diff_group_pool(MoleculeData.from_graph(vanillin).adjacency, ad.constant(Z), M)
-    for column, group in enumerate(gs.groups):
+    for column, group in enumerate(gs):
         expected = Z[list(group.atoms)].sum(axis=0)
         assert np.allclose(result.features.values[column], expected, atol=1e-12)
 

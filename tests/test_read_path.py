@@ -19,7 +19,6 @@ from moltiers import cycles
 from moltiers.grouping import (
     COMPONENT,
     Group,
-    GroupSet,
     build_membership,
     detect_aromatic_rings,
     identify_functional_groups,
@@ -276,7 +275,7 @@ def group_sets(draw):
     groups = draw(st.lists(st.sets(st.integers(0, num_atoms - 1), min_size=1), max_size=6))
     missed = set(range(num_atoms)).difference(*groups)
     groups += [missed] if missed else []
-    return GroupSet([Group(COMPONENT, tuple(sorted(g))) for g in groups]), num_atoms
+    return [Group(COMPONENT, tuple(sorted(g))) for g in groups], num_atoms
 
 
 @given(group_sets())
