@@ -113,6 +113,9 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
     config = payload.get("config")
     if not isinstance(config, dict):
         raise CheckpointError("checkpoint has no config object")
+    weights = payload.get("weights")
+    if not isinstance(weights, dict):
+        raise CheckpointError("checkpoint has no weights object")
     params_class = TieredVgaeParams if kind == "vgae" else TieredGaeParams
     try:
         dims, depth, input_dim = config["dims"], config["layers"], config["input_dim"]
@@ -121,14 +124,14 @@ def load_checkpoint(path) -> TieredGaeParams | TieredVgaeParams:
             raise ValueError(f"dims, layers and input_dim must be JSON integers: {config}")
         if input_dim != NODE_FEATURE_DIM:
             raise ValueError(f"input_dim must be {NODE_FEATURE_DIM}, got {input_dim}")
+        # A spec holds 3 * layers + 2 weights: a deeper claim is refused before it is built.
+        if depth > len(weights):
+            raise ValueError(f"layers must be at most the {len(weights)} weights given, got {depth}")
         dims = tuple(dims)
         spec = param_spec(params_class.variational, dims, depth)
     except (KeyError, ValueError) as err:
         raise CheckpointError(f"bad checkpoint config: {err}") from err
 
-    weights = payload.get("weights")
-    if not isinstance(weights, dict):
-        raise CheckpointError("checkpoint has no weights object")
     unknown = sorted(set(weights) - {name for name, _ in spec})
     if unknown:
         raise CheckpointError(f"weights outside the spec of this config: {', '.join(unknown)}")

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from .grouping import build_membership, partition
-from .models import (
-    MoleculeData,
-    decode_with_graph_vector,
-    encode_for_inference,
-    interpolate_latent,
-)
+from .models import MoleculeData, decode, encode_tiered, interpolate_latent
 from .molgraph import MolecularGraph, hill_formula, load_molecules
 from .smiles import SmilesError, parse_smiles
 from .train import (
@@ -233,7 +229,7 @@ def cmd_embed(args) -> int:
     with ad.no_grad():
         for graph in graphs:
             data = MoleculeData.from_graph(graph)
-            embeddings = encode_for_inference(params, data)
+            embeddings = encode_tiered(params, data)
             doc = {
                 "name": graph.name,
                 "smiles": graph.smiles,
@@ -262,8 +258,8 @@ def cmd_interp(args) -> int:
         print(f"cannot parse endpoint: {err}", file=sys.stderr)
         return 1
     with ad.no_grad():
-        emb_a = encode_for_inference(params, MoleculeData.from_graph(graph_a))
-        emb_b = encode_for_inference(params, MoleculeData.from_graph(graph_b))
+        emb_a = encode_tiered(params, MoleculeData.from_graph(graph_a))
+        emb_b = encode_tiered(params, MoleculeData.from_graph(graph_b))
         start = emb_a.graph.values.reshape(-1)
         end = emb_b.graph.values.reshape(-1)
         path = interpolate_latent(start, end, args.steps)
@@ -274,7 +270,7 @@ def cmd_interp(args) -> int:
             # Decoded statistics only: the probabilities live in the first
             # endpoint's atom frame with its molecule-tier rows swapped for
             # the interpolated vector. No molecules are decoded.
-            probs = decode_with_graph_vector(params, emb_a, vector)
+            probs = decode(params, replace(emb_a, graph=ad.constant(vector)))[0].values
             # Pairs i < j by descending probability, then by (i, j); the
             # mean sums in that order, so its rounding stays fixed.
             rows, cols = np.nonzero(~np.tri(*probs.shape, dtype=bool))

@@ -6,12 +6,13 @@ The decoder broadcasts group and molecule embeddings back to the atoms,
 concatenates all three tiers and reconstructs adjacency through a bilinear
 product (kept symmetric) plus node features through a linear head. The
 variational flavor predicts a mean and std per tier, pools means so coarse
-tiers see deterministic inputs, and samples with reparameterized noise.
+tiers see deterministic inputs, and samples with reparameterized noise in
+training; inference reads the means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, ClassVar, Sequence
 
@@ -249,9 +250,12 @@ class TieredVgaeParams(TieredParams):
 
 def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     """GNN, pool to groups, GNN, pool to the molecule, GNN, over the constants
-    of a molecule or a padded batch. With ``noise`` each tier gives (mean, std),
-    its embedding is a reparameterized sample and its mean is pooled.
-    Returns the embeddings and the per-tier (mean, std) pairs, if any."""
+    of a molecule or a padded batch. A VGAE tier gives (mean, std) and its
+    mean is pooled; its embedding is a reparameterized sample with ``noise``,
+    else the mean. Returns the embeddings and the per-tier (mean, std) pairs,
+    if any."""
+    if noise is not None and not params.variational:
+        raise ValueError("a deterministic model draws no noise")
     # gnn_forward and gnn_forward_variational are read from this module's
     # globals on every call, where perfbench's tracer rebinds them.
     # The molecule tier, one node, has the propagator (0 + 1) / sqrt(1 * 1) = 1: it runs with none.
@@ -259,20 +263,21 @@ def _encode(params, data: MoleculeData, noise: NoiseSource | None):
     features = ad.wrap(data.features)
     embeddings, stats = [], []
     for tier, stack in enumerate(params.encoders):
-        if noise is None:
+        if not params.variational:
             pooled = embedding = gnn_forward(stack, propagators[tier], features)
         else:
             pooled, std = gnn_forward_variational(stack, propagators[tier], features)
             stats.append((pooled, std))
-            embedding = ad.reparameterize(pooled, std, noise(pooled.shape))
+            embedding = ad.reparameterize(pooled, std, noise(pooled.shape)) if noise else pooled
         embeddings.append(embedding)
         if tier < 2:
             features = pool_rows((data.node_to_group, data.group_to_graph)[tier], pooled)
     return TieredEmbeddings(*embeddings, data), stats
 
 
-def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddings:
-    """Encode one molecule through the deterministic tiers (see :func:`_encode`)."""
+def encode_tiered(params: TieredParams, data: MoleculeData) -> TieredEmbeddings:
+    """Deterministic embeddings of a molecule (see :func:`_encode`): the GAE's
+    tiers, or each VGAE tier's posterior mean."""
     return _encode(params, data, None)[0]
 
 
@@ -281,8 +286,8 @@ def encode_tiered_variational(
 ) -> tuple[TieredEmbeddings, list[tuple[Tensor, Tensor]]]:
     """Variational encoding: the sampled embeddings and each tier's
     (mean, std). Pooling consumes posterior means, so only the samples (fed
-    to the decoder) depend on the noise; with zero noise every sample
-    equals its mean."""
+    to the decoder) depend on the noise; with zero noise every sample is
+    its mean + 0.0."""
     return _encode(params, data, noise)
 
 
@@ -300,20 +305,6 @@ def decode(params, embeddings: TieredEmbeddings) -> tuple[Tensor, Tensor]:
         emb.node, emb.group, emb.graph, data.node_to_group, data.molecule_to_atoms,
         params.pair_decoder, params.feature_decoder,
     )
-
-
-def decode_with_graph_vector(
-    params, embeddings: TieredEmbeddings, graph_vector: np.ndarray
-) -> np.ndarray:
-    """Edge probabilities with the molecule-tier rows replaced by a fixed
-    vector: the frame for inspecting points along a latent interpolation."""
-    vector = np.asarray(graph_vector, dtype=np.float64).reshape(1, -1)
-    if vector.shape[1] != embeddings.graph.shape[1]:
-        raise ad.ShapeError(
-            f"graph vector has width {vector.shape[1]}, expected {embeddings.graph.shape[1]}"
-        )
-    with ad.no_grad():
-        return decode(params, replace(embeddings, graph=ad.constant(vector)))[0].values
 
 
 def edge_loss_weights(adjacency: np.ndarray) -> tuple[float, float]:
@@ -469,14 +460,6 @@ def _mann_whitney(scores: np.ndarray, is_edge: np.ndarray) -> float:
     return float(counts.sum() / 2 / (pos_scores.size * neg_scores.size))
 
 
-def encode_for_inference(params, data: MoleculeData) -> TieredEmbeddings:
-    """Deterministic embeddings of one molecule: the GAE encoder, or the
-    VGAE encoder with zero noise so every tier is its posterior mean."""
-    if params.variational:
-        return encode_tiered_variational(params, data, zero_noise)[0]
-    return encode_tiered(params, data)
-
-
 _EVAL_BATCH_CELLS = 16_384  # padded cells B * n_max**2 of one evaluation batch, at most
 
 
@@ -504,7 +487,7 @@ def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
         for bucket in _size_buckets(dataset):
             members = [dataset[index] for index in bucket]
             batch = members[0] if len(bucket) == 1 else _MoleculeBatch(members)
-            edge_probs = decode(params, encode_for_inference(params, batch))[0].values
+            edge_probs = decode(params, encode_tiered(params, batch))[0].values
             if len(bucket) > 1:
                 pairs = _pairs(edge_probs)
                 if not np.isnan(pairs).any():

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from moltiers import autodiff as ad
-from moltiers.models import MoleculeData, decode, edge_auc, encode_for_inference
+from moltiers.models import MoleculeData, decode, edge_auc, encode_tiered
 
 
 def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
@@ -22,7 +22,7 @@ def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
     scores = []
     with ad.no_grad():
         for data in dataset:
-            edge_probs, _ = decode(params, encode_for_inference(params, data))
+            edge_probs, _ = decode(params, encode_tiered(params, data))
             try:
                 scores.append(edge_auc(edge_probs.values, data.adjacency))
             except ValueError as err:

@@ -20,7 +20,8 @@ backbones (``gen.large_molecules(1, count=20)``) and ``RING_SYSTEMS`` of
   partition and under one group per atom;
 - ``arrays``: every ``MoleculeData`` array, the atom propagator and the
   edge weights;
-- ``encode``: the inference embeddings of an untrained GAE and VGAE.
+- ``encode``: the embeddings of an untrained GAE, and of an untrained VGAE
+  sampled with zero noise.
 
 Both trees read one set of inputs, taken from CHANGE_TREE. Each (file,
 section) is printed as identical or different, and the script exits 1 on
@@ -68,7 +69,14 @@ def digest_file(path: Path) -> dict[str, str]:
 
     from moltiers import autodiff as ad
     from moltiers.grouping import COMPONENT, Group, check_bond_consistency, partition
-    from moltiers.models import MoleculeData, TieredGaeParams, TieredVgaeParams, encode_for_inference
+    from moltiers.models import (
+        MoleculeData,
+        TieredGaeParams,
+        TieredVgaeParams,
+        encode_tiered,
+        encode_tiered_variational,
+        zero_noise,
+    )
     from moltiers.molgraph import load_molecules
 
     hashes = {section: hashlib.sha256() for section in SECTIONS}
@@ -81,7 +89,7 @@ def digest_file(path: Path) -> dict[str, str]:
             else:
                 hashes[section].update(repr(value).encode())
 
-    models = (TieredGaeParams.init(np.random.default_rng(0)), TieredVgaeParams.init(np.random.default_rng(1)))
+    gae, vgae = TieredGaeParams.init(np.random.default_rng(0)), TieredVgaeParams.init(np.random.default_rng(1))
     for record in load_molecules(path):
         graph = record.graph
         if graph is None:
@@ -101,8 +109,9 @@ def digest_file(path: Path) -> dict[str, str]:
             data.atom_scale, data.group_propagator.values, data.molecule_to_atoms,
             data.atom_propagator().values, data.pair_labels, data.edge_weights)
         with ad.no_grad():
-            for params in models:
-                embeddings = encode_for_inference(params, data)
+            # The VGAE's means through a zero-noise sample, which older trees run too.
+            vgae_embeddings = encode_tiered_variational(vgae, data, zero_noise)[0]
+            for embeddings in (encode_tiered(gae, data), vgae_embeddings):
                 add("encode", embeddings.node.values, embeddings.group.values, embeddings.graph.values)
     return {section: hashes[section].hexdigest() for section in SECTIONS}
 

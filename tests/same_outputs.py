@@ -22,8 +22,9 @@ subprocesses from each tree's ``src``:
 - the failure paths: ``embed`` and ``interp`` with a GAE checkpoint whose
   stacks read 6 features (exit 4), ``embed`` with a corrupt checkpoint
   (exit 4), ``interp`` with the endpoint ``C@C`` (exit 1), ``parse`` on a
-  missing file (exit 2), ``train --dims 0,1,1`` (exit 5) and a VGAE run
-  with SGD whose loss turns non-finite in its first epoch (exit 3).
+  missing file (exit 2), ``train --dims 0,1,1`` and ``train --seed -1``
+  (exit 5) and a VGAE run with SGD whose loss turns non-finite in its
+  first epoch (exit 3).
 
 Both trees read one set of inputs, taken from CHANGE_TREE. Every command's
 stdout, stderr and exit code and every file it writes are kept. ``train``
@@ -159,6 +160,10 @@ def commands(inputs: dict[str, Path], results: Path, trained: Path) -> list[tupl
         ("train-zero-dims", [
             "train", "--input", corpus, "--out", str(results / "train-zero-dims" / "out"),
             "--dims", "0,1,1",
+        ]),
+        ("train-negative-seed", [
+            "train", "--input", corpus, "--out", str(results / "train-negative-seed" / "out"),
+            "--seed", "-1",
         ]),
         ("train-vgae-sgd-diverges", [
             "train", "--input", corpus, "--out", str(results / "train-vgae-sgd-diverges" / "out"),

@@ -29,7 +29,7 @@ from moltiers.models import (
     decode,
     _mann_whitney as mann_whitney,
     edge_auc,
-    encode_for_inference,
+    encode_tiered,
     mean_edge_auc,
 )
 from moltiers.smiles import parse_smiles
@@ -53,13 +53,13 @@ def molecules(corpus_data, perfbench_gen):
 def alone(params, data):
     """Edge probabilities of one molecule on the per-molecule path."""
     with ad.no_grad():
-        return decode(params, encode_for_inference(params, data))[0].values
+        return decode(params, encode_tiered(params, data))[0].values
 
 
 def batched(params, members):
     """Edge probabilities of ``members`` as one padded batch."""
     with ad.no_grad():
-        return decode(params, encode_for_inference(params, models._MoleculeBatch(members)))[0].values
+        return decode(params, encode_tiered(params, models._MoleculeBatch(members)))[0].values
 
 
 def scored_runs(params, dataset, decimals=None):

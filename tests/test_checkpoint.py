@@ -309,6 +309,20 @@ def test_an_input_width_other_than_the_node_features_rejected(tmp_path, value):
         load_checkpoint(path)
 
 
+def test_a_depth_past_the_weight_count_rejected_before_the_spec(tmp_path):
+    # a depth-1 spec holds 5 weights, and a depth-L spec 3 L + 2: layers 5 still reach the spec
+    path = corrupt(tmp_path, lambda p: p["config"].update(layers=5))
+    with pytest.raises(CheckpointError, match="missing weight 'tier1.layer1'"):
+        load_checkpoint(path)
+    path = corrupt(tmp_path, lambda p: p["config"].update(layers=6))
+    message = "bad checkpoint config: layers must be at most the 5 weights given, got 6$"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    path = corrupt(tmp_path, lambda p: (p["config"].update(layers=10**9), p.pop("weights")))
+    with pytest.raises(CheckpointError, match="checkpoint has no weights object"):
+        load_checkpoint(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.json")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 
 import moltiers.autodiff as ad
 from moltiers import cli
-from moltiers.checkpoint import save_checkpoint
+from moltiers.checkpoint import load_checkpoint, save_checkpoint
 from moltiers.cli import main
-from moltiers.models import TieredGaeParams
+from moltiers.models import MoleculeData, TieredGaeParams, TieredVgaeParams, decode, encode_tiered
+from moltiers.smiles import parse_smiles
 from moltiers.train import TrainConfig
 
 SMALL_CORPUS = "CCO ethanol\nCC(=O)O acetic-acid\nO=Cc1ccc(O)c(OC)c1 vanillin\n"
@@ -195,6 +197,7 @@ TRAIN_USAGE_ERRORS = {
     "--lambda-x nan": "feature weight must be finite, got nan",
     "--lambda-x inf": "feature weight must be finite, got inf",
     "--epochs -1": "epochs must be non-negative, got -1",
+    "--seed -1": "seed must be non-negative, got -1",
     "--beta -1": "beta must be non-negative, got -1.0",
     "--lambda-x -1": "feature weight must be non-negative, got -1.0",
     "--dims 4,4": "argument --dims: expected D1,D2,D3, got '4,4'",
@@ -392,6 +395,29 @@ def test_a_checkpoint_nested_past_the_recursion_limit_exits_4(tmp_path, corpus_f
 
 
 @pytest.mark.parametrize("command", ["embed", "interp"])
+def test_a_checkpoint_claiming_more_layers_than_weights_exits_4_at_once(
+    trained_dir, corpus_file, capsys, command
+):
+    """The loader refuses the depth before it builds the spec: at 10**9
+    layers the spec alone would take tens of gigabytes."""
+    path = trained_dir / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["config"]["layers"] = 10**9
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    molecules = ["--input", corpus_file] if command == "embed" else ["CCO", "CC(=O)O"]
+    start = time.perf_counter()
+    assert main([command, str(path), *molecules]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "checkpoint error: bad checkpoint config: "
+        "layers must be at most the 8 weights given, got 1000000000\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["embed", "interp"])
 def test_a_checkpoint_of_another_feature_width_exits_4(tmp_path, corpus_file, capsys, command):
     """A checkpoint whose stacks read 6 features, where every molecule has
     16, is rejected by the loader and writes no document."""
@@ -429,6 +455,30 @@ def test_interp_output_structure(trained_dir, tmp_path):
         assert len(step["top_edges"]) <= 10
         probs = [e["probability"] for e in step["top_edges"]]
         assert probs == sorted(probs, reverse=True)
+
+
+@pytest.mark.parametrize("params_class", [TieredGaeParams, TieredVgaeParams])
+def test_interp_decodes_the_first_endpoint_at_alpha_0(tmp_path, params_class):
+    """The first point of the path is the first endpoint's own decode: its
+    mean edge probability and top edges come from ``decode`` of its
+    ``encode_tiered`` embeddings."""
+    checkpoint, out = tmp_path / "checkpoint.json", tmp_path / "interp.json"
+    save_checkpoint(params_class.init(np.random.default_rng(3), (3, 4, 5), 2), checkpoint)
+    assert main(["interp", str(checkpoint), "CC(=O)O", "CCO", "--steps", "3", "--out", str(out)]) == 0
+    first = json.loads(out.read_text())["decoded"][0]
+
+    params = load_checkpoint(checkpoint)
+    with ad.no_grad():
+        data = MoleculeData.from_graph(parse_smiles("CC(=O)O"))
+        probs = decode(params, encode_tiered(params, data))[0].values
+    rows, cols = np.nonzero(~np.tri(data.num_atoms, dtype=bool))
+    order = np.lexsort((cols, rows, -probs[rows, cols]))
+    assert first["alpha"] == 0.0
+    assert first["mean_edge_probability"] == float(np.mean(probs[rows, cols][order]))
+    assert first["top_edges"] == [
+        {"first": int(rows[k]), "second": int(cols[k]), "probability": float(probs[rows[k], cols[k]])}
+        for k in order[: cli.TOP_EDGES]
+    ]
 
 
 def test_interp_bad_endpoint_exits_1(trained_dir, capsys):

@@ -26,7 +26,6 @@ from moltiers.models import (
     TieredGaeParams,
     TieredVgaeParams,
     decode,
-    decode_with_graph_vector,
     edge_auc,
     edge_loss_weights,
     elbo,
@@ -408,6 +407,34 @@ def test_elbo_is_negated_penalized_loss(ethanol_data):
     assert abs(bound.values[0, 0] - expected) < 1e-12
 
 
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), molecules=st.lists(st.integers(0, 29), min_size=1, max_size=4))
+def test_vgae_inference_embeddings_are_the_posterior_means(corpus_data, seed, molecules):
+    """``encode_tiered`` reads each VGAE tier's mean with no sample drawn, on
+    one molecule or a padded batch. A zero-noise sample is that mean + 0.0:
+    its bits, but for -0.0, which becomes +0.0."""
+    params = TieredVgaeParams.init(np.random.default_rng(seed))
+    members = [corpus_data[index] for index in molecules]
+    data = members[0] if len(members) == 1 else models._MoleculeBatch(members)
+    with ad.no_grad():
+        with mock.patch.object(ad, "reparameterize", side_effect=AssertionError("sampled")):
+            means = encode_tiered(params, data)
+        samples, stats = encode_tiered_variational(params, data, zero_noise)
+    tiers = zip((means.node, means.group, means.graph), (samples.node, samples.group, samples.graph))
+    for (mean, sample), (posterior_mean, _) in zip(tiers, stats):
+        assert_same_bits(mean.values, posterior_mean.values)
+        assert_same_bits(mean.values + 0.0, sample.values)
+
+
+def test_a_deterministic_model_given_noise_raises(ethanol_data):
+    params, records = small_params(), ad.tape_size()
+    with pytest.raises(ValueError, match="a deterministic model draws no noise"):
+        encode_tiered_variational(params, ethanol_data, zero_noise)
+    with pytest.raises(ValueError, match="a deterministic model draws no noise"):
+        vgae_losses(params, ethanol_data, gaussian_noise(np.random.default_rng(0)))
+    assert ad.tape_size() == records  # raised before recording anything
+
+
 def test_noisy_sample_changes_decoder_input_only(ethanol_data):
     params = TieredVgaeParams.init(np.random.default_rng(8), (3, 3, 3), 2)
     with ad.no_grad():
@@ -600,14 +627,3 @@ def test_interpolate_latent_spacing():
         interpolate_latent(start, end, 1)
     with pytest.raises(ValueError, match="dims differ"):
         interpolate_latent(start, np.zeros(3), 4)
-
-
-def test_decode_with_graph_vector_matches_decode_at_endpoint(ethanol_data):
-    params = small_params(dims=(3, 3, 3), seed=30)
-    with ad.no_grad():
-        emb = encode_tiered(params, ethanol_data)
-        probs, _ = decode(params, emb)
-    replayed = decode_with_graph_vector(params, emb, emb.graph.values[0])
-    assert np.allclose(replayed, probs.values, atol=1e-12)
-    with pytest.raises(ad.ShapeError, match="graph vector"):
-        decode_with_graph_vector(params, emb, np.zeros(7))

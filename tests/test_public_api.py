@@ -22,6 +22,7 @@ ALLOWED = {
     ("grouping", "check_bond_consistency"): "acceptance oracle: the partition's bond check",
     ("models", "elbo"): "acceptance oracle: the VGAE objective the acceptance tests call",
     ("models", "mean_edge_auc"): "perfbench tracer target: the evaluation span",
+    ("models", "zero_noise"): "acceptance oracle: criterion 6 replays the VGAE with zero noise",
     ("pooling", "diff_group_pool"): "criterion 3 and perfbench tracer target",
 }
 
