@@ -17,6 +17,8 @@ belong to one single-threaded training session.
 from __future__ import annotations
 
 import contextlib
+import math
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -103,6 +105,7 @@ def wrap(values: np.ndarray) -> Tensor:
 _TapeRecord = tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable[..., tuple]]
 _tape: list[_TapeRecord] = []
 _recording = True
+_workspace: Workspace | None = None
 
 
 def tape_size() -> int:
@@ -111,8 +114,10 @@ def tape_size() -> int:
 
 def clear_tape() -> None:
     """Drop every recorded operation, for a forward pass that will not be
-    followed by :func:`backward`."""
+    followed by :func:`backward`, and take back the workspace's buffers."""
     _tape.clear()
+    if _workspace is not None:
+        _workspace.lent.clear()
 
 
 @contextlib.contextmanager
@@ -125,6 +130,46 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _recording = previous
+
+
+class Workspace:
+    """Grow-only float64 buffers of ``cells`` entries up front, one per role,
+    that :func:`scratch` lends to the n x n stages of the passes recorded
+    inside ``with Workspace(cells):``. A role's buffer is lent once until the
+    tape is next cleared, as the vjp closures hold it until :func:`backward`."""
+
+    def __init__(self, cells: int):
+        self.cells, self.buffers, self.lent = cells, {}, set()
+
+    def __enter__(self) -> "Workspace":
+        global _workspace
+        self.previous, _workspace = _workspace, self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        global _workspace
+        _workspace = self.previous
+
+
+def scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The ``out=`` array of an n x n stage: the workspace's buffer for
+    ``role`` while the tape records and it is not lent, else a fresh array;
+    so no result of a pass under :func:`no_grad` is workspace memory."""
+    if not _recording or _workspace is None or role in _workspace.lent:
+        return np.empty(shape)
+    size, buffers = math.prod(shape), _workspace.buffers
+    if role not in buffers or buffers[role].size < size:
+        buffers[role] = np.empty(max(size, _workspace.cells))
+    _workspace.lent.add(role)
+    return buffers[role][:size].reshape(shape)
+
+
+@cache
+def _tri(n: int, k: int, invert: bool = False) -> np.ndarray:
+    """np.tri(n, k=k, dtype=bool), or its complement, built once per atom count; read-only."""
+    mask = ~np.tri(n, k=k, dtype=bool) if invert else np.tri(n, k=k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _record(outputs: tuple[Tensor, ...], inputs: tuple[Tensor, ...], vjp) -> None:
@@ -142,7 +187,7 @@ def backward(loss: Tensor) -> None:
     fresh forward pass is required before the next call.
     """
     if loss.shape != (1, 1):
-        _tape.clear()
+        clear_tape()
         raise GradientError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
     if not _tape:
         raise GradientError("backward called with an empty computation tape")
@@ -160,7 +205,7 @@ def backward(loss: Tensor) -> None:
                 else:
                     tensor.grad = tensor.grad + grad
     finally:
-        _tape.clear()
+        clear_tape()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +398,7 @@ def tiered_decode(
     left = z_vals @ p_vals
     flipped = z_vals.swapaxes(-1, -2)
     # 1 / (1 + exp(-clip(logits))), each step in place over the logits
-    probs = left @ flipped
+    probs = np.matmul(left, flipped, out=scratch("probs", left.shape[:-1] + left.shape[-2:-1]))
     probs.clip(-SIGMOID_CLAMP, SIGMOID_CLAMP, out=probs)
     np.negative(probs, out=probs)
     np.exp(probs, out=probs)
@@ -362,6 +407,7 @@ def tiered_decode(
     outputs = (wrap(probs), wrap(z_vals @ f_vals))
     into = node.tracked or group.tracked or graph.tracked
     node_end, group_end = node.shape[1], node.shape[1] + group.shape[1]
+    g_logits_out, complement_out = scratch("logit grad", probs.shape), scratch("1 - probs", probs.shape)
 
     def vjp(g_probs, g_recon):
         g_z = grad_pair = grad_feature = None
@@ -369,8 +415,8 @@ def tiered_decode(
             g_z = g_recon @ f_vals.T if into else None
             grad_feature = z_vals.T @ g_recon if feature.tracked else None
         if g_probs is not None:
-            g_logits = g_probs * probs
-            g_logits *= 1.0 - probs
+            g_logits = np.multiply(g_probs, probs, out=g_logits_out)
+            g_logits *= np.subtract(1.0, probs, out=complement_out)
             if into:
                 part = (left.T @ g_logits).T
                 g_z = part if g_z is None else g_z + part
@@ -392,31 +438,33 @@ def tiered_decode(
 
 
 def edge_feature_loss(
-    probs: Tensor, recon: Tensor, target: np.ndarray, weights: np.ndarray, total_weight: float,
+    probs: Tensor, recon: Tensor, ends: np.ndarray, pos_weight: float, total_weight: float,
     features: np.ndarray, feature_weight: float,
 ) -> Tensor:
     """sum(W * -(T log p + (1 - T) log(1 - p))) / total_weight, each log's
-    input floored at LOG_FLOOR, plus feature_weight * mean((R - X)^2). The
-    edge term and its gradient are 0 when total_weight is not positive, as
-    for a molecule of one atom, which has no pairs. Shapes must agree, as
-    :func:`moltiers.models.reconstruction_loss` checks.
+    input floored at LOG_FLOOR, plus feature_weight * mean((R - X)^2). T is 1
+    at the bonds ``ends``, each (i, j) with i < j; W is 1 + (pos_weight - 1) T
+    on the pairs i < j and 0 elsewhere. The edge term and its gradient are 0
+    when total_weight is not positive, as for a molecule of one atom. Shapes
+    must agree, as :func:`moltiers.models.reconstruction_loss` checks.
 
-    T must hold only +0.0 and 1.0, as
-    :func:`moltiers.models.edge_loss_weights` checks. Then one of the
-    chain's two terms is an exact zero in every pair, so one log of the
-    selected max(T ? p : 1 - p, LOG_FLOOR) gives the chain's bits, and its
-    vjp w / selected, negated on edges."""
+    One of the chain's two terms is an exact zero in every pair, so one log
+    of the selected max(T ? p : 1 - p, LOG_FLOOR) gives the chain's bits, and
+    its vjp w / selected, negated on edges; the pairs i >= j are zeroed."""
     with_edges = total_weight > 0
     if with_edges:
         factor = float(1.0 / total_weight)
-        is_edge = target > 0.0
-        selected = 1.0 - probs.values
-        np.copyto(selected, probs.values, where=is_edge)
+        edge_weight = (pos_weight - 1.0) + 1.0  # the chain's 1.0 * (pos_weight - 1.0) + 1.0
+        rows, cols = ends
+        p_vals, lower = probs.values, _tri(probs.shape[0], 0)
+        selected = np.subtract(1.0, p_vals, out=scratch("selected", p_vals.shape))
+        selected[rows, cols] = p_vals[rows, cols]
         np.maximum(selected, LOG_FLOOR, out=selected)
-        per_pair = np.log(selected)
-        per_pair *= -1.0
-        per_pair *= weights
-        edge_term = per_pair.sum().reshape(1, 1) * factor
+        # dead after the sum, the logs' buffer takes the gradient in the vjp
+        per_pair = np.log(selected, out=scratch("edge loss", p_vals.shape))
+        per_pair[rows, cols] *= edge_weight
+        np.copyto(per_pair, 0.0, where=lower)
+        edge_term = per_pair.sum().reshape(1, 1) * -factor
     else:
         edge_term = np.zeros((1, 1))
     difference = recon.values - features
@@ -428,9 +476,10 @@ def edge_feature_loss(
         if with_edges and probs.tracked:
             # the chain's zero term turns a zero gradient into +0.0; so do
             # 0.0 - x on edges and the + 0.0 after it
-            grad_probs = (g * factor)[0, 0] * weights
-            grad_probs /= selected
-            np.subtract(0.0, grad_probs, out=grad_probs, where=is_edge)
+            scaled = (g * factor)[0, 0]
+            grad_probs = np.divide(scaled, selected, out=per_pair)  # scaled * 1.0 off the edges
+            grad_probs[rows, cols] = 0.0 - scaled * edge_weight / selected[rows, cols]
+            np.copyto(grad_probs, 0.0, where=lower)
             grad_probs += 0.0
         elif probs.tracked:  # so the decoder's weights get a gradient, as an optimizer needs
             grad_probs = np.zeros(probs.values.shape)
@@ -469,7 +518,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     x.grad = None
     out = f(x)
     if out.shape != (1, 1):
-        _tape.clear()
+        clear_tape()
         raise GradientError(f"grad_check needs a scalar-valued f, got {out.shape}")
     backward(out)
     analytic = np.zeros_like(x.values) if x.grad is None else x.grad.copy()

@@ -45,24 +45,6 @@ class GnnStack:
         return self.trunk + self.heads
 
 
-def scale_adjacency(adjacency: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """scale (A + I) scale for a degree ``scale``, by default D^-1/2 from the
-    row sums of A + I; does not validate. Over a (B, n, n) stack with (B, n)
-    scales, a node padded with scale 0 keeps a row and column of +0.0. A given ``scale``
-    needs a C-ordered A with a zero diagonal, as an atom adjacency has: A + I is never built."""
-    given = scale is not None
-    scaled = adjacency * scale[..., :, None] if given else np.array(adjacency, np.float64, order="C")
-    diagonal = scaled.reshape(*scaled.shape[:-2], -1)[..., :: scaled.shape[-1] + 1]  # a view
-    if given:
-        diagonal[...] = scale
-    else:
-        diagonal += 1.0
-        scale = 1.0 / np.sqrt(scaled.sum(axis=-1))
-        scaled *= scale[..., :, None]
-    scaled *= scale[..., None, :]
-    return scaled
-
-
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """D^-1/2 (A + I) D^-1/2 with degrees taken after adding self-loops,
     after checking that ``adjacency`` is a valid graph.
@@ -78,7 +60,12 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency must be symmetric")
     if (adjacency < 0).any():
         raise ValueError("adjacency must be non-negative")
-    return scale_adjacency(adjacency)
+    scaled = np.array(adjacency, order="C")
+    scaled.reshape(-1)[:: len(scaled) + 1] += 1.0  # a view of the diagonal
+    scale = 1.0 / np.sqrt(scaled.sum(axis=-1))
+    scaled *= scale[:, None]
+    scaled *= scale[None, :]
+    return scaled
 
 
 def _stack_outputs(

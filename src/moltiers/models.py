@@ -7,26 +7,22 @@ concatenates all three tiers and reconstructs adjacency through a bilinear
 product (kept symmetric) plus node features through a linear head. The
 variational flavor predicts a mean and std per tier, pools means so coarse
 tiers see deterministic inputs, and samples with reparameterized noise in
-training; inference reads the means.
+training; inference reads the means. A molecule's constants hold its bonds,
+not an n x n adjacency, and a training step writes its n x n arrays into the
+run's :class:`moltiers.autodiff.Workspace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, kl_standard_normal
-from .gnn import (
-    GnnStack,
-    gnn_forward,
-    gnn_forward_variational,
-    normalize_adjacency,
-    scale_adjacency,
-)
+from .autodiff import Tensor, _tri, kl_standard_normal
+from .gnn import GnnStack, gnn_forward, gnn_forward_variational, normalize_adjacency
 from .grouping import build_membership, graph_membership, partition
 from .molgraph import NODE_FEATURE_DIM, MolecularGraph, featurize_nodes
 from .pooling import coarse_adjacency, pool_rows
@@ -47,24 +43,22 @@ class MoleculeData:
     graph, the constructor's only argument.
 
     Besides the graph and its partition this holds, each once, every
-    constant the encoder, decoder and loss read: the adjacency, the features,
-    the two memberships the encoder pools through, the atom degree scale, the
-    group propagator, the broadcast column and the loss's edge weights.
-    ``adjacency`` is the only n x n array kept, and :meth:`atom_propagator`
-    rebuilds the atom tier's propagator from it.
+    constant the encoder, decoder and loss read: the (2, U) bond index
+    ``ends``, each bond's lower atom first, the features, the two memberships
+    the encoder pools through, the atom degree scale, the group propagator,
+    the broadcast column and the loss's edge weights. No n x n array is kept:
+    :attr:`adjacency` and :meth:`atom_propagator` build theirs on each use.
     """
 
     def __init__(self, graph: MolecularGraph):
         self.graph = graph
         self.group_set = partition(graph)
-        ends = graph._bond_ends()
-        self.adjacency = np.zeros((graph.num_atoms, graph.num_atoms))
-        self.adjacency[ends, ends[::-1]] = 1.0
-        self.features = featurize_nodes(graph, ends)
+        self.ends = np.sort(graph._bond_ends(), axis=0)
+        self.features = featurize_nodes(graph, self.ends)
         self.node_to_group = build_membership(self.group_set, graph.num_atoms)
         self.group_to_graph = graph_membership(len(self.group_set))
         # The row sums of A + I are small integers, exact in any summation order.
-        self.atom_scale = 1.0 / np.sqrt(np.bincount(ends.ravel(), minlength=graph.num_atoms) + 1)
+        self.atom_scale = 1.0 / np.sqrt(np.bincount(self.ends.ravel(), minlength=graph.num_atoms) + 1)
         group_adjacency = coarse_adjacency(self.adjacency, self.node_to_group)
         self.group_propagator = ad.wrap(normalize_adjacency(group_adjacency))
         self.molecule_to_atoms = np.ones((self.num_atoms, 1))
@@ -72,6 +66,11 @@ class MoleculeData:
     @classmethod
     def from_graph(cls, graph: MolecularGraph) -> "MoleculeData":
         return cls(graph)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The 0/1 adjacency, built anew on each read."""
+        return _adjacency(self.ends, self.num_atoms)
 
     @cached_property
     def edge_weights(self) -> tuple[float, float]:
@@ -85,12 +84,13 @@ class MoleculeData:
 
     def atom_propagator(self) -> Tensor:
         """The atom tier's normalized adjacency, rebuilt on every call from
-        the already checked degree scale.
+        the bonds and degree scale, in a training run's workspace while it records.
 
         Kept for every molecule of a dataset, this n x n array would make
         memory grow with the square of molecule size (see the README).
         """
-        return ad.wrap(scale_adjacency(self.adjacency, self.atom_scale))
+        square = ad.scratch("atom propagator", (self.num_atoms, self.num_atoms))
+        return ad.wrap(_scatter_propagator(square, *self.ends, self.atom_scale))
 
     @property
     def name(self) -> str:
@@ -105,10 +105,27 @@ class MoleculeData:
         return len(self.group_set)
 
 
+def _adjacency(ends: np.ndarray, n: int) -> np.ndarray:
+    """The n x n 0/1 adjacency of the (2, U) bond index ``ends``."""
+    adjacency = np.zeros((n, n))
+    adjacency[ends, ends[::-1]] = 1.0
+    return adjacency
+
+
+def _scatter_propagator(propagator: np.ndarray, rows, cols, scale: np.ndarray, index=()) -> np.ndarray:
+    """scale (A + I) scale's bits over ``propagator``: zeros, s_i s_j at each bond (i, j) both
+    ways and s_i^2 on the diagonal; ``index`` leads the bonds into a (B, n, n) stack."""
+    propagator.fill(0.0)
+    values = scale[(*index, rows)] * scale[(*index, cols)]
+    propagator[(*index, rows, cols)] = propagator[(*index, cols, rows)] = values
+    propagator.reshape(*propagator.shape[:-2], -1)[..., :: propagator.shape[-1] + 1] = scale * scale
+    return propagator
+
+
 class _MoleculeBatch:
     """Molecules zero-padded to the most atoms and groups among them and
     stacked: :class:`MoleculeData`'s attributes with a leading batch axis, the
-    atom propagator built by one stacked :func:`scale_adjacency`. Padded rows
+    atom propagator scattered from every member's bonds at once. Padded rows
     have zero features, propagator rows and membership, so they stay exactly
     0 in every tier. Inference only: a stack pools with ``np.matmul``."""
 
@@ -116,17 +133,18 @@ class _MoleculeBatch:
         atoms = np.array([data.num_atoms for data in molecules])
         groups = np.array([data.num_groups for data in molecules])
         size, n, g = len(molecules), atoms.max(), groups.max()
-        adjacency, group_tier = np.zeros((size, n, n)), np.zeros((size, g, g))
-        atom_scale = np.zeros((size, n))
+        group_tier, atom_scale = np.zeros((size, g, g)), np.zeros((size, n))
         self.features = np.zeros((size, n, molecules[0].features.shape[1]))
         self.node_to_group = np.zeros((size, n, g))
         for k, data in enumerate(molecules):
-            adjacency[k, : atoms[k], : atoms[k]] = data.adjacency
             atom_scale[k, : atoms[k]] = data.atom_scale
             self.features[k, : atoms[k]] = data.features
             group_tier[k, : groups[k], : groups[k]] = data.group_propagator.values
             self.node_to_group[k, : atoms[k], : groups[k]] = data.node_to_group
-        self._atom_propagator = ad.wrap(scale_adjacency(adjacency, atom_scale))
+        rows, cols = np.concatenate([data.ends for data in molecules], axis=1)
+        member = np.repeat(np.arange(size), [data.ends.shape[1] for data in molecules])
+        square = _scatter_propagator(np.empty((size, n, n)), rows, cols, atom_scale, (member,))
+        self._atom_propagator = ad.wrap(square)
         self.group_propagator = ad.wrap(group_tier)
         self.group_to_graph = (np.arange(g)[:, None] < groups[:, None, None]).astype(np.float64)
         self.molecule_to_atoms = (np.arange(n)[:, None] < atoms[:, None, None]).astype(np.float64)
@@ -312,43 +330,37 @@ def edge_loss_weights(adjacency: np.ndarray) -> tuple[float, float]:
     edge weighs #non-edges / #edges (1 without edges), a non-edge 1.
 
     Raises ValueError unless every entry of ``adjacency`` is +0.0 or 1.0,
-    the target :func:`moltiers.autodiff.edge_feature_loss` requires."""
+    as the bonds' target in :func:`moltiers.autodiff.edge_feature_loss` is."""
     if np.signbit(adjacency).any() or not np.isin(adjacency, (0.0, 1.0)).all():
         raise ValueError("edge loss target must hold only 0 and 1, and no -0.0")
     n = adjacency.shape[0]
     positives = int(np.count_nonzero(_pairs(adjacency)))
     negatives = n * (n - 1) // 2 - positives
     pos_weight = negatives / positives if positives > 0 else 1.0
-    return pos_weight, float(_pair_weights(adjacency, pos_weight).sum())
-
-
-def _pair_weights(adjacency: np.ndarray, pos_weight: float) -> np.ndarray:
-    """The edge loss's weight of each pair: 1 + (pos_weight - 1) A on the
-    pairs i < j and +0.0 elsewhere, built in one array."""
     pair_weights = adjacency * (pos_weight - 1.0)
     pair_weights += 1.0
-    np.copyto(pair_weights, 0.0, where=_tri(adjacency.shape[0], 0))
-    return pair_weights
+    np.copyto(pair_weights, 0.0, where=_tri(n, 0))
+    return pos_weight, float(pair_weights.sum())
 
 
 def reconstruction_loss(
     edge_probs: Tensor,
     feature_recon: Tensor,
-    adjacency: np.ndarray,
+    ends: np.ndarray,
     features: np.ndarray,
     feature_weight: float = 0.1,
     edge_weights: tuple[float, float] | None = None,
 ) -> Tensor:
-    """Weighted edge BCE plus scaled feature MSE.
+    """Weighted edge BCE over the bonds ``ends``, as ``MoleculeData`` keeps them, plus scaled feature MSE.
 
     The BCE averages over unordered off-diagonal pairs with each true edge
     weighted by (#non-edges / #edges), normalized by total weight, so an
     all-0.5 prediction scores exactly ln 2. The feature term is a plain mean
     squared error over the whole feature matrix, scaled by
     ``feature_weight``. ``edge_weights`` are :func:`edge_loss_weights` of
-    ``adjacency``, computed here when not given.
+    the adjacency, computed here when not given.
     """
-    n = adjacency.shape[0]
+    n = features.shape[0]
     if edge_probs.shape != (n, n):
         raise ad.ShapeError(f"edge probabilities are {edge_probs.shape}, expected {(n, n)}")
     if feature_recon.shape != features.shape:
@@ -356,10 +368,9 @@ def reconstruction_loss(
             f"feature reconstruction is {feature_recon.shape}, expected {features.shape}"
         )
 
-    pos_weight, total_weight = edge_weights or edge_loss_weights(adjacency)
-    pair_weights = _pair_weights(adjacency, pos_weight)
+    pos_weight, total_weight = edge_weights or edge_loss_weights(_adjacency(ends, n))
     return ad.edge_feature_loss(
-        edge_probs, feature_recon, adjacency, pair_weights, total_weight, features, feature_weight
+        edge_probs, feature_recon, ends, pos_weight, total_weight, features, feature_weight
     )
 
 
@@ -368,7 +379,7 @@ def gae_loss(params: TieredGaeParams, data: MoleculeData, feature_weight: float 
     embeddings = encode_tiered(params, data)
     edge_probs, feature_recon = decode(params, embeddings)
     return reconstruction_loss(
-        edge_probs, feature_recon, data.adjacency, data.features, feature_weight, data.edge_weights
+        edge_probs, feature_recon, data.ends, data.features, feature_weight, data.edge_weights
     )
 
 
@@ -382,7 +393,7 @@ def vgae_losses(
     embeddings, stats = encode_tiered_variational(params, data, noise)
     edge_probs, feature_recon = decode(params, embeddings)
     recon = reconstruction_loss(
-        edge_probs, feature_recon, data.adjacency, data.features, feature_weight, data.edge_weights
+        edge_probs, feature_recon, data.ends, data.features, feature_weight, data.edge_weights
     )
     kl_total = kl_standard_normal(*stats[0])
     for tier_stats in stats[1:]:
@@ -419,14 +430,6 @@ def interpolate_latent(start: np.ndarray, end: np.ndarray, steps: int) -> list[n
         (1.0 - alpha) * start + alpha * end
         for alpha in np.linspace(0.0, 1.0, steps)
     ]
-
-
-@cache
-def _tri(n: int, k: int, invert: bool = False) -> np.ndarray:
-    """np.tri(n, k=k, dtype=bool), or its complement, built once per atom count; read-only."""
-    mask = ~np.tri(n, k=k, dtype=bool) if invert else np.tri(n, k=k, dtype=bool)
-    mask.flags.writeable = False
-    return mask
 
 
 def _pairs(matrix: np.ndarray) -> np.ndarray:

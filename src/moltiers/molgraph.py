@@ -115,19 +115,19 @@ class MolecularGraph:
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.
         A part is grown by BFS from its smallest node, and the parts come in
-        that order."""
+        that order: each seed is the next unvisited node in sorted order."""
         unvisited = set(nodes)
         parts = []
-        while unvisited:
-            seed = min(unvisited)
-            unvisited.discard(seed)
-            part = [seed]
-            for node in part:  # the list is the BFS queue
-                for nbr in self._neighbors[node]:
-                    if nbr in unvisited:
-                        unvisited.discard(nbr)
-                        part.append(nbr)
-            parts.append(tuple(sorted(part)))
+        for seed in sorted(unvisited):
+            if seed in unvisited:
+                unvisited.discard(seed)
+                part = [seed]
+                for node in part:  # the list is the BFS queue
+                    for nbr in self._neighbors[node]:
+                        if nbr in unvisited:
+                            unvisited.discard(nbr)
+                            part.append(nbr)
+                parts.append(tuple(sorted(part)))
         return parts
 
     # -- simple accessors ---------------------------------------------------

@@ -109,33 +109,34 @@ def _train(variational: bool, dataset: Sequence[MoleculeData], config: TrainConf
     noise = gaussian_noise(rng)
 
     trace: list = []
-    for epoch in range(1, config.epochs + 1):
-        beta = _warmup_beta(config, epoch)
-        rows = []
-        for data in dataset:
-            try:
+    with ad.Workspace(max(data.num_atoms for data in dataset) ** 2):
+        for epoch in range(1, config.epochs + 1):
+            beta = _warmup_beta(config, epoch)
+            rows = []
+            for data in dataset:
+                try:
+                    if variational:
+                        terms = vgae_losses(params, data, noise, config.feature_weight)
+                    else:
+                        terms = (gae_loss(params, data, config.feature_weight),)
+                    values = [term.item() for term in terms]
+                    if not all(map(math.isfinite, values)):
+                        raise NonFiniteLossError(epoch, data.name)
+                    ad.backward(ad.add(terms[0], ad.scale(terms[1], beta)) if variational else terms[0])
+                except BaseException:
+                    ad.clear_tape()
+                    raise
+                try:
+                    optimizer.step()
+                except NonFiniteGradientError:
+                    raise NonFiniteLossError(epoch, data.name, in_gradient=True) from None
+                params.symmetrize_pair_decoder()
                 if variational:
-                    terms = vgae_losses(params, data, noise, config.feature_weight)
-                else:
-                    terms = (gae_loss(params, data, config.feature_weight),)
-                values = [term.item() for term in terms]
-                if not all(map(math.isfinite, values)):
-                    raise NonFiniteLossError(epoch, data.name)
-                ad.backward(ad.add(terms[0], ad.scale(terms[1], beta)) if variational else terms[0])
-            except BaseException:
-                ad.clear_tape()
-                raise
-            try:
-                optimizer.step()
-            except NonFiniteGradientError:
-                raise NonFiniteLossError(epoch, data.name, in_gradient=True) from None
-            params.symmetrize_pair_decoder()
-            if variational:
-                recon, kl = values
-                values = [-(recon + config.beta * kl), kl]
-            rows.append(values)
-        means = [float(np.mean(column)) for column in zip(*rows)]
-        trace.append(VgaeEpoch(*means) if variational else means[0])
+                    recon, kl = values
+                    values = [-(recon + config.beta * kl), kl]
+                rows.append(values)
+            means = [float(np.mean(column)) for column in zip(*rows)]
+            trace.append(VgaeEpoch(*means) if variational else means[0])
     return params, trace
 
 

@@ -316,7 +316,13 @@ def chain_tiered_decode(node, group, graph, group_broadcast, graph_broadcast, pa
     return bilinear_sigmoid(combined, pair), ad.matmul(combined, feature)
 
 
-def chain_edge_feature_loss(probs, recon, target, weights, total_weight, features, feature_weight):
+def chain_edge_feature_loss(probs, recon, ends, pos_weight, total_weight, features, feature_weight):
+    """The 0/1 target of the bond index ``ends`` and the pair weights
+    1 + (pos_weight - 1) T on the pairs i < j, built dense, into the chain."""
+    n = features.shape[0]
+    target = np.zeros((n, n))
+    target[ends, ends[::-1]] = 1.0
+    weights = np.triu(target * (pos_weight - 1.0) + 1.0, 1)
     if total_weight > 0:
         edge_term = ad.scale(weighted_bce_sum(probs, target, weights), 1.0 / total_weight)
     else:

@@ -15,11 +15,13 @@ import moltiers.autodiff as ad
 
 
 def chain_reconstruction_loss(
-    edge_probs, feature_recon, adjacency, features, feature_weight=0.1, edge_weights=None
+    edge_probs, feature_recon, ends, features, feature_weight=0.1, edge_weights=None
 ):
     """``edge_weights``, which the models pass from a molecule's constants,
-    is ignored: the chain derives the weights from ``adjacency`` itself."""
-    n = adjacency.shape[0]
+    is ignored: the chain derives the weights from the adjacency of the
+    (2, U) bond index ``ends`` itself."""
+    n = features.shape[0]
+    adjacency = bond_adjacency(ends, n)
     upper = np.triu(np.ones((n, n)), k=1)
     positives = float((adjacency * upper).sum())
     negatives = float(upper.sum() - positives)
@@ -54,3 +56,17 @@ def edge_loss_weights(adjacency):
     negatives = float(upper.sum() - positives)
     pos_weight = negatives / positives if positives > 0 else 1.0
     return pos_weight, float((upper * (1.0 + (pos_weight - 1.0) * adjacency)).sum())
+
+
+def bond_adjacency(ends, n):
+    """The n x n 0/1 adjacency of a (2, U) bond index, by scalar stores."""
+    adjacency = np.zeros((n, n))
+    for i, j in zip(*ends):
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
+
+
+def bond_index(adjacency):
+    """The (2, U) bond index of a symmetric 0/1 adjacency, each bond (i, j)
+    with i < j."""
+    return np.array(np.nonzero(np.triu(adjacency, 1)))

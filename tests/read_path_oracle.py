@@ -15,11 +15,17 @@ skipped degree-1 nodes (``_bfs_path``, ``_fundamental_cycles`` and
 ``_cycle_edge_ids``, copied so that the reference does not run the code it
 checks), the membership matrix filled one numpy scalar at a time, and the
 atom degree scale taken from the row sums of A + I, as ``gnn.degree_scale``
-took it before ``MoleculeData`` counted bond ends.
+took it before ``MoleculeData`` counted bond ends, and the atom propagator
+as ``gnn.scale_adjacency`` built it from that scale over the dense
+adjacency, alone or as a zero-padded stack, before it was scattered from
+the bonds.
 
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
 featurization called.
+
+And the component walk as it was before it seeded its parts in one pass
+over the sorted nodes: ``min`` of the unvisited nodes once per part.
 
 Last, helpers that hand the library's versions their inputs or read their
 outputs: the neighbour lists a graph builds from its bonds, the five
@@ -333,6 +339,22 @@ def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, 
     return frozenset(ring_atoms), flags
 
 
+def components(graph: MolecularGraph, nodes) -> list[tuple[int, ...]]:
+    unvisited = set(nodes)
+    parts = []
+    while unvisited:
+        seed = min(unvisited)
+        unvisited.discard(seed)
+        part = [seed]
+        for node in part:
+            for nbr in graph.neighbors(node):
+                if nbr in unvisited:
+                    unvisited.discard(nbr)
+                    part.append(nbr)
+        parts.append(tuple(sorted(part)))
+    return parts
+
+
 def atom_in_ring(graph: MolecularGraph, index: int) -> bool:
     return any(index in ring for ring in graph.rings)
 
@@ -408,6 +430,17 @@ def degree_scale(adjacency: np.ndarray) -> np.ndarray:
     with_loops = np.array(adjacency, dtype=np.float64)
     with_loops[np.diag_indices_from(with_loops)] += 1.0
     return 1.0 / np.sqrt(with_loops.sum(axis=1))
+
+
+def atom_propagator(adjacency: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale (A + I) scale for a C-ordered ``adjacency`` with a zero diagonal,
+    or a (B, n, n) stack of them with (B, n) scales: the rows of A scaled,
+    the diagonal set to the scale, then the columns scaled."""
+    scaled = adjacency * scale[..., :, None]
+    diagonal = scaled.reshape(*scaled.shape[:-2], -1)[..., :: scaled.shape[-1] + 1]  # a view
+    diagonal[...] = scale
+    scaled *= scale[..., None, :]
+    return scaled
 
 
 def neighbor_lists(num_nodes: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:

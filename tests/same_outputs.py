@@ -13,10 +13,11 @@ subprocesses from each tree's ``src``:
   (``gen.large_molecules(1, count=12)``) and on six ring systems (fused,
   with atoms in three rings, spiro and bridged: ``RING_SYSTEMS``);
 - ``train --epochs 20`` on the corpus for gae/vgae x adam/sgd x seeds 0 and
-  42, and ``train --epochs 3`` of either model on two molecules of one atom
+  42, ``train --epochs 5`` of either model with seed 0 on the 12 backbones,
+  and ``train --epochs 3`` of either model on two molecules of one atom
   each (``ONE_ATOM``);
-- ``embed`` of the corpus and of the ring systems at the node, group and
-  graph tiers and ``interp 'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each
+- ``embed`` of the corpus, of the ring systems and of the backbones at the
+  node, group and graph tiers and ``interp 'CC(=O)O' 'O=Cc1ccc(O)c(OC)c1' --steps 4``, each
   with PARENT_TREE's seed-0 Adam checkpoint of either model, so that a
   change to ``train`` alone leaves them identical;
 - the failure paths: ``embed`` and ``interp`` with a GAE checkpoint whose
@@ -132,6 +133,11 @@ def commands(inputs: dict[str, Path], results: Path, trained: Path) -> list[tupl
                     "train", "--input", corpus, "--out", str(results / name / "out"),
                     "--model", model, "--optimizer", optimizer, "--seed", seed, "--epochs", "20",
                 ]))
+        name = f"train-{model}-large"
+        runs.append((name, [
+            "train", "--input", str(inputs["large"]), "--out", str(results / name / "out"),
+            "--model", model, "--seed", "0", "--epochs", "5",
+        ]))
         name = f"train-{model}-one-atom"
         runs.append((name, [
             "train", "--input", str(inputs["one-atom"]), "--out", str(results / name / "out"),
@@ -143,9 +149,10 @@ def commands(inputs: dict[str, Path], results: Path, trained: Path) -> list[tupl
             runs.append((f"embed-{model}-{tier}", [
                 "embed", checkpoint, "--input", corpus, "--tier", tier,
             ]))
-            runs.append((f"embed-{model}-{tier}-rings", [
-                "embed", checkpoint, "--input", str(inputs["rings"]), "--tier", tier,
-            ]))
+            for name in ("rings", "large"):
+                runs.append((f"embed-{model}-{tier}-{name}", [
+                    "embed", checkpoint, "--input", str(inputs[name]), "--tier", tier,
+                ]))
         runs.append((f"interp-{model}", [
             "interp", checkpoint, "CC(=O)O", "O=Cc1ccc(O)c(OC)c1", "--steps", "4",
         ]))

@@ -30,7 +30,7 @@ from chain_oracle import (
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from loss_oracle import chain_reconstruction_loss
+from loss_oracle import bond_adjacency, bond_index, chain_reconstruction_loss
 
 import moltiers.autodiff as ad
 from moltiers import models
@@ -207,18 +207,19 @@ EDGE_PROBABILITIES = (0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-16, 1.0)
 @st.composite
 def loss_cases(draw):
     """Probabilities with floored extremes and a feature reconstruction
-    against a symmetric 0/1 target, upper-pair weights and their sum or 0."""
+    against the bonds of a random graph, each (i, j) with i < j, an edge
+    weight and the sum of the pair weights or 0."""
     rng = _rng(draw)
     n, width = _size(draw), _size(draw)
-    bits = np.triu(rng.random((n, n)) < 0.4, 1)
-    target = (bits | bits.T).astype(np.float64)
-    weights = np.triu(rng.random((n, n)) * 3.0, 1)
+    ends = bond_index(rng.random((n, n)) < 0.4)
+    pos_weight = float(rng.random() * 3.0)
+    weights = np.triu(bond_adjacency(ends, n) * (pos_weight - 1.0) + 1.0, 1)
     total_weight = draw(st.sampled_from([float(weights.sum()), 0.0]))
     extremes = rng.choice(EDGE_PROBABILITIES, (n, n))
     probs = np.where(rng.random((n, n)) < 0.3, extremes, rng.random((n, n)))
     arrays = [probs, _draw_array(rng, (n, width))]
     feature_weight = draw(st.sampled_from([0.1, 1.0]))
-    args = (target, weights, total_weight, _draw_array(rng, (n, width)), feature_weight)
+    args = (ends, pos_weight, total_weight, _draw_array(rng, (n, width)), feature_weight)
     case = _case(draw, rng, arrays, [(1, 1)], args)
     # without edge weight a tracked reconstruction is the chain's only record
     assume(total_weight > 0 or case.tracked[1])

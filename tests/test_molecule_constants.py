@@ -81,7 +81,7 @@ def reference_loss(params, data, node, group, graph):
     logits = ad.matmul(ad.matmul(combined, params.pair_decoder), transpose(combined))
     feature_recon = ad.matmul(combined, params.feature_decoder)
     return chain_reconstruction_loss(
-        sigmoid(logits), feature_recon, data.adjacency, data.features
+        sigmoid(logits), feature_recon, data.ends, data.features
     )
 
 
@@ -284,12 +284,13 @@ def test_the_pipeline_pools_through_the_pooling_module(monkeypatch, corpus_data,
 
 def test_atom_propagator_wraps_the_fresh_array_without_a_copy(monkeypatch, corpus_data):
     built = []
+    scatter = models._scatter_propagator
 
-    def recording(adjacency, scale):
-        built.append(gnn.scale_adjacency(adjacency, scale))
+    def recording(*args):
+        built.append(scatter(*args))
         return built[-1]
 
-    monkeypatch.setattr(models, "scale_adjacency", recording)
+    monkeypatch.setattr(models, "_scatter_propagator", recording)
     propagator = corpus_data[0].atom_propagator()
     assert propagator.values is built[0]
     assert not propagator.tracked

@@ -9,13 +9,14 @@ come from the ring count, with no component walk for a connected molecule."""
 import random
 import re
 
+import numpy as np
 import pytest
 import read_path_oracle as oracle
 from chain_oracle import assert_same_bits
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from moltiers import cycles
+from moltiers import cycles, models
 from moltiers.grouping import (
     COMPONENT,
     Group,
@@ -205,6 +206,18 @@ def test_connectivity_comes_from_the_ring_count(graph):
             MolecularGraph(*fields)
 
 
+@given(ring_system_graphs(), st.randoms(use_true_random=False))
+def test_components_match_the_min_per_part_walk(graph, rng):
+    """The same parts in the same order as seeding each part with the
+    smallest unvisited node, over induced subgraphs of every density."""
+    skeleton = carbon_skeleton(*graph)
+    nodes = list(range(skeleton.num_atoms))
+    for share in (0.0, 0.3, 0.7, 1.0):
+        subset = [node for node in nodes if rng.random() < share]
+        rng.shuffle(subset)
+        assert skeleton.components(subset) == oracle.components(skeleton, subset)
+
+
 def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
     """Building every corpus molecule never calls ``components``; a
     disconnected graph calls it once, for its error message."""
@@ -243,6 +256,24 @@ def assert_constants_match_oracle(graph):
     data = MoleculeData.from_graph(graph)
     assert_same_bits(data.atom_scale, oracle.degree_scale(data.adjacency))
     assert_same_bits(data.node_to_group, oracle.build_membership(data.group_set, graph.num_atoms))
+
+
+@given(st.lists(ring_system_graphs(), min_size=1, max_size=4))
+def test_the_scattered_atom_propagator_is_the_dense_formula(graphs):
+    """Alone and as a zero-padded stack, the propagator scattered from the
+    bonds has the bits of scale (A + I) scale over the dense adjacency."""
+    members = [MoleculeData.from_graph(carbon_skeleton(*graph)) for graph in graphs]
+    n = max(data.num_atoms for data in members)
+    adjacency, scale = np.zeros((len(members), n, n)), np.zeros((len(members), n))
+    for k, data in enumerate(members):
+        dense = oracle.adjacency(data.graph)
+        adjacency[k, : data.num_atoms, : data.num_atoms] = dense
+        scale[k, : data.num_atoms] = oracle.degree_scale(dense)
+        assert_same_bits(
+            data.atom_propagator().values, oracle.atom_propagator(dense, scale[k, : data.num_atoms])
+        )
+    stacked = models._MoleculeBatch(members).atom_propagator().values
+    assert_same_bits(stacked, oracle.atom_propagator(adjacency, scale))
 
 
 @given(ring_system_graphs())

@@ -46,11 +46,15 @@ def test_train_writes_where_no_directory_was_made_for_it(tmp_path):
     results, trained = tmp_path / "results", tmp_path / "parent"
     runs = same_outputs.commands({name: tmp_path / name for name in names}, results, trained)
     trains = [(name, argv) for name, argv in runs if argv[0] == "train"]
-    assert len(trains) == 13
+    assert len(trains) == 15
     for name, argv in trains:
         assert argv[argv.index("--out") + 1] == str(results / name / "out")
     assert {"parse-rings", "partition-rings", "embed-vgae-group-rings"} <= {name for name, _ in runs}
     assert {"train-gae-one-atom", "train-vgae-one-atom", "train-negative-seed"} <= {name for name, _ in trains}
+    assert {"train-gae-large", "train-vgae-large"} <= {name for name, _ in trains}
+    assert {f"embed-{model}-{tier}-large" for model in ("gae", "vgae") for tier in ("node", "group", "graph")} <= {
+        name for name, _ in runs
+    }
 
 
 def test_embed_and_interp_read_the_parents_checkpoints(tmp_path):
