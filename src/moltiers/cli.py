@@ -266,6 +266,7 @@ def cmd_interp(args) -> int:
 
         decoded = []
         alphas = np.linspace(0.0, 1.0, args.steps)
+        rows, cols = np.nonzero(~np.tri(graph_a.num_atoms, dtype=bool))  # the frame's pairs i < j
         for alpha, vector in zip(alphas, path):
             # Decoded statistics only: the probabilities live in the first
             # endpoint's atom frame with its molecule-tier rows swapped for
@@ -273,7 +274,6 @@ def cmd_interp(args) -> int:
             probs = decode(params, replace(emb_a, graph=ad.constant(vector)))[0].values
             # Pairs i < j by descending probability, then by (i, j); the
             # mean sums in that order, so its rounding stays fixed.
-            rows, cols = np.nonzero(~np.tri(*probs.shape, dtype=bool))
             pair_probs = probs[rows, cols]
             order = np.lexsort((cols, rows, -pair_probs))
             mean_prob = float(np.mean(pair_probs[order])) if order.size else 0.0

@@ -47,7 +47,7 @@ class MoleculeData:
     ``ends``, each bond's lower atom first, the features, the two memberships
     the encoder pools through, the atom degree scale, the group propagator,
     the broadcast column and the loss's edge weights. No n x n array is kept:
-    :attr:`adjacency` and :meth:`atom_propagator` build theirs on each use.
+    the loss, evaluation and :meth:`atom_propagator` read the bonds.
     """
 
     def __init__(self, graph: MolecularGraph):
@@ -59,7 +59,9 @@ class MoleculeData:
         self.group_to_graph = graph_membership(len(self.group_set))
         # The row sums of A + I are small integers, exact in any summation order.
         self.atom_scale = 1.0 / np.sqrt(np.bincount(self.ends.ravel(), minlength=graph.num_atoms) + 1)
-        group_adjacency = coarse_adjacency(self.adjacency, self.node_to_group)
+        adjacency = np.zeros((self.num_atoms, self.num_atoms))  # for the group tier only
+        adjacency[self.ends, self.ends[::-1]] = 1.0
+        group_adjacency = coarse_adjacency(adjacency, self.node_to_group)
         self.group_propagator = ad.wrap(normalize_adjacency(group_adjacency))
         self.molecule_to_atoms = np.ones((self.num_atoms, 1))
 
@@ -67,20 +69,10 @@ class MoleculeData:
     def from_graph(cls, graph: MolecularGraph) -> "MoleculeData":
         return cls(graph)
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The 0/1 adjacency, built anew on each read."""
-        return _adjacency(self.ends, self.num_atoms)
-
     @cached_property
     def edge_weights(self) -> tuple[float, float]:
         """:func:`edge_loss_weights`, on first use: embedding has no loss."""
-        return edge_loss_weights(self.adjacency)
-
-    @cached_property
-    def pair_labels(self) -> np.ndarray:
-        """Edge flags of the pairs i < j in :func:`_pairs` order, for evaluation."""
-        return _pairs(self.adjacency) > 0
+        return edge_loss_weights(self.ends, self.num_atoms)
 
     def atom_propagator(self) -> Tensor:
         """The atom tier's normalized adjacency, rebuilt on every call from
@@ -103,13 +95,6 @@ class MoleculeData:
     @property
     def num_groups(self) -> int:
         return len(self.group_set)
-
-
-def _adjacency(ends: np.ndarray, n: int) -> np.ndarray:
-    """The n x n 0/1 adjacency of the (2, U) bond index ``ends``."""
-    adjacency = np.zeros((n, n))
-    adjacency[ends, ends[::-1]] = 1.0
-    return adjacency
 
 
 def _scatter_propagator(propagator: np.ndarray, rows, cols, scale: np.ndarray, index=()) -> np.ndarray:
@@ -142,8 +127,14 @@ class _MoleculeBatch:
             group_tier[k, : groups[k], : groups[k]] = data.group_propagator.values
             self.node_to_group[k, : atoms[k], : groups[k]] = data.node_to_group
         rows, cols = np.concatenate([data.ends for data in molecules], axis=1)
-        member = np.repeat(np.arange(size), [data.ends.shape[1] for data in molecules])
+        bonds = [data.ends.shape[1] for data in molecules]
+        member = np.repeat(np.arange(size), bonds)
         square = _scatter_propagator(np.empty((size, n, n)), rows, cols, atom_scale, (member,))
+        # For evaluation: the stacked bond index, and each member's (pair
+        # count, first bond, past its last bond) in it.
+        self.bonds = (member, rows, cols)
+        self.spans = [(a * (a - 1) // 2, stop - u, stop)
+                      for a, u, stop in zip(atoms.tolist(), bonds, np.cumsum(bonds).tolist())]
         self._atom_propagator = ad.wrap(square)
         self.group_propagator = ad.wrap(group_tier)
         self.group_to_graph = (np.arange(g)[:, None] < groups[:, None, None]).astype(np.float64)
@@ -325,20 +316,15 @@ def decode(params, embeddings: TieredEmbeddings) -> tuple[Tensor, Tensor]:
     )
 
 
-def edge_loss_weights(adjacency: np.ndarray) -> tuple[float, float]:
-    """(pos_weight, total_weight) of the edge loss over the pairs i < j: an
-    edge weighs #non-edges / #edges (1 without edges), a non-edge 1.
-
-    Raises ValueError unless every entry of ``adjacency`` is +0.0 or 1.0,
-    as the bonds' target in :func:`moltiers.autodiff.edge_feature_loss` is."""
-    if np.signbit(adjacency).any() or not np.isin(adjacency, (0.0, 1.0)).all():
-        raise ValueError("edge loss target must hold only 0 and 1, and no -0.0")
-    n = adjacency.shape[0]
-    positives = int(np.count_nonzero(_pairs(adjacency)))
+def edge_loss_weights(ends: np.ndarray, n: int) -> tuple[float, float]:
+    """(pos_weight, total_weight) of the edge loss over the pairs i < j of n
+    atoms with the (2, U) bonds ``ends``, each (i, j) with i < j: a bond
+    weighs #non-bonds / #bonds (1 without bonds), a non-bond 1."""
+    positives = ends.shape[1]
     negatives = n * (n - 1) // 2 - positives
     pos_weight = negatives / positives if positives > 0 else 1.0
-    pair_weights = adjacency * (pos_weight - 1.0)
-    pair_weights += 1.0
+    pair_weights = np.ones((n, n))
+    pair_weights[ends[0], ends[1]] = (pos_weight - 1.0) + 1.0  # a dense 0/1 target's bits
     np.copyto(pair_weights, 0.0, where=_tri(n, 0))
     return pos_weight, float(pair_weights.sum())
 
@@ -358,7 +344,7 @@ def reconstruction_loss(
     all-0.5 prediction scores exactly ln 2. The feature term is a plain mean
     squared error over the whole feature matrix, scaled by
     ``feature_weight``. ``edge_weights`` are :func:`edge_loss_weights` of
-    the adjacency, computed here when not given.
+    the bonds, computed here when not given.
     """
     n = features.shape[0]
     if edge_probs.shape != (n, n):
@@ -368,7 +354,7 @@ def reconstruction_loss(
             f"feature reconstruction is {feature_recon.shape}, expected {features.shape}"
         )
 
-    pos_weight, total_weight = edge_weights or edge_loss_weights(_adjacency(ends, n))
+    pos_weight, total_weight = edge_weights or edge_loss_weights(ends, n)
     return ad.edge_feature_loss(
         edge_probs, feature_recon, ends, pos_weight, total_weight, features, feature_weight
     )
@@ -438,29 +424,32 @@ def _pairs(matrix: np.ndarray) -> np.ndarray:
     return matrix.swapaxes(-1, -2)[..., _tri(matrix.shape[-1], -1)]
 
 
-def edge_auc(edge_probs: np.ndarray, adjacency: np.ndarray) -> float:
-    """:func:`_mann_whitney` AUC of edge probabilities over the pairs i < j,
+def edge_auc(edge_probs: np.ndarray, ends: np.ndarray) -> float:
+    """:func:`_rank_auc` of edge probabilities over the pairs i < j, the
+    bonds ``ends`` (each (i, j) with i < j) against the rest. The pairs are
     taken by i and then j: a contiguous gather, faster than :func:`_pairs`'
     strided one at the sizes that run alone."""
-    upper = _tri(adjacency.shape[0], 0, True)  # i < j
-    scores = edge_probs[upper]
-    if np.isnan(scores).any():
+    pair_scores = edge_probs[_tri(edge_probs.shape[0], 0, True)]  # i < j
+    return _rank_auc(pair_scores, edge_probs[ends[0], ends[1]])
+
+
+def _rank_auc(pair_scores: np.ndarray, bond_scores: np.ndarray) -> float:
+    """Share of (bond, non-bond) pairs whose bond scores higher, ties counting
+    one half; 1.0 without both. ``pair_scores`` holds every pair's score, the
+    bonds' among them, and is sorted in place. Exact, and blind to the
+    scores' order: a bond's left and right insertion points among all pairs
+    count the non-bonds below it and not above it twice, plus its fellow
+    bonds, which add U^2 over the U bonds, so the win count is half the
+    summed points less U^2. NaNs sort last, so one test finds any."""
+    pair_scores.sort()
+    if pair_scores.size and np.isnan(pair_scores[-1]):
         raise ValueError("edge probabilities contain NaN")
-    return _mann_whitney(scores, adjacency[upper] > 0)
-
-
-def _mann_whitney(scores: np.ndarray, is_edge: np.ndarray) -> float:
-    """Share of (edge, non-edge) pairs whose edge scores higher, ties counting
-    one half; 1.0 without both. Exact, and blind to the scores' order: the win
-    count is half the summed left and right insertion points of the edge
-    scores among the sorted non-edge scores."""
-    pos_scores, neg_scores = scores[is_edge], scores[~is_edge]
-    if not pos_scores.size or not neg_scores.size:
+    bonds, non_bonds = bond_scores.size, pair_scores.size - bond_scores.size
+    if not bonds or not non_bonds:
         return 1.0
-    neg_scores.sort()  # a fresh array: sorting it in place spares np.sort's copy
-    counts = neg_scores.searchsorted(pos_scores, "left")
-    counts += neg_scores.searchsorted(pos_scores, "right")
-    return float(counts.sum() / 2 / (pos_scores.size * neg_scores.size))
+    counts = pair_scores.searchsorted(bond_scores, "left")
+    counts += pair_scores.searchsorted(bond_scores, "right")
+    return float((counts.sum() - bonds * bonds) / 2 / (bonds * non_bonds))
 
 
 _EVAL_BATCH_CELLS = 16_384  # padded cells B * n_max**2 of one evaluation batch, at most
@@ -481,8 +470,9 @@ def _size_buckets(dataset: Sequence[MoleculeData]) -> list[list[int]]:
 def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
     """Mean per-molecule edge AUC; variational models decode their means.
     A size bucket of two or more runs as one padded batch, each member scored
-    on the prefix of its row of one :func:`_pairs` gather. A NaN probability
-    raises for the first such molecule in dataset order."""
+    on the prefix of its row of one :func:`_pairs` gather and its slice of one
+    bond gather. A NaN probability raises for the first such molecule in
+    dataset order."""
     if not dataset:
         raise ValueError("empty dataset")
     scores, failures = np.empty(len(dataset)), {}
@@ -491,18 +481,15 @@ def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
             members = [dataset[index] for index in bucket]
             batch = members[0] if len(bucket) == 1 else _MoleculeBatch(members)
             edge_probs = decode(params, encode_tiered(params, batch))[0].values
-            if len(bucket) > 1:
-                pairs = _pairs(edge_probs)
-                if not np.isnan(pairs).any():
-                    for i, data, row in zip(bucket, members, pairs):
-                        scores[i] = _mann_whitney(row[: data.pair_labels.size], data.pair_labels)
-                    continue
-            # a run of one, or a batch with a NaN: edge_auc names each bad molecule
-            edge_probs = edge_probs.reshape(len(bucket), *edge_probs.shape[-2:])
-            for index, data, probs in zip(bucket, members, edge_probs):
-                n = data.num_atoms
+            if len(bucket) == 1:
+                calls = [(edge_auc, edge_probs, batch.ends)]
+            else:
+                pairs, bond_scores = _pairs(edge_probs), edge_probs[batch.bonds]
+                calls = [(_rank_auc, row[:count], bond_scores[start:stop])
+                         for row, (count, start, stop) in zip(pairs, batch.spans)]
+            for index, (score, *args) in zip(bucket, calls):
                 try:
-                    scores[index] = edge_auc(probs[:n, :n], data.adjacency)
+                    scores[index] = score(*args)
                 except ValueError as err:
                     failures[index] = err
     if failures:

@@ -24,7 +24,7 @@ def mean_edge_auc(params, dataset: Sequence[MoleculeData]) -> float:
         for data in dataset:
             edge_probs, _ = decode(params, encode_tiered(params, data))
             try:
-                scores.append(edge_auc(edge_probs.values, data.adjacency))
+                scores.append(edge_auc(edge_probs.values, data.ends))
             except ValueError as err:
                 raise ValueError(f"molecule {data.name!r}: {err}") from err
     return float(np.mean(scores))

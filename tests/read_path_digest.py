@@ -1,4 +1,4 @@
-"""Digest of what the read path builds, compared between two source trees.
+"""Digest of what the read path builds and of evaluation, compared between two source trees.
 
 Usage::
 
@@ -18,10 +18,14 @@ backbones (``gen.large_molecules(1, count=20)``) and ``RING_SYSTEMS`` of
 - ``partition``: each group's kind and atoms;
 - ``consistency``: what ``check_bond_consistency`` reports under the
   partition and under one group per atom;
-- ``arrays``: every ``MoleculeData`` array, the atom propagator and the
-  edge weights;
+- ``arrays``: every ``MoleculeData`` array, the atom propagator, the
+  edge weights, and the dense adjacency and the edge flags of the pairs
+  i < j (by j, then i) that older trees kept, both built here from the
+  bonds;
 - ``encode``: the embeddings of an untrained GAE, and of an untrained VGAE
-  sampled with zero noise.
+  sampled with zero noise;
+- ``eval``: the repr of ``mean_edge_auc`` for the same two models, over the
+  whole file (padded batches) and over each molecule alone (runs of one).
 
 Both trees read one set of inputs, taken from CHANGE_TREE. Each (file,
 section) is printed as identical or different, and the script exits 1 on
@@ -41,7 +45,7 @@ from pathlib import Path
 
 from same_outputs import RING_SYSTEMS
 
-SECTIONS = ("graph", "rings", "partition", "consistency", "arrays", "encode")
+SECTIONS = ("graph", "rings", "partition", "consistency", "arrays", "encode", "eval")
 
 
 def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
@@ -75,6 +79,7 @@ def digest_file(path: Path) -> dict[str, str]:
         TieredVgaeParams,
         encode_tiered,
         encode_tiered_variational,
+        mean_edge_auc,
         zero_noise,
     )
     from moltiers.molgraph import load_molecules
@@ -90,6 +95,7 @@ def digest_file(path: Path) -> dict[str, str]:
                 hashes[section].update(repr(value).encode())
 
     gae, vgae = TieredGaeParams.init(np.random.default_rng(0)), TieredVgaeParams.init(np.random.default_rng(1))
+    dataset = []
     for record in load_molecules(path):
         graph = record.graph
         if graph is None:
@@ -105,14 +111,20 @@ def digest_file(path: Path) -> dict[str, str]:
         singles = [Group(COMPONENT, (atom,)) for atom in range(graph.num_atoms)]
         add("consistency", check_bond_consistency(graph, groups), check_bond_consistency(graph, singles))
         data = MoleculeData.from_graph(graph)
-        add("arrays", data.adjacency, data.features, data.node_to_group, data.group_to_graph,
+        dataset.append(data)
+        adjacency = np.zeros((graph.num_atoms, graph.num_atoms))
+        adjacency[data.ends, data.ends[::-1]] = 1.0
+        pair_labels = adjacency.T[np.tri(graph.num_atoms, k=-1, dtype=bool)] > 0
+        add("arrays", adjacency, data.features, data.node_to_group, data.group_to_graph,
             data.atom_scale, data.group_propagator.values, data.molecule_to_atoms,
-            data.atom_propagator().values, data.pair_labels, data.edge_weights)
+            data.atom_propagator().values, pair_labels, data.edge_weights)
         with ad.no_grad():
             # The VGAE's means through a zero-noise sample, which older trees run too.
             vgae_embeddings = encode_tiered_variational(vgae, data, zero_noise)[0]
             for embeddings in (encode_tiered(gae, data), vgae_embeddings):
                 add("encode", embeddings.node.values, embeddings.group.values, embeddings.graph.values)
+    for params in (gae, vgae):
+        add("eval", mean_edge_auc(params, dataset), [mean_edge_auc(params, [data]) for data in dataset])
     return {section: hashes[section].hexdigest() for section in SECTIONS}
 
 

@@ -85,7 +85,7 @@ def sampled_decode_auc(params, rng, zero_mean):
                     for mean, std in stats
                 ]
                 total = total + decode(params, TieredEmbeddings(*tiers, data))[0].values
-            scores.append(edge_auc(total / 32, data.adjacency))
+            scores.append(edge_auc(total / 32, data.ends))
     return float(np.mean(scores))
 
 
@@ -116,7 +116,7 @@ scores = []
 for record in load_molecules(sys.argv[1]):
     data = MoleculeData.from_graph(record.graph)
     shared = data.node_to_group @ data.node_to_group.T > 0
-    scores.append(edge_auc(shared.astype(float), data.adjacency))
+    scores.append(edge_auc(shared.astype(float), data.ends))
 print(float(np.mean(scores)))
 """
 

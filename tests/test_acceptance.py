@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from read_path_oracle import adjacency
 
 import moltiers.autodiff as ad
 from moltiers.gnn import GnnStack
@@ -167,15 +168,16 @@ def test_criterion_3_pooling_algebra(corpus_data):
     worst = 0.0
     for data in corpus_data:
         Z = rng.standard_normal((data.num_atoms, 3))
-        pooled = diff_group_pool(data.adjacency, ad.constant(Z), data.node_to_group)
-        ref_adj, ref_feat = brute_force_pool(data.adjacency, Z, data.node_to_group)
+        A = adjacency(data.graph)
+        pooled = diff_group_pool(A, ad.constant(Z), data.node_to_group)
+        ref_adj, ref_feat = brute_force_pool(A, Z, data.node_to_group)
         worst = max(worst, np.abs(pooled.adjacency - ref_adj).max())
         worst = max(worst, np.abs(pooled.features.values - ref_feat).max())
     brute_ok = worst <= 1e-12
 
     # special cases on integer-valued inputs, where float sums are exact in
     # any order, so the claims can be checked with plain equality
-    A = corpus_data[0].adjacency
+    A = adjacency(corpus_data[0].graph)
     n = A.shape[0]
     Z_int = rng.integers(-5, 6, size=(n, 4)).astype(np.float64)
     identity = diff_group_pool(A, ad.constant(Z_int), np.eye(n))
@@ -195,7 +197,7 @@ def test_criterion_3_pooling_algebra(corpus_data):
         if not np.all((M == 0.0) | (M == 1.0)):
             continue
         Z_int = rng.integers(-5, 6, size=(data.num_atoms, 4)).astype(np.float64)
-        pooled = diff_group_pool(data.adjacency, ad.constant(Z_int), M)
+        pooled = diff_group_pool(adjacency(data.graph), ad.constant(Z_int), M)
         for column, group in enumerate(data.group_set):
             expected = Z_int[list(group.atoms)].sum(axis=0)
             if not np.array_equal(pooled.features.values[column], expected):

@@ -4,9 +4,10 @@
 zero-padded stack. Padding changes the order of BLAS sums, so probabilities
 agree with a molecule decoded alone to 1e-12, not bit for bit; a bucket of
 one, and so every molecule over the bucket budget, runs the per-molecule path
-and matches it byte for byte. The counting core ``models._mann_whitney`` is
+and matches it byte for byte. The counting core ``models._rank_auc`` is
 wrapped to see what each molecule is scored on; a batch member is scored from
-the prefix of its row of one pair gather, a run of one through ``edge_auc``.
+the prefix of its row of one pair gather and its slice of one bond gather, a
+run of one through ``edge_auc``.
 """
 
 import copy
@@ -17,6 +18,7 @@ import eval_oracle
 import numpy as np
 import pytest
 from chain_oracle import assert_same_bits
+from loss_oracle import bond_adjacency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,7 @@ from moltiers.models import (
     TieredGaeParams,
     TieredVgaeParams,
     decode,
-    _mann_whitney as mann_whitney,
+    _rank_auc as rank_auc,
     edge_auc,
     encode_tiered,
     mean_edge_auc,
@@ -64,8 +66,9 @@ def batched(params, members):
 
 def scored_runs(params, dataset, decimals=None):
     """(mean_edge_auc, each bucket's decoded probabilities, [(dataset index,
-    whether it ran alone, scores, labels, score)] per call of the counting
-    core). The core runs a bucket at a time, its members in order, so the
+    whether it ran alone, pair scores, bond scores, score)] per call of the
+    counting core, which sorts the pair scores: they are copied before. The
+    core runs a bucket at a time, its members in order, so the
     calls follow ``_size_buckets``. With ``decimals`` the decoded
     probabilities are rounded, to force ties."""
     decoded, calls = [], []
@@ -77,13 +80,14 @@ def scored_runs(params, dataset, decimals=None):
         decoded.append(edge_probs.values.copy())
         return edge_probs, features
 
-    def recording_core(scores, labels):
-        score = mann_whitney(scores, labels)
-        calls.append((scores.copy(), labels, score))
+    def recording_core(pair_scores, bond_scores):
+        copies = pair_scores.copy(), bond_scores.copy()
+        score = rank_auc(pair_scores, bond_scores)
+        calls.append((*copies, score))
         return score
 
     with mock.patch.object(models, "decode", rounding_decode), mock.patch.object(
-        models, "_mann_whitney", recording_core
+        models, "_rank_auc", recording_core
     ):
         mean = mean_edge_auc(params, dataset)
     buckets = models._size_buckets(dataset)
@@ -126,16 +130,18 @@ def test_each_molecule_is_scored_on_its_own_slice_within_tolerance_of_the_oracle
     params, dataset = build(case, molecules)
     mean, _, calls = scored_runs(params, dataset)
 
-    for index, ran_alone, scores, labels, _ in calls:
+    for index, ran_alone, scores, bonds, _ in calls:
         data = dataset[index]
         own = alone(params, data)
         assert ran_alone or data.num_atoms ** 2 <= BUDGET
         if ran_alone:  # through edge_auc, which takes the pairs by i, then j
             upper = ~np.tri(data.num_atoms, dtype=bool)
             assert_same_bits(scores, own[upper], data.name)
-            assert_same_bits(labels, data.adjacency[upper] > 0, data.name)
-        else:  # its own pairs only: its prefix of the batch's gather
-            assert labels is data.pair_labels
+            assert_same_bits(bonds, own[data.ends[0], data.ends[1]], data.name)
+        else:  # its own pairs and bonds only: its slices of the batch's gathers
+            assert bonds.shape == (data.ends.shape[1],)
+            bond_error = np.abs(bonds - own[data.ends[0], data.ends[1]]).max(initial=0.0)
+            assert bond_error <= TOLERANCE, data.name
             expected = models._pairs(own)
             assert scores.shape == expected.shape
             assert scores.size == data.num_atoms * (data.num_atoms - 1) // 2
@@ -148,7 +154,8 @@ def test_each_molecule_is_scored_on_its_own_slice_within_tolerance_of_the_oracle
 
     # the oracle differs by at most the share of its near-tied pairs
     assert abs(mean - eval_oracle.mean_edge_auc(params, dataset)) <= np.mean(
-        [near_tie_bound(alone(params, data), data.adjacency) for data in dataset]
+        [near_tie_bound(alone(params, data), bond_adjacency(data.ends, data.num_atoms))
+         for data in dataset]
     ) + 1e-15
 
 
@@ -164,7 +171,7 @@ def test_each_member_scores_the_bits_of_edge_auc_on_its_own_slice(molecules, cas
     for bucket, probs in zip(buckets, decoded):
         for index, member_probs in zip(bucket, probs.reshape(len(bucket), *probs.shape[-2:])):
             n = dataset[index].num_atoms
-            expected[index] = edge_auc(member_probs[:n, :n], dataset[index].adjacency)
+            expected[index] = edge_auc(member_probs[:n, :n], dataset[index].ends)
     assert_same_bits([score for *_, score in calls], [expected[index] for index, *_ in calls])
     assert_same_bits(mean, np.float64(np.mean([expected[i] for i in range(len(dataset))])))
 

@@ -15,7 +15,8 @@ from chain_oracle import assert_same_bits, reduce_sum
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from loss_oracle import bond_index, chain_reconstruction_loss
+from loss_oracle import bond_adjacency, bond_index, chain_reconstruction_loss
+from test_read_path import ring_system_graphs
 
 import moltiers.autodiff as ad
 from moltiers import models
@@ -62,9 +63,10 @@ def test_molecule_data_bundles_everything(vanillin_data):
     d = vanillin_data
     assert d.num_atoms == 19
     assert d.num_groups == 4
-    assert d.adjacency.shape == (19, 19)
-    assert np.array_equal(d.adjacency, d.adjacency.T)
-    assert set(np.unique(d.adjacency)) == {0.0, 1.0}
+    adjacency = bond_adjacency(d.ends, d.num_atoms)
+    assert adjacency.shape == (19, 19)
+    assert np.array_equal(adjacency, adjacency.T)
+    assert set(np.unique(adjacency)) == {0.0, 1.0}
     assert d.features.shape == (19, 16)
     assert d.node_to_group.shape == (19, 4)
     assert d.group_to_graph.shape == (4, 1)
@@ -202,17 +204,6 @@ def test_reconstruction_loss_shape_validation(ethanol_data):
         )
 
 
-@pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, -0.0, np.nan])
-def test_edge_loss_requires_a_0_1_target(ethanol_data, entry):
-    # the one-log BCE gives the chain's bits only for a 0/1 target; the
-    # check runs once per molecule, not once per step
-    adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, entry], [0.0, entry, 0.0]])
-    records = ad.tape_size()
-    with pytest.raises(ValueError, match="only 0 and 1"):
-        edge_loss_weights(adjacency)
-    assert ad.tape_size() == records
-
-
 # floored (0, 1e-13, 1 - 1e-16, 1) and ordinary probabilities
 EDGE_PROBABILITIES = (0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-16, 1.0)
 
@@ -278,13 +269,14 @@ def zero_one_matrices(draw):
 @example(np.ones((7, 7)) - np.eye(7))
 @example(np.ones((7, 7)))
 def test_edge_loss_weights_match_the_reference_and_the_step_pair_weights(adjacency):
-    """The two floats have the reference's bits, and are the weights the loss
-    hands to the fused op from a symmetric adjacency's bonds."""
-    weights = edge_loss_weights(adjacency)
+    """The two floats of the bonds i < j have the reference's bits on the
+    whole matrix, which reads only those, and are the weights the loss hands
+    to the fused op from a symmetric adjacency's bonds."""
+    n = adjacency.shape[0]
+    weights = edge_loss_weights(bond_index(adjacency), n)
     expected = loss_oracle.edge_loss_weights(adjacency)
     assert [type(w) for w in weights] == [float, float]
     assert [w.hex() for w in weights] == [w.hex() for w in expected]
-    n = adjacency.shape[0]
     if not np.array_equal(adjacency, np.triu(adjacency, 1) + np.triu(adjacency, 1).T):
         return  # not the adjacency of a bond index
     with mock.patch.object(ad, "edge_feature_loss", wraps=ad.edge_feature_loss) as fused:
@@ -521,17 +513,17 @@ def test_vgae_molecule_embedding_and_tier_kl_are_permutation_invariant(corpus_gr
 def test_edge_auc_hand_cases():
     A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     perfect = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]])
-    assert edge_auc(perfect, A) == 1.0
+    assert edge_auc(perfect, bond_index(A)) == 1.0
     inverted = np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.2], [0.9, 0.2, 0.0]])
-    assert edge_auc(inverted, A) == 0.0
+    assert edge_auc(inverted, bond_index(A)) == 0.0
     flat = np.full((3, 3), 0.5)
-    assert edge_auc(flat, A) == 0.5
+    assert edge_auc(flat, bond_index(A)) == 0.5
     # one of two rankings wrong
     mixed = np.array([[0.0, 0.9, 0.5], [0.9, 0.0, 0.2], [0.5, 0.2, 0.0]])
-    assert edge_auc(mixed, A) == 0.5
+    assert edge_auc(mixed, bond_index(A)) == 0.5
     # no non-edges in a triangle: vacuous ranking
     triangle = np.ones((3, 3)) - np.eye(3)
-    assert edge_auc(flat, triangle) == 1.0
+    assert edge_auc(flat, bond_index(triangle)) == 1.0
 
 
 def brute_force_edge_auc(edge_probs, adjacency):
@@ -579,7 +571,32 @@ def auc_cases(draw):
 @example((np.full((4, 4), 0.5), np.ones((4, 4)) - np.eye(4)))
 def test_edge_auc_equals_brute_force(case):
     probs, adjacency = case
-    assert edge_auc(probs, adjacency) == brute_force_edge_auc(probs, adjacency)
+    assert edge_auc(probs, bond_index(adjacency)) == brute_force_edge_auc(probs, adjacency)
+
+
+def ring_system_bonds(graph):
+    """The (2, U) bond index, each bond's lower atom first, of a drawn ring
+    system's (atom count, bonds either way round)."""
+    count, edges = graph
+    return count, np.sort(np.array(edges, dtype=np.intp).reshape(-1, 2).T, axis=0)
+
+
+@settings(max_examples=25)
+@given(ring_system_graphs(), st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_edge_auc_over_ring_system_bonds_equals_brute_force(graph, seed, decimals):
+    # rounding to 0-2 decimals forces ties, between bonds and across them
+    n, ends = ring_system_bonds(graph)
+    probs = np.round(np.random.default_rng(seed).random((n, n)), decimals)
+    assert edge_auc(probs, ends) == brute_force_edge_auc(probs, bond_adjacency(ends, n))
+
+
+def test_edge_auc_of_one_and_two_atoms_is_vacuous():
+    no_bonds = np.zeros((2, 0), dtype=np.intp)
+    assert edge_auc(np.full((1, 1), 0.5), no_bonds) == 1.0
+    assert edge_auc(np.full((2, 2), 0.5), no_bonds) == 1.0
+    assert edge_auc(np.full((2, 2), 0.5), np.array([[0], [1]])) == 1.0
+    with pytest.raises(ValueError, match="NaN"):  # the one pair is read, bond or not
+        edge_auc(np.array([[0.5, np.nan], [0.5, 0.5]]), no_bonds)
 
 
 def test_edge_auc_rejects_nan():
@@ -587,7 +604,28 @@ def test_edge_auc_rejects_nan():
     probs = np.full((3, 3), 0.5)
     probs[0, 2] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        edge_auc(probs, A)
+        edge_auc(probs, bond_index(A))
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (1, 0), (2, 0), (2, 1)])
+def test_edge_auc_reads_no_nan_on_or_below_the_diagonal(where):
+    ends = np.array([[0, 1], [1, 2]])
+    probs = np.array([[0.0, 0.9, 0.1], [0.2, 0.0, 0.8], [0.3, 0.4, 0.0]])
+    probs[where] = np.nan
+    assert edge_auc(probs, ends) == 1.0
+
+
+@given(ring_system_graphs())
+@example((1, []))
+@example((2, []))
+@example((7, []))
+@example((2, [(1, 0)]))
+@example((3, [(0, 1), (1, 2), (2, 0)]))
+def test_edge_loss_weights_of_ring_system_bonds_have_the_dense_references_bits(graph):
+    n, ends = ring_system_bonds(graph)
+    weights = edge_loss_weights(ends, n)
+    expected = loss_oracle.edge_loss_weights(bond_adjacency(ends, n))
+    assert [w.hex() for w in weights] == [w.hex() for w in expected]
 
 
 def test_mean_edge_auc_names_the_molecule_with_nan_scores(ethanol_data, vanillin_data):

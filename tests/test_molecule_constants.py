@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from chain_oracle import assert_same_bits, hstack, sigmoid, transpose
 from loss_oracle import chain_reconstruction_loss
+from read_path_oracle import adjacency as graph_adjacency
 
 import moltiers.autodiff as ad
 from moltiers import gnn, models, pooling
@@ -49,8 +50,9 @@ def _pooled(adjacency, rows, membership):
 
 
 def reference_encode(params, data):
-    node = gnn_forward(params.encoders[0], _propagator(data.adjacency), ad.constant(data.features))
-    groups, group_rows = _pooled(data.adjacency, node, data.node_to_group)
+    adjacency = graph_adjacency(data.graph)
+    node = gnn_forward(params.encoders[0], _propagator(adjacency), ad.constant(data.features))
+    groups, group_rows = _pooled(adjacency, node, data.node_to_group)
     group = gnn_forward(params.encoders[1], _propagator(groups), group_rows)
     _, molecule_rows = _pooled(groups, group, data.group_to_graph)
     graph = gnn_forward(params.encoders[2], ad.constant(UNIT), molecule_rows)
@@ -60,7 +62,7 @@ def reference_encode(params, data):
 def reference_encode_variational(params, data):
     """Zero-noise variational encoding: (samples, means, stds) per tier, in
     the tape order of the encoder (sampling before pooling)."""
-    adjacency, features = data.adjacency, ad.constant(data.features)
+    adjacency, features = graph_adjacency(data.graph), ad.constant(data.features)
     memberships = (data.node_to_group, data.group_to_graph)
     samples, means, stds = [], [], []
     for tier, stack in enumerate(params.encoders):
@@ -123,9 +125,10 @@ def test_propagators_are_the_written_out_formula(monkeypatch, corpus_data):
     calls = _record_calls(monkeypatch, gnn.gnn_forward)
     params = TieredGaeParams.init(np.random.default_rng(2))
     for data in corpus_data:
-        groups = data.node_to_group.T @ data.adjacency @ data.node_to_group
+        atoms = graph_adjacency(data.graph)
+        groups = data.node_to_group.T @ atoms @ data.node_to_group
         for adjacency, cached in (
-            (data.adjacency, data.atom_propagator()),
+            (atoms, data.atom_propagator()),
             (groups, data.group_propagator),
         ):
             assert_same_bits(normalize_adjacency(adjacency), _written_out(adjacency))
@@ -224,8 +227,27 @@ def test_molecule_data_keeps_no_square_array_besides_adjacency(corpus_data):
         assert data.features.shape != square  # else the check below is ambiguous
         for name, value in vars(data).items():
             values = value.values if isinstance(value, ad.Tensor) else value
-            if isinstance(values, np.ndarray) and name != "adjacency":
+            if isinstance(values, np.ndarray):
                 assert values.shape != square, (data.name, name)
+
+
+def test_steps_and_evaluation_leave_a_molecule_only_its_edge_weights(corpus_graphs):
+    """A GAE step, a VGAE step and evaluation, in a padded batch and as a run
+    of one, add the cached edge weights to a molecule and nothing else: no
+    label or adjacency array of n^2 entries is kept."""
+    rng = np.random.default_rng(8)
+    gae, vgae = TieredGaeParams.init(rng), TieredVgaeParams.init(rng)
+    built = set(vars(models.MoleculeData(corpus_graphs[0])))
+    batched = [models.MoleculeData(graph) for graph in corpus_graphs[:4]]
+    for dataset in (batched, [models.MoleculeData(corpus_graphs[5])]):
+        for data in dataset:
+            ad.backward(gae_loss(gae, data))
+            ad.backward(ad.add(*vgae_losses(vgae, data, gaussian_noise(rng))))
+        assert len(models._size_buckets(dataset)) == 1
+        for params in (gae, vgae):
+            mean_edge_auc(params, dataset)
+        for data in dataset:
+            assert set(vars(data)) == built | {"edge_weights"}, data.name
 
 
 def test_molecule_data_keeps_each_array_once(monkeypatch, corpus_data):
@@ -256,7 +278,7 @@ def test_the_pipeline_pools_through_the_pooling_module(monkeypatch, corpus_data,
     adjacencies = _record_calls(monkeypatch, pooling.coarse_adjacency)
     normalized = _record_calls(monkeypatch, gnn.normalize_adjacency)
     data = corpus_data[0]
-    pooling.diff_group_pool(data.adjacency, ad.constant(data.features), data.node_to_group)
+    pooling.diff_group_pool(graph_adjacency(data.graph), ad.constant(data.features), data.node_to_group)
     assert (len(rows), len(adjacencies)) == (1, 1)
 
     del rows[:], adjacencies[:]

@@ -15,6 +15,7 @@ import read_path_oracle as oracle
 from chain_oracle import assert_same_bits
 from hypothesis import example, given
 from hypothesis import strategies as st
+from loss_oracle import bond_adjacency
 
 from moltiers import cycles, models
 from moltiers.grouping import (
@@ -121,11 +122,12 @@ def test_library_read_path_matches_oracle(perfbench_gen, seed):
 
 
 def assert_dense_arrays_match_oracle(graph):
-    """``from_graph``'s adjacency and features, and ``featurize_nodes`` on
-    the graph alone, have the bits of the arrays a graph used to store."""
+    """The adjacency of ``from_graph``'s bonds and its features, and
+    ``featurize_nodes`` on the graph alone, have the bits of the arrays a
+    graph used to store."""
     adjacency, features = oracle.adjacency(graph), oracle.dense_featurize_nodes(graph)
     data = MoleculeData.from_graph(graph)
-    assert_same_bits(data.adjacency, adjacency)
+    assert_same_bits(bond_adjacency(data.ends, graph.num_atoms), adjacency)
     assert_same_bits(data.features, features)
     assert_same_bits(featurize_nodes(graph), features)
 
@@ -139,7 +141,7 @@ def test_a_graph_without_bonds_has_zero_degree_arrays():
     graph = MolecularGraph(["Cl"], [-1], [False], [], [])
     assert_dense_arrays_match_oracle(graph)
     data = MoleculeData.from_graph(graph)
-    assert data.adjacency.shape == (1, 1) and data.features[0, 13:15].tolist() == [0.0, 0.0]
+    assert data.ends.shape == (2, 0) and data.features[0, 13:15].tolist() == [0.0, 0.0]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(100, 190))
@@ -254,7 +256,7 @@ def assert_constants_match_oracle(graph):
     """``atom_scale`` has the row-sum degree scale's bits, and the membership
     those of the scalar-write loop."""
     data = MoleculeData.from_graph(graph)
-    assert_same_bits(data.atom_scale, oracle.degree_scale(data.adjacency))
+    assert_same_bits(data.atom_scale, oracle.degree_scale(oracle.adjacency(graph)))
     assert_same_bits(data.node_to_group, oracle.build_membership(data.group_set, graph.num_atoms))
 
 

@@ -1,8 +1,12 @@
 """The digest comparison of ``tests/read_path_digest.py``: its comparison
-names each digest that differs or that one side lacks, and its sections
-tell apart molecules that differ only where that section looks."""
+names each digest that differs or that one side lacks, its sections tell
+apart molecules that differ only where that section looks, and its
+evaluation section sees every score it is given."""
 
+import numpy as np
 import read_path_digest
+
+from moltiers import models
 
 
 def test_compare_reports_the_digest_that_differs(capsys):
@@ -35,3 +39,23 @@ def test_sections_see_what_they_hash(tmp_path):
     # one more ring changes every section
     ring = digest("C1CO1 oxirane\nC@C bad\n")
     assert all(ring[s] != base[s] for s in base)
+
+
+def test_the_eval_section_hashes_every_score_of_both_models(monkeypatch, tmp_path):
+    path = tmp_path / "molecules.smi"
+    path.write_text("CCO ethanol\nC1CO1 oxirane\n")
+    base = read_path_digest.digest_file(path)
+    scored = models.mean_edge_auc
+    for nudged in range(6):
+        sizes = []
+
+        def nudging(params, dataset):
+            sizes.append(len(dataset))
+            score = scored(params, dataset)
+            return np.nextafter(score, 2.0) if len(sizes) - 1 == nudged else score
+
+        monkeypatch.setattr(models, "mean_edge_auc", nudging)
+        digest = read_path_digest.digest_file(path)
+        # GAE, then VGAE: the whole file, then each molecule alone
+        assert sizes == [2, 1, 1] * 2
+        assert [s for s in base if digest[s] != base[s]] == ["eval"]

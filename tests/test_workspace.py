@@ -12,7 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import read_path_oracle
 from chain_oracle import assert_same_bits
+from loss_oracle import bond_adjacency
 
 import moltiers.autodiff as ad
 from moltiers import models, train
@@ -108,7 +110,7 @@ def test_molecule_data_keeps_no_array_of_n_squared_entries(perfbench_gen):
         values = value.values if isinstance(value, ad.Tensor) else value
         if isinstance(values, np.ndarray):
             assert values.size < n * n, name
-    assert_same_bits(data.adjacency, models._adjacency(data.ends, n))
+    assert_same_bits(bond_adjacency(data.ends, n), read_path_oracle.adjacency(data.graph))
 
 
 @pytest.mark.parametrize("run", [train_gae, train_vgae])
