@@ -58,7 +58,7 @@ def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
     hydrogens, sorted ascending."""
     if not graph.rings:
         return []
-    aromatic = {pair for pair, order in zip(graph.pairs, graph.orders) if order == "aromatic"}
+    aromatic = {(i, j) for i, j, order in graph._bonds() if order == "aromatic"}
     return [
         _with_hydrogens(graph, ring)
         for ring in graph.rings
@@ -80,17 +80,18 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     marked = {i for i, e in enumerate(elements) if e not in ("C", "H") and not aromatic[i]}
 
     marked.update(
-        end for pair, order in zip(graph.pairs, graph.orders) if order in ("double", "triple")
-        for end in pair if elements[end] == "C"
+        end for i, j, order in graph._bonds() if order in ("double", "triple") for end in (i, j)
+        if elements[end] == "C"
     )
-    # The acetal rule counts each carbon's O, N and S neighbours from their side.
+    # The acetal rule counts each carbon's O, N and S neighbours from their side,
+    # and reads the unsaturated atoms only when some carbon has two.
     hetero_bonds = Counter(
         nbr for i, e in enumerate(elements) if e in ("O", "N", "S") for nbr in neighbors(i)
     )
-    marked.update(
-        i for i, count in hetero_bonds.items()
-        if count >= 2 and elements[i] == "C" and not aromatic[i] and i not in graph.unsaturated
-    )
+    acetal = [i for i, count in hetero_bonds.items() if count >= 2 and elements[i] == "C" and not aromatic[i]]
+    if acetal:
+        unsaturated = graph.unsaturated
+        marked.update(i for i in acetal if i not in unsaturated)
 
     for ring in graph.rings:
         if len(ring) == 3 and any(elements[i] not in ("C", "H") for i in ring):
@@ -180,6 +181,7 @@ def check_bond_consistency(graph: MolecularGraph, groups: list[Group]) -> list[V
         for atom in group.atoms:
             membership_of[atom].add(column)
     ring_edges = {pair for ring in graph.rings for pair in ring_bonds(ring)}
+    unsaturated = graph.unsaturated
 
     violations = []
     for (i, j), order in zip(graph.pairs, graph.orders):
@@ -188,7 +190,7 @@ def check_bond_consistency(graph: MolecularGraph, groups: list[Group]) -> list[V
             continue
         if order in ("double", "triple", "aromatic"):
             violations.append(Violation(i, j, "multiple-bond"))
-        elif i in graph.unsaturated and j in graph.unsaturated:
+        elif i in unsaturated and j in unsaturated:
             violations.append(Violation(i, j, "conjugated"))
         if (i, j) in ring_edges or (j, i) in ring_edges:
             violations.append(Violation(i, j, "same-ring"))

@@ -5,14 +5,15 @@ molecule U = N - 1 + R where R is the number of independent rings. Ring
 perception (a shortest-cycle basis) runs at construction, over the neighbour
 lists the constructor checks; the basis also decides connectivity, having
 U - N + C members for C connected components.
-A graph holds no array: :class:`moltiers.models.MoleculeData` builds its
-adjacency, and :func:`featurize_nodes` its node features, from ``_bond_ends``.
+A graph holds no array and caches nothing: :class:`moltiers.models.MoleculeData`
+builds its adjacency, and :func:`featurize_nodes` its node features, from
+``_bond_ends``, and ``ring_atoms`` and ``unsaturated`` are built on each read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -61,25 +62,28 @@ class MolecularGraph:
     """One connected molecule with explicit hydrogens, held as lists.
 
     Per atom: ``elements``, ``charges`` and ``aromatic`` flags; per bond:
-    ``pairs`` (first atom, second atom) and ``orders``. Construction copies
-    each input into a list of its own, checks the lengths, elements, bond orders,
-    charges (ints) and aromatic flags (bools), then checks and indexes the bonds
-    in one pass, runs ring perception over that index and rejects a
+    ``orders`` and each end's atom in a list of its own, which ``pairs``
+    reads back as (first atom, second atom) in constructor order; per atom
+    again, its neighbours in bond order, a tuple each, in one list.
+    ``ring_atoms`` and ``unsaturated`` are built on each read. Construction
+    copies each input, checks the lengths, elements, bond orders, charges
+    (ints) and aromatic flags (bools), then checks and indexes the bonds in
+    one pass, runs ring perception over that index and rejects a
     disconnected graph by its ring count. Treat instances as immutable afterwards.
     """
 
     def __init__(self, elements: Iterable[str], charges: Iterable[int], aromatic: Iterable[bool],
                  pairs: Iterable[tuple[int, int]], orders: Iterable[str], name: str = "", smiles: str = ""):
         self.elements, self.charges, self.aromatic = list(elements), list(charges), list(aromatic)
-        self.pairs, self.orders = list(map(tuple, pairs)), list(orders)  # a set can hold a pair
+        pairs, self.orders = list(map(tuple, pairs)), list(orders)  # a set can hold a pair
         self.name = name
         self.smiles = smiles
         n = len(self.elements)
         if not n:
             raise ValueError("a molecule needs at least one atom")
-        if not n == len(self.charges) == len(self.aromatic) or len(self.pairs) != len(self.orders):
+        if not n == len(self.charges) == len(self.aromatic) or len(pairs) != len(self.orders):
             raise ValueError(f"unequal lengths: {n} elements, {len(self.charges)} charges, {len(self.aromatic)} "
-                             f"aromatic flags; {len(self.pairs)} pairs, {len(self.orders)} orders")
+                             f"aromatic flags; {len(pairs)} pairs, {len(self.orders)} orders")
         for values, known, kind in ((self.elements, ELEMENTS, "element"),
                                     (self.orders, BOND_ORDERS, "bond order")):
             if not set(known).issuperset(values):
@@ -89,28 +93,26 @@ class MolecularGraph:
                 atom = next(i for i, value in enumerate(values) if type(value) is not known)
                 raise ValueError(f"atom {atom} has {kind} {values[atom]!r}, not of type {known.__name__}")
 
-        self._neighbors = neighbors = [[] for _ in range(n)]
-        for i, j in self.pairs:
+        neighbors = [[] for _ in range(n)]
+        for i, j in pairs:
             if i == j:
                 raise ValueError(f"bond joins atom {i} to itself")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bond endpoint out of range: {(i, j)}")
-            if j in neighbors[i]:  # an earlier bond joined them
+            near_i, near_j = neighbors[i], neighbors[j]
+            if j in near_i if len(near_i) <= len(near_j) else i in near_j:  # an earlier bond; scan the shorter
                 raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
-            neighbors[i].append(j)
-            neighbors[j].append(i)
+            near_i.append(j)
+            near_j.append(i)
 
-        self.rings = tuple(shortest_cycle_basis(neighbors, self.pairs))
-        if len(self.rings) != len(self.pairs) - n + 1:
+        self.rings = tuple(shortest_cycle_basis(neighbors, pairs))
+        # Tuples in bond order, on which the basis depends, held in a list: a freed tuple of under
+        # 20 items stays in CPython's free list for its size, which grew a long embed run's peak RSS.
+        self._neighbors = list(map(tuple, neighbors))
+        self._first, self._second = [i for i, _ in pairs], [j for _, j in pairs]
+        if len(self.rings) != len(pairs) - n + 1:
             reachable = len(self.components(range(n))[0])
             raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
-
-        #: Atoms on at least one ring of the basis.
-        self.ring_atoms = frozenset(atom for ring in self.rings for atom in ring)
-        #: Atoms with a double, triple or aromatic bond.
-        self.unsaturated = frozenset(
-            end for pair, order in zip(self.pairs, self.orders) if order != "single" for end in pair
-        )
 
     def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
         """Connected parts of the subgraph induced by ``nodes``, each sorted.
@@ -138,21 +140,38 @@ class MolecularGraph:
 
     @property
     def num_bonds(self) -> int:
-        return len(self.pairs)
+        return len(self.orders)
 
     @property
     def ring_count(self) -> int:
         return len(self.rings)
 
-    def neighbors(self, index: int) -> list[int]:
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """Each bond's (first atom, second atom), in constructor order."""
+        return list(zip(self._first, self._second))
+
+    @property
+    def ring_atoms(self) -> frozenset[int]:
+        """Atoms on at least one ring of the basis."""
+        return frozenset(chain.from_iterable(self.rings))
+
+    @property
+    def unsaturated(self) -> frozenset[int]:
+        """Atoms with a double, triple or aromatic bond."""
+        return frozenset(end for i, j, order in self._bonds() if order != "single" for end in (i, j))
+
+    def neighbors(self, index: int) -> tuple[int, ...]:
         return self._neighbors[index]
 
     def formula(self) -> str:
         return hill_formula(self.elements)
 
+    def _bonds(self) -> Iterator[tuple[int, int, str]]:  # each bond's first atom, second atom and order
+        return zip(self._first, self._second, self.orders)
+
     def _bond_ends(self) -> np.ndarray:  # (2, U): each bond's first atom, then its second
-        flat = np.fromiter(chain.from_iterable(self.pairs), np.intp, 2 * len(self.pairs))
-        return flat.reshape(-1, 2).T.copy()  # C order, so that ravel() is a view
+        return np.array((self._first, self._second), np.intp)  # C order, so that ravel() is a view
 
     def __repr__(self) -> str:
         label = self.name or self.smiles or "?"

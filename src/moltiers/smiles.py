@@ -6,6 +6,8 @@ Supported notation:
   lowercase forms ``b c n o p s``;
 - bracket atoms ``[NH3+]``, ``[O-]``, ``[nH]``, ``[H]`` carrying an explicit
   hydrogen count and formal charge (hydrogen itself only appears this way);
+  as in OpenSMILES, the count takes one digit and the charge at most two,
+  so ``[CH12]`` and ``[C+123]`` are rejected;
 - bond symbols ``-``, ``=``, ``#``; the default bond is single, or aromatic
   when both endpoints are aromatic atoms;
 - branches ``( )`` and ring-closure digits ``0``-``9``.
@@ -39,8 +41,8 @@ _BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple"}
 _BOND_VALENCE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1}
 
 _BRACKET = re.compile(
-    r"^(?P<element>[A-Z][a-z]?|[bcnops])(?P<hydrogens>H[0-9]*)?"
-    r"(?P<charge>\+\+|--|[+-][0-9]*)?$"
+    r"^(?P<element>[A-Z][a-z]?|[bcnops])(?P<hydrogens>H[0-9]?)?"
+    r"(?P<charge>\+\+|--|[+-][0-9]{0,2})?$"
 )
 
 
@@ -92,6 +94,8 @@ def _parse_bracket(body: str, position: int) -> _ParsedAtom:
             raise UnsupportedTokenError("isotope labels are not supported", position)
         if "@" in body:
             raise UnsupportedTokenError("stereochemistry markers are not supported", position)
+        if re.search(r"H[0-9]{2}|[+-][0-9]{3}", body):
+            raise UnsupportedTokenError("a hydrogen count takes one digit, a charge at most two", position)
         raise UnsupportedTokenError(f"cannot parse bracket atom '[{body}]'", position)
 
     symbol = match.group("element")

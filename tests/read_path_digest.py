@@ -13,7 +13,7 @@ backbones (``gen.large_molecules(1, count=20)``) and ``RING_SYSTEMS`` of
 
 - ``graph``: each line's error repr, or its graph's name, SMILES, formula,
   atoms (element, charge, aromatic flag), bonds (atoms and order) and
-  neighbour lists;
+  each atom's neighbours in order, as a list whatever container holds them;
 - ``rings``: the ring basis, the ring atoms and the unsaturated atoms;
 - ``partition``: each group's kind and atoms;
 - ``consistency``: what ``check_bond_consistency`` reports under the
@@ -104,7 +104,7 @@ def digest_file(path: Path) -> dict[str, str]:
         add("graph", graph.name, graph.smiles, graph.formula(),
             list(zip(graph.elements, graph.charges, graph.aromatic)),
             [(i, j, order) for (i, j), order in zip(graph.pairs, graph.orders)],
-            [graph.neighbors(i) for i in range(graph.num_atoms)])
+            [list(graph.neighbors(i)) for i in range(graph.num_atoms)])  # their order, not their type
         add("rings", graph.rings, sorted(graph.ring_atoms), sorted(graph.unsaturated))
         groups = partition(graph)
         add("partition", [(group.kind, group.atoms) for group in groups])

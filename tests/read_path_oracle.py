@@ -32,9 +32,14 @@ outputs: the neighbour lists a graph builds from its bonds, the five
 constructor lists of an all-carbon molecule, and each bond's multiple-bond,
 ring and conjugation facts as ``check_bond_consistency`` reports them. The versions above read a graph's
 atoms and bonds as rows zipped from its per-field lists.
+
+And a graph's ``ring_atoms`` and ``unsaturated`` as its constructor stored
+them, and its ``_bond_ends()`` as it was built from a stored list of pairs,
+before a graph kept each bond end in a per-field list.
 """
 
 from collections import deque, namedtuple
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -469,3 +474,16 @@ def bond_flags(graph: MolecularGraph) -> list[tuple[bool, bool, bool]]:
         tuple((bond.first, bond.second, rule) in found for rule in ("multiple-bond", "same-ring", "conjugated"))
         for bond in bond_rows(graph)
     ]
+
+
+def stored_ring_atoms(graph: MolecularGraph) -> frozenset[int]:
+    return frozenset(atom for ring in graph.rings for atom in ring)
+
+
+def stored_unsaturated(graph: MolecularGraph) -> frozenset[int]:
+    return frozenset(end for pair, order in zip(graph.pairs, graph.orders) if order != "single" for end in pair)
+
+
+def bond_ends(graph: MolecularGraph) -> np.ndarray:
+    flat = np.fromiter(chain.from_iterable(graph.pairs), np.intp, 2 * len(graph.pairs))
+    return flat.reshape(-1, 2).T.copy()

@@ -10,8 +10,10 @@ subprocesses from each tree's ``src``:
 
 - ``parse`` and ``partition`` on ``data/corpus30.smi``, on 300 library
   molecules (``gen.library(3, count=300)``), on 12 backbones
-  (``gen.large_molecules(1, count=12)``) and on six ring systems (fused,
-  with atoms in three rings, spiro and bridged: ``RING_SYSTEMS``);
+  (``gen.large_molecules(1, count=12)``), on six ring systems (fused,
+  with atoms in three rings, spiro and bridged: ``RING_SYSTEMS``) and on
+  ethanol beside three bracket atoms with more hydrogen or charge digits
+  than the grammar allows (``REJECTS``);
 - ``train --epochs 20`` on the corpus for gae/vgae x adam/sgd x seeds 0 and
   42, ``train --epochs 5`` of either model with seed 0 on the 12 backbones,
   and ``train --epochs 3`` of either model on two molecules of one atom
@@ -23,7 +25,8 @@ subprocesses from each tree's ``src``:
 - the failure paths: ``embed`` and ``interp`` with a GAE checkpoint whose
   stacks read 6 features (exit 4), ``embed`` with a corrupt checkpoint
   (exit 4), ``interp`` with the endpoint ``C@C`` (exit 1), ``parse`` on a
-  missing file (exit 2), ``train --dims 0,1,1`` and ``train --seed -1``
+  missing file (exit 2), ``embed`` with the GAE checkpoint and ``train``
+  of a GAE on ``REJECTS`` (exit 1), ``train --dims 0,1,1`` and ``train --seed -1``
   (exit 5) and a VGAE run with SGD whose loss turns non-finite in its
   first epoch (exit 3).
 
@@ -51,7 +54,7 @@ import tempfile
 from pathlib import Path
 
 
-MOLECULE_FILES = ("corpus", "library", "large", "rings")
+MOLECULE_FILES = ("corpus", "library", "large", "rings", "rejects")
 
 RING_SYSTEMS = """\
 c1ccc2ccccc2c1 naphthalene
@@ -63,6 +66,11 @@ C1CC2CCC1C2 norbornane
 """
 
 ONE_ATOM = "C methane\n[Cl-] chloride\n"
+
+REJECTS = (
+    "CCO ethanol\nC[CH4+" + "9" * 400 + "] long-charge\n"
+    "[CH12] two-hydrogen-digits\n[C+123] three-charge-digits\n"
+)
 
 # Run in a subprocess from a tree's src, with the checkpoint's path as argument:
 # a GAE checkpoint narrowed in its JSON to stacks that read 6 features.
@@ -102,6 +110,8 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
     inputs["library"].write_text(gen.library(3, count=300)[0])
     inputs["large"].write_text(gen.large_molecules(1, count=12))
     inputs["rings"].write_text(RING_SYSTEMS)
+    inputs["rejects"] = directory / "rejects.smi"
+    inputs["rejects"].write_text(REJECTS)
     inputs["one-atom"] = directory / "one-atom.smi"
     inputs["one-atom"].write_text(ONE_ATOM)
     inputs["narrow"] = directory / "narrow-checkpoint.json"
@@ -164,6 +174,10 @@ def commands(inputs: dict[str, Path], results: Path, trained: Path) -> list[tupl
         ("embed-corrupt", ["embed", str(inputs["corrupt"]), "--input", corpus]),
         ("interp-bad-endpoint", ["interp", gae_checkpoint, "C@C", "CCO"]),
         ("parse-missing", ["parse", "--input", str(inputs["missing"])]),
+        ("embed-rejects", ["embed", gae_checkpoint, "--input", str(inputs["rejects"])]),
+        ("train-gae-rejects", [
+            "train", "--input", str(inputs["rejects"]), "--out", str(results / "train-gae-rejects" / "out"),
+        ]),
         ("train-zero-dims", [
             "train", "--input", corpus, "--out", str(results / "train-zero-dims" / "out"),
             "--dims", "0,1,1",

@@ -290,6 +290,26 @@ def test_train_on_unparseable_corpus_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["parse", "partition", "train", "embed"])
+def test_a_charge_of_three_digits_is_that_lines_error(trained_dir, tmp_path, capsys, command):
+    """A bracket atom's charge once took any number of digits, and a long one
+    parsed, then overflowed the feature matrix of ``train`` and ``embed``."""
+    path = tmp_path / "charged.smi"
+    path.write_text("CCO ethanol\nC[CH4+" + "9" * 400 + "] huge\n")
+    out = tmp_path / "out"
+    argv = {
+        "parse": ["parse", "--input", str(path)],
+        "partition": ["partition", "--input", str(path), "--out", str(out)],
+        "train": ["train", "--input", str(path), "--out", str(out)],
+        "embed": ["embed", str(trained_dir / "checkpoint.json"), "--input", str(path), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "line 2: a hydrogen count takes one digit, a charge at most two (position 1)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["parse", "partition", "train", "embed"])
 def test_a_line_that_is_not_utf8_is_that_lines_error(trained_dir, tmp_path, capsys, command):
     """Every command that reads a molecule file reports the line, loads
     the others and exits 1; none ends in a traceback."""

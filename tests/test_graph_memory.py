@@ -1,6 +1,6 @@
 """A parsed molecule costs memory linear in its atoms: the graph holds no
-array, and the bytes that ``load_molecules`` keeps per atom do not grow
-with molecule size."""
+array, its containers are one per field, atom and ring, and the bytes that
+``load_molecules`` keeps per atom do not grow with molecule size."""
 
 import gc
 import tracemalloc
@@ -36,6 +36,19 @@ def test_a_parsed_graph_holds_no_array(tmp_path, corpus_path, perfbench_gen):
     graph = graphs[0]
     MoleculeData.from_graph(graph)
     assert not any(isinstance(value, np.ndarray) for value in reachable(graph))
+
+
+def test_a_parsed_graph_holds_a_tuple_per_atom_and_ring_and_a_list_per_field(tmp_path, corpus_path, perfbench_gen):
+    """Its containers are six per-field lists (three per atom, three per
+    bond), one neighbour tuple per atom and one tuple per ring, the list
+    and the tuple that hold those: no tuple per bond and no list per atom."""
+    path = tmp_path / "library.smi"
+    path.write_text(perfbench_gen.library(1, count=40)[0])
+    graphs = [r.graph for r in load_molecules(corpus_path) + load_molecules(path) if r.graph]
+    for graph in graphs:
+        containers = [value for value in reachable(graph) if isinstance(value, (list, tuple, set, frozenset, dict))]
+        assert sum(isinstance(value, list) for value in containers) == 7, graph
+        assert len(containers) <= graph.num_atoms + graph.ring_count + 8, graph
 
 
 def retained_bytes_per_atom(path) -> float:

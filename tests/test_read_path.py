@@ -4,7 +4,9 @@ partition, the ring and conjugation flags that ``check_bond_consistency``
 reports and node features must match them exactly, and so must the adjacency, features, degree scale and membership
 that ``MoleculeData.from_graph`` builds from the bond endpoints and the
 groups. Ring perception must search ring bonds only, and connectivity must
-come from the ring count, with no component walk for a connected molecule."""
+come from the ring count, with no component walk for a connected molecule.
+A graph's per-field bond lists, neighbour tuples and atom sets built on read
+must give what a graph that stored its pairs and sets gave."""
 
 import random
 import re
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 import read_path_oracle as oracle
 from chain_oracle import assert_same_bits
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from loss_oracle import bond_adjacency
+from test_smiles import SMILES_TOKENS
 
 from moltiers import cycles, models
 from moltiers.grouping import (
@@ -27,8 +30,8 @@ from moltiers.grouping import (
     partition,
 )
 from moltiers.models import MoleculeData
-from moltiers.molgraph import MolecularGraph, featurize_nodes, load_molecules
-from moltiers.smiles import parse_smiles
+from moltiers.molgraph import BOND_ORDERS, MolecularGraph, featurize_nodes, load_molecules
+from moltiers.smiles import SmilesError, parse_smiles
 
 
 @st.composite
@@ -243,13 +246,54 @@ PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
 CORONENE = "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67"
 
 
-def carbon_skeleton(num_nodes, edges):
-    """An all-carbon molecule on a drawn graph: each part that atom 0 does
-    not reach is joined to atom 0 by one more single bond, at its smallest atom."""
+def connected_edges(num_nodes, edges):
+    """``edges`` and, for each part that atom 0 does not reach, one more
+    bond from atom 0 to that part's smallest atom."""
     edges = list(edges)
     while len(reached := atoms_reached_from_atom_0(num_nodes, edges)) < num_nodes:
         edges.append((0, min(set(range(num_nodes)) - reached)))
-    return MolecularGraph(*oracle.carbon_fields(num_nodes, edges))
+    return edges
+
+
+def carbon_skeleton(num_nodes, edges):
+    """An all-carbon molecule on a drawn graph, joined up by single bonds as
+    ``connected_edges`` joins it."""
+    return MolecularGraph(*oracle.carbon_fields(num_nodes, connected_edges(num_nodes, edges)))
+
+
+def assert_graph_reads_back(graph, pairs):
+    """``pairs`` in their order and direction, each atom's neighbours in
+    bond order, and ``ring_atoms``, ``unsaturated`` and ``_bond_ends()`` as
+    a graph that stored its pairs and both sets built them."""
+    assert graph.pairs == [tuple(pair) for pair in pairs]
+    assert [list(graph.neighbors(i)) for i in range(graph.num_atoms)] == oracle.neighbor_lists(graph.num_atoms, pairs)
+    assert graph.ring_atoms == oracle.stored_ring_atoms(graph)
+    assert graph.unsaturated == oracle.stored_unsaturated(graph)
+    ends, expected = graph._bond_ends(), oracle.bond_ends(graph)
+    assert ends.dtype == expected.dtype and ends.shape == expected.shape and ends.flags.c_contiguous
+    assert ends.tobytes() == expected.tobytes()
+
+
+@given(ring_system_graphs(), st.data())
+def test_ring_systems_read_back_their_bonds_and_atom_sets(graph, data):
+    """Bonds come shuffled and flipped, with drawn orders."""
+    edges = connected_edges(*graph)
+    orders = data.draw(st.lists(st.sampled_from(BOND_ORDERS), min_size=len(edges), max_size=len(edges)))
+    assert_graph_reads_back(MolecularGraph(*oracle.carbon_fields(graph[0], edges, orders)), edges)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(SMILES_TOKENS), max_size=24).map("".join))
+@example("c1cc2ccc3cccc4ccc(c1)c2c34")
+@example("C[N+](=O)[O-]")
+def test_parsed_graphs_read_back_their_bonds_and_atom_sets(text):
+    try:
+        graph = parse_smiles(text)
+    except SmilesError:
+        return
+    assert_graph_reads_back(graph, graph.pairs)
+    rebuilt = MolecularGraph(graph.elements, graph.charges, graph.aromatic, graph.pairs, graph.orders)
+    assert_graph_reads_back(rebuilt, graph.pairs)
 
 
 def assert_constants_match_oracle(graph):

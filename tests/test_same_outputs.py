@@ -46,7 +46,7 @@ def test_train_writes_where_no_directory_was_made_for_it(tmp_path):
     results, trained = tmp_path / "results", tmp_path / "parent"
     runs = same_outputs.commands({name: tmp_path / name for name in names}, results, trained)
     trains = [(name, argv) for name, argv in runs if argv[0] == "train"]
-    assert len(trains) == 15
+    assert len(trains) == 16
     for name, argv in trains:
         assert argv[argv.index("--out") + 1] == str(results / name / "out")
     assert {"parse-rings", "partition-rings", "embed-vgae-group-rings"} <= {name for name, _ in runs}
