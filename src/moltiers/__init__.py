@@ -20,7 +20,6 @@ from .grouping import (
     AROMATIC_RING,
     COMPONENT,
     FUNCTIONAL_GROUP,
-    CoverageError,
     Group,
     Violation,
     build_membership,

@@ -27,15 +27,6 @@ SIGMOID_CLAMP = 30.0
 LOG_FLOOR = 1e-12
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
-class GradientError(RuntimeError):
-    """A gradient contract was broken: non-scalar loss, empty tape, or a
-    parameter update attempted without a populated gradient."""
-
-
 def _as_matrix(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim == 0:
@@ -43,7 +34,7 @@ def _as_matrix(values) -> np.ndarray:
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
-        raise ShapeError(f"tensors are 2-D; got array of ndim {arr.ndim}")
+        raise ValueError(f"tensors are 2-D; got array of ndim {arr.ndim}")
     return arr
 
 
@@ -70,7 +61,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.values.size != 1:
-            raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
+            raise ValueError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.values[0, 0])
 
     def __repr__(self) -> str:
@@ -188,9 +179,9 @@ def backward(loss: Tensor) -> None:
     """
     if loss.shape != (1, 1):
         clear_tape()
-        raise GradientError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
+        raise RuntimeError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
     if not _tape:
-        raise GradientError("backward called with an empty computation tape")
+        raise RuntimeError("backward called with an empty computation tape")
     try:
         loss.grad = np.ones((1, 1))
         for outputs, inputs, vjp in reversed(_tape):
@@ -214,7 +205,7 @@ def backward(loss: Tensor) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul of {a.shape} by {b.shape}")
+        raise ValueError(f"matmul of {a.shape} by {b.shape}")
     out = wrap(a.values @ b.values)
     a_vals, b_vals = a.values, b.values
 
@@ -231,7 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _broadcast_shapes(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape == b.shape or a.shape == (1, 1) or b.shape == (1, 1):
         return
-    raise ShapeError(f"{op} of {a.shape} and {b.shape}; only scalar-vs-matrix broadcast")
+    raise ValueError(f"{op} of {a.shape} and {b.shape}; only scalar-vs-matrix broadcast")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -346,7 +337,7 @@ def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
     """mean + std * noise for a fixed ``noise`` array of the same shape."""
     noise = np.asarray(noise, dtype=np.float64)
     if not mean.shape == std.shape == noise.shape:
-        raise ShapeError(f"sample of mean {mean.shape}, std {std.shape} and noise {noise.shape}")
+        raise ValueError(f"sample of mean {mean.shape}, std {std.shape} and noise {noise.shape}")
     out = wrap(mean.values + std.values * noise)
 
     def vjp(g: np.ndarray):
@@ -360,7 +351,7 @@ def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
     """1/2 * sum(mean^2 + std^2 - 1 - ln std^2), ln's input floored at
     LOG_FLOOR. Inputs are recorded as (mean, mean, std, std)."""
     if mean.shape != std.shape:
-        raise ShapeError(f"mean {mean.shape} and std {std.shape} differ")
+        raise ValueError(f"mean {mean.shape} and std {std.shape} differ")
     m_vals, s_vals = mean.values, std.values
     variance = s_vals * s_vals
     floored = np.maximum(variance, LOG_FLOOR)
@@ -519,7 +510,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     out = f(x)
     if out.shape != (1, 1):
         clear_tape()
-        raise GradientError(f"grad_check needs a scalar-valued f, got {out.shape}")
+        raise RuntimeError(f"grad_check needs a scalar-valued f, got {out.shape}")
     backward(out)
     analytic = np.zeros_like(x.values) if x.grad is None else x.grad.copy()
     x.grad = None

@@ -77,11 +77,11 @@ def _stack_outputs(
     if len(stack.heads) != heads:
         raise ValueError(f"stack head count {len(stack.heads)}, expected {heads}")
     if propagator is not None and features.shape[-2] != propagator.shape[-2]:
-        raise ad.ShapeError(
+        raise ValueError(
             f"features have {features.shape[-2]} rows for {propagator.shape[-2]} nodes"
         )
     if features.shape[-1] != stack.input_dim:
-        raise ad.ShapeError(
+        raise ValueError(
             f"features have width {features.shape[-1]}, stack expects {stack.input_dim}"
         )
     values = None if propagator is None else propagator.values

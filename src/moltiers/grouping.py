@@ -26,10 +26,6 @@ AROMATIC_RING = "AromaticRing"
 COMPONENT = "Component"
 
 
-class CoverageError(ValueError):
-    """An atom is not covered by any group."""
-
-
 @dataclass(frozen=True)
 class Group:
     kind: str
@@ -135,9 +131,9 @@ def partition(graph: MolecularGraph) -> list[Group]:
 def build_membership(groups: list[Group], num_atoms: int) -> np.ndarray:
     """Node-to-group membership matrix, one row per atom, one column per
     group. An atom in m groups gets 1/m in each of their columns, so every
-    row sums to exactly one. Raises CoverageError for an uncovered atom."""
+    row sums to exactly one. Raises ValueError for an uncovered atom."""
     if not groups:
-        raise CoverageError("no groups to build a membership matrix from")
+        raise ValueError("no groups to build a membership matrix from")
     atoms = [atom for group in groups for atom in group.atoms]
     if min(atoms) < 0 or max(atoms) >= num_atoms:
         atom = next(atom for atom in atoms if not 0 <= atom < num_atoms)
@@ -145,7 +141,7 @@ def build_membership(groups: list[Group], num_atoms: int) -> np.ndarray:
     index = np.array(atoms)
     counts = np.bincount(index, minlength=num_atoms)
     if not counts.all():
-        raise CoverageError(f"atom {int(counts.argmin())} is not covered by any group")
+        raise ValueError(f"atom {int(counts.argmin())} is not covered by any group")
 
     columns = np.repeat(np.arange(len(groups)), [len(group.atoms) for group in groups])
     matrix = np.zeros((num_atoms, len(groups)))

@@ -348,9 +348,9 @@ def reconstruction_loss(
     """
     n = features.shape[0]
     if edge_probs.shape != (n, n):
-        raise ad.ShapeError(f"edge probabilities are {edge_probs.shape}, expected {(n, n)}")
+        raise ValueError(f"edge probabilities are {edge_probs.shape}, expected {(n, n)}")
     if feature_recon.shape != features.shape:
-        raise ad.ShapeError(
+        raise ValueError(
             f"feature reconstruction is {feature_recon.shape}, expected {features.shape}"
         )
 

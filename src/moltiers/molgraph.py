@@ -68,8 +68,9 @@ class MolecularGraph:
     ``ring_atoms`` and ``unsaturated`` are built on each read. Construction
     copies each input, checks the lengths, elements, bond orders, charges
     (ints) and aromatic flags (bools), then checks and indexes the bonds in
-    one pass, runs ring perception over that index and rejects a
-    disconnected graph by its ring count. Treat instances as immutable afterwards.
+    one pass, naming any bond that is not a pair of atom indices, runs ring
+    perception over that index and rejects a disconnected graph by its ring
+    count. Treat instances as immutable afterwards.
     """
 
     def __init__(self, elements: Iterable[str], charges: Iterable[int], aromatic: Iterable[bool],
@@ -94,16 +95,23 @@ class MolecularGraph:
                 raise ValueError(f"atom {atom} has {kind} {values[atom]!r}, not of type {known.__name__}")
 
         neighbors = [[] for _ in range(n)]
-        for i, j in pairs:
-            if i == j:
-                raise ValueError(f"bond joins atom {i} to itself")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bond endpoint out of range: {(i, j)}")
-            near_i, near_j = neighbors[i], neighbors[j]
-            if j in near_i if len(near_i) <= len(near_j) else i in near_j:  # an earlier bond; scan the shorter
-                raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
-            near_i.append(j)
-            near_j.append(i)
+        try:
+            for i, j in pairs:
+                if i == j:
+                    raise ValueError(f"bond joins atom {i} to itself")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"bond endpoint out of range: {(i, j)}")
+                near_i, near_j = neighbors[i], neighbors[j]
+                if j in near_i if len(near_i) <= len(near_j) else i in near_j:  # scan the shorter list
+                    raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
+                near_i.append(j)
+                near_j.append(i)
+        except (TypeError, ValueError) as err:  # a malformed bond stops the loop at itself
+            index = sum(map(len, neighbors)) // 2  # the bonds before it are each indexed twice
+            bond = pairs[index]
+            if len(bond) != 2 or not all(hasattr(type(end), "__index__") for end in bond):
+                raise ValueError(f"bond {index} is {bond!r}, not a pair of atom indices") from err
+            raise
 
         self.rings = tuple(shortest_cycle_basis(neighbors, pairs))
         # Tuples in bond order, on which the basis depends, held in a list: a freed tuple of under

@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import GradientError, Tensor
+from .autodiff import Tensor
 
 
-class NonFiniteGradientError(GradientError):
+class NonFiniteGradientError(RuntimeError):
     """A gradient held NaN or infinity; the step changed nothing."""
 
 
@@ -55,14 +55,14 @@ class _FlatOptimizer:
         grads = []
         for i, (p, view) in enumerate(zip(self.params, self._views)):
             if p.values is not view:
-                raise GradientError(
+                raise RuntimeError(
                     f"{self.kind} step: parameter {i} was rebound and no longer views "
                     "the parameter vector; update it in place"
                 )
             if p.grad is None:
-                raise GradientError(f"{self.kind} step: parameter {i} has no gradient")
+                raise RuntimeError(f"{self.kind} step: parameter {i} has no gradient")
             if p.grad.shape != view.shape:
-                raise GradientError(
+                raise RuntimeError(
                     f"{self.kind} step: parameter {i} has shape {view.shape} "
                     f"but its gradient {p.grad.shape}"
                 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 
 
 @dataclass
@@ -54,10 +54,10 @@ def diff_group_pool(
     membership = np.asarray(membership, dtype=np.float64)
     n = adjacency.shape[0]
     if adjacency.ndim != 2 or adjacency.shape != (n, n):
-        raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
+        raise ValueError(f"adjacency must be square, got {adjacency.shape}")
     if membership.ndim != 2 or membership.shape[0] != n:
-        raise ShapeError(f"membership is {membership.shape}, expected {n} rows")
+        raise ValueError(f"membership is {membership.shape}, expected {n} rows")
     if embeddings.shape[0] != n:
-        raise ShapeError(f"embeddings have {embeddings.shape[0]} rows for {n} nodes")
+        raise ValueError(f"embeddings have {embeddings.shape[0]} rows for {n} nodes")
     coarse = coarse_adjacency(adjacency, membership)
     return CoarsenedGraph(coarse, pool_rows(membership, embeddings))

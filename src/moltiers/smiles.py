@@ -13,8 +13,9 @@ Supported notation:
 - branches ``( )`` and ring-closure digits ``0``-``9``.
 
 Stereo markers (``/ \\ @``), isotopes, ring closures beyond 9 (``%``) and
-multi-fragment input (``.``) are rejected as unsupported tokens. Every error
-names the offending position in the string.
+multi-fragment input (``.``) are rejected as unsupported tokens. Every
+rejection raises :class:`SmilesError`, which names the offending position
+in the string when there is one.
 
 Implicit hydrogens on organic-subset atoms are made explicit as nodes. The
 hydrogen count comes from the smallest standard valence that fits the bond
@@ -47,33 +48,14 @@ _BRACKET = re.compile(
 
 
 class SmilesError(ValueError):
-    """Base error for unparseable input; carries the offending position."""
+    """Unparseable input; ``position`` is the offending index into the text,
+    or None when no one character is at fault."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (position {position})"
         super().__init__(message)
         self.position = position
-
-
-class UnsupportedTokenError(SmilesError):
-    """Character or construct outside the supported subset."""
-
-
-class UnsupportedElementError(SmilesError):
-    """Element symbol outside the supported set."""
-
-
-class UnbalancedParenthesesError(SmilesError):
-    """Branch parentheses do not pair up."""
-
-
-class UnmatchedRingBondError(SmilesError):
-    """A ring-closure digit was opened but never closed, or misused."""
-
-
-class ValenceOverflowError(SmilesError):
-    """Bond order sum exceeds the element's maximum valence."""
 
 
 @dataclass(slots=True)
@@ -91,25 +73,25 @@ def _parse_bracket(body: str, position: int) -> _ParsedAtom:
     match = _BRACKET.match(body)
     if match is None:
         if body[:1].isdigit():
-            raise UnsupportedTokenError("isotope labels are not supported", position)
+            raise SmilesError("isotope labels are not supported", position)
         if "@" in body:
-            raise UnsupportedTokenError("stereochemistry markers are not supported", position)
+            raise SmilesError("stereochemistry markers are not supported", position)
         if re.search(r"H[0-9]{2}|[+-][0-9]{3}", body):
-            raise UnsupportedTokenError("a hydrogen count takes one digit, a charge at most two", position)
-        raise UnsupportedTokenError(f"cannot parse bracket atom '[{body}]'", position)
+            raise SmilesError("a hydrogen count takes one digit, a charge at most two", position)
+        raise SmilesError(f"cannot parse bracket atom '[{body}]'", position)
 
     symbol = match.group("element")
     aromatic = symbol[0].islower()
     element = symbol.capitalize() if aromatic else symbol
     if element not in ELEMENTS or (aromatic and symbol not in _AROMATIC):
-        raise UnsupportedElementError(f"element '{symbol}' is not supported", position)
+        raise SmilesError(f"element '{symbol}' is not supported", position)
 
     hydrogens = match.group("hydrogens")
     h_count = 0
     if hydrogens is not None:
         h_count = int(hydrogens[1:]) if len(hydrogens) > 1 else 1
     if element == "H" and h_count:
-        raise UnsupportedTokenError("hydrogen atoms cannot carry hydrogens", position)
+        raise SmilesError("hydrogen atoms cannot carry hydrogens", position)
 
     charge_text = match.group("charge") or ""
     if charge_text in ("+", "-"):
@@ -138,7 +120,7 @@ def _implicit_hydrogens(atom: _ParsedAtom) -> int:
     # The shared aromatic increment models delocalized bonding; it does not
     # occupy a valence slot, so overflow is judged on the raw sum.
     if raw > states[-1]:
-        raise ValenceOverflowError(
+        raise SmilesError(
             f"bond order sum {raw} exceeds the maximum valence {states[-1]} "
             f"of {atom.element}",
             atom.position,
@@ -172,7 +154,7 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
     def add_bond(a: int, b: int, order: str | None, position: int) -> None:
         pair = (a, b) if a < b else (b, a)
         if a == b:
-            raise UnmatchedRingBondError("ring closure bonds an atom to itself", position)
+            raise SmilesError("ring closure bonds an atom to itself", position)
         if pair in bonded_pairs:
             raise SmilesError(f"duplicate bond between atoms {pair[0]} and {pair[1]}", position)
         first, second = atoms[a], atoms[b]
@@ -211,7 +193,7 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
             i += 1
         elif char == "(":
             if previous is None:
-                raise UnbalancedParenthesesError("branch before the first atom", i)
+                raise SmilesError("branch before the first atom", i)
             if pending_bond is not None:
                 raise SmilesError("bond symbol before a branch opening", i)
             branch_stack.append((previous, i))
@@ -220,7 +202,7 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
             if pending_bond is not None:
                 raise SmilesError("dangling bond symbol before ')'", i)
             if not branch_stack:
-                raise UnbalancedParenthesesError("unexpected ')'", i)
+                raise SmilesError("unexpected ')'", i)
             anchor, opened = branch_stack.pop()
             if previous == anchor:  # no atom since the '('
                 raise SmilesError("empty branch", opened)
@@ -234,13 +216,11 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
             i += 1
         elif char.isdigit():
             if previous is None:
-                raise UnmatchedRingBondError("ring closure before the first atom", i)
+                raise SmilesError("ring closure before the first atom", i)
             if char in open_rings:
                 open_atom, open_order, open_pos = open_rings.pop(char)
                 if open_order is not None and pending_bond is not None and open_order != pending_bond:
-                    raise UnmatchedRingBondError(
-                        f"conflicting bond orders for ring closure {char}", i
-                    )
+                    raise SmilesError(f"conflicting bond orders for ring closure {char}", i)
                 add_bond(previous, open_atom, pending_bond or open_order, i)
             else:
                 open_rings[char] = (previous, pending_bond, i)
@@ -249,31 +229,31 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
         elif char == "[":
             end = text.find("]", i + 1)
             if end < 0:
-                raise UnsupportedTokenError("unclosed '['", i)
+                raise SmilesError("unclosed '['", i)
             add_atom(_parse_bracket(text[i + 1:end], i))
             i = end + 1
         elif char == "H":
-            raise UnsupportedTokenError("write hydrogen as a bracket atom [H]", i)
+            raise SmilesError("write hydrogen as a bracket atom [H]", i)
         elif char == ".":
-            raise UnsupportedTokenError("multi-fragment input ('.') is not supported", i)
+            raise SmilesError("multi-fragment input ('.') is not supported", i)
         elif char in "/\\@":
-            raise UnsupportedTokenError("stereochemistry markers are not supported", i)
+            raise SmilesError("stereochemistry markers are not supported", i)
         elif char == "%":
-            raise UnsupportedTokenError("ring closures above 9 ('%') are not supported", i)
+            raise SmilesError("ring closures above 9 ('%') are not supported", i)
         elif char == ":":
-            raise UnsupportedTokenError("explicit aromatic bonds (':') are not supported", i)
+            raise SmilesError("explicit aromatic bonds (':') are not supported", i)
         elif char.isalpha():
-            raise UnsupportedElementError(f"element '{char}' is not supported", i)
+            raise SmilesError(f"element '{char}' is not supported", i)
         else:
-            raise UnsupportedTokenError(f"unexpected character {char!r}", i)
+            raise SmilesError(f"unexpected character {char!r}", i)
 
     if pending_bond is not None:
         raise SmilesError("dangling bond symbol at end of input", pending_position)
     if branch_stack:
-        raise UnbalancedParenthesesError("unclosed '('", branch_stack[-1][1])
+        raise SmilesError("unclosed '('", branch_stack[-1][1])
     if open_rings:
         digit, (_, _, position) = sorted(open_rings.items())[0]
-        raise UnmatchedRingBondError(f"unmatched ring-closure digit {digit}", position)
+        raise SmilesError(f"unmatched ring-closure digit {digit}", position)
     if not atoms:
         raise SmilesError("no atoms in input")
 

@@ -17,7 +17,6 @@ import moltiers.autodiff as ad
 from moltiers.autodiff import (
     LOG_FLOOR,
     SIGMOID_CLAMP,
-    ShapeError,
     Tensor,
     _broadcast_shapes,
     _record,
@@ -137,11 +136,11 @@ def reduce_mean(a: Tensor) -> Tensor:
 def hstack(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate tensors left-to-right along columns."""
     if not parts:
-        raise ShapeError("hstack of an empty sequence")
+        raise ValueError("hstack of an empty sequence")
     rows = parts[0].shape[0]
     for p in parts:
         if p.shape[0] != rows:
-            raise ShapeError(f"hstack row mismatch: {[p.shape for p in parts]}")
+            raise ValueError(f"hstack row mismatch: {[p.shape for p in parts]}")
     out = wrap(np.hstack([p.values for p in parts]))
     widths = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + widths)
@@ -161,7 +160,7 @@ def weighted_bce_sum(probs: Tensor, target: np.ndarray, weights: np.ndarray) -> 
     """sum(W * -(T log p + (1 - T) log(1 - p))), each log's input floored at
     LOG_FLOOR; of the chain's arithmetic only exact sign flips are folded."""
     if target.shape != probs.shape or weights.shape != probs.shape:
-        raise ShapeError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
+        raise ValueError(f"weighted BCE of {probs.shape}, {target.shape} and {weights.shape}")
     complement = 1.0 - target
     floored_p = np.maximum(probs.values, LOG_FLOOR)
     floored_q = np.maximum(1.0 - probs.values, LOG_FLOOR)
@@ -187,7 +186,7 @@ def gcn_layer(propagator: Tensor, hidden: Tensor, weight: Tensor, relu: bool) ->
     """act((P @ H) @ W), act being relu (subgradient 0 at 0) or the
     identity: one graph convolution."""
     if propagator.shape[1] != hidden.shape[0] or hidden.shape[1] != weight.shape[0]:
-        raise ShapeError(f"gcn layer of {propagator.shape}, {hidden.shape} and {weight.shape}")
+        raise ValueError(f"gcn layer of {propagator.shape}, {hidden.shape} and {weight.shape}")
     p_vals, h_vals, w_vals = propagator.values, hidden.values, weight.values
     propagated = p_vals @ h_vals
     pre = propagated @ w_vals
@@ -216,7 +215,7 @@ def exp_clamped_linear(inputs: Tensor, weight: Tensor, low: float, high: float) 
     if not low < high:
         raise ValueError(f"clamp needs low < high, got [{low}, {high}]")
     if inputs.shape[1] != weight.shape[0]:
-        raise ShapeError(f"matmul of {inputs.shape} by {weight.shape}")
+        raise ValueError(f"matmul of {inputs.shape} by {weight.shape}")
     a_vals, w_vals = inputs.values, weight.values
     pre = a_vals @ w_vals
     values = np.exp(np.clip(pre, low, high))
@@ -240,7 +239,7 @@ def bilinear_sigmoid(rows: Tensor, pair: Tensor) -> Tensor:
     keeping every value strictly inside (0, 1). Inputs are recorded as
     (Z, Z, Theta): the Z^T use first, then Z Theta."""
     if not rows.shape[1] == pair.shape[0] == pair.shape[1]:
-        raise ShapeError(f"bilinear form of {rows.shape} rows by {pair.shape}")
+        raise ValueError(f"bilinear form of {rows.shape} rows by {pair.shape}")
     z_vals, p_vals = rows.values, pair.values
     left = z_vals @ p_vals
     flipped = z_vals.T  # a view, the F-ordered layout BLAS was always handed

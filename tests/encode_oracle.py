@@ -63,7 +63,7 @@ def encode_tiered(params: TieredGaeParams, data: MoleculeData) -> TieredEmbeddin
 def reparameterize(mean: Tensor, std: Tensor, noise: np.ndarray) -> Tensor:
     """Sample mean + std * noise with gradients through mean and std."""
     if noise.shape != mean.shape:
-        raise ad.ShapeError(f"noise shape {noise.shape} does not match {mean.shape}")
+        raise ValueError(f"noise shape {noise.shape} does not match {mean.shape}")
     return ad.reparameterize(mean, std, noise)
 
 
@@ -90,5 +90,5 @@ def kl_standard_normal(mean: Tensor, std: Tensor) -> Tensor:
     """KL(N(mean, std^2) || N(0, 1)) summed over all entries:
     1/2 * sum(mean^2 + std^2 - 1 - ln std^2)."""
     if mean.shape != std.shape:
-        raise ad.ShapeError(f"mean {mean.shape} and std {std.shape} differ")
+        raise ValueError(f"mean {mean.shape} and std {std.shape} differ")
     return ad.kl_standard_normal(mean, std)

@@ -7,8 +7,6 @@ bit.
 
 import numpy as np
 
-from moltiers.autodiff import GradientError
-
 
 class OracleSGD:
     def __init__(self, params, learning_rate):
@@ -19,7 +17,7 @@ class OracleSGD:
     def step(self):
         for i, p in enumerate(self.params):
             if p.grad is None:
-                raise GradientError(f"sgd step: parameter {i} has no gradient")
+                raise RuntimeError(f"sgd step: parameter {i} has no gradient")
         for p in self.params:
             p.values -= self.learning_rate * p.grad
             p.grad = None
@@ -40,7 +38,7 @@ class OracleAdam:
     def step(self):
         for i, p in enumerate(self.params):
             if p.grad is None:
-                raise GradientError(f"adam step: parameter {i} has no gradient")
+                raise RuntimeError(f"adam step: parameter {i} has no gradient")
         self.step_count += 1
         t = self.step_count
         for i, p in enumerate(self.params):

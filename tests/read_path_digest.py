@@ -11,7 +11,9 @@ that tree's ``src`` and reads four molecule files with ``load_molecules``:
 backbones (``gen.large_molecules(1, count=20)``) and ``RING_SYSTEMS`` of
 ``tests/same_outputs.py``. Per file it hashes one SHA-256 per section:
 
-- ``graph``: each line's error repr, or its graph's name, SMILES, formula,
+- ``graph``: each rejected line's error message and whether the error is
+  a ``SmilesError`` (its class name, which trees may rename, is left out),
+  or its graph's name, SMILES, formula,
   atoms (element, charge, aromatic flag), bonds (atoms and order) and
   each atom's neighbours in order, as a list whatever container holds them;
 - ``rings``: the ring basis, the ring atoms and the unsaturated atoms;
@@ -83,6 +85,7 @@ def digest_file(path: Path) -> dict[str, str]:
         zero_noise,
     )
     from moltiers.molgraph import load_molecules
+    from moltiers.smiles import SmilesError
 
     hashes = {section: hashlib.sha256() for section in SECTIONS}
 
@@ -99,7 +102,7 @@ def digest_file(path: Path) -> dict[str, str]:
     for record in load_molecules(path):
         graph = record.graph
         if graph is None:
-            add("graph", record.line_number, repr(record.error))
+            add("graph", record.line_number, str(record.error), isinstance(record.error, SmilesError))
             continue
         add("graph", graph.name, graph.smiles, graph.formula(),
             list(zip(graph.elements, graph.charges, graph.aromatic)),

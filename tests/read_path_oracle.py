@@ -48,7 +48,6 @@ from moltiers.grouping import (
     AROMATIC_RING,
     COMPONENT,
     FUNCTIONAL_GROUP,
-    CoverageError,
     Group,
     check_bond_consistency,
 )
@@ -411,7 +410,7 @@ def dense_featurize_nodes(graph: MolecularGraph) -> np.ndarray:
 
 def build_membership(group_set: list[Group], num_atoms: int) -> np.ndarray:
     if not len(group_set):
-        raise CoverageError("no groups to build a membership matrix from")
+        raise ValueError("no groups to build a membership matrix from")
     counts = np.zeros(num_atoms)
     for group in group_set:
         for atom in group.atoms:
@@ -420,7 +419,7 @@ def build_membership(group_set: list[Group], num_atoms: int) -> np.ndarray:
             counts[atom] += 1
     uncovered = np.flatnonzero(counts == 0)
     if uncovered.size:
-        raise CoverageError(f"atom {int(uncovered[0])} is not covered by any group")
+        raise ValueError(f"atom {int(uncovered[0])} is not covered by any group")
 
     matrix = np.zeros((num_atoms, len(group_set)))
     for column, group in enumerate(group_set):

@@ -148,6 +148,11 @@ REJECTED_FIELDS = {
     "endpoint-out-of-range": (carbon_fields(2, [(0, 1), (1, 2)]), r"bond endpoint out of range: \(1, 2\)"),
     "negative-endpoint": (carbon_fields(2, [(-1, 0)]), r"bond endpoint out of range: \(-1, 0\)"),
     "duplicate-bond": (carbon_fields(2, [(0, 1), (1, 0)]), r"duplicate bond between atoms \(0, 1\)"),
+    "float-endpoint": (carbon_fields(2, [(0.0, 1)]), r"^bond 0 is \(0\.0, 1\), not a pair of atom indices$"),
+    "string-endpoint": (carbon_fields(2, [("0", 1)]), r"^bond 0 is \('0', 1\), not a pair of atom indices$"),
+    "three-ended-bond": (carbon_fields(2, [(0, 1, 1)]), r"^bond 0 is \(0, 1, 1\), not a pair of atom indices$"),
+    "one-ended-bond": (carbon_fields(2, [(0,)]), r"^bond 0 is \(0,\), not a pair of atom indices$"),
+    "float-endpoint-after-a-bond": (carbon_fields(3, [(0, 1), (1, 2.0)]), r"^bond 1 is \(1, 2\.0\),"),
     "disconnected": (carbon_fields(3, [(0, 1)]), r"disconnected \(2 of 3 atoms reachable\)"),
     "short-charges": ((["C", "C"], [0], [False] * 2, [(0, 1)], ["single"]), "unequal lengths: 2 elements, 1 charges"),
     "short-aromatic-flags": ((["C", "C"], [0, 0], [False], [(0, 1)], ["single"]), "1 aromatic flags"),

@@ -34,7 +34,6 @@ from loss_oracle import bond_adjacency, bond_index, chain_reconstruction_loss
 
 import moltiers.autodiff as ad
 from moltiers import models
-from moltiers.autodiff import ShapeError
 from moltiers.models import (
     TieredGaeParams,
     TieredVgaeParams,
@@ -347,17 +346,17 @@ def test_bilinear_sigmoid_matches_its_chain(case):
 
 def test_fused_ops_check_shapes():
     m = ad.parameter(np.ones((2, 3)))
-    with pytest.raises(ShapeError, match="gcn layer"):
+    with pytest.raises(ValueError, match="gcn layer"):
         gcn_layer(ad.constant(np.eye(2)), m, ad.parameter(np.ones((2, 2))), relu=True)
-    with pytest.raises(ShapeError, match="matmul"):
+    with pytest.raises(ValueError, match="matmul"):
         exp_clamped_linear(m, ad.parameter(np.ones((2, 2))), -1.0, 1.0)
     with pytest.raises(ValueError, match="low < high"):
         exp_clamped_linear(m, ad.parameter(np.ones((3, 2))), 1.0, 1.0)
-    with pytest.raises(ShapeError, match="sample"):
+    with pytest.raises(ValueError, match="sample"):
         ad.reparameterize(m, ad.parameter(np.ones((1, 1))), np.zeros((2, 3)))
-    with pytest.raises(ShapeError, match="differ"):
+    with pytest.raises(ValueError, match="differ"):
         ad.kl_standard_normal(m, ad.parameter(np.ones((3, 2))))
-    with pytest.raises(ShapeError, match="bilinear"):
+    with pytest.raises(ValueError, match="bilinear"):
         bilinear_sigmoid(m, ad.parameter(np.ones((3, 2))))
     assert ad.tape_size() == 0
 

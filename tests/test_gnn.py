@@ -127,9 +127,9 @@ def test_forward_shape_validation():
     rng = np.random.default_rng(1)
     stack = TieredGaeParams.init(rng, (4, 4, 4), 2).encoders[1]
     A = np.zeros((3, 3))
-    with pytest.raises(ad.ShapeError, match="rows"):
+    with pytest.raises(ValueError, match="rows"):
         gnn_forward(stack, propagator(A), ad.constant(np.zeros((2, 4))))
-    with pytest.raises(ad.ShapeError, match="width"):
+    with pytest.raises(ValueError, match="width"):
         gnn_forward(stack, propagator(A), ad.constant(np.zeros((3, 5))))
 
 

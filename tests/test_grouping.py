@@ -12,7 +12,6 @@ from moltiers.grouping import (
     AROMATIC_RING,
     COMPONENT,
     FUNCTIONAL_GROUP,
-    CoverageError,
     Group,
     build_membership,
     check_bond_consistency,
@@ -160,13 +159,13 @@ def test_membership_value_is_reciprocal_of_group_count():
 
 
 def test_build_membership_rejects_bad_input():
-    with pytest.raises(CoverageError, match="no groups"):
+    with pytest.raises(ValueError, match="no groups"):
         build_membership([], 3)
     gs = [Group(FUNCTIONAL_GROUP, (0, 5))]
     with pytest.raises(ValueError, match="outside"):
         build_membership(gs, 3)
     gs = [Group(FUNCTIONAL_GROUP, (0, 1))]
-    with pytest.raises(CoverageError, match="atom 2 is not covered"):
+    with pytest.raises(ValueError, match="atom 2 is not covered"):
         build_membership(gs, 3)
 
 

@@ -8,13 +8,18 @@ in its own module or where it is imported, or an attribute of an imported
 module alias (``ad.matmul``); a class member counts as referenced by any
 attribute of its name, on any object. Symbols whose callers live outside
 the package are allowed below, each with its reason.
+
+A second scan holds the exception classes to the same rule: each one the
+package defines must be caught by name somewhere in the package or in
+``perfbench``, or it is one more name for a failure no caller tells apart.
 """
 
 import ast
 import pathlib
 from collections import defaultdict
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "moltiers"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "moltiers"
 
 ALLOWED = {
     ("autodiff", "tape_size"): "perfbench tracer target: counts tape records per step",
@@ -101,3 +106,30 @@ def test_every_public_symbol_has_a_caller_in_the_package():
 
 def test_the_allow_list_names_only_uncalled_symbols():
     assert set(ALLOWED) <= _uncalled()
+
+
+def _caught_names() -> set[str]:
+    """Every name an ``except`` clause in the package or perfbench names,
+    bare (``SmilesError``) or as an attribute (``smiles.SmilesError``)."""
+    names = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                for node in ast.walk(handler.type):
+                    if isinstance(node, ast.Name):
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        names.add(node.attr)
+    return names
+
+
+def test_every_exception_class_has_a_handler():
+    defined = {
+        (module, node.name)
+        for module, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Error")
+    }
+    assert ("smiles", "SmilesError") in defined  # the scan sees the classes
+    caught = _caught_names()
+    assert {(module, name) for module, name in defined if name not in caught} == set()

@@ -6,7 +6,8 @@ evaluation section sees every score it is given."""
 import numpy as np
 import read_path_digest
 
-from moltiers import models
+from moltiers import models, molgraph
+from moltiers.smiles import SmilesError
 
 
 def test_compare_reports_the_digest_that_differs(capsys):
@@ -34,11 +35,30 @@ def test_sections_see_what_they_hash(tmp_path):
     # a name reaches the graph section alone
     renamed = digest("CCO ethyl-alcohol\nC@C bad\n")
     assert [s for s in base if renamed[s] != base[s]] == ["graph"]
-    # an error's repr is hashed
+    # an error's message is hashed
     assert digest("CCO ethanol\nC.C bad\n")["graph"] != base["graph"]
     # one more ring changes every section
     ring = digest("C1CO1 oxirane\nC@C bad\n")
     assert all(ring[s] != base[s] for s in base)
+
+
+def test_the_graph_section_hashes_an_errors_family_not_its_class_name(monkeypatch, tmp_path):
+    path = tmp_path / "molecules.smi"
+    path.write_text("CCO ethanol\n")
+    loaded = molgraph.load_molecules(path)
+
+    def digest(error):
+        rejected = molgraph.MoleculeRecord(2, "bad", error=error)
+        monkeypatch.setattr(molgraph, "load_molecules", lambda _: [*loaded, rejected])
+        return read_path_digest.digest_file(path)["graph"]
+
+    class RenamedSmilesError(SmilesError):
+        pass
+
+    base = digest(SmilesError("empty branch", 1))
+    assert digest(RenamedSmilesError("empty branch", 1)) == base
+    assert digest(ValueError("empty branch (position 1)")) != base
+    assert digest(SmilesError("empty branch", 2)) != base
 
 
 def test_the_eval_section_hashes_every_score_of_both_models(monkeypatch, tmp_path):
