@@ -19,7 +19,7 @@ from operator import lt
 
 import numpy as np
 
-from .molgraph import MolecularGraph, ring_bonds
+from .molgraph import MolecularGraph, components, ring_bonds
 
 FUNCTIONAL_GROUP = "FG"
 AROMATIC_RING = "AromaticRing"
@@ -41,29 +41,29 @@ class Group:
             raise ValueError(f"group atoms must {'not repeat' if repeated else 'be sorted'}")
 
 
-def _with_hydrogens(graph: MolecularGraph, atoms: Collection[int]) -> tuple[int, ...]:
+def _with_hydrogens(elements: list[str], neighbors: list[list[int]], atoms: Collection[int]) -> tuple[int, ...]:
     """``atoms`` plus the hydrogens bonded to them, sorted ascending."""
-    elements, neighbors = graph.elements, graph.neighbors
-    members = {nbr for atom in atoms for nbr in neighbors(atom) if elements[nbr] == "H"}
+    members = {nbr for atom in atoms for nbr in neighbors[atom] if elements[nbr] == "H"}
     members.update(atoms)
     return tuple(sorted(members))
 
 
-def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
+def detect_aromatic_rings(graph: MolecularGraph, neighbors: list[list[int]]) -> list[tuple[int, ...]]:
     """Rings whose every bond is aromatic, each returned with its attached
-    hydrogens, sorted ascending."""
+    hydrogens, sorted ascending; ``neighbors`` is ``graph.neighbor_lists()``."""
     if not graph.rings:
         return []
     aromatic = {(i, j) for i, j, order in graph._bonds() if order == "aromatic"}
     return [
-        _with_hydrogens(graph, ring)
+        _with_hydrogens(graph.elements, neighbors, ring)
         for ring in graph.rings
         if all((a, b) in aromatic or (b, a) in aromatic for a, b in ring_bonds(ring))
     ]
 
 
-def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
-    """Functional groups as sorted atom tuples, ordered by smallest member.
+def identify_functional_groups(graph: MolecularGraph, neighbors: list[list[int]]) -> list[tuple[int, ...]]:
+    """Functional groups as sorted atom tuples, ordered by smallest member;
+    ``neighbors`` is ``graph.neighbor_lists()``.
 
     Marking rules: (a) non-aromatic heteroatoms; (b) carbons joined by a
     non-aromatic double or triple bond; (c) carbons with only single bonds
@@ -72,7 +72,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     absorbs its hydrogens and any terminal carbon whose heavy neighbors all
     lie inside the group (the methyl of a methoxy).
     """
-    elements, aromatic, neighbors = graph.elements, graph.aromatic, graph.neighbors
+    elements, aromatic = graph.elements, graph.aromatic
     marked = {i for i, e in enumerate(elements) if e not in ("C", "H") and not aromatic[i]}
 
     marked.update(
@@ -82,7 +82,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
     # The acetal rule counts each carbon's O, N and S neighbours from their side,
     # and reads the unsaturated atoms only when some carbon has two.
     hetero_bonds = Counter(
-        nbr for i, e in enumerate(elements) if e in ("O", "N", "S") for nbr in neighbors(i)
+        nbr for i, e in enumerate(elements) if e in ("O", "N", "S") for nbr in neighbors[i]
     )
     acetal = [i for i, count in hetero_bonds.items() if count >= 2 and elements[i] == "C" and not aromatic[i]]
     if acetal:
@@ -94,19 +94,19 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
             marked.update(ring)
 
     # Merge marked atoms that are bonded to each other.
-    cores = [set(part) for part in graph.components(marked)]
+    cores = [set(part) for part in components(neighbors, marked)]
 
     # An unmarked carbon joins the core that holds all of its heavy neighbors;
     # cores are disjoint, so one pass over the carbons next to a core finds
     # the one core, if any.
     core_of = {atom: k for k, core in enumerate(cores) for atom in core}
-    bordering = {nbr for atom in marked for nbr in neighbors(atom) if elements[nbr] == "C"}
+    bordering = {nbr for atom in marked for nbr in neighbors[atom] if elements[nbr] == "C"}
     for i in bordering - marked:
-        owners = {core_of.get(nbr) for nbr in neighbors(i) if elements[nbr] != "H"}
+        owners = {core_of.get(nbr) for nbr in neighbors[i] if elements[nbr] != "H"}
         if len(owners) == 1 and None not in owners:
             cores[owners.pop()].add(i)
 
-    groups = [_with_hydrogens(graph, core) for core in cores]
+    groups = [_with_hydrogens(elements, neighbors, core) for core in cores]
     groups.sort(key=lambda g: g[0])
     return groups
 
@@ -115,12 +115,14 @@ def partition(graph: MolecularGraph) -> list[Group]:
     """Partition every atom into functional groups, aromatic rings and
     leftover connected components, in that order, each kind sorted by its
     smallest member. A molecule without functional groups or aromatic rings
-    becomes a single component."""
-    functional = identify_functional_groups(graph)
-    rings = detect_aromatic_rings(graph)
+    becomes a single component. The graph's neighbour lists are built once
+    here, for every rule and walk."""
+    neighbors = graph.neighbor_lists()
+    functional = identify_functional_groups(graph, neighbors)
+    rings = detect_aromatic_rings(graph, neighbors)
 
     covered = {atom for group in functional + rings for atom in group}
-    leftovers = graph.components(set(range(graph.num_atoms)) - covered)
+    leftovers = components(neighbors, set(range(graph.num_atoms)) - covered)
 
     groups = [Group(FUNCTIONAL_GROUP, g) for g in functional]
     groups += [Group(AROMATIC_RING, g) for g in sorted(rings, key=lambda g: g[0])]

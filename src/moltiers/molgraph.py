@@ -3,11 +3,12 @@
 Hydrogens are explicit nodes: graphs carry every atom, and for a connected
 molecule U = N - 1 + R where R is the number of independent rings. Ring
 perception (a shortest-cycle basis) runs at construction, over the neighbour
-lists the constructor checks; the basis also decides connectivity, having
-U - N + C members for C connected components.
-A graph holds no array and caches nothing: :class:`moltiers.models.MoleculeData`
-builds its adjacency, and :func:`featurize_nodes` its node features, from
-``_bond_ends``, and ``ring_atoms`` and ``unsaturated`` are built on each read.
+lists the constructor checks and then drops; the basis also decides
+connectivity, having U - N + C members for C connected components.
+A graph holds each bond once, no array, and caches nothing:
+:class:`moltiers.models.MoleculeData` builds its adjacency, and
+:func:`featurize_nodes` its node features, from ``_bond_ends``, and
+``ring_atoms``, ``unsaturated`` and ``neighbor_lists()`` are built on each read.
 """
 
 from __future__ import annotations
@@ -58,19 +59,39 @@ def ring_bonds(ring: tuple[int, ...]) -> list[tuple[int, int]]:
     return list(zip(ring, ring[1:] + ring[:1]))
 
 
+def components(neighbors: list[list[int]], nodes: Iterable[int]) -> list[tuple[int, ...]]:
+    """Connected parts of the subgraph of ``neighbors`` induced by ``nodes``,
+    each sorted. A part is grown by BFS from its smallest node, and the parts
+    come in that order: each seed is the next unvisited node in sorted order."""
+    unvisited = set(nodes)
+    parts = []
+    for seed in sorted(unvisited):
+        if seed in unvisited:
+            unvisited.discard(seed)
+            part = [seed]
+            for node in part:  # the list is the BFS queue
+                for nbr in neighbors[node]:
+                    if nbr in unvisited:
+                        unvisited.discard(nbr)
+                        part.append(nbr)
+            parts.append(tuple(sorted(part)))
+    return parts
+
+
 class MolecularGraph:
     """One connected molecule with explicit hydrogens, held as lists.
 
     Per atom: ``elements``, ``charges`` and ``aromatic`` flags; per bond:
     ``orders`` and each end's atom in a list of its own, which ``pairs``
-    reads back as (first atom, second atom) in constructor order; per atom
-    again, its neighbours in bond order, a tuple each, in one list.
+    reads back as (first atom, second atom) in constructor order and
+    ``neighbor_lists()`` as each atom's neighbours in bond order.
     ``ring_atoms`` and ``unsaturated`` are built on each read. Construction
     copies each input, checks the lengths, elements, bond orders, charges
     (ints) and aromatic flags (bools), then checks and indexes the bonds in
-    one pass, naming any bond that is not a pair of atom indices, runs ring
-    perception over that index and rejects a disconnected graph by its ring
-    count. Treat instances as immutable afterwards.
+    one pass, naming any bond that is not a pair of atom indices (a bool
+    end is none), runs ring perception over that index and rejects a
+    disconnected graph by its ring count. Treat instances as immutable
+    afterwards.
     """
 
     def __init__(self, elements: Iterable[str], charges: Iterable[int], aromatic: Iterable[bool],
@@ -106,39 +127,30 @@ class MolecularGraph:
                     raise ValueError(f"duplicate bond between atoms {(min(i, j), max(i, j))}")
                 near_i.append(j)
                 near_j.append(i)
-        except (TypeError, ValueError) as err:  # a malformed bond stops the loop at itself
-            index = sum(map(len, neighbors)) // 2  # the bonds before it are each indexed twice
-            bond = pairs[index]
-            if len(bond) != 2 or not all(hasattr(type(end), "__index__") for end in bond):
-                raise ValueError(f"bond {index} is {bond!r}, not a pair of atom indices") from err
+            self._first, self._second = [i for i, _ in pairs], [j for _, j in pairs]
+            if bool in set(map(type, self._first)) or bool in set(map(type, self._second)):  # one pass each
+                raise TypeError("a bool is no atom index")
+        except (TypeError, ValueError) as err:  # a malformed bond stops the loop at itself; a bool end, after it
+            indexed = sum(map(len, neighbors)) // 2  # the bonds before it are each indexed twice
+            for index, bond in enumerate(pairs[:indexed + 1]):
+                if len(bond) != 2 or not all(hasattr(type(end), "__index__") and type(end) is not bool
+                                             for end in bond):
+                    raise ValueError(f"bond {index} is {bond!r}, not a pair of atom indices") from err
             raise
 
-        self.rings = tuple(shortest_cycle_basis(neighbors, pairs))
-        # Tuples in bond order, on which the basis depends, held in a list: a freed tuple of under
-        # 20 items stays in CPython's free list for its size, which grew a long embed run's peak RSS.
-        self._neighbors = list(map(tuple, neighbors))
-        self._first, self._second = [i for i, _ in pairs], [j for _, j in pairs]
+        self.rings = tuple(shortest_cycle_basis(neighbors, pairs))  # the lists' bond order decides its ties
         if len(self.rings) != len(pairs) - n + 1:
-            reachable = len(self.components(range(n))[0])
+            reachable = len(components(neighbors, range(n))[0])
             raise ValueError(f"molecular graph is disconnected ({reachable} of {n} atoms reachable)")
 
-    def components(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
-        """Connected parts of the subgraph induced by ``nodes``, each sorted.
-        A part is grown by BFS from its smallest node, and the parts come in
-        that order: each seed is the next unvisited node in sorted order."""
-        unvisited = set(nodes)
-        parts = []
-        for seed in sorted(unvisited):
-            if seed in unvisited:
-                unvisited.discard(seed)
-                part = [seed]
-                for node in part:  # the list is the BFS queue
-                    for nbr in self._neighbors[node]:
-                        if nbr in unvisited:
-                            unvisited.discard(nbr)
-                            part.append(nbr)
-                parts.append(tuple(sorted(part)))
-        return parts
+    def neighbor_lists(self) -> list[list[int]]:
+        """Each atom's neighbours in bond order, rebuilt from the bonds on
+        every call: build the table once per pass that needs it."""
+        neighbors = [[] for _ in self.elements]
+        for i, j in zip(self._first, self._second):
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+        return neighbors
 
     # -- simple accessors ---------------------------------------------------
 
@@ -168,9 +180,6 @@ class MolecularGraph:
     def unsaturated(self) -> frozenset[int]:
         """Atoms with a double, triple or aromatic bond."""
         return frozenset(end for i, j, order in self._bonds() if order != "single" for end in (i, j))
-
-    def neighbors(self, index: int) -> tuple[int, ...]:
-        return self._neighbors[index]
 
     def formula(self) -> str:
         return hill_formula(self.elements)
@@ -221,12 +230,13 @@ class MoleculeRecord:
 def load_molecules(path) -> list[MoleculeRecord]:
     """Read a molecule file: one ``SMILES [name]`` per line; blank lines and
     ``#`` comments are skipped. Parse failures, and lines that are not
-    UTF-8, are captured per record, not raised."""
+    UTF-8, are captured per record, not raised. A leading byte-order mark
+    is skipped."""
     from .smiles import SmilesError, parse_smiles
 
     records: list[MoleculeRecord] = []
     # Bytes that are not UTF-8 decode to lone surrogates, which only their line's record sees.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -36,8 +36,10 @@ from itertools import accumulate
 
 from .molgraph import ELEMENTS, VALENCES, MolecularGraph
 
-_ORGANIC = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
-_AROMATIC = {"b", "c", "n", "o", "p", "s"}
+# Symbol to ELEMENTS entry, so that every atom of an element shares one string.
+_ELEMENT = {element: element for element in ELEMENTS}
+_ORGANIC = {element: element for element in ELEMENTS if element != "H"}
+_AROMATIC = {element.lower(): element for element in ELEMENTS if element in ("B", "C", "N", "O", "P", "S")}
 _BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple"}
 _BOND_VALENCE = {"single": 1, "double": 2, "triple": 3, "aromatic": 1}
 
@@ -82,8 +84,8 @@ def _parse_bracket(body: str, position: int) -> _ParsedAtom:
 
     symbol = match.group("element")
     aromatic = symbol[0].islower()
-    element = symbol.capitalize() if aromatic else symbol
-    if element not in ELEMENTS or (aromatic and symbol not in _AROMATIC):
+    element = (_AROMATIC if aromatic else _ELEMENT).get(symbol)
+    if element is None:
         raise SmilesError(f"element '{symbol}' is not supported", position)
 
     hydrogens = match.group("hydrogens")
@@ -183,13 +185,11 @@ def parse_smiles(text: str, name: str = "") -> MolecularGraph:
         char = text[i]
 
         if char in _ORGANIC:
-            symbol = text[i:i + 2]
-            if symbol != "Cl" and symbol != "Br":
-                symbol = char
-            add_atom(_ParsedAtom(symbol, False, i))
-            i += len(symbol)
+            element = _ORGANIC.get(text[i:i + 2]) or _ORGANIC[char]  # Cl and Br, or one letter
+            add_atom(_ParsedAtom(element, False, i))
+            i += len(element)
         elif char in _AROMATIC:
-            add_atom(_ParsedAtom(char.capitalize(), True, i))
+            add_atom(_ParsedAtom(_AROMATIC[char], True, i))
             i += 1
         elif char == "(":
             if previous is None:

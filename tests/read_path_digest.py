@@ -15,7 +15,8 @@ backbones (``gen.large_molecules(1, count=20)``) and ``RING_SYSTEMS`` of
   a ``SmilesError`` (its class name, which trees may rename, is left out),
   or its graph's name, SMILES, formula,
   atoms (element, charge, aromatic flag), bonds (atoms and order) and
-  each atom's neighbours in order, as a list whatever container holds them;
+  each atom's neighbours in order, as lists, from ``neighbor_lists()`` or,
+  on a tree that stored them, ``neighbors(i)`` (see ``neighbour_rows``);
 - ``rings``: the ring basis, the ring atoms and the unsaturated atoms;
 - ``partition``: each group's kind and atoms;
 - ``consistency``: what ``check_bond_consistency`` reports under the
@@ -68,6 +69,15 @@ def write_inputs(tree: Path, directory: Path) -> dict[str, Path]:
     return inputs
 
 
+def neighbour_rows(graph) -> list[list[int]]:
+    """Each atom's neighbours in order, one list per atom: a graph's
+    ``neighbor_lists()``, or the ``neighbors(i)`` of a tree whose graphs
+    stored them before they held each bond once."""
+    if hasattr(graph, "neighbor_lists"):
+        return graph.neighbor_lists()
+    return [list(graph.neighbors(i)) for i in range(graph.num_atoms)]
+
+
 def digest_file(path: Path) -> dict[str, str]:
     """One hex digest per section for the molecules of ``path``, built by
     the ``moltiers`` on ``sys.path``."""
@@ -107,7 +117,7 @@ def digest_file(path: Path) -> dict[str, str]:
         add("graph", graph.name, graph.smiles, graph.formula(),
             list(zip(graph.elements, graph.charges, graph.aromatic)),
             [(i, j, order) for (i, j), order in zip(graph.pairs, graph.orders)],
-            [list(graph.neighbors(i)) for i in range(graph.num_atoms)])  # their order, not their type
+            neighbour_rows(graph))
         add("rings", graph.rings, sorted(graph.ring_atoms), sorted(graph.unsaturated))
         groups = partition(graph)
         add("partition", [(group.kind, group.atoms) for group in groups])

@@ -22,7 +22,8 @@ the bonds.
 
 Tests require the library's versions to match these exactly. The three
 per-atom helpers stand in for the ``MolecularGraph`` methods the old
-featurization called.
+featurization called. Each version reads neighbours from lists it builds
+from ``graph.pairs`` with ``neighbor_lists``, not from the graph.
 
 And the component walk as it was before it seeded its parts in one pass
 over the sorted nodes: ``min`` of the unvisited nodes once per part.
@@ -193,7 +194,7 @@ def shortest_cycle_basis(num_nodes: int, edges: Sequence[tuple[int, int]]) -> li
 
 
 def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
-    atoms, bonds = atom_rows(graph), bond_rows(graph)
+    atoms, bonds, neighbors = atom_rows(graph), bond_rows(graph), neighbor_lists(graph.num_atoms, graph.pairs)
     marked: set[int] = set()
 
     for i, atom in enumerate(atoms):
@@ -213,7 +214,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
         if any(o != "single" for o in orders):
             continue
         hetero_neighbors = sum(
-            1 for nbr in graph.neighbors(i) if atoms[nbr].element in ("O", "N", "S")
+            1 for nbr in neighbors[i] if atoms[nbr].element in ("O", "N", "S")
         )
         if hetero_neighbors >= 2:
             marked.add(i)
@@ -232,7 +233,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
         unvisited.discard(seed)
         while queue:
             node = queue.popleft()
-            for nbr in graph.neighbors(node):
+            for nbr in neighbors[node]:
                 if nbr in unvisited:
                     unvisited.discard(nbr)
                     core.add(nbr)
@@ -245,12 +246,12 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
         for i, atom in enumerate(atoms):
             if atom.element != "C" or i in marked:
                 continue
-            heavy = [nbr for nbr in graph.neighbors(i) if atoms[nbr].element != "H"]
+            heavy = [nbr for nbr in neighbors[i] if atoms[nbr].element != "H"]
             if heavy and all(nbr in core for nbr in heavy):
                 members.add(i)
         for member in list(members):
             members.update(
-                nbr for nbr in graph.neighbors(member) if atoms[nbr].element == "H"
+                nbr for nbr in neighbors[member] if atoms[nbr].element == "H"
             )
         groups.append(tuple(sorted(members)))
     groups.sort(key=lambda g: g[0])
@@ -258,6 +259,7 @@ def identify_functional_groups(graph: MolecularGraph) -> list[tuple[int, ...]]:
 
 
 def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
+    neighbors = neighbor_lists(graph.num_atoms, graph.pairs)
     bond_order = {}
     for bond in bond_rows(graph):
         i, j = bond.first, bond.second
@@ -273,7 +275,7 @@ def detect_aromatic_rings(graph: MolecularGraph) -> list[tuple[int, ...]]:
             members = set(ring)
             for atom in ring:
                 members.update(
-                    nbr for nbr in graph.neighbors(atom) if graph.elements[nbr] == "H"
+                    nbr for nbr in neighbors[atom] if graph.elements[nbr] == "H"
                 )
             results.append(tuple(sorted(members)))
     return results
@@ -290,6 +292,7 @@ def partition(graph: MolecularGraph) -> list[Group]:
         covered.update(group)
 
     leftovers: list[tuple[int, ...]] = []
+    neighbors = neighbor_lists(graph.num_atoms, graph.pairs)
     unvisited = set(range(graph.num_atoms)) - covered
     while unvisited:
         seed = min(unvisited)
@@ -298,7 +301,7 @@ def partition(graph: MolecularGraph) -> list[Group]:
         unvisited.discard(seed)
         while queue:
             node = queue.popleft()
-            for nbr in graph.neighbors(node):
+            for nbr in neighbors[node]:
                 if nbr in unvisited:
                     unvisited.discard(nbr)
                     component.add(nbr)
@@ -344,6 +347,7 @@ def ring_flags(graph: MolecularGraph) -> tuple[frozenset[int], list[tuple[bool, 
 
 
 def components(graph: MolecularGraph, nodes) -> list[tuple[int, ...]]:
+    neighbors = neighbor_lists(graph.num_atoms, graph.pairs)
     unvisited = set(nodes)
     parts = []
     while unvisited:
@@ -351,7 +355,7 @@ def components(graph: MolecularGraph, nodes) -> list[tuple[int, ...]]:
         unvisited.discard(seed)
         part = [seed]
         for node in part:
-            for nbr in graph.neighbors(node):
+            for nbr in neighbors[node]:
                 if nbr in unvisited:
                     unvisited.discard(nbr)
                     part.append(nbr)
@@ -363,23 +367,24 @@ def atom_in_ring(graph: MolecularGraph, index: int) -> bool:
     return any(index in ring for ring in graph.rings)
 
 
-def heavy_degree(graph: MolecularGraph, index: int) -> int:
-    return sum(1 for nbr in graph.neighbors(index) if graph.elements[nbr] != "H")
+def heavy_degree(graph: MolecularGraph, neighbors: list[list[int]], index: int) -> int:
+    return sum(1 for nbr in neighbors[index] if graph.elements[nbr] != "H")
 
 
-def attached_hydrogens(graph: MolecularGraph, index: int) -> int:
-    return sum(1 for nbr in graph.neighbors(index) if graph.elements[nbr] == "H")
+def attached_hydrogens(graph: MolecularGraph, neighbors: list[list[int]], index: int) -> int:
+    return sum(1 for nbr in neighbors[index] if graph.elements[nbr] == "H")
 
 
 def featurize_nodes(graph: MolecularGraph) -> np.ndarray:
     n = graph.num_atoms
+    neighbors = neighbor_lists(n, graph.pairs)
     features = np.zeros((n, NODE_FEATURE_DIM))
     for i, atom in enumerate(atom_rows(graph)):
         features[i, ELEMENTS.index(atom.element)] = 1.0
         features[i, 11] = 1.0 if atom.aromatic else 0.0
         features[i, 12] = float(atom.formal_charge)
-        features[i, 13] = float(heavy_degree(graph, i))
-        features[i, 14] = float(attached_hydrogens(graph, i))
+        features[i, 13] = float(heavy_degree(graph, neighbors, i))
+        features[i, 14] = float(attached_hydrogens(graph, neighbors, i))
         features[i, 15] = 1.0 if atom_in_ring(graph, i) else 0.0
     return features
 

@@ -334,6 +334,34 @@ def test_a_line_that_is_not_utf8_is_that_lines_error(trained_dir, tmp_path, caps
         assert [m["name"] for m in json.loads(out.read_text())["molecules"]] == ["ethanol", "acetic-acid"]
 
 
+@pytest.mark.parametrize("command", ["parse", "embed"])
+def test_a_leading_byte_order_mark_is_skipped(trained_dir, tmp_path, capsys, command):
+    """A file that starts with the UTF-8 byte-order mark, as Windows editors
+    and spreadsheet exports write it, loads both of its molecules."""
+    path = tmp_path / "bom.smi"
+    path.write_bytes(b"\xef\xbb\xbfCCO ethanol\nCC(=O)O acetic-acid\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "parse": ["parse", "--input", str(path)],
+        "embed": ["embed", str(trained_dir / "checkpoint.json"), "--input", str(path), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "parse":
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == ["ethanol", "acetic-acid"]
+    else:
+        assert [m["name"] for m in json.loads(out.read_text())["molecules"]] == ["ethanol", "acetic-acid"]
+
+
+def test_a_byte_order_mark_inside_a_line_is_that_lines_error(tmp_path, capsys):
+    path = tmp_path / "bom.smi"
+    path.write_bytes(b"CCO ethanol\nC\xef\xbb\xbfC bad\n")
+    assert main(["parse", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "line 2: unexpected character '\\ufeff' (position 1)\n"
+
+
 def test_embed_graph_tier(trained_dir, corpus_file, tmp_path):
     out = tmp_path / "emb.json"
     code = main([

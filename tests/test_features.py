@@ -53,8 +53,9 @@ def test_one_hot_block_is_exactly_one_per_row(corpus_graphs):
 def test_degree_columns_match_adjacency(corpus_graphs):
     for g in corpus_graphs:
         X = featurize_nodes(g)
+        neighbour_lists = g.neighbor_lists()
         for i, element in enumerate(g.elements):
-            neighbours = g.neighbors(i)
+            neighbours = neighbour_lists[i]
             hydrogens = sum(1 for j in neighbours if g.elements[j] == "H")
             heavy = len(neighbours) - hydrogens
             if element == "H":
@@ -135,6 +136,16 @@ def test_graph_reads_atoms_and_bonds_from_any_iterable():
     assert from_lists.charges == [0, 1, 0] and from_lists.aromatic == [False, True, False]
 
 
+def test_numpy_integer_endpoints_index_atoms():
+    """Any integer type but bool is an atom index: numpy's build the graph
+    that ints build."""
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    built = MolecularGraph(*carbon_fields(3, pairs))
+    from_numpy = MolecularGraph(*carbon_fields(3, [(np.int64(i), np.int64(j)) for i, j in pairs]))
+    assert from_numpy.pairs == built.pairs and from_numpy.rings == built.rings
+    assert from_numpy.neighbor_lists() == built.neighbor_lists()
+
+
 def test_graph_rejects_out_of_range_endpoints():
     with pytest.raises(ValueError, match="out of range"):
         MolecularGraph(*carbon_fields(2, [(0, 5)]))
@@ -153,6 +164,8 @@ REJECTED_FIELDS = {
     "three-ended-bond": (carbon_fields(2, [(0, 1, 1)]), r"^bond 0 is \(0, 1, 1\), not a pair of atom indices$"),
     "one-ended-bond": (carbon_fields(2, [(0,)]), r"^bond 0 is \(0,\), not a pair of atom indices$"),
     "float-endpoint-after-a-bond": (carbon_fields(3, [(0, 1), (1, 2.0)]), r"^bond 1 is \(1, 2\.0\),"),
+    "bool-endpoint": (carbon_fields(3, [(True, 2), (0, 1)]), r"^bond 0 is \(True, 2\), not a pair of atom indices$"),
+    "bool-self-bond": (carbon_fields(2, [(True, 1)]), r"^bond 0 is \(True, 1\), not a pair of atom indices$"),
     "disconnected": (carbon_fields(3, [(0, 1)]), r"disconnected \(2 of 3 atoms reachable\)"),
     "short-charges": ((["C", "C"], [0], [False] * 2, [(0, 1)], ["single"]), "unequal lengths: 2 elements, 1 charges"),
     "short-aromatic-flags": ((["C", "C"], [0, 0], [False], [(0, 1)], ["single"]), "1 aromatic flags"),

@@ -5,8 +5,8 @@ reports and node features must match them exactly, and so must the adjacency, fe
 that ``MoleculeData.from_graph`` builds from the bond endpoints and the
 groups. Ring perception must search ring bonds only, and connectivity must
 come from the ring count, with no component walk for a connected molecule.
-A graph's per-field bond lists, neighbour tuples and atom sets built on read
-must give what a graph that stored its pairs and sets gave."""
+A graph's per-field bond lists, and the neighbour lists and atom sets built
+on read, must give what a graph that stored its pairs and sets gave."""
 
 import random
 import re
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from loss_oracle import bond_adjacency
 from test_smiles import SMILES_TOKENS
 
-from moltiers import cycles, models
+from moltiers import cycles, models, molgraph
 from moltiers.grouping import (
     COMPONENT,
     Group,
@@ -30,7 +30,7 @@ from moltiers.grouping import (
     partition,
 )
 from moltiers.models import MoleculeData
-from moltiers.molgraph import BOND_ORDERS, MolecularGraph, featurize_nodes, load_molecules
+from moltiers.molgraph import BOND_ORDERS, MolecularGraph, components, featurize_nodes, load_molecules
 from moltiers.smiles import SmilesError, parse_smiles
 
 
@@ -94,8 +94,9 @@ def test_cycle_basis_matches_the_all_edges_search(graph):
 
 def assert_read_path_matches_oracle(graph):
     assert list(graph.rings) == oracle.shortest_cycle_basis(graph.num_atoms, graph.pairs)
-    assert identify_functional_groups(graph) == oracle.identify_functional_groups(graph)
-    assert detect_aromatic_rings(graph) == oracle.detect_aromatic_rings(graph)
+    neighbors = graph.neighbor_lists()
+    assert identify_functional_groups(graph, neighbors) == oracle.identify_functional_groups(graph)
+    assert detect_aromatic_rings(graph, neighbors) == oracle.detect_aromatic_rings(graph)
     groups, expected_groups = partition(graph), oracle.partition(graph)
     assert [(g.kind, g.atoms) for g in groups] == [(g.kind, g.atoms) for g in expected_groups]
     ring_atoms, flags = oracle.ring_flags(graph)
@@ -220,20 +221,20 @@ def test_components_match_the_min_per_part_walk(graph, rng):
     for share in (0.0, 0.3, 0.7, 1.0):
         subset = [node for node in nodes if rng.random() < share]
         rng.shuffle(subset)
-        assert skeleton.components(subset) == oracle.components(skeleton, subset)
+        assert components(skeleton.neighbor_lists(), subset) == oracle.components(skeleton, subset)
 
 
 def test_a_connected_molecule_walks_no_components(monkeypatch, corpus_path):
     """Building every corpus molecule never calls ``components``; a
     disconnected graph calls it once, for its error message."""
     calls = []
-    walk = MolecularGraph.components
+    walk = molgraph.components
 
-    def counted(self, nodes):
-        calls.append(self)
-        return walk(self, nodes)
+    def counted(neighbors, nodes):
+        calls.append(neighbors)
+        return walk(neighbors, nodes)
 
-    monkeypatch.setattr(MolecularGraph, "components", counted)
+    monkeypatch.setattr(molgraph, "components", counted)
     records = load_molecules(corpus_path)
     assert len(records) == 30 and all(r.graph is not None for r in records)
     assert calls == []
@@ -266,7 +267,7 @@ def assert_graph_reads_back(graph, pairs):
     bond order, and ``ring_atoms``, ``unsaturated`` and ``_bond_ends()`` as
     a graph that stored its pairs and both sets built them."""
     assert graph.pairs == [tuple(pair) for pair in pairs]
-    assert [list(graph.neighbors(i)) for i in range(graph.num_atoms)] == oracle.neighbor_lists(graph.num_atoms, pairs)
+    assert graph.neighbor_lists() == oracle.neighbor_lists(graph.num_atoms, pairs)
     assert graph.ring_atoms == oracle.stored_ring_atoms(graph)
     assert graph.unsaturated == oracle.stored_unsaturated(graph)
     ends, expected = graph._bond_ends(), oracle.bond_ends(graph)

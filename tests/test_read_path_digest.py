@@ -1,13 +1,17 @@
 """The digest comparison of ``tests/read_path_digest.py``: its comparison
 names each digest that differs or that one side lacks, its sections tell
-apart molecules that differ only where that section looks, and its
-evaluation section sees every score it is given."""
+apart molecules that differ only where that section looks, its graph
+section reads neighbours from a graph of either tree, and its evaluation
+section sees every score it is given."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import read_path_digest
+from read_path_oracle import neighbor_lists
 
 from moltiers import models, molgraph
-from moltiers.smiles import SmilesError
+from moltiers.smiles import SmilesError, parse_smiles
 
 
 def test_compare_reports_the_digest_that_differs(capsys):
@@ -40,6 +44,16 @@ def test_sections_see_what_they_hash(tmp_path):
     # one more ring changes every section
     ring = digest("C1CO1 oxirane\nC@C bad\n")
     assert all(ring[s] != base[s] for s in base)
+
+
+def test_neighbour_rows_read_either_tree_alike():
+    """A graph's ``neighbor_lists()``, and a stored-neighbour graph's
+    ``neighbors(i)`` tuples, give the same rows and so the same hash."""
+    graph = parse_smiles("OC1CC1c1ccccc1")
+    rows = read_path_digest.neighbour_rows(graph)
+    assert rows == neighbor_lists(graph.num_atoms, graph.pairs)
+    stored = SimpleNamespace(num_atoms=graph.num_atoms, neighbors=lambda i: tuple(rows[i]))
+    assert read_path_digest.neighbour_rows(stored) == rows
 
 
 def test_the_graph_section_hashes_an_errors_family_not_its_class_name(monkeypatch, tmp_path):

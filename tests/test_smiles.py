@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from read_path_oracle import bond_flags
 
-from moltiers.molgraph import MolecularGraph
+from moltiers.molgraph import ELEMENTS, MolecularGraph
 from moltiers.smiles import (
     SmilesError,
     parse_smiles,
@@ -140,7 +140,7 @@ def test_an_atom_with_many_neighbours_parses_in_linear_time():
     started = time.perf_counter()
     graph = parse_smiles("[C]" + "(C)" * 20_000)
     assert time.perf_counter() - started < 1.5
-    assert len(graph.neighbors(0)) == 20_000
+    assert len(graph.neighbor_lists()[0]) == 20_000
 
 
 def test_two_letter_element_lookahead():
@@ -170,7 +170,8 @@ def test_branch_nesting():
     g = parse_smiles("CC(C(C)C)C")  # 2,3-dimethylbutane
     assert g.formula() == "C6H14"
     heavy = [i for i, element in enumerate(g.elements) if element == "C"]
-    degree = {i: sum(1 for j in g.neighbors(i) if g.elements[j] == "C") for i in heavy}
+    neighbors = g.neighbor_lists()
+    degree = {i: sum(1 for j in neighbors[i] if g.elements[j] == "C") for i in heavy}
     assert sorted(degree.values()) == [1, 1, 1, 1, 3, 3]
 
 
@@ -299,3 +300,18 @@ def test_atom_and_bond_views_rebuild_the_same_graph(text):
     rebuilt = MolecularGraph(graph.elements, graph.charges, graph.aromatic, graph.pairs, graph.orders)
     for field in ("elements", "charges", "aromatic", "pairs", "orders", "rings", "ring_atoms", "unsaturated"):
         assert getattr(rebuilt, field) == getattr(graph, field), field
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(SMILES_TOKENS), max_size=24).map("".join))
+@example("ClC(Br)c1cc[nH]c1[Cl]")
+@example("[NH4+]")
+def test_atoms_of_one_element_share_its_string(text):
+    """Organic, aromatic, two-letter, bracket and generated-hydrogen atoms
+    all hold the ``ELEMENTS`` entry itself, so that a file of graphs keeps
+    one string per element, not one per atom."""
+    try:
+        graph = parse_smiles(text)
+    except SmilesError:
+        return
+    assert all(element is ELEMENTS[ELEMENTS.index(element)] for element in graph.elements)
